@@ -51,8 +51,8 @@ def catalog_keys():
     keys = {}
     for f, n, alpha in w.DENSE_STRATA:
         keys[(f, n, alpha)] = False
-    for f, alpha in w.LARGE_FAMILIES:
-        for n in w.LARGE_SIZES:
+    for n, families in w.LARGE_STRATA.items():
+        for f, alpha in families:
             keys[(f, n, alpha)] = True
     for f, alpha in w.CLI_FAMILIES + tuple(x for pair in w.CLI_FINGERPRINT_PAIRS for x in pair):
         for n in w.CLI_SIZES:

@@ -2,21 +2,24 @@
 
 Run from the root of a source checkout (the directory holding ``src/``):
 
-    python3 perfbench/run.py --workload catalog-large --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload catalog-large --seed 1 --seconds 25 --trace 0
     python3 perfbench/run.py --smoke      # one round of every workload, same checks
 
 One caller, one thread: the next job starts when the previous one returns.
 With ``--trace 0`` the loop is untraced and the last stdout line carries the
-end-to-end metrics.  With ``--trace 1`` every job runs twice, untraced and
-traced (alternating which goes first); the traced runs give the per-layer
-metrics, the difference gives the tracing overhead, and the two rendered
-outputs of every job must be byte-identical.  Spans and the result are
-written under ``.bench_out/`` in the checkout.
+end-to-end metrics; their times are seconds at a reference CPU speed,
+measured by a SpeedSampler during the run (see speed.py), and the raw wall
+times go to the info line.  With ``--trace 1`` every job runs twice,
+untraced and traced (alternating which goes first); the traced runs give
+the per-layer metrics, the difference gives the tracing overhead, and the
+two rendered outputs of every job must be byte-identical.  Spans and the
+result are written under ``.bench_out/`` in the checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -27,6 +30,8 @@ import resource
 import statistics
 import sys
 import time
+
+from speed import SpeedSampler
 
 ROOT = os.getcwd()
 SRC = os.path.join(ROOT, "src")
@@ -48,10 +53,10 @@ def import_program():
     t0 = time.perf_counter()
     import leibnizkit
     import workloads  # noqa: F401  (imports every leibnizkit module it drives)
-    import_s = time.perf_counter() - t0
+    t1 = time.perf_counter()
     if not os.path.abspath(leibnizkit.__file__).startswith(SRC + os.sep):
         fail("imported leibnizkit from %s, not from %s" % (leibnizkit.__file__, SRC))
-    return import_s
+    return t0, t1
 
 
 def provenance():
@@ -78,22 +83,23 @@ def provenance():
 
 
 def setup(workload, seed, expected, reps=SETUP_REPS):
-    """Build the rounds of jobs and warm up; repeated reps times, each timed."""
+    """Build the rounds of jobs and warm up; repeated reps times.  Returns the
+    rounds and the (start, end) perf_counter readings of each repetition."""
     import workloads
 
     make = workloads.WORKLOADS[workload]
     workdir = os.path.join(OUT, "inputs-%s-%d" % (workload, seed))
-    times = []
+    intervals = []
     for _ in range(reps):
         t0 = time.perf_counter()
         rounds = make(random.Random("%s:%d" % (workload, seed)), expected, workdir)
         workloads.warm_up()
-        times.append(time.perf_counter() - t0)
-    return rounds, times
+        intervals.append((t0, time.perf_counter()))
+    return rounds, intervals
 
 
 def run_job(job, tracer=None):
-    """Time one job; returns (seconds, result or None, problems)."""
+    """Time one job; returns (start, end, result or None, problems)."""
     run = job.run
     if tracer is not None:
         if job.span:
@@ -103,8 +109,8 @@ def run_job(job, tracer=None):
     try:
         result = run()
     except Exception as exc:  # a job that raises counts as failed, the loop goes on
-        return time.perf_counter() - t0, None, ["raised %s: %s" % (type(exc).__name__, exc)]
-    return time.perf_counter() - t0, result, []
+        return t0, time.perf_counter(), None, ["raised %s: %s" % (type(exc).__name__, exc)]
+    return t0, time.perf_counter(), result, []
 
 
 def checked(job, result, problems):
@@ -163,7 +169,7 @@ def loop(rounds, seconds, traced, max_jobs=None):
 
     jobs = [job for round_ in rounds for job in round_]
     tracer = Tracer() if traced else None
-    state = {"times": [], "traced_times": [], "failed": 0, "digest": hashlib.sha256(),
+    state = {"intervals": [], "traced_times": [], "failed": 0, "digest": hashlib.sha256(),
              "counts": dict.fromkeys(COUNTERS, 0), "problems": [], "tracer": tracer}
     start = time.perf_counter()
     k = 0
@@ -171,23 +177,23 @@ def loop(rounds, seconds, traced, max_jobs=None):
         job = jobs[k % len(jobs)]
         if traced:
             if k % 2:
-                dt, result, problems = run_job(job)
+                t0, t1, result, problems = run_job(job)
             with tracer.patched(workloads.MODULES):
-                dt_t, result_t, problems_t = run_job(job, tracer)
+                t0_t, t1_t, result_t, problems_t = run_job(job, tracer)
             if not k % 2:
-                dt, result, problems = run_job(job)
+                t0, t1, result, problems = run_job(job)
             text, problems = checked(job, result, problems)
             text_t, problems_t = checked(job, result_t, problems_t)
             problems = problems + ["traced: " + p for p in problems_t]
             if text != text_t:
                 problems.append("traced and untraced outputs differ")
-            state["traced_times"].append(dt_t)
+            state["traced_times"].append(t1_t - t0_t)
             if result_t is not None:
                 count_facts(result_t, state["counts"])
         else:
-            dt, result, problems = run_job(job)
+            t0, t1, result, problems = run_job(job)
             text, problems = checked(job, result, problems)
-        state["times"].append(dt)
+        state["intervals"].append((t0, t1))
         state["digest"].update(text.encode("utf-8"))
         if problems:
             state["failed"] += 1
@@ -196,7 +202,7 @@ def loop(rounds, seconds, traced, max_jobs=None):
     # timing statistics use whole rounds only, so every run weighs every
     # stratum the same; all jobs count as attempted
     whole = k - k % len(rounds[0])
-    state["stat_times"] = state["times"][:whole] if whole else state["times"]
+    state["stat_intervals"] = state["intervals"][:whole or k]
     return state
 
 
@@ -214,22 +220,29 @@ def main(argv=None):
                         help="run one round of every workload, traced and untraced")
     args = parser.parse_args(argv)
 
-    import_s = import_program()
-    import reference
-    import workloads
+    # the untraced run samples the CPU speed throughout, import included
+    sampler = SpeedSampler() if not (args.trace or args.smoke) else None
+    with sampler or contextlib.nullcontext():
+        import_interval = import_program()
+        import reference
+        import workloads
 
-    expected = reference.load_expected()
-    info = provenance()
-    if args.smoke:
-        return smoke(args.seed, expected, info)
-    if args.workload not in workloads.WORKLOADS:
-        fail("--workload must be one of %s" % ", ".join(workloads.WORKLOADS))
+        expected = reference.load_expected()
+        info = provenance()
+        if args.smoke:
+            return smoke(args.seed, expected, info)
+        if args.workload not in workloads.WORKLOADS:
+            fail("--workload must be one of %s" % ", ".join(workloads.WORKLOADS))
 
-    rounds, setup_times = setup(args.workload, args.seed, expected)
-    setup_s = import_s + statistics.median(setup_times)
-    state = loop(rounds, args.seconds, traced=bool(args.trace))
-    times = state["stat_times"]
-    attempted, failed = len(state["times"]), state["failed"]
+        rounds, setup_intervals = setup(args.workload, args.seed, expected)
+        state = loop(rounds, args.seconds, traced=bool(args.trace))
+    # (wall, reference-speed) seconds, without the calibration passes
+    seconds = sampler.seconds if sampler else lambda t0, t1: (t1 - t0, t1 - t0)
+    import_s = seconds(*import_interval)
+    setup_reps = [seconds(*iv) for iv in setup_intervals]
+    jobs = [seconds(*iv) for iv in state["stat_intervals"]]
+    times = [ref for _, ref in jobs]
+    attempted, failed = len(state["intervals"]), state["failed"]
     pct = workloads.TAIL_PERCENTILE[args.workload]
     tail_s, beyond = tail(times, pct)
 
@@ -238,7 +251,8 @@ def main(argv=None):
         "trace": args.trace, "jobs": attempted, "timed_jobs": len(times),
         "round_jobs": len(rounds[0]), "failed": failed,
         "failed_share": failed / attempted, "tail_percentile": pct,
-        "jobs_beyond_tail": beyond, "import_s": import_s, "setup_reps_s": setup_times,
+        "jobs_beyond_tail": beyond, "import_s": import_s[0],
+        "setup_reps_s": [wall for wall, _ in setup_reps],
         "output_digest": state["digest"].hexdigest(),
         "closed_loop": "1 caller, 1 thread; layers run sequentially, so no layer waits for another",
     })
@@ -255,11 +269,16 @@ def main(argv=None):
         state["tracer"].write(spans_path)
         info["spans"] = os.path.relpath(spans_path, ROOT)
     else:
+        wall = [w for w, _ in jobs]
+        info["wall"] = {"jobs_per_s": len(wall) / sum(wall), "job_p50_s": statistics.median(wall),
+                        "job_tail_s": tail(wall, pct)[0],
+                        "setup_s": import_s[0] + statistics.median(w for w, _ in setup_reps)}
+        info["speed"] = sampler.summary()
         metrics = {
             "jobs_per_s": metric(len(times) / sum(times), "1/s"),
             "job_p50_s": metric(statistics.median(times), "s"),
             "job_tail_s": metric(tail_s, "s"),
-            "setup_s": metric(setup_s, "s"),
+            "setup_s": metric(import_s[1] + statistics.median(r for _, r in setup_reps), "s"),
             "peak_rss_mb": metric(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
         }
     for name, m in metrics.items():
@@ -295,7 +314,8 @@ def trace_metrics(state):
             metrics[name] = metric(state["counts"][name], "bits")
         else:
             metrics[name] = metric(state["counts"][name] / jobs, "count/job")
-    plain, traced = sum(state["times"]) / jobs, sum(state["traced_times"]) / jobs
+    plain = sum(t1 - t0 for t0, t1 in state["intervals"]) / jobs
+    traced = sum(state["traced_times"]) / jobs
     metrics["trace.jobs"] = metric(jobs, "count")
     metrics["trace.untraced_job_s"] = metric(plain, "s/job")
     metrics["trace.traced_job_s"] = metric(traced, "s/job")
@@ -310,14 +330,15 @@ def smoke(seed, expected, info):
 
     bad = 0
     for name in workloads.WORKLOADS:
-        rounds, setup_times = setup(name, seed, expected, reps=1)
+        rounds, setup_intervals = setup(name, seed, expected, reps=1)
         state = loop(rounds, float("inf"), traced=True, max_jobs=len(rounds[0]))
         bad += state["failed"]
         for key, problems in state["problems"]:
             print("FAILED %s %s: %s" % (name, key, "; ".join(problems)))
         print("smoke %-14s jobs %d failed %d setup %.3fs traced %.3fs untraced %.3fs"
-              % (name, len(state["times"]), state["failed"], statistics.median(setup_times),
-                 sum(state["traced_times"]), sum(state["times"])))
+              % (name, len(state["intervals"]), state["failed"],
+                 setup_intervals[0][1] - setup_intervals[0][0], sum(state["traced_times"]),
+                 sum(t1 - t0 for t0, t1 in state["intervals"])))
     print(json.dumps({"info": info, "smoke_failed": bad}, sort_keys=True))
     return 1 if bad else 0
 

@@ -142,17 +142,20 @@ def check_grade(problems, a, found, report, want):
 # -- catalog-large ------------------------------------------------------------
 
 # (family, alpha) x size; alpha = -1 is the exceptional point of M1alpha,
-# alpha = i exercises Gaussian arithmetic
+# alpha = i exercises Gaussian arithmetic.  NGF1 only at n = 11: with an odd
+# number of strata the median job lies inside one stratum (N(11)) for any
+# number of whole rounds, not halfway across the gap between the sizes.
 LARGE_FAMILIES = (("N", None), ("M", None), ("M1alpha", "-1"), ("M1alpha", "1i"), ("L1", None),
                   ("KF5", None), ("NGF1", None))
-LARGE_SIZES = (11, 15)
+LARGE_STRATA = {11: LARGE_FAMILIES, 15: LARGE_FAMILIES[:-1]}
 
 
 def catalog_large(rng, expected, workdir):
     rounds = []
     for _ in range(ROUNDS):
         round_ = []
-        for (f, alpha), n in interleave(rng, [[(fa, n) for fa in LARGE_FAMILIES] for n in LARGE_SIZES]):
+        for (f, alpha), n in interleave(rng, [[(fa, n) for fa in fams]
+                                              for n, fams in LARGE_STRATA.items()]):
             key = key_of(f, n, alpha)
             round_.append(Job(key, _large_run(f, n, alpha),
                               _large_check(f, n, alpha, expected["catalog"][key])))
@@ -183,16 +186,20 @@ def _large_check(f, n, alpha, golden):
 
 # -- dense-basis --------------------------------------------------------------
 
-DENSE_STRATA = (("NGF1", 4, None), ("NGF1", 5, None), ("M", 5, None), ("M1alpha", 5, "3+1i"),
-                ("M1alpha", 5, "-1"))
-DENSE_ENTRIES = (-2, 2)
+# the two strata of dimension 6 over Q cost about the same and take the
+# middle half of the jobs, so the median job lies inside them; the Gaussian
+# alpha = 3+i stratum costs twice as much and is the tail (p90)
+DENSE_STRATA = (("NGF1", 5, None), ("M", 5, None), ("M1alpha", 5, "3+1i"), ("M1alpha", 5, "-1"))
+# no zero entries: every structure constant of the moved algebra mixes all
+# of the old ones, so job times of one stratum stay within a few percent of
+# each other whatever the seed (with zeros allowed they spread by 3x)
+DENSE_ENTRIES = (-2, -1, 1, 2)
 
 
 def random_invertible(rng, n):
-    """Dense integer matrix with entries in DENSE_ENTRIES, nonzero determinant."""
-    lo, hi = DENSE_ENTRIES
+    """Dense integer matrix with entries from DENSE_ENTRIES, nonzero determinant."""
     while True:
-        rows = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+        rows = [[rng.choice(DENSE_ENTRIES) for _ in range(n)] for _ in range(n)]
         if integer_det(rows):
             return Matrix(n, n, rows)
 
@@ -441,5 +448,9 @@ WORKLOADS = {
 }
 
 # percentile reported as job_tail_s: the highest with >= 10 jobs beyond it at
-# the job counts these workloads reach in a run
-TAIL_PERCENTILE = {"catalog-large": 75, "dense-basis": 75, "grade-search": 85, "cli-batch": 90}
+# the job counts these workloads reach in a run, except on dense-basis, whose
+# 12-16 jobs leave fewer than 10 beyond any percentile above the median.
+# Each lies in the middle of a group of strata of about the same cost (on
+# grade-search p83: the tables random-d8-m3-1 and late-d7 and NGF1(17)), so
+# that it is not the top or bottom sample of a group.
+TAIL_PERCENTILE = {"catalog-large": 70, "dense-basis": 90, "grade-search": 83, "cli-batch": 90}
