@@ -26,7 +26,7 @@ from .invariants import (
 from .iso import (
     IsoCertificate,
     certificate_load,
-    compare_fingerprints,
+    first_difference,
     matrix_from_json,
     verify_certificate,
 )
@@ -207,7 +207,7 @@ def cmd_fingerprint(args, out):
     second = core.load(args.files[1])
     fp2 = fingerprint(second, trials=args.trials, seed=args.seed)
     print(fp2.record(), file=out)
-    field = compare_fingerprints(first, second, trials=args.trials, seed=args.seed)
+    field = first_difference(fp1, fp2)
     if field is None:
         print("inconclusive", file=out)
     else:

@@ -8,10 +8,10 @@ at the dimensions the catalog uses.
 
 from __future__ import annotations
 
-from .core import _bracket_basis_vec, _bracket_vec_basis, leibniz_residual, right_operator
+from .core import leibniz_residual, sparse_bracket
 from .invariants import NotLeibnizError
-from .linalg import Matrix, SparseEchelon, basis_vec
-from .scalars import ZERO
+from .linalg import Matrix, SparseEchelon, sparse_vec
+from .scalars import ONE, ZERO
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -34,19 +34,19 @@ class DerivationSpace:
 def is_derivation(algebra, m):
     """Exact check of d([e_i,e_j]) = [d e_i, e_j] + [e_i, d e_j] on all pairs."""
     n = algebra.dim
-    cols = [m.column(c) for c in range(n)]
+    cols = [sparse_vec(m.column(c)) for c in range(n)]
     for i in range(n):
         for j in range(n):
-            g = algebra.gamma.get((i, j))
-            rhs = _bracket_vec_basis(algebra, cols[i], j)
-            rhs2 = _bracket_basis_vec(algebra, i, cols[j])
-            if g is None:
-                if any(b + c for b, c in zip(rhs, rhs2)):
-                    return False
-            else:
-                lhs = m.mul_vec(list(g))
-                if any(a - b - c for a, b, c in zip(lhs, rhs, rhs2)):
-                    return False
+            defect = {}
+            for k, c in algebra.by_left[i].get(j, ()):
+                for r, v in cols[k].items():
+                    defect[r] = defect.get(r, ZERO) + c * v
+            for side in (sparse_bracket(algebra, cols[i], {j: ONE}),
+                         sparse_bracket(algebra, {i: ONE}, cols[j])):
+                for r, v in side.items():
+                    defect[r] = defect.get(r, ZERO) - v
+            if any(defect.values()):
+                return False
     return True
 
 
@@ -55,37 +55,24 @@ def derivation_space(algebra):
     if leibniz_residual(algebra):
         raise NotLeibnizError("derivation space needs an algebra with empty residual")
     n = algebra.dim
-    by_left = {}
-    by_right = {}
-    for (r, c), vec in algebra.gamma.items():
-        by_left.setdefault(r, []).append((c, vec))
-        by_right.setdefault(c, []).append((r, vec))
     ech = SparseEchelon(n * n)
     for i in range(n):
         for j in range(n):
             rows = {}
-            g_ij = algebra.gamma.get((i, j))
-            if g_ij is not None:
-                for r, coeff in enumerate(g_ij):
-                    if not coeff:
-                        continue
-                    for k in range(n):
-                        key = k * n + r  # unknown d[k][r]
-                        row = rows.setdefault(k, {})
-                        row[key] = row.get(key, ZERO) + coeff
-            for r, vec in by_right.get(j, ()):
+            for r, coeff in algebra.by_left[i].get(j, ()):
+                for k in range(n):
+                    key = k * n + r  # unknown d[k][r]
+                    row = rows.setdefault(k, {})
+                    row[key] = row.get(key, ZERO) + coeff
+            for r, terms in algebra.by_right[j].items():
                 # -[d e_i, e_j]: d[r][i] multiplies [e_r, e_j]
-                for k, coeff in enumerate(vec):
-                    if not coeff:
-                        continue
+                for k, coeff in terms:
                     key = r * n + i
                     row = rows.setdefault(k, {})
                     row[key] = row.get(key, ZERO) - coeff
-            for r, vec in by_left.get(i, ()):
+            for r, terms in algebra.by_left[i].items():
                 # -[e_i, d e_j]: d[r][j] multiplies [e_i, e_r]
-                for k, coeff in enumerate(vec):
-                    if not coeff:
-                        continue
+                for k, coeff in terms:
                     key = r * n + j
                     row = rows.setdefault(k, {})
                     row[key] = row.get(key, ZERO) - coeff
@@ -98,17 +85,25 @@ def derivation_space(algebra):
 
 
 def inner_derivation_space(algebra):
-    """Echelonized span of the right operators R_{e_i}."""
+    """Echelonized span of the right operators R_{e_k}.
+
+    Guard: the right-Leibniz identity [[x,y],z] = [x,[y,z]] + [[x,z],y]
+    states that every R_z is a derivation, and the residual at (i, j, k)
+    is exactly R_{e_k}'s failure on (e_i, e_j).  One residual call thus
+    checks every R_{e_k}; a failure raises InternalInconsistencyError
+    naming the least such k.
+    """
+    residual = leibniz_residual(algebra)
+    if residual:
+        k = min(t[2] for t in residual)
+        raise InternalInconsistencyError(
+            "R_%s is not a derivation; the algebra is not Leibniz" % algebra.labels[k]
+        )
     n = algebra.dim
     ech = SparseEchelon(n * n)
-    for i in range(n):
-        op = right_operator(algebra, basis_vec(n, i))
-        if not is_derivation(algebra, op):
-            raise InternalInconsistencyError(
-                "R_%s is not a derivation; the algebra is not Leibniz" % algebra.labels[i]
-            )
-        flat = op.flat()
-        ech.add({c: v for c, v in enumerate(flat) if v})
+    for column in algebra.by_right:
+        # entry (k, r) of R_{e_i} is the e_k coordinate of [e_r, e_i]
+        ech.add({k * n + r: g for r, terms in column.items() for k, g in terms})
     basis = [Matrix(n, n, row) for row in ech.basis_rows()]
     return DerivationSpace(basis)
 
@@ -122,8 +117,8 @@ def h1_dimension(algebra, der=None, inn=None):
     n = algebra.dim
     span = SparseEchelon(n * n)
     for m in der.basis:
-        span.add({c: v for c, v in enumerate(m.flat()) if v})
+        span.add(sparse_vec(m.flat()))
     for m in inn.basis:
-        if not span.contains({c: v for c, v in enumerate(m.flat()) if v}):
+        if not span.contains(sparse_vec(m.flat())):
             raise InternalInconsistencyError("an inner derivation fell outside Der(L)")
     return der.dim - inn.dim

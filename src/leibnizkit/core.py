@@ -6,14 +6,20 @@ right-Leibniz throughout: gamma rows index the left argument, columns the
 right argument, and the identity checked by leibniz_residual is
 
     [x, [y, z]] = [[x, y], z] - [[x, z], y].
+
+The constructor also indexes gamma once: each nonzero product becomes a
+tuple of (k, c) terms with c != 0, reachable by its left factor
+(by_left[i][j]) and by its right factor (by_right[j][i]).  Every bracket
+loop in the package goes through this index, so its cost follows the
+nonzero products rather than dim^3.
 """
 
 from __future__ import annotations
 
 import json
 
-from .linalg import Matrix, as_vector, inverse, vec_is_zero, zero_vec
-from .scalars import ZERO, ScalarParseError, as_scalar, parse_scalar
+from .linalg import Matrix, as_vector, dense_vec, inverse, sparse_vec, zero_vec
+from .scalars import ONE, ZERO, ScalarParseError, as_scalar, parse_scalar
 
 
 class FormatError(ValueError):
@@ -23,7 +29,7 @@ class FormatError(ValueError):
 class Algebra:
     """Finite-dimensional algebra over Q(i) given by structure constants."""
 
-    __slots__ = ("dim", "labels", "gamma")
+    __slots__ = ("dim", "labels", "gamma", "by_left", "by_right")
 
     def __init__(self, labels, gamma):
         labels = tuple(labels)
@@ -31,17 +37,23 @@ class Algebra:
             raise ValueError("basis labels must be unique")
         dim = len(labels)
         clean = {}
+        by_left = [{} for _ in range(dim)]
+        by_right = [{} for _ in range(dim)]
         for (i, j), vec in gamma.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError("product index (%d,%d) out of range for dim %d" % (i, j, dim))
             v = tuple(as_scalar(x) for x in vec)
             if len(v) != dim:
                 raise ValueError("product (%d,%d) has %d coordinates, need %d" % (i, j, len(v), dim))
-            if any(v):
+            terms = tuple((k, c) for k, c in enumerate(v) if c)
+            if terms:
                 clean[(i, j)] = v
+                by_left[i][j] = by_right[j][i] = terms
         self.dim = dim
         self.labels = labels
         self.gamma = clean
+        self.by_left = by_left
+        self.by_right = by_right
 
     def index(self, label):
         try:
@@ -78,111 +90,89 @@ class Algebra:
 
 # -- bracket -------------------------------------------------------------
 
+def sparse_bracket(algebra, x, y):
+    """[x, y] for x, y given as {index: coefficient} maps; same form out.
+
+    The single bracket kernel: it walks the products adjacent to the
+    smaller argument, so brackets with a basis vector touch one row or
+    column of gamma only.
+    """
+    out = {}
+    if len(x) <= len(y):
+        for i, a in x.items():
+            for j, terms in algebra.by_left[i].items():
+                b = y.get(j)
+                if b:
+                    c = a * b
+                    for k, g in terms:
+                        out[k] = out.get(k, ZERO) + c * g
+    else:
+        for j, b in y.items():
+            for i, terms in algebra.by_right[j].items():
+                a = x.get(i)
+                if a:
+                    c = a * b
+                    for k, g in terms:
+                        out[k] = out.get(k, ZERO) + c * g
+    return {k: v for k, v in out.items() if v}
+
+
 def bracket(algebra, x, y):
     """Bilinear extension of gamma: the product [x, y]."""
     x = as_vector(x, algebra.dim)
     y = as_vector(y, algebra.dim)
-    out = zero_vec(algebra.dim)
-    for (i, j), vec in algebra.gamma.items():
-        c = x[i] * y[j]
-        if c:
-            for k, g in enumerate(vec):
-                if g:
-                    out[k] = out[k] + c * g
-    return out
-
-
-def _bracket_basis_vec(algebra, i, v):
-    # [e_i, v] for a coordinate vector v
-    out = zero_vec(algebra.dim)
-    for t, c in enumerate(v):
-        if not c:
-            continue
-        g = algebra.gamma.get((i, t))
-        if g is None:
-            continue
-        for k, w in enumerate(g):
-            if w:
-                out[k] = out[k] + c * w
-    return out
-
-
-def _bracket_vec_basis(algebra, v, j):
-    # [v, e_j] for a coordinate vector v
-    out = zero_vec(algebra.dim)
-    for t, c in enumerate(v):
-        if not c:
-            continue
-        g = algebra.gamma.get((t, j))
-        if g is None:
-            continue
-        for k, w in enumerate(g):
-            if w:
-                out[k] = out[k] + c * w
-    return out
+    return dense_vec(sparse_bracket(algebra, sparse_vec(x), sparse_vec(y)), algebra.dim)
 
 
 def leibniz_residual(algebra):
     """All basis triples violating the right-Leibniz identity.
 
-    Returns (i, j, k, residual) with residual =
-    [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]; an empty list
-    means the algebra is a Leibniz algebra.
+    Returns (i, j, k, residual) in lexicographic order, with residual =
+    [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j] as a dense vector;
+    an empty list means the algebra is a Leibniz algebra.  Terms are
+    accumulated only from products that exist: [e_i, [e_j, e_k]] from
+    gamma_jk and by_right, and [[e_i, e_j], e_k] from gamma_ij and by_left,
+    where it is the second term of (i, j, k) and the third of (i, k, j).
     """
+    acc = {}
+    for j, row in enumerate(algebra.by_left):
+        for k, g_jk in row.items():
+            for t, c in g_jk:
+                for i, g_it in algebra.by_right[t].items():
+                    res = acc.setdefault((i, j, k), {})      # + [e_i, [e_j, e_k]]
+                    for m, w in g_it:
+                        res[m] = res.get(m, ZERO) + c * w
+    for i, row in enumerate(algebra.by_left):
+        for j, g_ij in row.items():
+            for t, c in g_ij:
+                for k, g_tk in algebra.by_left[t].items():
+                    minus = acc.setdefault((i, j, k), {})    # - [[e_i, e_j], e_k]
+                    plus = acc.setdefault((i, k, j), {})     # + [[e_i, e_j], e_k] at (i, k, j)
+                    for m, w in g_tk:
+                        p = c * w
+                        minus[m] = minus.get(m, ZERO) - p
+                        plus[m] = plus.get(m, ZERO) + p
     n = algebra.dim
-    out = []
-    for i in range(n):
-        for j in range(n):
-            g_ij = algebra.gamma.get((i, j))
-            for k in range(n):
-                g_jk = algebra.gamma.get((j, k))
-                g_ik = algebra.gamma.get((i, k))
-                res = zero_vec(n)
-                nonzero = False
-                if g_jk is not None:
-                    t = _bracket_basis_vec(algebra, i, g_jk)
-                    res = t
-                    nonzero = True
-                if g_ij is not None:
-                    t = _bracket_vec_basis(algebra, g_ij, k)
-                    res = [a - b for a, b in zip(res, t)]
-                    nonzero = True
-                if g_ik is not None:
-                    t = _bracket_vec_basis(algebra, g_ik, j)
-                    res = [a + b for a, b in zip(res, t)]
-                    nonzero = True
-                if nonzero and not vec_is_zero(res):
-                    out.append((i, j, k, res))
-    return out
+    return [key + (dense_vec(acc[key], n),) for key in sorted(acc) if any(acc[key].values())]
 
 
 def right_operator(algebra, x):
     """Matrix of R_x : y -> [y, x] in the algebra's basis."""
-    x = as_vector(x, algebra.dim)
-    n = algebra.dim
-    m = Matrix.zero(n, n)
-    for (i, j), vec in algebra.gamma.items():
-        c = x[j]
-        if not c:
-            continue
-        for k, g in enumerate(vec):
-            if g:
-                m.data[k][i] = m.data[k][i] + c * g
-    return m
+    x = sparse_vec(as_vector(x, algebra.dim))
+    return _from_columns([sparse_bracket(algebra, {c: ONE}, x) for c in range(algebra.dim)])
 
 
 def left_operator(algebra, x):
     """Matrix of L_x : y -> [x, y] in the algebra's basis."""
-    x = as_vector(x, algebra.dim)
-    n = algebra.dim
-    m = Matrix.zero(n, n)
-    for (i, j), vec in algebra.gamma.items():
-        c = x[i]
-        if not c:
-            continue
-        for k, g in enumerate(vec):
-            if g:
-                m.data[k][j] = m.data[k][j] + c * g
+    x = sparse_vec(as_vector(x, algebra.dim))
+    return _from_columns([sparse_bracket(algebra, x, {c: ONE}) for c in range(algebra.dim)])
+
+
+def _from_columns(cols):
+    m = Matrix.zero(len(cols))
+    for c, col in enumerate(cols):
+        for k, v in col.items():
+            m.data[k][c] = v
     return m
 
 
@@ -196,14 +186,14 @@ def change_of_basis(algebra, p):
         raise ValueError("change of basis matrix must be %d x %d" % (algebra.dim, algebra.dim))
     p_inv = inverse(p)  # raises SingularMatrixError when P is singular
     n = algebra.dim
-    cols = [p.column(j) for j in range(n)]
+    cols = [sparse_vec(p.column(j)) for j in range(n)]
     gamma = {}
     for i in range(n):
         for j in range(n):
-            w = bracket(algebra, cols[i], cols[j])
-            if vec_is_zero(w):
+            w = sparse_bracket(algebra, cols[i], cols[j])
+            if not w:
                 continue
-            coords = p_inv.mul_vec(w)
+            coords = p_inv.mul_vec(dense_vec(w, n))
             if any(coords):
                 gamma[(i, j)] = tuple(coords)
     return Algebra(algebra.labels, gamma)

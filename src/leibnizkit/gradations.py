@@ -12,7 +12,7 @@ import json
 
 from .cohomology import is_derivation
 from .core import FormatError
-from .linalg import Matrix, SparseEchelon
+from .linalg import Matrix, SparseEchelon, sparse_vec
 
 
 class WeightAssignment:
@@ -237,7 +237,7 @@ def graded_derivation_split(algebra, assignment, der_basis):
                 raise ValueError("a weight-%d component of a derivation is not a derivation"
                                  % weight)
             span = spans.setdefault(weight, SparseEchelon(n * n))
-            span.add({i: v for i, v in enumerate(comp.flat()) if v})
+            span.add(sparse_vec(comp.flat()))
     return {weight: span.rank for weight, span in sorted(spans.items())}
 
 

@@ -6,17 +6,17 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .core import Algebra, bracket, left_operator, leibniz_residual, right_operator
+from .core import Algebra, leibniz_residual, right_operator, sparse_bracket
 from .linalg import (
     Matrix,
     NotNilpotentError,
     SparseEchelon,
     basis_vec,
+    dense_vec,
     inverse,
-    kernel_basis,
     nilpotent_partition,
     span_echelon,
-    vec_is_zero,
+    sparse_vec,
     zero_vec,
 )
 from .scalars import ONE, ZERO, Scalar
@@ -54,10 +54,9 @@ def central_series(algebra):
     while True:
         ech = SparseEchelon(n)
         for u in bases[-1]:
+            u = sparse_vec(u)
             for j in range(n):
-                w = _bracket_vec_basis_index(algebra, u, j)
-                if not vec_is_zero(w):
-                    ech.add({c: v for c, v in enumerate(w) if v})
+                ech.add(sparse_bracket(algebra, u, {j: ONE}))
         d = ech.rank
         if d == 0:
             return SeriesReport(bases, dims, len(bases))
@@ -68,38 +67,29 @@ def central_series(algebra):
         dims.append(d)
 
 
-def _bracket_vec_basis_index(algebra, v, j):
-    out = zero_vec(algebra.dim)
-    for t, c in enumerate(v):
-        if not c:
-            continue
-        g = algebra.gamma.get((t, j))
-        if g is None:
-            continue
-        for k, w in enumerate(g):
-            if w:
-                out[k] = out[k] + c * w
-    return out
-
-
 def right_annihilator(algebra):
     """Echelonized basis of R(L) = {x : [y, x] = 0 for all y}."""
-    n = algebra.dim
-    rows = []
-    for i in range(n):
-        rows.extend(left_operator(algebra, basis_vec(n, i)).data)
-    return kernel_basis(Matrix.from_rows(rows)) if rows else []
+    return _annihilator(algebra, (algebra.by_left,))
 
 
 def center(algebra):
     """Echelonized basis of Cent(L) = {z : [x, z] = [z, x] = 0 for all x}."""
-    n = algebra.dim
-    rows = []
-    for i in range(n):
-        e = basis_vec(n, i)
-        rows.extend(left_operator(algebra, e).data)
-        rows.extend(right_operator(algebra, e).data)
-    return kernel_basis(Matrix.from_rows(rows)) if rows else []
+    return _annihilator(algebra, (algebra.by_left, algebra.by_right))
+
+
+def _annihilator(algebra, adjacencies):
+    # one equation per (e_a, e_k): the e_k coordinate of the product of
+    # e_a with x, on the side the adjacency names, must vanish
+    ech = SparseEchelon(algebra.dim)
+    for adjacency in adjacencies:
+        for products in adjacency:
+            rows = {}
+            for c, terms in products.items():
+                for k, g in terms:
+                    rows.setdefault(k, {})[c] = g
+            for row in rows.values():
+                ech.add(row)
+    return ech.kernel_basis()
 
 
 class CharSeq(NamedTuple):
@@ -128,8 +118,7 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     if n == 0:
         return CharSeq((), ())
     l2 = span_echelon(series.subspace_bases[1], n) if len(series.subspace_bases) > 1 else SparseEchelon(n)
-    outside = [i for i in range(n)
-               if not l2.contains({c: v for c, v in enumerate(basis_vec(n, i)) if v})]
+    outside = [i for i in range(n) if not l2.contains({i: ONE})]
 
     candidates = [basis_vec(n, i) for i in outside]
     for a in range(len(outside)):
@@ -142,7 +131,7 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     produced = 0
     while produced < trials:
         v = [Scalar(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(n)]
-        if l2.contains({c: x for c, x in enumerate(v) if x}):
+        if l2.contains(sparse_vec(v)):
             continue
         candidates.append(v)
         produced += 1
@@ -193,6 +182,7 @@ def natural_graded(algebra):
             labels.append(algebra.labels[_pivot(v)])
     p = Matrix(n, n, [[layer_vectors[c][r] for c in range(n)] for r in range(n)])
     p_inv = inverse(p)
+    layer_terms = [sparse_vec(v) for v in layer_vectors]
     depth = len(dims)
     gamma = {}
     for a in range(n):
@@ -200,10 +190,10 @@ def natural_graded(algebra):
             target = layer_of[a] + layer_of[b]
             if target > depth:
                 continue
-            w = bracket(algebra, layer_vectors[a], layer_vectors[b])
-            if vec_is_zero(w):
+            w = sparse_bracket(algebra, layer_terms[a], layer_terms[b])
+            if not w:
                 continue
-            coords = p_inv.mul_vec(w)
+            coords = p_inv.mul_vec(dense_vec(w, n))
             proj = [c if layer_of[k] == target else ZERO for k, c in enumerate(coords)]
             if any(proj):
                 gamma[(a, b)] = tuple(proj)

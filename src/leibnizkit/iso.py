@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 
-from .core import FormatError, bracket, from_json_dict
+from .core import FormatError, from_json_dict, sparse_bracket
 from .invariants import Fingerprint, fingerprint
-from .linalg import Matrix, SparseEchelon
+from .linalg import Matrix, dense_vec, span_echelon, sparse_vec
 from .scalars import ScalarParseError, parse_scalar
 
 
@@ -54,16 +54,13 @@ def verify_certificate(cert):
     """Accept iff the map is invertible and transports every basis product."""
     a, b, p = cert.source, cert.target, cert.map
     n = a.dim
-    ech = SparseEchelon(n)
-    for row in p.data:
-        ech.add({c: v for c, v in enumerate(row) if v})
-    if ech.rank != n:
+    if span_echelon(p.data, n).rank != n:
         return CertificateReport(False, "singular map")
-    cols = [p.column(j) for j in range(n)]
+    cols = [sparse_vec(p.column(j)) for j in range(n)]
     for i in range(n):
         for j in range(n):
             lhs = p.mul_vec(list(a.gamma_vec(i, j)))
-            rhs = bracket(b, cols[i], cols[j])
+            rhs = dense_vec(sparse_bracket(b, cols[i], cols[j]), n)
             if any(x - y for x, y in zip(lhs, rhs)):
                 reason = "bracket mismatch at (%s, %s)" % (a.labels[i], a.labels[j])
                 return CertificateReport(False, reason, pair=(i, j))
@@ -72,8 +69,12 @@ def verify_certificate(cert):
 
 def compare_fingerprints(a, b, trials=20, seed=1):
     """Name of the first differing fingerprint field, or None (inconclusive)."""
-    fa = fingerprint(a, trials=trials, seed=seed)
-    fb = fingerprint(b, trials=trials, seed=seed)
+    return first_difference(fingerprint(a, trials=trials, seed=seed),
+                            fingerprint(b, trials=trials, seed=seed))
+
+
+def first_difference(fa, fb):
+    """Name of the first field in which two fingerprints differ, or None."""
     for field in Fingerprint._fields:
         if getattr(fa, field) != getattr(fb, field):
             return field

@@ -120,14 +120,6 @@ class Matrix:
                     out[r] = out[r] + w * v
         return out
 
-    def power(self, k):
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        out = Matrix.identity(self.rows)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def flat(self):
         return [v for row in self.data for v in row]
 
@@ -155,20 +147,17 @@ def as_vector(seq, n=None):
     return v
 
 
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
+def sparse_vec(v):
+    """{index: entry} map of the nonzero entries of a dense vector."""
+    return {c: x for c, x in enumerate(v) if x}
 
 
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c, v):
-    return [c * a for a in v]
-
-
-def vec_is_zero(v):
-    return not any(v)
+def dense_vec(terms, n):
+    """Dense length-n vector from an {index: entry} map."""
+    out = [ZERO] * n
+    for c, x in terms.items():
+        out[c] = x
+    return out
 
 
 # -- elimination ---------------------------------------------------------
@@ -261,39 +250,21 @@ class SparseEchelon:
         return vecs
 
 
-def _row_to_dict(row):
-    return {c: v for c, v in enumerate(row) if v}
-
-
-def echelon_basis(vectors, ncols):
-    """Reduced echelon basis of the span of the given dense vectors."""
-    ech = SparseEchelon(ncols)
-    for v in vectors:
-        ech.add(_row_to_dict(v))
-    return ech.basis_rows()
-
-
 def span_echelon(vectors, ncols):
     ech = SparseEchelon(ncols)
     for v in vectors:
-        ech.add(_row_to_dict(v))
+        ech.add(sparse_vec(v))
     return ech
 
 
 def rank(m):
     """Exact rank by incremental elimination."""
-    ech = SparseEchelon(m.cols)
-    for row in m.data:
-        ech.add(_row_to_dict(row))
-    return ech.rank
+    return span_echelon(m.data, m.cols).rank
 
 
 def kernel_basis(m):
     """Echelonized basis of {v : m.v = 0}; size is cols - rank."""
-    ech = SparseEchelon(m.cols)
-    for row in m.data:
-        ech.add(_row_to_dict(row))
-    return ech.kernel_basis()
+    return span_echelon(m.data, m.cols).kernel_basis()
 
 
 def inverse(m):
@@ -324,23 +295,31 @@ def inverse(m):
 def nilpotent_partition(m):
     """Jordan block sizes of a nilpotent matrix, in weakly decreasing order.
 
-    Uses the rank chain r_k = rank(m^k): the number of blocks of size
-    exactly k is r_{k-1} - 2 r_k + r_{k+1}.  Nilpotency is verified by
-    checking m^dim = 0 before the chain is trusted.
+    Uses the rank chain r_k = dim im(m^k): the number of blocks of size
+    exactly k is r_{k-1} - 2 r_k + r_{k+1}.  No power of m is formed: an
+    echelon basis of im(m^k) is pushed through m and re-echelonized to
+    give im(m^{k+1}), until the rank reaches 0.  A rank that repeats
+    before 0 means m maps im(m^k) onto itself, so rank(m^dim) is that
+    rank and the matrix is rejected as not nilpotent.
     """
     if m.rows != m.cols:
         raise NotNilpotentError("nilpotent_partition needs a square matrix")
     n = m.rows
+    cols = [sparse_vec(m.column(c)) for c in range(n)]
     ranks = [n]
-    power = Matrix.identity(n)
-    for _ in range(n):
-        power = power * m
-        r = rank(power)
-        ranks.append(r)
-        if r == 0:
-            break
-    if ranks[-1] != 0:
-        raise NotNilpotentError("matrix is not nilpotent: rank(m^%d) = %d" % (n, ranks[-1]))
+    image = [{c: ONE} for c in range(n)]
+    while ranks[-1]:
+        ech = SparseEchelon(n)
+        for v in image:
+            w = {}
+            for c, a in v.items():
+                for r, b in cols[c].items():
+                    w[r] = w.get(r, ZERO) + a * b
+            ech.add(w)
+        if ech.rank == ranks[-1]:
+            raise NotNilpotentError("matrix is not nilpotent: rank(m^%d) = %d" % (n, ech.rank))
+        ranks.append(ech.rank)
+        image = list(ech.pivot_rows.values())
     ranks.extend([0, 0])
     parts = []
     for k in range(1, n + 1):

@@ -67,6 +67,36 @@ def oracle_partition(m):
     return tuple(sorted(parts, reverse=True))
 
 
+def oracle_residual(algebra):
+    """Right-Leibniz residual triples straight from the definition.
+
+    Entry m of the residual at (i, j, k) is
+    sum_t g(j,k,t) g(i,t,m) - g(i,j,t) g(t,k,m) + g(i,k,t) g(t,j,m), with
+    g(a,b,c) the e_c coordinate of [e_a, e_b] read from gamma; every
+    triple is visited, in lexicographic order.
+    """
+    n = algebra.dim
+
+    def g(a, b, c):
+        vec = algebra.gamma.get((a, b))
+        return ZERO if vec is None else vec[c]
+
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                res = []
+                for m in range(n):
+                    acc = ZERO
+                    for t in range(n):
+                        acc = acc + g(j, k, t) * g(i, t, m) - g(i, j, t) * g(t, k, m) \
+                            + g(i, k, t) * g(t, j, m)
+                    res.append(acc)
+                if any(res):
+                    out.append((i, j, k, res))
+    return out
+
+
 def oracle_series_dims(algebra):
     """Dimensions of the descending central sequence by brute-force spans."""
     n = algebra.dim

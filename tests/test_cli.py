@@ -180,6 +180,25 @@ def test_fingerprint_compare(m7_file, tmp_path):
     assert out.endswith("inconclusive\n")
 
 
+def test_fingerprint_compare_computes_each_fingerprint_once(m7_file, tmp_path, monkeypatch):
+    from leibnizkit import cli, invariants, iso
+
+    calls = []
+
+    def counted(algebra, **kwargs):
+        calls.append(algebra.dim)
+        return invariants.fingerprint(algebra, **kwargs)
+
+    monkeypatch.setattr(cli, "fingerprint", counted)
+    monkeypatch.setattr(iso, "fingerprint", counted)
+    other = tmp_path / "m11.json"
+    core.save(alg("M1alpha", 7, alpha=1), other)
+    code, out = run_cli("fingerprint", m7_file, str(other))
+    assert code == 0
+    assert out.endswith("distinguished(dim_right_annihilator)\n")
+    assert len(calls) == 2
+
+
 def test_replicate_section_3_even_n_passes():
     code, out = run_cli("replicate", "--section", "3", "--n", "8")
     assert code == 0

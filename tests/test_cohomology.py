@@ -90,6 +90,12 @@ def test_der_rejects_non_leibniz():
         derivation_space(mutated_m7())
 
 
+def test_inner_rejects_non_leibniz_naming_first_operator():
+    with pytest.raises(InternalInconsistencyError) as info:
+        inner_derivation_space(mutated_m7())
+    assert str(info.value) == "R_y1 is not a derivation; the algebra is not Leibniz"
+
+
 def test_containment_failure_aborts_loudly():
     m7 = alg("M", 7)
     fake_inn = inner_derivation_space(m7)

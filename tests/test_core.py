@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from conftest import DATA, alg, mutated_m7, random_invertible, random_vector
+from oracles import oracle_residual
 
 from leibnizkit.core import (
+    Algebra,
     FormatError,
     bracket,
     change_of_basis,
@@ -70,6 +74,30 @@ def test_residual_nonempty_for_mutated_m7():
     assert res
     triples = {(i, j, k) for (i, j, k, _vec) in res}
     assert all(0 <= t < 8 for trip in triples for t in trip)
+
+
+def _random_sparse_table(rng, d, products):
+    gamma = {}
+    for _ in range(products):
+        vec = zero_vec(d)
+        for _ in range(rng.randint(1, 2)):
+            vec[rng.randrange(d)] = Scalar(rng.choice((-2, -1, 1, 2)), rng.choice((0, 0, 1)))
+        gamma[(rng.randrange(d), rng.randrange(d))] = vec
+    return Algebra(["e%d" % t for t in range(d)], gamma)
+
+
+def test_residual_matches_oracle_exactly():
+    rng = random.Random(11)
+    bad = mutated_m7()
+    cases = [bad, change_of_basis(bad, random_invertible(rng, 8))]
+    while len(cases) < 8:
+        table = _random_sparse_table(rng, rng.randint(3, 6), rng.randint(3, 10))
+        if oracle_residual(table):
+            cases.append(table)
+    for a in cases:
+        res = leibniz_residual(a)
+        assert res
+        assert res == oracle_residual(a)
 
 
 def test_right_operator_of_top_vector_is_zero():

@@ -89,17 +89,30 @@ def test_partition_rejects_non_nilpotent():
 
 
 def test_partition_shape_randomized():
+    # trials 0-39: real strictly upper-triangular nilpotents; from 40 on,
+    # trial % 4 picks: 0 real, 1 Gaussian, 2 real conjugate, 3 Gaussian conjugate
     rng = random.Random(5)
-    for _ in range(40):
+    for trial in range(80):
+        kind = trial % 4 if trial >= 40 else 0
         n = rng.randint(2, 7)
         m = Matrix.zero(n, n)
         for r in range(n):
             for c in range(r + 1, n):
-                m.data[r][c] = Scalar(rng.randint(-2, 2))
+                m.data[r][c] = Scalar(rng.randint(-2, 2), rng.randint(-1, 1) if kind % 2 else 0)
+        if kind >= 2:
+            # a dense conjugate has the same Jordan type but no triangular shape
+            p = random_invertible(rng, n)
+            m = inverse(p) * m * p
         parts = nilpotent_partition(m)
         assert sum(parts) == n
         assert all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
         assert parts == oracle_partition(m)
+        if trial >= 40 and kind == 0:
+            # one nonzero diagonal entry: an eigenvalue != 0, so not nilpotent
+            d = rng.randrange(n)
+            m.data[d][d] = Scalar(rng.choice((-2, -1, 1, 2)))
+            with pytest.raises(NotNilpotentError):
+                nilpotent_partition(m)
 
 
 def test_inverse_round_trip():
