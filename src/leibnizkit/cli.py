@@ -72,14 +72,11 @@ def cmd_invariants(args, out):
     series = central_series(algebra)
     print("dim: %d" % algebra.dim, file=out)
     print("series dims: %s" % ",".join(str(d) for d in series.dims), file=out)
-    if not series.is_nilpotent:
-        print("nilindex: not nilpotent", file=out)
-        print("center dim: %d" % len(center(algebra)), file=out)
-        print("right annihilator dim: %d" % len(right_annihilator(algebra)), file=out)
-        return 0
-    print("nilindex: %d" % series.nilindex, file=out)
+    print("nilindex: %s" % (series.nilindex if series.is_nilpotent else "not nilpotent"), file=out)
     print("center dim: %d" % len(center(algebra)), file=out)
     print("right annihilator dim: %d" % len(right_annihilator(algebra)), file=out)
+    if not series.is_nilpotent:
+        return 0
     cs = characteristic_sequence(algebra, trials=args.trials, seed=args.seed)
     print("characteristic sequence: %s  [witnessed maximum; witness: %s]"
           % (cs.render(), render_vector(algebra, cs.witness)), file=out)
@@ -176,13 +173,8 @@ def cmd_iso_verify(args, out):
             raise FormatError("iso-verify with --map needs SRC.json and TGT.json")
         source = core.load(args.files[0])
         target = core.load(args.files[1])
-        import json as _json
-
         with open(args.map, "r", encoding="utf-8") as fh:
-            try:
-                doc = _json.load(fh)
-            except ValueError as exc:
-                raise FormatError("%s: %s" % (args.map, exc)) from None
+            doc = core.decode_json(fh.read(), args.map)
         if isinstance(doc, dict) and "map" in doc:
             doc = doc["map"]
         matrix = matrix_from_json(doc, where=args.map)

@@ -243,40 +243,47 @@ def from_json_dict(doc, where="<algebra>"):
         raise FormatError("%s: 'basis' must be a list of labels" % where)
     if len(set(labels)) != len(labels):
         raise FormatError("%s: duplicate basis label" % where)
+    if type(doc["dim"]) is not int:
+        raise FormatError("%s: dim must be an integer, got %r" % (where, doc["dim"]))
     if doc["dim"] != len(labels):
         raise FormatError("%s: dim %r does not match %d basis labels" % (where, doc["dim"], len(labels)))
     index = {lb: k for k, lb in enumerate(labels)}
     dim = len(labels)
+    products = doc.get("products", [])
+    if not isinstance(products, list):
+        raise FormatError("%s: 'products' must be a list" % where)
+
+    def lookup(ctx, label):
+        if not isinstance(label, str):
+            raise FormatError("%s: labels must be strings, got %r" % (ctx, label))
+        if label not in index:
+            raise FormatError("%s: unknown label '%s'" % (ctx, label))
+        return index[label]
+
     gamma = {}
-    for pos, prod in enumerate(doc.get("products", [])):
+    for pos, prod in enumerate(products):
         ctx = "%s: products[%d]" % (where, pos)
         if not isinstance(prod, dict):
             raise FormatError("%s: expected an object" % ctx)
         for field in ("left", "right", "result"):
             if field not in prod:
                 raise FormatError("%s: missing field '%s'" % (ctx, field))
-        try:
-            i = index[prod["left"]]
-        except KeyError:
-            raise FormatError("%s: unknown label '%s'" % (ctx, prod["left"])) from None
-        try:
-            j = index[prod["right"]]
-        except KeyError:
-            raise FormatError("%s: unknown label '%s'" % (ctx, prod["right"])) from None
+        i = lookup(ctx, prod["left"])
+        j = lookup(ctx, prod["right"])
         if (i, j) in gamma:
             raise FormatError("%s: duplicate product (%s, %s)" % (ctx, prod["left"], prod["right"]))
+        if not isinstance(prod["result"], list):
+            raise FormatError("%s: 'result' must be a list of terms" % ctx)
         vec = zero_vec(dim)
         for term in prod["result"]:
             if not (isinstance(term, (list, tuple)) and len(term) == 2):
                 raise FormatError("%s: result terms must be [label, coefficient] pairs" % ctx)
             label, coeff = term
-            if label not in index:
-                raise FormatError("%s: unknown label '%s'" % (ctx, label))
+            k = lookup(ctx, label)
             try:
                 c = parse_scalar(coeff)
             except ScalarParseError as exc:
                 raise FormatError("%s: %s" % (ctx, exc)) from None
-            k = index[label]
             vec[k] = vec[k] + c
         gamma[(i, j)] = tuple(vec)
     return Algebra(labels, gamma)
@@ -287,12 +294,20 @@ def dumps(algebra):
     return json.dumps(to_json_dict(algebra), indent=2) + "\n"
 
 
-def loads(text, where="<algebra>"):
+def decode_json(text, where):
+    """The JSON document in a file's text; FormatError on a decode error.
+
+    Every interchange file (algebra, weights, certificate, map) is read
+    through here, so all of them report a syntax error the same way.
+    """
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError("%s: line %d: %s" % (where, exc.lineno, exc.msg)) from None
-    return from_json_dict(doc, where)
+
+
+def loads(text, where="<algebra>"):
+    return from_json_dict(decode_json(text, where), where)
 
 
 def load(path):

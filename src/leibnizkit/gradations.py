@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .cohomology import is_derivation
-from .core import FormatError
+from .core import FormatError, decode_json
 from .linalg import Matrix, SparseEchelon, sparse_vec
 
 
@@ -50,7 +50,7 @@ class WeightAssignment:
             if lb not in table:
                 raise FormatError("%s: missing weight for basis label '%s'" % (where, lb))
             w = table[lb]
-            if not isinstance(w, int):
+            if type(w) is not int:
                 raise FormatError("%s: weight of '%s' must be an integer, got %r" % (where, lb, w))
             ws.append(w)
         for lb in table:
@@ -246,11 +246,7 @@ def weights_dumps(algebra, assignment):
 
 
 def weights_loads(text, algebra, where="<weights>"):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError("%s: line %d: %s" % (where, exc.lineno, exc.msg)) from None
-    return WeightAssignment.from_json_dict(doc, algebra, where)
+    return WeightAssignment.from_json_dict(decode_json(text, where), algebra, where)
 
 
 def weights_load(path, algebra):

@@ -6,14 +6,12 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .core import Algebra, leibniz_residual, right_operator, sparse_bracket
+from .core import Algebra, change_of_basis, leibniz_residual, right_operator, sparse_bracket
 from .linalg import (
     Matrix,
     NotNilpotentError,
     SparseEchelon,
     basis_vec,
-    dense_vec,
-    inverse,
     nilpotent_partition,
     span_echelon,
     sparse_vec,
@@ -160,8 +158,10 @@ def natural_graded(algebra):
     """The associated graded algebra gr L and its component dimensions.
 
     Complements of L^{i+1} in L^i are picked greedily from echelon bases
-    (lowest pivot first); brackets of the lifts are projected back onto the
-    chosen complements.
+    (lowest pivot first).  The lifts, layer by layer, form a basis P of L;
+    change_of_basis(algebra, P) gives the brackets of the lifts in that
+    basis, and gr L keeps of each [u_a, u_b] only its projection onto the
+    layer of degree deg a + deg b.
     """
     series = central_series(algebra)
     if not series.is_nilpotent:
@@ -181,22 +181,12 @@ def natural_graded(algebra):
             layer_of.append(i + 1)
             labels.append(algebra.labels[_pivot(v)])
     p = Matrix(n, n, [[layer_vectors[c][r] for c in range(n)] for r in range(n)])
-    p_inv = inverse(p)
-    layer_terms = [sparse_vec(v) for v in layer_vectors]
-    depth = len(dims)
     gamma = {}
-    for a in range(n):
-        for b in range(n):
-            target = layer_of[a] + layer_of[b]
-            if target > depth:
-                continue
-            w = sparse_bracket(algebra, layer_terms[a], layer_terms[b])
-            if not w:
-                continue
-            coords = p_inv.mul_vec(dense_vec(w, n))
-            proj = [c if layer_of[k] == target else ZERO for k, c in enumerate(coords)]
-            if any(proj):
-                gamma[(a, b)] = tuple(proj)
+    for (a, b), coords in change_of_basis(algebra, p).gamma.items():
+        target = layer_of[a] + layer_of[b]
+        proj = tuple(c if layer_of[k] == target else ZERO for k, c in enumerate(coords))
+        if any(proj):
+            gamma[(a, b)] = proj
     return Algebra(labels, gamma), tuple(dims)
 
 

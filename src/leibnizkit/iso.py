@@ -8,9 +8,7 @@ distinguished field proves the algebras are not isomorphic, while
 
 from __future__ import annotations
 
-import json
-
-from .core import FormatError, from_json_dict, sparse_bracket
+from .core import FormatError, decode_json, from_json_dict, sparse_bracket
 from .invariants import Fingerprint, fingerprint
 from .linalg import Matrix, dense_vec, span_echelon, sparse_vec
 from .scalars import ScalarParseError, parse_scalar
@@ -117,11 +115,7 @@ def matrix_from_json(rows, where="<map>"):
 
 
 def certificate_loads(text, where="<certificate>"):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError("%s: line %d: %s" % (where, exc.lineno, exc.msg)) from None
-    return certificate_from_json_dict(doc, where)
+    return certificate_from_json_dict(decode_json(text, where), where)
 
 
 def certificate_load(path):

@@ -1,7 +1,10 @@
 """Exact dense matrices and the elimination engine behind every dimension count.
 
-Pivots are always chosen first-nonzero-in-column, so ranks, kernels and
-echelon bases are deterministic for a fixed input.
+SparseEchelon is the package's one elimination: ranks, kernels, spans,
+Jordan types and the inverse all insert sparse rows into it.  It keeps the
+reduced row echelon form of the rows so far, pivoting on the lowest column
+a reduced row still has; the RREF of a span is unique, so no result
+depends on the order in which rows arrive.
 """
 
 from __future__ import annotations
@@ -37,12 +40,6 @@ class Matrix:
         self.data = [[as_scalar(v) for v in row] for row in nested]
 
     @classmethod
-    def from_rows(cls, nested):
-        rows = len(nested)
-        cols = len(nested[0]) if rows else 0
-        return cls(rows, cols, nested)
-
-    @classmethod
     def zero(cls, rows, cols=None):
         cols = rows if cols is None else cols
         return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
@@ -53,9 +50,6 @@ class Matrix:
         for i in range(n):
             m.data[i][i] = ONE
         return m
-
-    def entry(self, r, c):
-        return self.data[r][c]
 
     def column(self, c):
         return [self.data[r][c] for r in range(self.rows)]
@@ -268,28 +262,19 @@ def kernel_basis(m):
 
 
 def inverse(m):
-    """Inverse via elimination on [m | I]; raises SingularMatrixError."""
+    """Inverse read off the RREF of [m | I]; raises SingularMatrixError.
+
+    The rows of [m | I] are independent, so the RREF has n rows; m is
+    invertible iff their pivots are the n left columns, and then the right
+    half is m^-1.
+    """
     if m.rows != m.cols:
         raise SingularMatrixError("only square matrices can be inverted")
     n = m.rows
-    aug = [list(m.data[r]) + basis_vec(n, r) for r in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_lead = ONE / aug[col][col]
-        aug[col] = [inv_lead * v for v in aug[col]]
-        for r in range(n):
-            if r == col or not aug[r][col]:
-                continue
-            f = aug[r][col]
-            aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return Matrix(n, n, [row[n:] for row in aug])
+    ech = span_echelon([row + basis_vec(n, r) for r, row in enumerate(m.data)], 2 * n)
+    if any(c not in ech.pivot_rows for c in range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return Matrix(n, n, [row[n:] for row in ech.basis_rows()])
 
 
 def nilpotent_partition(m):

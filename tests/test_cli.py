@@ -9,6 +9,9 @@ from conftest import alg, mutated_m7
 
 from leibnizkit import core
 from leibnizkit.cli import main
+from leibnizkit.core import change_of_basis
+from leibnizkit.linalg import Matrix
+from leibnizkit.scalars import Scalar
 
 
 def run_cli(*argv):
@@ -55,6 +58,22 @@ def test_invariants_report(m7_file):
         "characteristic sequence: (5,1,1,1)  [witnessed maximum; witness: y1]\n"
         "p-filiform: p=3\n"
         "natural gradation dims: 3,2,1,1,1\n"
+    )
+
+
+def test_invariants_report_non_nilpotent(tmp_path):
+    # [a, a] = a: L^2 = <a> = [L^2, L], so the series stabilizes at dim 1
+    path = tmp_path / "idem.json"
+    path.write_text('{"dim": 2, "basis": ["a", "b"], "products": '
+                    '[{"left": "a", "right": "a", "result": [["a", "1"]]}]}')
+    code, out = run_cli("invariants", str(path))
+    assert code == 0
+    assert out == (
+        "dim: 2\n"
+        "series dims: 2,1\n"
+        "nilindex: not nilpotent\n"
+        "center dim: 1\n"
+        "right annihilator dim: 1\n"
     )
 
 
@@ -164,6 +183,34 @@ def test_iso_verify_with_map_flag(m7_file, tmp_path):
     assert out == "reject: singular map\n"
 
 
+def test_iso_verify_map_orientation(tmp_path):
+    # column j of the map is the image of source e_j: P sends y2 to y1 + y2,
+    # so P certifies change_of_basis(M(7), P) -> M(7) and its transpose does not
+    m7 = alg("M", 7)
+    p, p_t = Matrix.identity(8), Matrix.identity(8)
+    p.data[0][1] = p_t.data[1][0] = Scalar(1)
+    source = change_of_basis(m7, p)
+    src, tgt = tmp_path / "src.json", tmp_path / "tgt.json"
+    core.save(source, src)
+    core.save(m7, tgt)
+    for m, want in ((p, (0, "accept\n")), (p_t, (1, "reject: bracket mismatch at (y1, y1)\n"))):
+        rows = [[v.render() for v in row] for row in m.data]
+        mpath, cpath = tmp_path / "map.json", tmp_path / "cert.json"
+        mpath.write_text(json.dumps(rows))
+        cpath.write_text(json.dumps({"source": core.to_json_dict(source),
+                                     "target": core.to_json_dict(m7), "map": rows}))
+        assert run_cli("iso-verify", str(src), str(tgt), "--map", str(mpath)) == want
+        assert run_cli("iso-verify", str(cpath)) == want
+
+
+def test_iso_verify_malformed_map_reports_line(m7_file, tmp_path, capsys):
+    mpath = tmp_path / "map.json"
+    mpath.write_text("not json")
+    code, out = run_cli("iso-verify", m7_file, m7_file, "--map", str(mpath))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: %s: line 1: Expecting value\n" % mpath
+
+
 def test_fingerprint_single(m7_file):
     code, out = run_cli("fingerprint", m7_file)
     assert code == 0
@@ -245,6 +292,14 @@ def test_reports_are_byte_identical(m7_file):
 def test_usage_and_parse_errors_exit_2(argv):
     code, _out = run_cli(*argv)
     assert code == 2
+
+
+def test_malformed_algebra_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 2, "basis": ["a", "b"], "products": 5}')
+    code, out = run_cli("check", str(path))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: %s: 'products' must be a list\n" % path
 
 
 def test_unknown_verb_exits_2():

@@ -214,7 +214,20 @@ def test_json_omitted_products_are_zero():
     ('{"dim": 1, "basis": ["a"], "products": [{"left": "a", "right": "a", "result": [["b", "1"]]}]}', "'b'"),
     ('{"basis": ["a"]}', "dim"),
     ('[1, 2]', "object"),
-], ids=["dup-label", "dim-mismatch", "bad-left", "zero-den", "bad-term", "no-dim", "not-object"])
+    ('{"dim": true, "basis": ["a"]}', "dim must be an integer"),
+    ('{"dim": 2, "basis": ["a", "b"], "products": 5}', "'products' must be a list"),
+    ('{"dim": 1, "basis": ["a"], "products": [{"left": "a", "right": "a", "result": 3}]}',
+     "products[0]: 'result'"),
+    ('{"dim": 1, "basis": ["a"], "products": [{"left": ["a"], "right": "a", "result": []}]}',
+     "products[0]: labels must be strings"),
+    ('{"dim": 1, "basis": ["a"], "products": [{"left": "a", "right": ["a"], "result": []}]}',
+     "products[0]: labels must be strings"),
+    ('{"dim": 1, "basis": ["a"], "products": [{"left": "a", "right": "a", "result": [[["a"], "1"]]}]}',
+     "products[0]: labels must be strings"),
+    ('{"dim": 1,\n "basis": [}', "<algebra>: line 2: Expecting value"),
+], ids=["dup-label", "dim-mismatch", "bad-left", "zero-den", "bad-term", "no-dim", "not-object",
+        "bool-dim", "products-not-list", "result-not-list", "list-left", "list-right",
+        "list-term-label", "syntax"])
 def test_json_errors_name_the_offender(doc, fragment):
     with pytest.raises(FormatError) as err:
         loads(doc)

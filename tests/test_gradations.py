@@ -188,5 +188,8 @@ def test_weights_file_errors():
         weights_loads('{"weights": {"c1": 1, "c2": 2, "c3": 3}}', a)  # unknown label
     with pytest.raises(FormatError):
         weights_loads('{"weights": {"c1": 1, "c2": "x"}}', a)       # non-integer
+    with pytest.raises(FormatError) as err:
+        weights_loads('{"weights": {"c1": true, "c2": 2}}', a)      # bool is not a weight
+    assert "weight of 'c1' must be an integer" in str(err.value)
     with pytest.raises(FormatError):
         weights_loads('[]', a)

@@ -125,3 +125,8 @@ def test_inverse_round_trip():
 def test_inverse_rejects_singular():
     with pytest.raises(SingularMatrixError):
         inverse(Matrix.zero(3, 3))
+    # column 1 is twice column 0: the RREF of [m | I] has no pivot in column 1
+    with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+        inverse(Matrix(3, 3, [1, 2, 0, 0, 0, 1, 3, 6, 5]))
+    with pytest.raises(SingularMatrixError, match="^only square matrices can be inverted$"):
+        inverse(Matrix.zero(2, 3))
