@@ -173,8 +173,7 @@ def cmd_iso_verify(args, out):
             raise FormatError("iso-verify with --map needs SRC.json and TGT.json")
         source = core.load(args.files[0])
         target = core.load(args.files[1])
-        with open(args.map, "r", encoding="utf-8") as fh:
-            doc = core.decode_json(fh.read(), args.map)
+        doc = core.decode_json(core.read_text(args.map), args.map)
         if isinstance(doc, dict) and "map" in doc:
             doc = doc["map"]
         matrix = matrix_from_json(doc, where=args.map)

@@ -310,9 +310,18 @@ def loads(text, where="<algebra>"):
     return from_json_dict(decode_json(text, where), where)
 
 
-def load(path):
+def read_text(path):
+    """A file's text as UTF-8; FormatError naming the path if it is not."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read(), where=str(path))
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError("%s: not valid UTF-8 text (%s at byte %d)"
+                              % (path, exc.reason, exc.start)) from None
+
+
+def load(path):
+    return loads(read_text(path), where=str(path))
 
 
 def save(algebra, path):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .cohomology import is_derivation
-from .core import FormatError, decode_json
+from .core import FormatError, decode_json, read_text
 from .linalg import Matrix, SparseEchelon, sparse_vec
 
 
@@ -250,5 +250,4 @@ def weights_loads(text, algebra, where="<weights>"):
 
 
 def weights_load(path, algebra):
-    with open(path, "r", encoding="utf-8") as fh:
-        return weights_loads(fh.read(), algebra, where=str(path))
+    return weights_loads(read_text(path), algebra, where=str(path))

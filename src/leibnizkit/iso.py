@@ -8,7 +8,7 @@ distinguished field proves the algebras are not isomorphic, while
 
 from __future__ import annotations
 
-from .core import FormatError, decode_json, from_json_dict, sparse_bracket
+from .core import FormatError, decode_json, from_json_dict, read_text, sparse_bracket
 from .invariants import Fingerprint, fingerprint
 from .linalg import Matrix, dense_vec, span_echelon, sparse_vec
 from .scalars import ScalarParseError, parse_scalar
@@ -119,5 +119,4 @@ def certificate_loads(text, where="<certificate>"):
 
 
 def certificate_load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return certificate_loads(fh.read(), where=str(path))
+    return certificate_loads(read_text(path), where=str(path))

@@ -1,7 +1,9 @@
-"""Exact scalars: Gaussian rationals a + b*i built on reduced Fractions.
+"""Exact scalars: Gaussian rationals (a + b*i)/d on plain Python ints.
 
 Every quantity in the package (structure constants, matrix entries,
 certificate maps) is a Scalar, so rank and dimension counts are exact.
+A Scalar holds three ints in canonical form, d > 0 and gcd(a, b, d) == 1,
+so equal values have equal fields; re and im are derived Fractions.
 The text grammar accepted by parse_scalar is the interchange format used
 by all file formats and CLI output:
 
@@ -14,73 +16,90 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class ScalarParseError(ValueError):
     """Text did not match the scalar grammar."""
 
 
-def _mk(re_part, im_part):
-    # internal fast constructor: arguments must already be Fractions
-    s = Scalar.__new__(Scalar)
-    s.re = re_part
-    s.im = im_part
+_new = object.__new__
+
+
+def _reduced(a, b, d):
+    # canonical form of (a + b*i)/d for d > 0
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    s = _new(Scalar)
+    s.a, s.b, s.d = a, b, d
     return s
 
 
-def _frac(value):
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 class Scalar:
-    """An element of Q(i), stored as two reduced Fractions."""
+    """(a + b*i)/d in Q(i): three ints, d > 0 and gcd(a, b, d) == 1.
 
-    __slots__ = ("re", "im")
+    Scalar(re, im) takes ints or Fractions; re and im are reduced Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        d = 1
+        if type(re) is not int or type(im) is not int:
+            re, im = Fraction(re), Fraction(im)
+            d = lcm(re.denominator, im.denominator)  # canonical for reduced parts
+            re, im = int(re * d), int(im * d)
+        self.a, self.b, self.d = re, im, d
+
+    re = property(lambda self: Fraction(self.a, self.d), doc="real part, a reduced Fraction")
+    im = property(lambda self: Fraction(self.b, self.d), doc="imaginary part, a reduced Fraction")
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = as_scalar(other)
-        return _mk(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_scalar(other)
-        return _mk(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         return as_scalar(other).__sub__(self)
 
     def __neg__(self):
-        return _mk(-self.re, -self.im)
+        return _reduced(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        other = as_scalar(other)
-        if self.im or other.im:
-            return _mk(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return _mk(self.re * other.re, _F0)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if b or e:
+            return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
+        return _reduced(a * c, 0, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_scalar(other)
-        if not other:
+        # multiply by the conjugate (c - e*i)*n of other = (c + e*i)/n over c^2 + e^2
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        a, b, c, e, n = self.a, self.b, other.a, other.b, other.d
+        if not (c or e):
             raise ZeroDivisionError("scalar division by zero")
-        if not other.im:
-            return _mk(self.re / other.re, self.im / other.re)
-        n = other.re * other.re + other.im * other.im
-        return _mk(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _reduced((a * c + b * e) * n, (b * c - a * e) * n, self.d * (c * c + e * e))
 
     def __rtruediv__(self, other):
         return as_scalar(other).__truediv__(self)
@@ -91,14 +110,14 @@ class Scalar:
     # -- structure -----------------------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.re == other and not self.im
+            return self.d == 1 and not self.b and self.a == other
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -111,15 +130,13 @@ class Scalar:
 
     def render(self):
         """Canonical text form; parse_scalar(render()) round-trips."""
-        if not self.im:
-            return _render_frac(self.re)
-        if not self.re:
-            return _render_frac(self.im) + "i"
-        sign = "+" if self.im > 0 else "-"
-        return _render_frac(self.re) + sign + _render_frac(abs(self.im)) + "i"
+        if not self.b:
+            return _render_frac(self.a, self.d)
+        if not self.a:
+            return _render_frac(self.b, self.d) + "i"
+        sign = "+" if self.b > 0 else "-"
+        return _render_frac(self.a, self.d) + sign + _render_frac(abs(self.b), self.d) + "i"
 
-
-_F0 = Fraction(0)
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -135,10 +152,9 @@ def as_scalar(value):
     raise TypeError("cannot interpret %r as a scalar" % (value,))
 
 
-def _render_frac(q):
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+def _render_frac(p, q):
+    g = gcd(p, q)
+    return str(p // g) if g == q else "%d/%d" % (p // g, q // g)
 
 
 _FRAC_RX = r"\d+(?:/\d+)?"
@@ -146,12 +162,15 @@ _SCALAR_RX = re.compile(r"^(-)?(%s)(?:(i)|([+-])(%s)i)?$" % (_FRAC_RX, _FRAC_RX)
 
 
 def _parse_frac(token):
-    if "/" in token:
-        num, den = token.split("/", 1)
-        if int(den) == 0:
-            raise ScalarParseError("zero denominator in '%s'" % token)
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+    # (numerator, denominator > 0) of a frac token, not reduced
+    num, _, den = token.partition("/")
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError as exc:  # more digits than int() converts
+        raise ScalarParseError("'%s': %s" % (token[:20] + "...", exc)) from None
+    if q == 0:
+        raise ScalarParseError("zero denominator in '%s'" % token)
+    return p, q
 
 
 def parse_scalar(text):
@@ -162,14 +181,12 @@ def parse_scalar(text):
     if m is None:
         raise ScalarParseError("malformed scalar '%s'" % text)
     sign, first, pure_i, op, second = m.groups()
-    a = _parse_frac(first)
+    p, q = _parse_frac(first)
     if sign:
-        a = -a
+        p = -p
     if pure_i:
-        return Scalar(0, a)
+        return _reduced(0, p, q)
     if op is None:
-        return Scalar(a)
-    b = _parse_frac(second)
-    if op == "-":
-        b = -b
-    return Scalar(a, b)
+        return _reduced(p, 0, q)
+    r, s = _parse_frac(second)
+    return _reduced(p * s, (-r if op == "-" else r) * q, q * s)

@@ -3,11 +3,64 @@
 Everything here deliberately avoids the package's elimination engine:
 plain dense Gaussian elimination over Scalars, explicit matrix powers,
 and a finite-difference assembly of the derivation constraints.
+OracleQi is Q(i) arithmetic on a pair of Fractions, independent of the
+integer representation inside Scalar.
 """
+
+from fractions import Fraction
 
 from leibnizkit.core import bracket
 from leibnizkit.linalg import Matrix, basis_vec
 from leibnizkit.scalars import Scalar, ZERO
+
+
+class OracleQi:
+    """re + im*i with re, im reduced Fractions; + - * / straight from the definitions."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @classmethod
+    def of(cls, value):
+        if isinstance(value, OracleQi):
+            return value
+        if isinstance(value, Scalar):
+            return cls(value.re, value.im)
+        return cls(value)
+
+    def __add__(self, other):
+        other = OracleQi.of(other)
+        return OracleQi(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        other = OracleQi.of(other)
+        return OracleQi(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return OracleQi(-self.re, -self.im)
+
+    def __mul__(self, other):
+        other = OracleQi.of(other)
+        return OracleQi(self.re * other.re - self.im * other.im,
+                        self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        other = OracleQi.of(other)
+        n = other.re * other.re + other.im * other.im
+        if not n:
+            raise ZeroDivisionError("scalar division by zero")
+        return OracleQi((self.re * other.re + self.im * other.im) / n,
+                        (self.im * other.re - self.re * other.im) / n)
+
+    def __eq__(self, other):
+        other = OracleQi.of(other)
+        return self.re == other.re and self.im == other.im
+
+    def __repr__(self):
+        return "OracleQi(%s, %s)" % (self.re, self.im)
 
 
 def oracle_rank(rows):

@@ -302,6 +302,31 @@ def test_malformed_algebra_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: %s: 'products' must be a list\n" % path
 
 
+def _not_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe{}")
+    return str(path)
+
+
+@pytest.mark.parametrize("role", ["algebra", "weights", "certificate", "source", "target", "map"])
+def test_non_utf8_file_is_named(role, m7_file, tmp_path, capsys):
+    bad = _not_utf8(tmp_path, role + ".json")
+    mpath = tmp_path / "id.json"
+    mpath.write_text(json.dumps([["1" if r == c else "0" for c in range(8)] for r in range(8)]))
+    argv = {
+        "algebra": ("check", bad),
+        "weights": ("grade-verify", m7_file, "--weights", bad),
+        "certificate": ("iso-verify", bad),
+        "source": ("iso-verify", bad, m7_file, "--map", str(mpath)),
+        "target": ("iso-verify", m7_file, bad, "--map", str(mpath)),
+        "map": ("iso-verify", m7_file, m7_file, "--map", bad),
+    }[role]
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == \
+        "error: %s: not valid UTF-8 text (invalid start byte at byte 0)\n" % bad
+
+
 def test_unknown_verb_exits_2():
     code, _out = run_cli("frobnicate")
     assert code == 2

@@ -1,9 +1,12 @@
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from leibnizkit.scalars import ONE, ZERO, Scalar, ScalarParseError, parse_scalar
+from leibnizkit.scalars import I, ONE, ZERO, Scalar, ScalarParseError, as_scalar, parse_scalar
+from oracles import OracleQi
 
 
 def test_parse_real_fraction():
@@ -75,3 +78,116 @@ def test_pure_imaginary_arithmetic():
     assert i * i == Scalar(-1)
     assert (ONE + i) * (ONE - i) == Scalar(2)
     assert (ONE / (ONE + i)).render() == "1/2-1/2i"
+
+
+def test_parse_rejects_overlong_number():
+    with pytest.raises(ScalarParseError):
+        parse_scalar("1" * 5000)
+
+
+def _assert_canonical(s):
+    assert type(s) is Scalar
+    assert all(type(v) is int for v in (s.a, s.b, s.d))
+    assert s.d > 0 and gcd(s.a, s.b, s.d) == 1
+    for q in (s.re, s.im):
+        assert type(q) is Fraction
+        assert q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
+
+
+def _random_parts(rng):
+    """(re, im) of a random Gaussian rational: small or up to 2**64,
+    real, pure imaginary, a Gaussian integer or general."""
+    bound = rng.choice((9, 2 ** 64))
+
+    def frac():
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+    kind = rng.randrange(4)
+    if kind == 0:
+        return frac(), 0
+    if kind == 1:
+        return 0, frac()
+    if kind == 2:
+        return rng.randint(-bound, bound), rng.randint(-bound, bound)
+    return frac(), frac()
+
+
+def _plain(rng, bound):
+    # an int or Fraction operand
+    if rng.random() < 0.5:
+        return rng.randint(-bound, bound)
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def _check(op, lhs, rhs, olhs, orhs):
+    try:
+        want = op(olhs, orhs)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            op(lhs, rhs)
+        return
+    got = op(lhs, rhs)
+    _assert_canonical(got)
+    assert OracleQi.of(got) == want, (op, lhs, rhs)
+
+
+def test_arithmetic_matches_fraction_pair_oracle():
+    rng = random.Random(5)
+    for _ in range(400):
+        x, y = _random_parts(rng), _random_parts(rng)
+        sx, sy = Scalar(*x), Scalar(*y)
+        ox, oy = OracleQi(*x), OracleQi(*y)
+        _assert_canonical(sx)
+        assert OracleQi.of(sx) == ox
+        assert OracleQi.of(-sx) == -ox and bool(sx) == bool(ox.re or ox.im)
+        k = _plain(rng, rng.choice((9, 2 ** 64)))
+        for op in _OPS:
+            _check(op, sx, sy, ox, oy)
+            _check(op, sx, k, ox, OracleQi(k))
+            _check(op, k, sy, OracleQi(k), oy)
+    for zero in (ZERO, 0, Fraction(0)):
+        _check(operator.truediv, ONE, zero, OracleQi(1), OracleQi(0))
+
+
+def test_gaussian_divisors_match_oracle():
+    rng = random.Random(6)
+    for _ in range(200):
+        num = Scalar(*_random_parts(rng))
+        den = Scalar(rng.randint(-9, 9), rng.choice((-1, 1)) * rng.randint(1, 2 ** 64))
+        _check(operator.truediv, num, den, OracleQi.of(num), OracleQi.of(den))
+        _check(operator.truediv, ONE, den, OracleQi(1), OracleQi.of(den))
+
+
+def test_mixed_operands_both_sides():
+    s = Scalar(Fraction(1, 3), 2)
+    assert 2 * s == s * 2 == Scalar(Fraction(2, 3), 4)
+    assert 1 - s == Scalar(Fraction(2, 3), -2)
+    assert Fraction(1, 3) + s == Scalar(Fraction(2, 3), 2)
+    assert (ONE / s) * s == ONE and (1 / s) * s == ONE
+    assert s / Fraction(1, 3) == Scalar(1, 6)
+    for v in (2 * s, 1 - s, ONE / s, Fraction(1, 3) + s, s / Fraction(1, 3)):
+        _assert_canonical(v)
+
+
+def test_equal_values_built_differently_are_equal_and_hash_equal():
+    half = [Scalar(Fraction(2, 4)), ONE / 2, parse_scalar("2/4"), Scalar(Fraction(1, 2), 0),
+            ONE - Scalar(Fraction(1, 2)), as_scalar(Fraction(3, 6))]
+    mixed = [parse_scalar("2/4+6/8i"), Scalar(Fraction(1, 2), Fraction(3, 4)),
+             (2 + 3 * I) / 4, (ONE + I) * (ONE + I) * Scalar(Fraction(3, 8)) + ONE / 2]
+    for group in (half, mixed):
+        for v in group:
+            _assert_canonical(v)
+            assert v == group[0]
+            assert hash(v) == hash(group[0]) == hash((group[0].re, group[0].im))
+    assert hash(Scalar(3)) == hash((3, 0))
+
+
+def test_equality_against_ints():
+    assert Scalar(3) == 3 and 3 == Scalar(3)
+    assert Scalar(Fraction(6, 2)) == 3
+    assert Scalar(3, 1) != 3 and Scalar(0, 3) != 0
+    assert Scalar(Fraction(3, 2)) != 3 and Scalar(Fraction(3, 2)) != 1
+    assert ZERO == 0 and not ZERO
