@@ -6,7 +6,6 @@ plus a catalog of named algebra families and a batch CLI."""
 from .catalog import FAMILIES, FamilyError, FamilySpec, admissible_param_check, build
 from .cohomology import (
     DerivationSpace,
-    InternalInconsistencyError,
     derivation_space,
     h1_dimension,
     inner_derivation_space,

@@ -1,8 +1,10 @@
 """Independent reference computations used to pin expected values.
 
-Everything here deliberately avoids the package's elimination engine:
-plain dense Gaussian elimination over Scalars, explicit matrix powers,
-and a finite-difference assembly of the derivation constraints.
+Everything here but oracle_inner_outside_der deliberately avoids the
+package's elimination engine: plain dense Gaussian elimination over
+Scalars, explicit matrix powers, and a finite-difference assembly of the
+derivation constraints.  oracle_inner_outside_der tests the assembly of
+derivation_space, so it may use SparseEchelon for span membership.
 OracleQi is Q(i) arithmetic on a pair of Fractions, independent of the
 integer representation inside Scalar.
 """
@@ -10,7 +12,7 @@ integer representation inside Scalar.
 from fractions import Fraction
 
 from leibnizkit.core import bracket
-from leibnizkit.linalg import Matrix, basis_vec
+from leibnizkit.linalg import Matrix, SparseEchelon, basis_vec, sparse_vec
 from leibnizkit.scalars import Scalar, ZERO
 
 
@@ -196,3 +198,26 @@ def oracle_inner_dim(algebra):
     n = algebra.dim
     rows = [right_operator(algebra, basis_vec(n, i)).flat() for i in range(n)]
     return oracle_rank(rows)
+
+
+def oracle_inner_outside_der(algebra, der):
+    """Labels e_k whose R_{e_k} lies outside the span of der's basis.
+
+    Empty whenever der is Der(L) of a Leibniz algebra, as every R_z is then
+    a derivation.  R_{e_k} is read straight from gamma: its entry (r, c) is
+    the e_r coordinate of [e_c, e_k].
+    """
+    n = algebra.dim
+    span = SparseEchelon(n * n)
+    for m in der.basis:
+        span.add(sparse_vec(m.flat()))
+    outside = []
+    for k in range(n):
+        r_k = {}
+        for c in range(n):
+            for r, v in enumerate(algebra.gamma_vec(c, k)):
+                if v:
+                    r_k[r * n + c] = v
+        if not span.contains(r_k):
+            outside.append(algebra.labels[k])
+    return outside

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import alg, mutated_m7
+from conftest import DATA, alg, mutated_m7
 
 from leibnizkit import core
 from leibnizkit.cli import main
@@ -83,10 +83,38 @@ def test_der_report(m7_file):
     assert out == "dim Der: 13\ndim Inn: 2\ndim H1: 11\n"
 
 
+def _golden(name):
+    with open(f"{DATA}/{name}", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def test_der_dump_lists_matrices(m7_file):
+    # the RREF Der basis is part of the output contract: byte for byte
     code, out = run_cli("der", m7_file, "--dump")
     assert code == 0
-    assert out.count("d1:") == 1 and "d13:" in out
+    assert out == _golden("m7_der_dump.txt")
+
+
+# N(7) moved by this fixed integer matrix has a dense Der basis
+N7_MOVE = [
+    [1, 0, 0, 0, 0, -1, 0, 1],
+    [0, 1, -1, 0, 0, 1, 0, -1],
+    [0, 0, 1, 1, -1, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0, -1, 0],
+    [0, 0, 0, -1, 1, 0, 1, 0],
+    [-1, 0, 0, 0, 1, 1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, -1],
+    [1, 0, 0, 0, -1, 0, 0, 1],
+]
+
+
+def test_der_dump_dense_basis_matches_golden(tmp_path):
+    move = Matrix(8, 8, [[Scalar(v) for v in row] for row in N7_MOVE])
+    path = tmp_path / "n7_moved.json"
+    core.save(change_of_basis(alg("N", 7), move), path)
+    code, out = run_cli("der", str(path), "--dump")
+    assert code == 0
+    assert out == _golden("n7_moved_der_dump.txt")
 
 
 def test_h1_report(m7_file):
@@ -325,6 +353,19 @@ def test_non_utf8_file_is_named(role, m7_file, tmp_path, capsys):
     assert code == 2 and out == ""
     assert capsys.readouterr().err == \
         "error: %s: not valid UTF-8 text (invalid start byte at byte 0)\n" % bad
+
+
+@pytest.mark.parametrize("verb,message", [
+    ("der", "derivation space needs an algebra with empty residual"),
+    ("h1", "derivation space needs an algebra with empty residual"),
+    ("fingerprint", "fingerprint is only defined for Leibniz algebras"),
+])
+def test_non_leibniz_input_exits_2_without_traceback(verb, message, bad_file):
+    proc = subprocess.run([sys.executable, "-m", "leibnizkit", verb, bad_file],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: %s\n" % message
 
 
 def test_unknown_verb_exits_2():

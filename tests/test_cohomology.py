@@ -2,10 +2,10 @@ import pytest
 
 from conftest import alg, cached_der, cached_inn, mutated_m7, random_invertible, random_vector
 
-from oracles import oracle_der_dim, oracle_inner_dim
+from oracles import oracle_der_dim, oracle_inner_dim, oracle_inner_outside_der
 
+from leibnizkit.catalog import FAMILIES
 from leibnizkit.cohomology import (
-    InternalInconsistencyError,
     derivation_space,
     h1_dimension,
     inner_derivation_space,
@@ -13,8 +13,8 @@ from leibnizkit.cohomology import (
 )
 from leibnizkit.core import change_of_basis, right_operator
 from leibnizkit.invariants import NotLeibnizError
-from leibnizkit.linalg import Matrix, basis_vec, span_echelon
-from leibnizkit.scalars import Scalar
+from leibnizkit.linalg import basis_vec, span_echelon
+from leibnizkit.scalars import Scalar, parse_scalar
 
 
 def test_der_dim_n_family():
@@ -91,18 +91,40 @@ def test_der_rejects_non_leibniz():
 
 
 def test_inner_rejects_non_leibniz_naming_first_operator():
-    with pytest.raises(InternalInconsistencyError) as info:
+    with pytest.raises(NotLeibnizError) as info:
         inner_derivation_space(mutated_m7())
     assert str(info.value) == "R_y1 is not a derivation; the algebra is not Leibniz"
 
 
-def test_containment_failure_aborts_loudly():
-    m7 = alg("M", 7)
-    fake_inn = inner_derivation_space(m7)
-    fake_inn.basis = [Matrix.identity(8)]
-    fake_inn.dim = 1
-    with pytest.raises(InternalInconsistencyError):
-        h1_dimension(m7, inn=fake_inn)
+def _inn_in_der_cases():
+    cases = []
+    for n in (7, 8, 9):
+        for family in FAMILIES:
+            if family == "N" and n % 2 == 0:
+                continue
+            if family == "M1alpha":
+                cases += [(family, n, alpha) for alpha in ("-1", "1", "1i")]
+            else:
+                cases.append((family, n, None))
+    return cases
+
+
+@pytest.mark.parametrize("family,n,alpha", _inn_in_der_cases())
+def test_inner_derivations_lie_in_der(family, n, alpha):
+    # h1_dimension subtracts dims without a containment check; this pins
+    # the theorem it relies on against derivation_space's assembly
+    a = alg(family, n, **({"alpha": parse_scalar(alpha)} if alpha else {}))
+    assert oracle_inner_outside_der(a, cached_der(a)) == []
+
+
+@pytest.mark.parametrize("family,n,params", [
+    ("L1", 7, {}), ("KF4", 7, {}), ("KF5", 7, {}), ("NGF1", 5, {}), ("N", 7, {}),
+    ("M", 5, {}), ("M1alpha", 5, {"alpha": Scalar(-1)}), ("nullfiliform-ml", 6, {}),
+])
+def test_inner_derivations_lie_in_der_dense_basis(family, n, params, rng):
+    a = alg(family, n, **params)
+    moved = change_of_basis(a, random_invertible(rng, a.dim))
+    assert oracle_inner_outside_der(moved, derivation_space(moved)) == []
 
 
 def test_commutator_with_inner_is_inner(rng):
