@@ -14,6 +14,7 @@ from .cohomology import (
 from .core import (
     Algebra,
     FormatError,
+    NotLeibnizError,
     bracket,
     change_of_basis,
     direct_sum,
@@ -31,7 +32,6 @@ from .gradations import (
 from .invariants import (
     CharSeq,
     Fingerprint,
-    NotLeibnizError,
     SeriesReport,
     center,
     central_series,

@@ -275,6 +275,14 @@ def cmd_replicate(args, out):
     return 0 if ok else NEGATIVE
 
 
+def count(text):
+    """argparse type of --trials and --max-abs: an int >= 1, checked before any output."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="leibnizkit",
@@ -289,7 +297,7 @@ def build_parser():
 
     p = sub.add_parser("invariants", help="series, annihilators, characteristic sequence")
     p.add_argument("algebra")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=count, default=20)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_invariants)
 
@@ -309,7 +317,7 @@ def build_parser():
 
     p = sub.add_parser("grade-search", help="search diagonal maximum-length gradations")
     p.add_argument("algebra")
-    p.add_argument("--max-abs", type=int, default=None)
+    p.add_argument("--max-abs", type=count, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_grade_search)
 
@@ -327,7 +335,7 @@ def build_parser():
 
     p = sub.add_parser("fingerprint", help="fingerprint one algebra, or compare two")
     p.add_argument("files", nargs="+")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=count, default=20)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_fingerprint)
 
@@ -338,9 +346,9 @@ def build_parser():
     )
     p.add_argument("--section", type=int, required=True, choices=(2, 3))
     p.add_argument("--n", type=int, default=7)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=count, default=20)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max-abs", type=int, default=None)
+    p.add_argument("--max-abs", type=count, default=None)
     p.set_defaults(func=cmd_replicate)
 
     return parser

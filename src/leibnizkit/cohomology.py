@@ -1,20 +1,21 @@
 """Derivation spaces and the first cohomology dimension H^1 = dim Der - dim Inn.
 
 Two theorems stand in for checks.  Every R_z of a Leibniz algebra is a
-derivation (the right-Leibniz identity), so Inn is a subspace of Der.  For a
+derivation (the right-Leibniz identity), so Inn is a subspace of Der once
+core.require_leibniz, the guard both spaces start with, has passed.  For a
 valid Z-gradation the derivation identity is homogeneous, so each weight
 component of a derivation is a derivation.
 
 The derivation identity d([x,y]) = [d(x),y] + [x,d(y)] over all basis pairs
 is a homogeneous linear system in the dim^2 matrix entries; it is assembled
-sparsely and eliminated incrementally, which keeps the dim^3 equations cheap
-at the dimensions the catalog uses.
+sparsely and eliminated incrementally (SparseEchelon.add drops zero entries
+and empty rows itself), which keeps the dim^3 equations cheap at the
+dimensions the catalog uses.
 """
 
 from __future__ import annotations
 
-from .core import leibniz_residual, sparse_bracket
-from .invariants import NotLeibnizError
+from .core import require_leibniz, sparse_bracket
 from .linalg import Matrix, SparseEchelon, sparse_vec
 from .scalars import ONE, ZERO
 
@@ -53,8 +54,7 @@ def is_derivation(algebra, m):
 
 def derivation_space(algebra):
     """Solve the derivation identity for Der(L); dim = dim^2 - rank."""
-    if leibniz_residual(algebra):
-        raise NotLeibnizError("derivation space needs an algebra with empty residual")
+    require_leibniz(algebra)
     n = algebra.dim
     ech = SparseEchelon(n * n)
     for i in range(n):
@@ -78,28 +78,15 @@ def derivation_space(algebra):
                     row = rows.setdefault(k, {})
                     row[key] = row.get(key, ZERO) - coeff
             for k in sorted(rows):
-                row = {c: v for c, v in rows[k].items() if v}
-                if row:
-                    ech.add(row)
+                ech.add(rows[k])
     basis = [Matrix(n, n, vec) for vec in ech.kernel_basis()]
     return DerivationSpace(basis)
 
 
 def inner_derivation_space(algebra):
-    """Echelonized span of the right operators R_{e_k}.
-
-    Guard: the right-Leibniz identity [[x,y],z] = [x,[y,z]] + [[x,z],y]
-    states that every R_z is a derivation, and the residual at (i, j, k)
-    is exactly R_{e_k}'s failure on (e_i, e_j).  One residual call thus
-    checks every R_{e_k}; a failure raises NotLeibnizError naming the least
-    such k.  An empty residual makes Inn(L) a subspace of Der(L).
-    """
-    residual = leibniz_residual(algebra)
-    if residual:
-        k = min(t[2] for t in residual)
-        raise NotLeibnizError(
-            "R_%s is not a derivation; the algebra is not Leibniz" % algebra.labels[k]
-        )
+    """Echelonized span of the right operators R_{e_k}, each a derivation
+    once core.require_leibniz passes, so Inn(L) is a subspace of Der(L)."""
+    require_leibniz(algebra)
     n = algebra.dim
     ech = SparseEchelon(n * n)
     for column in algebra.by_right:

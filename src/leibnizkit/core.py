@@ -1,17 +1,18 @@
 """Algebras presented by structure constants, and the bracket machinery.
 
-An Algebra is an immutable value: an ordered basis of labels plus a sparse
-map gamma[(i, j)] -> coordinates of [e_i, e_j].  The bracket convention is
+An Algebra is an ordered basis of labels plus a sparse map
+gamma[(i, j)] -> coordinates of [e_i, e_j]; no operation modifies one, and
+callers must not modify its tables.  The bracket convention is
 right-Leibniz throughout: gamma rows index the left argument, columns the
 right argument, and the identity checked by leibniz_residual is
 
     [x, [y, z]] = [[x, y], z] - [[x, z], y].
 
-The constructor also indexes gamma once: each nonzero product becomes a
-tuple of (k, c) terms with c != 0, reachable by its left factor
-(by_left[i][j]) and by its right factor (by_right[j][i]).  Every bracket
-loop in the package goes through this index, so its cost follows the
-nonzero products rather than dim^3.
+require_leibniz is the package's one Leibniz guard.  The constructor also
+indexes gamma once: each nonzero product becomes a tuple of (k, c) terms
+with c != 0, reachable by its left factor (by_left[i][j]) and by its right
+factor (by_right[j][i]).  Every bracket loop in the package goes through
+this index, so its cost follows the nonzero products rather than dim^3.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from .scalars import ONE, ZERO, ScalarParseError, as_scalar, parse_scalar
 
 class FormatError(ValueError):
     """An algebra / weights / certificate file failed to parse."""
+
+
+class NotLeibnizError(ValueError):
+    """The operation requires an algebra with empty Leibniz residual."""
 
 
 class Algebra:
@@ -154,6 +159,16 @@ def leibniz_residual(algebra):
                         plus[m] = plus.get(m, ZERO) + p
     n = algebra.dim
     return [key + (dense_vec(acc[key], n),) for key in sorted(acc) if any(acc[key].values())]
+
+
+def require_leibniz(algebra):
+    """NotLeibnizError unless the residual is empty, naming the least k whose
+    R_{e_k} is not a derivation: the residual at (i, j, k) is R_{e_k}'s
+    failure on (e_i, e_j)."""
+    residual = leibniz_residual(algebra)
+    if residual:
+        k = min(t[2] for t in residual)
+        raise NotLeibnizError("R_%s is not a derivation; the algebra is not Leibniz" % algebra.labels[k])
 
 
 def right_operator(algebra, x):

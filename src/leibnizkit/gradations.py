@@ -12,7 +12,7 @@ import json
 
 from .cohomology import is_derivation
 from .core import FormatError, decode_json, read_text
-from .linalg import Matrix, SparseEchelon, sparse_vec
+from .linalg import SparseEchelon
 
 
 class WeightAssignment:
@@ -224,18 +224,13 @@ def graded_derivation_split(algebra, assignment, der_basis):
     for m in der_basis:
         if not is_derivation(algebra, m):
             raise ValueError("der_basis contains a matrix violating the derivation identity")
-        components = {}
-        for r in range(n):
-            for c in range(n):
-                v = m.data[r][c]
-                if not v:
-                    continue
-                weight = w[r] - w[c]
-                comp = components.setdefault(weight, Matrix.zero(n, n))
-                comp.data[r][c] = v
+        components = {}  # weight -> {flat index r * n + c: entry}
+        for r, row in enumerate(m.data):
+            for c, v in enumerate(row):
+                if v:
+                    components.setdefault(w[r] - w[c], {})[r * n + c] = v
         for weight, comp in components.items():
-            span = spans.setdefault(weight, SparseEchelon(n * n))
-            span.add(sparse_vec(comp.flat()))
+            spans.setdefault(weight, SparseEchelon(n * n)).add(comp)
     return {weight: span.rank for weight, span in sorted(spans.items())}
 
 

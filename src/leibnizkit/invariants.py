@@ -1,12 +1,17 @@
 """Invariants of a nilpotent algebra: series, annihilators, characteristic
-sequence, the associated graded algebra and the isomorphism fingerprint."""
+sequence, the associated graded algebra and the isomorphism fingerprint.
+
+fingerprint checks its input with core.require_leibniz, the guard Der and
+Inn share, and calls them through the cohomology module, which imports
+nothing from here."""
 
 from __future__ import annotations
 
 import random
 from typing import NamedTuple
 
-from .core import Algebra, change_of_basis, leibniz_residual, right_operator, sparse_bracket
+from . import cohomology
+from .core import Algebra, change_of_basis, require_leibniz, right_operator, sparse_bracket
 from .linalg import (
     Matrix,
     NotNilpotentError,
@@ -18,10 +23,6 @@ from .linalg import (
     zero_vec,
 )
 from .scalars import ONE, ZERO, Scalar
-
-
-class NotLeibnizError(ValueError):
-    """The operation requires an algebra with empty Leibniz residual."""
 
 
 class SeriesReport:
@@ -46,13 +47,12 @@ class SeriesReport:
 def central_series(algebra):
     """L^1 = L, L^{k+1} = [L^k, L]; stops at zero or at stabilization."""
     n = algebra.dim
-    current = [basis_vec(n, i) for i in range(n)]
-    bases = [current]
+    level = [{i: ONE} for i in range(n)]  # sparse rows of L^k, in pivot order
+    bases = [[basis_vec(n, i) for i in range(n)]]
     dims = [n]
     while True:
         ech = SparseEchelon(n)
-        for u in bases[-1]:
-            u = sparse_vec(u)
+        for u in level:
             for j in range(n):
                 ech.add(sparse_bracket(algebra, u, {j: ONE}))
         d = ech.rank
@@ -61,6 +61,7 @@ def central_series(algebra):
         if d == dims[-1]:
             # [L^k, L] = L^k != 0: the sequence stabilized, not nilpotent
             return SeriesReport(bases, dims, None)
+        level = [ech.pivot_rows[c] for c in sorted(ech.pivot_rows)]
         bases.append(ech.basis_rows())
         dims.append(d)
 
@@ -230,17 +231,14 @@ class Fingerprint(NamedTuple):
 
 def fingerprint(algebra, trials=20, seed=1):
     """Aggregate the separating invariants of a Leibniz algebra."""
-    from .cohomology import derivation_space, h1_dimension, inner_derivation_space
-
-    if leibniz_residual(algebra):
-        raise NotLeibnizError("fingerprint is only defined for Leibniz algebras")
+    require_leibniz(algebra)
     series = central_series(algebra)
     if not series.is_nilpotent:
         raise NotNilpotentError("fingerprint expects a nilpotent algebra")
     cs = characteristic_sequence(algebra, trials=trials, seed=seed)
-    der = derivation_space(algebra)
-    inn = inner_derivation_space(algebra)
-    h1 = h1_dimension(algebra, der=der, inn=inn)
+    der = cohomology.derivation_space(algebra)
+    inn = cohomology.inner_derivation_space(algebra)
+    h1 = cohomology.h1_dimension(algebra, der=der, inn=inn)
     return Fingerprint(
         dim=algebra.dim,
         series_dims=series.dims,

@@ -159,9 +159,11 @@ def dense_vec(terms, n):
 class SparseEchelon:
     """Incrementally maintained reduced row echelon form over Q(i).
 
-    Rows are sparse {column: Scalar} dicts.  Pivot rows keep a leading 1
-    and zeros in every other pivot column, so reduce() is a membership
-    test and kernel_basis() reads straight off the free columns.
+    Rows are sparse {column: Scalar} dicts; add() drops zero entries and
+    ignores a row that reduces to nothing, so callers need not filter.
+    Pivot rows keep a leading 1 and no entry in any other pivot column, so
+    reduce() is a one-pass membership test and kernel_basis() reads
+    straight off the free columns.
     """
 
     def __init__(self, ncols):
@@ -173,13 +175,11 @@ class SparseEchelon:
         return len(self.pivot_rows)
 
     def reduce(self, row):
-        """Return the residual of row after eliminating all pivot columns."""
+        """Return the residual of row after eliminating all pivot columns:
+        a pivot row has no other pivot column, so one pass over the pivots
+        the row hits suffices."""
         out = {c: v for c, v in row.items() if v}
-        while True:
-            hit = [c for c in out if c in self.pivot_rows]
-            if not hit:
-                return out
-            c = min(hit)
+        for c in [c for c in out if c in self.pivot_rows]:
             f = out.pop(c)
             for pc, pv in self.pivot_rows[c].items():
                 if pc == c:
@@ -189,6 +189,7 @@ class SparseEchelon:
                     out[pc] = nv
                 else:
                     out.pop(pc, None)
+        return out
 
     def add(self, row):
         """Insert a row; returns True when it enlarged the span."""
@@ -220,13 +221,7 @@ class SparseEchelon:
 
     def basis_rows(self):
         """Dense RREF rows, sorted by pivot column."""
-        out = []
-        for pc in sorted(self.pivot_rows):
-            dense = [ZERO] * self.ncols
-            for c, v in self.pivot_rows[pc].items():
-                dense[c] = v
-            out.append(dense)
-        return out
+        return [dense_vec(self.pivot_rows[pc], self.ncols) for pc in sorted(self.pivot_rows)]
 
     def kernel_basis(self):
         """One kernel vector per free column, in column order."""
@@ -281,7 +276,8 @@ def nilpotent_partition(m):
     """Jordan block sizes of a nilpotent matrix, in weakly decreasing order.
 
     Uses the rank chain r_k = dim im(m^k): the number of blocks of size
-    exactly k is r_{k-1} - 2 r_k + r_{k+1}.  No power of m is formed: an
+    exactly k is r_{k-1} - 2 r_k + r_{k+1}, read from the largest k down so
+    the parts come out in order.  No power of m is formed: an
     echelon basis of im(m^k) is pushed through m and re-echelonized to
     give im(m^{k+1}), until the rank reaches 0.  A rank that repeats
     before 0 means m maps im(m^k) onto itself, so rank(m^dim) is that
@@ -305,12 +301,8 @@ def nilpotent_partition(m):
             raise NotNilpotentError("matrix is not nilpotent: rank(m^%d) = %d" % (n, ech.rank))
         ranks.append(ech.rank)
         image = list(ech.pivot_rows.values())
-    ranks.extend([0, 0])
+    ranks.append(0)  # r_{m+1} = 0 past the nilindex m, now len(ranks) - 2
     parts = []
-    for k in range(1, n + 1):
-        if k >= len(ranks) - 1:
-            break
-        count = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
-        parts.extend([k] * count)
-    parts.sort(reverse=True)
+    for k in range(len(ranks) - 2, 0, -1):
+        parts.extend([k] * (ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]))
     return tuple(parts)

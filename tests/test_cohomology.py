@@ -4,6 +4,7 @@ from conftest import alg, cached_der, cached_inn, mutated_m7, random_invertible,
 
 from oracles import oracle_der_dim, oracle_inner_dim, oracle_inner_outside_der
 
+from leibnizkit import NotLeibnizError
 from leibnizkit.catalog import FAMILIES
 from leibnizkit.cohomology import (
     derivation_space,
@@ -12,7 +13,7 @@ from leibnizkit.cohomology import (
     is_derivation,
 )
 from leibnizkit.core import change_of_basis, right_operator
-from leibnizkit.invariants import NotLeibnizError
+from leibnizkit.invariants import fingerprint
 from leibnizkit.linalg import basis_vec, span_echelon
 from leibnizkit.scalars import Scalar, parse_scalar
 
@@ -91,9 +92,13 @@ def test_der_rejects_non_leibniz():
 
 
 def test_inner_rejects_non_leibniz_naming_first_operator():
-    with pytest.raises(NotLeibnizError) as info:
-        inner_derivation_space(mutated_m7())
-    assert str(info.value) == "R_y1 is not a derivation; the algebra is not Leibniz"
+    # every entry point guards through core.require_leibniz, so all of
+    # them name the same operator in the same words
+    bad = mutated_m7()
+    for entry in (inner_derivation_space, derivation_space, h1_dimension, fingerprint):
+        with pytest.raises(NotLeibnizError) as info:
+            entry(bad)
+        assert str(info.value) == "R_y1 is not a derivation; the algebra is not Leibniz", entry
 
 
 def _inn_in_der_cases():

@@ -4,10 +4,10 @@ from conftest import DATA, alg, mutated_m7, random_invertible
 
 from oracles import oracle_rank, oracle_series_dims
 
+from leibnizkit import NotLeibnizError
 from leibnizkit.core import Algebra, bracket, change_of_basis, leibniz_residual
 from leibnizkit.invariants import (
     CharSeq,
-    NotLeibnizError,
     center,
     central_series,
     characteristic_sequence,

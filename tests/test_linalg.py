@@ -3,13 +3,14 @@ import random
 import pytest
 
 from conftest import alg, random_invertible
-from oracles import oracle_matrix_rank, oracle_partition
+from oracles import oracle_matrix_rank, oracle_partition, oracle_rank
 
 from leibnizkit.core import right_operator
 from leibnizkit.linalg import (
     Matrix,
     NotNilpotentError,
     SingularMatrixError,
+    SparseEchelon,
     basis_vec,
     inverse,
     kernel_basis,
@@ -113,6 +114,48 @@ def test_partition_shape_randomized():
             m.data[d][d] = Scalar(rng.choice((-2, -1, 1, 2)))
             with pytest.raises(NotNilpotentError):
                 nilpotent_partition(m)
+
+
+def _random_rows(rng, ncols):
+    """Sparse Q(i) rows with explicit zero entries, some of them combinations of earlier rows."""
+    rows = []
+    for _ in range(rng.randint(1, 10)):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s = Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+            t = Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+            rows.append({c: s * a.get(c, ZERO) + t * b.get(c, ZERO) for c in range(ncols)})
+        else:
+            cols = rng.sample(range(ncols), rng.randint(0, ncols))
+            rows.append({c: Scalar(rng.randint(-2, 2), rng.randint(-2, 2)) for c in cols})
+            if cols and rng.random() < 0.5:
+                rows[-1][rng.choice(cols)] = ZERO
+    return rows
+
+
+def test_echelon_rref_invariant_randomized():
+    rng = random.Random(17)
+    for _ in range(60):
+        ncols = rng.randint(1, 9)
+        rows = _random_rows(rng, ncols)
+        ech = SparseEchelon(ncols)
+        for row in rows:
+            before = dict(row)
+            ech.add(row)
+            assert row == before
+            for pc, prow in ech.pivot_rows.items():
+                assert prow[pc] == ONE and min(prow) == pc and all(prow.values())
+                assert not any(c != pc and c in ech.pivot_rows for c in prow)
+        assert all(ech.reduce(row) == {} for row in rows)
+        assert ech.rank == oracle_rank([[row.get(c, ZERO) for c in range(ncols)] for row in rows])
+        basis = ech.basis_rows()
+        for _ in range(3):
+            shuffled = rows[:]
+            rng.shuffle(shuffled)
+            other = SparseEchelon(ncols)
+            for row in shuffled:
+                other.add(row)
+            assert other.basis_rows() == basis
 
 
 def test_inverse_round_trip():
