@@ -1,10 +1,10 @@
 """Algebras presented by structure constants, and the bracket machinery.
 
-An Algebra is an ordered basis of labels plus a sparse map
-gamma[(i, j)] -> coordinates of [e_i, e_j]; no operation modifies one, and
-callers must not modify its tables.  The bracket convention is
-right-Leibniz throughout: gamma rows index the left argument, columns the
-right argument, and the identity checked by leibniz_residual is
+An Algebra is an ordered basis of labels plus a sparse read-only map
+gamma[(i, j)] -> coordinates of [e_i, e_j]; no operation modifies one.  The
+bracket convention is right-Leibniz throughout: gamma rows index the left
+argument, columns the right argument, and the identity checked by
+leibniz_residual is
 
     [x, [y, z]] = [[x, y], z] - [[x, z], y].
 
@@ -13,11 +13,19 @@ indexes gamma once: each nonzero product becomes a tuple of (k, c) terms
 with c != 0, reachable by its left factor (by_left[i][j]) and by its right
 factor (by_right[j][i]).  Every bracket loop in the package goes through
 this index, so its cost follows the nonzero products rather than dim^3.
+
+Since the tables never change, two results are memoized on the algebra:
+leibniz_residual remembers that the residual is empty (a non-empty one is
+recomputed, so every caller gets its own list), and
+invariants.central_series keeps its immutable SeriesReport.  Equality,
+hashing and key() ignore both slots.  Concurrent use needs no locking:
+threads that race to fill a slot compute and store equal values.
 """
 
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 
 from .linalg import Matrix, as_vector, dense_vec, inverse, sparse_vec, zero_vec
 from .scalars import ONE, ZERO, ScalarParseError, as_scalar, parse_scalar
@@ -34,7 +42,7 @@ class NotLeibnizError(ValueError):
 class Algebra:
     """Finite-dimensional algebra over Q(i) given by structure constants."""
 
-    __slots__ = ("dim", "labels", "gamma", "by_left", "by_right")
+    __slots__ = ("dim", "labels", "gamma", "by_left", "by_right", "_leibniz", "_series")
 
     def __init__(self, labels, gamma):
         labels = tuple(labels)
@@ -56,9 +64,11 @@ class Algebra:
                 by_left[i][j] = by_right[j][i] = terms
         self.dim = dim
         self.labels = labels
-        self.gamma = clean
-        self.by_left = by_left
-        self.by_right = by_right
+        self.gamma = MappingProxyType(clean)
+        self.by_left = tuple(by_left)
+        self.by_right = tuple(by_right)
+        self._leibniz = False   # memo: the residual was found empty
+        self._series = None     # memo: invariants.central_series
 
     def index(self, label):
         try:
@@ -134,7 +144,19 @@ def leibniz_residual(algebra):
 
     Returns (i, j, k, residual) in lexicographic order, with residual =
     [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j] as a dense vector;
-    an empty list means the algebra is a Leibniz algebra.  Terms are
+    an empty list means the algebra is a Leibniz algebra.  An empty result
+    is memoized on the algebra; a non-empty one is computed afresh.
+    """
+    if algebra._leibniz:
+        return []
+    residual = _residual(algebra)
+    if not residual:
+        algebra._leibniz = True
+    return residual
+
+
+def _residual(algebra):
+    """The residual triples of leibniz_residual, always computed.  Terms are
     accumulated only from products that exist: [e_i, [e_j, e_k]] from
     gamma_jk and by_right, and [[e_i, e_j], e_k] from gamma_ij and by_left,
     where it is the second term of (i, j, k) and the third of (i, k, j).

@@ -25,15 +25,16 @@ from .linalg import (
 from .scalars import ONE, ZERO, Scalar
 
 
-class SeriesReport:
-    """Descending central sequence L^1 >= L^2 >= ... with echelonized bases."""
+class SeriesReport(NamedTuple):
+    """Descending central sequence L^1 >= L^2 >= ... with echelonized bases.
 
-    __slots__ = ("subspace_bases", "dims", "nilindex")
+    Immutable, down to the basis vectors: central_series hands the same
+    report to every caller for one algebra.
+    """
 
-    def __init__(self, subspace_bases, dims, nilindex):
-        self.subspace_bases = subspace_bases
-        self.dims = tuple(dims)
-        self.nilindex = nilindex  # None when the algebra is not nilpotent
+    subspace_bases: tuple  # per L^k, a tuple of dense basis vectors (tuples)
+    dims: tuple
+    nilindex: int | None   # None when the algebra is not nilpotent
 
     @property
     def is_nilpotent(self):
@@ -45,10 +46,20 @@ class SeriesReport:
 
 
 def central_series(algebra):
-    """L^1 = L, L^{k+1} = [L^k, L]; stops at zero or at stabilization."""
+    """L^1 = L, L^{k+1} = [L^k, L]; stops at zero or at stabilization.
+
+    Computed once per algebra and memoized on it; characteristic_sequence,
+    natural_graded and fingerprint share the one report.
+    """
+    if algebra._series is None:
+        algebra._series = _series(algebra)
+    return algebra._series
+
+
+def _series(algebra):
     n = algebra.dim
     level = [{i: ONE} for i in range(n)]  # sparse rows of L^k, in pivot order
-    bases = [[basis_vec(n, i) for i in range(n)]]
+    bases = [tuple(tuple(basis_vec(n, i)) for i in range(n))]
     dims = [n]
     while True:
         ech = SparseEchelon(n)
@@ -57,12 +68,12 @@ def central_series(algebra):
                 ech.add(sparse_bracket(algebra, u, {j: ONE}))
         d = ech.rank
         if d == 0:
-            return SeriesReport(bases, dims, len(bases))
+            return SeriesReport(tuple(bases), tuple(dims), len(bases))
         if d == dims[-1]:
             # [L^k, L] = L^k != 0: the sequence stabilized, not nilpotent
-            return SeriesReport(bases, dims, None)
+            return SeriesReport(tuple(bases), tuple(dims), None)
         level = [ech.pivot_rows[c] for c in sorted(ech.pivot_rows)]
-        bases.append(ech.basis_rows())
+        bases.append(tuple(tuple(v) for v in ech.basis_rows()))
         dims.append(d)
 
 

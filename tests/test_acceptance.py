@@ -17,10 +17,10 @@ from conftest import (
     random_vector,
 )
 
-from oracles import oracle_inner_dim
+from oracles import oracle_inner_dim, oracle_partition
 
 from leibnizkit.cohomology import h1_dimension, is_derivation
-from leibnizkit.core import bracket, change_of_basis, leibniz_residual
+from leibnizkit.core import bracket, change_of_basis, leibniz_residual, right_operator
 from leibnizkit.gradations import (
     WeightAssignment,
     graded_derivation_split,
@@ -28,9 +28,9 @@ from leibnizkit.gradations import (
     verify_gradation,
     weights_loads,
 )
-from leibnizkit.invariants import characteristic_sequence, fingerprint, natural_graded
+from leibnizkit.invariants import central_series, characteristic_sequence, fingerprint, natural_graded
 from leibnizkit.iso import IsoCertificate, verify_certificate
-from leibnizkit.linalg import Matrix
+from leibnizkit.linalg import Matrix, nilpotent_partition, span_echelon
 from leibnizkit.scalars import Scalar
 
 from conftest import DATA
@@ -170,6 +170,23 @@ def test_criterion_4_characteristic_sequence_N():
             "C(N(%d)) = %s, stated %s; the witness R-operator splits off the length-2 "
             "chain f1 -> e%d" % (n, cs.parts, want, n - 1))
     print("[criterion 4] characteristic sequence of N: PASS")
+
+
+def test_criterion_4_N_witness_exceeds_stated_sequence():
+    # positive evidence for the mismatch above: C(N) is a maximum, so one
+    # x outside L^2 whose R_x has a Jordan type above the stated value
+    # disproves that value
+    for n in (7, 9, 11):
+        a = alg("N", n)
+        x = [Scalar(0)] * a.dim
+        x[a.index("e0")] = Scalar(1)
+        l2 = span_echelon(central_series(a).subspace_bases[1], a.dim)
+        assert not l2.contains({a.index("e0"): Scalar(1)})
+        m = right_operator(a, x)
+        parts = nilpotent_partition(m)
+        assert parts == oracle_partition(m) == (n - 2, 2, 1)
+        assert parts > (n - 2, 1, 1, 1)
+    print("[criterion 4] C(N(n)) >= (n-2,2,1) > (n-2,1,1,1) by the witness e0: PASS")
 
 
 # -- criterion 5: maximum-length certificates --------------------------------

@@ -117,6 +117,16 @@ def test_der_dump_dense_basis_matches_golden(tmp_path):
     assert out == _golden("n7_moved_der_dump.txt")
 
 
+def test_invariants_dense_basis_matches_golden(tmp_path):
+    # characteristic_sequence and natural_graded read the report's series
+    move = Matrix(8, 8, [[Scalar(v) for v in row] for row in N7_MOVE])
+    path = tmp_path / "n7_moved.json"
+    core.save(change_of_basis(alg("N", 7), move), path)
+    code, out = run_cli("invariants", str(path))
+    assert code == 0
+    assert out == _golden("n7_moved_invariants.txt")
+
+
 def test_h1_report(m7_file):
     code, out = run_cli("h1", m7_file)
     assert code == 0
@@ -303,6 +313,14 @@ def test_replicate_section_2_odd_n_reports_n_charseq():
     assert code == 1
     assert "FAIL N: characteristic sequence (5, 1, 1, 1)  (computed (5, 2, 1))" in out
     assert "PASS N: diagonal maximum-length gradation found" in out
+
+
+def test_replicate_section_2_odd_n_matches_golden():
+    # odd n, so N(9) joins: Leibniz check, characteristic sequence and the
+    # natural gradation all run on each built algebra
+    code, out = run_cli("replicate", "--section", "2", "--n", "9")
+    assert code == 1
+    assert out == _golden("replicate_s2_n9.txt")
 
 
 def test_reports_are_byte_identical(m7_file):

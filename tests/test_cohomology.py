@@ -13,7 +13,7 @@ from leibnizkit.cohomology import (
     is_derivation,
 )
 from leibnizkit.core import change_of_basis, right_operator
-from leibnizkit.invariants import fingerprint
+from leibnizkit.invariants import fingerprint, right_annihilator
 from leibnizkit.linalg import basis_vec, span_echelon
 from leibnizkit.scalars import Scalar, parse_scalar
 
@@ -120,6 +120,16 @@ def test_inner_derivations_lie_in_der(family, n, alpha):
     # the theorem it relies on against derivation_space's assembly
     a = alg(family, n, **({"alpha": parse_scalar(alpha)} if alpha else {}))
     assert oracle_inner_outside_der(a, cached_der(a)) == []
+
+
+@pytest.mark.parametrize("family,n,alpha", _inn_in_der_cases())
+def test_inner_dim_is_dim_minus_right_annihilator(family, n, alpha):
+    # the kernel of x -> R_x is R(L); with dim Der(N) on its formula this
+    # pins dim H1(N) = (n+13)/2, not the stated (n+19)/2
+    a = alg(family, n, **({"alpha": parse_scalar(alpha)} if alpha else {}))
+    assert cached_inn(a).dim == a.dim - len(right_annihilator(a))
+    if family == "N":
+        assert h1_dimension(a, der=cached_der(a), inn=cached_inn(a)) == (n + 13) // 2
 
 
 @pytest.mark.parametrize("family,n,params", [
