@@ -14,19 +14,6 @@ from .core import Algebra, leibniz_residual
 from .linalg import zero_vec
 from .scalars import ONE, ZERO, as_scalar
 
-FAMILIES = (
-    "L1",
-    "KF4",
-    "KF5",
-    "NGF1",
-    "N",
-    "M",
-    "M1alpha",
-    "nullfiliform-ml",
-    "abelian",
-)
-
-
 class FamilyError(ValueError):
     """Bad family name, dimension out of range, or malformed parameters."""
 
@@ -274,3 +261,4 @@ _BUILDERS = {
     "nullfiliform-ml": _build_nullfiliform,
     "abelian": _build_abelian,
 }
+FAMILIES = tuple(_BUILDERS)

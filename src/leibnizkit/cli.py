@@ -266,11 +266,9 @@ def cmd_replicate(args, out):
         report = gradations.verify_gradation(algebras[name], chain_weights)
         ok &= _pass_fail(out, "%s: explicit maximum-length certificate" % name, report.maximum_length)
     if "N" in algebras:
-        max_abs = args.max_abs if args.max_abs is not None else 2 * algebras["N"].dim
-        found = gradations.search_diagonal_gradation(algebras["N"], max_abs)
+        found = gradations.search_diagonal_gradation(algebras["N"], args.max_abs)
         ok &= _pass_fail(out, "N: diagonal maximum-length gradation found", found is not None)
-    l1_max_abs = args.max_abs if args.max_abs is not None else 2 * n
-    found = gradations.search_diagonal_gradation(algebras["L1"], l1_max_abs)
+    found = gradations.search_diagonal_gradation(algebras["L1"], args.max_abs)
     ok &= _pass_fail(out, "L1: no diagonal maximum-length gradation (evidence)", found is None)
     return 0 if ok else NEGATIVE
 

@@ -335,12 +335,17 @@ def decode_json(text, where):
     """The JSON document in a file's text; FormatError on a decode error.
 
     Every interchange file (algebra, weights, certificate, map) is read
-    through here, so all of them report a syntax error the same way.
+    through here, so all of them report a syntax error, a nesting too deep
+    for the decoder and an integer literal too long for int() the same way.
     """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError("%s: line %d: %s" % (where, exc.lineno, exc.msg)) from None
+    except RecursionError:
+        raise FormatError("%s: JSON nested too deeply" % where) from None
+    except ValueError as exc:  # more digits than int() converts
+        raise FormatError("%s: %s" % (where, exc)) from None
 
 
 def loads(text, where="<algebra>"):

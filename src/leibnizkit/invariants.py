@@ -1,6 +1,11 @@
 """Invariants of a nilpotent algebra: series, annihilators, characteristic
 sequence, the associated graded algebra and the isomorphism fingerprint.
 
+Both chains the classification reads come from linalg.image_chain: the
+central series is the chain of the right operators R_{e_j}, and each
+characteristic-sequence candidate x gives the Jordan type of R_x from
+its sparse columns, with no dense matrix in between.
+
 fingerprint checks its input with core.require_leibniz, the guard Der and
 Inn share, and calls them through the cohomology module, which imports
 nothing from here."""
@@ -8,19 +13,20 @@ nothing from here."""
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from typing import NamedTuple
 
 from . import cohomology
-from .core import Algebra, change_of_basis, require_leibniz, right_operator, sparse_bracket
+from .core import Algebra, change_of_basis, require_leibniz, sparse_bracket
 from .linalg import (
     Matrix,
     NotNilpotentError,
     SparseEchelon,
-    basis_vec,
-    nilpotent_partition,
+    dense_vec,
+    image_chain,
+    jordan_type,
     span_echelon,
     sparse_vec,
-    zero_vec,
 )
 from .scalars import ONE, ZERO, Scalar
 
@@ -57,24 +63,13 @@ def central_series(algebra):
 
 
 def _series(algebra):
-    n = algebra.dim
-    level = [{i: ONE} for i in range(n)]  # sparse rows of L^k, in pivot order
-    bases = [tuple(tuple(basis_vec(n, i)) for i in range(n))]
-    dims = [n]
-    while True:
-        ech = SparseEchelon(n)
-        for u in level:
-            for j in range(n):
-                ech.add(sparse_bracket(algebra, u, {j: ONE}))
-        d = ech.rank
-        if d == 0:
-            return SeriesReport(tuple(bases), tuple(dims), len(bases))
-        if d == dims[-1]:
-            # [L^k, L] = L^k != 0: the sequence stabilized, not nilpotent
-            return SeriesReport(tuple(bases), tuple(dims), None)
-        level = [ech.pivot_rows[c] for c in sorted(ech.pivot_rows)]
-        bases.append(tuple(tuple(v) for v in ech.basis_rows()))
-        dims.append(d)
+    # L^{k+1} = [L^k, L] = sum_j R_{e_j}(L^k): the image chain of the right
+    # operators, whose last level is 0 or the stabilized L^k
+    levels = image_chain(algebra.dim, algebra.by_right)
+    last = levels.pop()
+    bases = tuple(tuple(tuple(dense_vec(row, algebra.dim)) for row in level) for level in levels)
+    dims = tuple(len(level) for level in levels)
+    return SeriesReport(bases, dims, None if last else len(levels))
 
 
 def right_annihilator(algebra):
@@ -130,29 +125,22 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     l2 = span_echelon(series.subspace_bases[1], n) if len(series.subspace_bases) > 1 else SparseEchelon(n)
     outside = [i for i in range(n) if not l2.contains({i: ONE})]
 
-    candidates = [basis_vec(n, i) for i in outside]
-    for a in range(len(outside)):
-        for b in range(a + 1, len(outside)):
-            v = zero_vec(n)
-            v[outside[a]] = ONE
-            v[outside[b]] = ONE
-            candidates.append(v)
+    candidates = [{i: ONE} for i in outside]  # sparse {index: coefficient} maps
+    candidates += [{a: ONE, b: ONE} for a, b in combinations(outside, 2)]
     rng = random.Random(seed)
-    produced = 0
-    while produced < trials:
-        v = [Scalar(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(n)]
-        if l2.contains(sparse_vec(v)):
-            continue
-        candidates.append(v)
-        produced += 1
+    wanted = len(candidates) + trials
+    while len(candidates) < wanted:
+        v = sparse_vec([Scalar(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(n)])
+        if not l2.contains(v):
+            candidates.append(v)
 
     best = None
     witness = None
     for x in candidates:
-        parts = nilpotent_partition(right_operator(algebra, x))
+        parts = jordan_type([sparse_bracket(algebra, {c: ONE}, x) for c in range(n)])
         if best is None or parts > best:
             best = parts
-            witness = tuple(x)
+            witness = tuple(dense_vec(x, n))
     return CharSeq(best, witness)
 
 

@@ -5,6 +5,9 @@ Jordan types and the inverse all insert sparse rows into it.  It keeps the
 reduced row echelon form of the rows so far, pivoting on the lowest column
 a reduced row still has; the RREF of a span is unique, so no result
 depends on the order in which rows arrive.
+
+image_chain is the one descending-image loop, behind both the central
+series and every Jordan type.
 """
 
 from __future__ import annotations
@@ -272,37 +275,49 @@ def inverse(m):
     return Matrix(n, n, [row[n:] for row in ech.basis_rows()])
 
 
-def nilpotent_partition(m):
-    """Jordan block sizes of a nilpotent matrix, in weakly decreasing order.
-
-    Uses the rank chain r_k = dim im(m^k): the number of blocks of size
-    exactly k is r_{k-1} - 2 r_k + r_{k+1}, read from the largest k down so
-    the parts come out in order.  No power of m is formed: an
-    echelon basis of im(m^k) is pushed through m and re-echelonized to
-    give im(m^{k+1}), until the rank reaches 0.  A rank that repeats
-    before 0 means m maps im(m^k) onto itself, so rank(m^dim) is that
-    rank and the matrix is rejected as not nilpotent.
+def image_chain(n, operators):
+    """Levels V_0 = Q(i)^n, V_{k+1} = sum_T T(V_k), each as its sparse RREF
+    rows in pivot order, ending with the first level of rank 0 or of the
+    rank before it.  An operator maps a column to the terms of its image,
+    {column: ((row, entry), ...)}, the form of Algebra.by_right[j].
     """
-    if m.rows != m.cols:
-        raise NotNilpotentError("nilpotent_partition needs a square matrix")
-    n = m.rows
-    cols = [sparse_vec(m.column(c)) for c in range(n)]
-    ranks = [n]
-    image = [{c: ONE} for c in range(n)]
-    while ranks[-1]:
+    level = [{c: ONE} for c in range(n)]
+    levels = [level]
+    while True:
         ech = SparseEchelon(n)
-        for v in image:
-            w = {}
-            for c, a in v.items():
-                for r, b in cols[c].items():
-                    w[r] = w.get(r, ZERO) + a * b
-            ech.add(w)
-        if ech.rank == ranks[-1]:
-            raise NotNilpotentError("matrix is not nilpotent: rank(m^%d) = %d" % (n, ech.rank))
-        ranks.append(ech.rank)
-        image = list(ech.pivot_rows.values())
+        for v in level:
+            for op in operators:
+                w = {}
+                for c, a in v.items():
+                    for r, b in op.get(c, ()):
+                        w[r] = w.get(r, ZERO) + a * b
+                ech.add(w)
+        level = [ech.pivot_rows[c] for c in sorted(ech.pivot_rows)]
+        levels.append(level)
+        if not level or len(level) == len(levels[-2]):
+            return levels
+
+
+def jordan_type(columns):
+    """Jordan block sizes, weakly decreasing, of the nilpotent operator with
+    sparse columns {row: entry}, from the ranks r_k = dim im(T^k): there are
+    r_{k-1} - 2 r_k + r_{k+1} blocks of size k.  A rank that repeats before
+    0 is rank(T^dim), and the operator is rejected as not nilpotent.
+    """
+    n = len(columns)
+    op = {c: tuple(col.items()) for c, col in enumerate(columns) if col}
+    ranks = [len(level) for level in image_chain(n, (op,))]
+    if ranks[-1]:
+        raise NotNilpotentError("matrix is not nilpotent: rank(m^%d) = %d" % (n, ranks[-1]))
     ranks.append(0)  # r_{m+1} = 0 past the nilindex m, now len(ranks) - 2
     parts = []
     for k in range(len(ranks) - 2, 0, -1):
         parts.extend([k] * (ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]))
     return tuple(parts)
+
+
+def nilpotent_partition(m):
+    """Jordan block sizes of a nilpotent matrix; no power of m is formed."""
+    if m.rows != m.cols:
+        raise NotNilpotentError("nilpotent_partition needs a square matrix")
+    return jordan_type([sparse_vec(m.column(c)) for c in range(m.cols)])

@@ -120,7 +120,10 @@ class Scalar:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal values have equal canonical fields; an integer hashes as the int
+        if self.d == 1 and not self.b:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
 
     def __repr__(self):
         return "Scalar(%s)" % self.render()

@@ -6,11 +6,11 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from leibnizkit.catalog import FamilySpec, build
+from leibnizkit.catalog import FAMILIES, FamilySpec, build
 from leibnizkit.cohomology import derivation_space, inner_derivation_space
 from leibnizkit.core import Algebra
 from leibnizkit.linalg import Matrix, rank, zero_vec
-from leibnizkit.scalars import ONE, Scalar
+from leibnizkit.scalars import ONE, Scalar, parse_scalar
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -26,6 +26,26 @@ def alg(family, n, **params):
     if key not in _algebras:
         _algebras[key] = build(FamilySpec(family, n, params or None))
     return _algebras[key]
+
+
+def catalog_cases():
+    """(family, n, alpha) for every catalog family at n = 7-9: N at odd n
+    only, M1alpha at alpha = -1, 1 and i; alpha is scalar text or None."""
+    cases = []
+    for n in (7, 8, 9):
+        for family in FAMILIES:
+            if family == "N" and n % 2 == 0:
+                continue
+            if family == "M1alpha":
+                cases += [(family, n, alpha) for alpha in ("-1", "1", "1i")]
+            else:
+                cases.append((family, n, None))
+    return cases
+
+
+def case_algebra(family, n, alpha):
+    """The algebra of one catalog_cases() entry."""
+    return alg(family, n, **({"alpha": parse_scalar(alpha)} if alpha else {}))
 
 
 def cached_der(algebra):

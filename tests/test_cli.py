@@ -373,6 +373,24 @@ def test_non_utf8_file_is_named(role, m7_file, tmp_path, capsys):
         "error: %s: not valid UTF-8 text (invalid start byte at byte 0)\n" % bad
 
 
+@pytest.mark.parametrize("kind", ["deep-nesting", "long-integer"])
+@pytest.mark.parametrize("role", ["algebra", "weights", "certificate"])
+def test_json_decoder_limits_exit_2_with_one_error_line(role, kind, m7_file, tmp_path, capsys):
+    bad = tmp_path / (role + ".json")
+    bad.write_text("[" * 100000 if kind == "deep-nesting" else '{"dim": %s}' % ("1" * 5000))
+    argv = {
+        "algebra": ("check", str(bad)),
+        "weights": ("grade-verify", m7_file, "--weights", str(bad)),
+        "certificate": ("iso-verify", str(bad)),
+    }[role]
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % bad) and err.count("\n") == 1 and err.endswith("\n")
+    if kind == "deep-nesting":
+        assert err == "error: %s: JSON nested too deeply\n" % bad
+
+
 @pytest.mark.parametrize("verb", ["der", "h1", "fingerprint"])
 def test_non_leibniz_input_exits_2_without_traceback(verb, bad_file):
     proc = subprocess.run([sys.executable, "-m", "leibnizkit", verb, bad_file],

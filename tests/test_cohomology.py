@@ -1,11 +1,19 @@
 import pytest
 
-from conftest import alg, cached_der, cached_inn, mutated_m7, random_invertible, random_vector
+from conftest import (
+    alg,
+    cached_der,
+    cached_inn,
+    case_algebra,
+    catalog_cases,
+    mutated_m7,
+    random_invertible,
+    random_vector,
+)
 
 from oracles import oracle_der_dim, oracle_inner_dim, oracle_inner_outside_der
 
 from leibnizkit import NotLeibnizError
-from leibnizkit.catalog import FAMILIES
 from leibnizkit.cohomology import (
     derivation_space,
     h1_dimension,
@@ -15,7 +23,7 @@ from leibnizkit.cohomology import (
 from leibnizkit.core import change_of_basis, right_operator
 from leibnizkit.invariants import fingerprint, right_annihilator
 from leibnizkit.linalg import basis_vec, span_echelon
-from leibnizkit.scalars import Scalar, parse_scalar
+from leibnizkit.scalars import Scalar
 
 
 def test_der_dim_n_family():
@@ -101,32 +109,19 @@ def test_inner_rejects_non_leibniz_naming_first_operator():
         assert str(info.value) == "R_y1 is not a derivation; the algebra is not Leibniz", entry
 
 
-def _inn_in_der_cases():
-    cases = []
-    for n in (7, 8, 9):
-        for family in FAMILIES:
-            if family == "N" and n % 2 == 0:
-                continue
-            if family == "M1alpha":
-                cases += [(family, n, alpha) for alpha in ("-1", "1", "1i")]
-            else:
-                cases.append((family, n, None))
-    return cases
-
-
-@pytest.mark.parametrize("family,n,alpha", _inn_in_der_cases())
+@pytest.mark.parametrize("family,n,alpha", catalog_cases())
 def test_inner_derivations_lie_in_der(family, n, alpha):
     # h1_dimension subtracts dims without a containment check; this pins
     # the theorem it relies on against derivation_space's assembly
-    a = alg(family, n, **({"alpha": parse_scalar(alpha)} if alpha else {}))
+    a = case_algebra(family, n, alpha)
     assert oracle_inner_outside_der(a, cached_der(a)) == []
 
 
-@pytest.mark.parametrize("family,n,alpha", _inn_in_der_cases())
+@pytest.mark.parametrize("family,n,alpha", catalog_cases())
 def test_inner_dim_is_dim_minus_right_annihilator(family, n, alpha):
     # the kernel of x -> R_x is R(L); with dim Der(N) on its formula this
     # pins dim H1(N) = (n+13)/2, not the stated (n+19)/2
-    a = alg(family, n, **({"alpha": parse_scalar(alpha)} if alpha else {}))
+    a = case_algebra(family, n, alpha)
     assert cached_inn(a).dim == a.dim - len(right_annihilator(a))
     if family == "N":
         assert h1_dimension(a, der=cached_der(a), inn=cached_inn(a)) == (n + 13) // 2

@@ -225,9 +225,12 @@ def test_json_omitted_products_are_zero():
     ('{"dim": 1, "basis": ["a"], "products": [{"left": "a", "right": "a", "result": [[["a"], "1"]]}]}',
      "products[0]: labels must be strings"),
     ('{"dim": 1,\n "basis": [}', "<algebra>: line 2: Expecting value"),
+    # json.loads raises RecursionError and int()'s digit-limit ValueError here
+    ("[" * 100000, "<algebra>: JSON nested too deeply"),
+    ('{"dim": %s, "basis": []}' % ("1" * 5000), "<algebra>: Exceeds the limit"),
 ], ids=["dup-label", "dim-mismatch", "bad-left", "zero-den", "bad-term", "no-dim", "not-object",
         "bool-dim", "products-not-list", "result-not-list", "list-left", "list-right",
-        "list-term-label", "syntax"])
+        "list-term-label", "syntax", "deep-nesting", "long-integer"])
 def test_json_errors_name_the_offender(doc, fragment):
     with pytest.raises(FormatError) as err:
         loads(doc)

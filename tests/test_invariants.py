@@ -1,11 +1,18 @@
 import pytest
 
-from conftest import DATA, alg, mutated_m7, random_invertible
+from conftest import DATA, alg, case_algebra, catalog_cases, mutated_m7, random_invertible
 
-from oracles import oracle_rank, oracle_series_dims
+from oracles import oracle_partition, oracle_rank, oracle_series_dims
 
-from leibnizkit import NotLeibnizError
-from leibnizkit.core import Algebra, bracket, change_of_basis, leibniz_residual
+from leibnizkit import NotLeibnizError, linalg
+from leibnizkit.core import (
+    Algebra,
+    bracket,
+    change_of_basis,
+    leibniz_residual,
+    right_operator,
+    sparse_bracket,
+)
 from leibnizkit.invariants import (
     CharSeq,
     center,
@@ -16,7 +23,15 @@ from leibnizkit.invariants import (
     p_filiform_class,
     right_annihilator,
 )
-from leibnizkit.linalg import NotNilpotentError, basis_vec, span_echelon
+from leibnizkit.linalg import (
+    NotNilpotentError,
+    basis_vec,
+    image_chain,
+    jordan_type,
+    nilpotent_partition,
+    span_echelon,
+    sparse_vec,
+)
 from leibnizkit.scalars import ONE, Scalar
 
 
@@ -25,10 +40,13 @@ def _contains(vectors, dim, target):
 
 
 def test_series_abelian():
-    s = central_series(alg("abelian", 3))
+    a = alg("abelian", 3)
+    assert image_chain(3, a.by_right) == [[{0: ONE}, {1: ONE}, {2: ONE}], []]
+    s = central_series(a)
     assert s.dims == (3,)
     assert s.nilindex == 1
     assert len(s.subspace_bases[0]) == 3
+    assert characteristic_sequence(a) == CharSeq((1, 1, 1), tuple(basis_vec(3, 0)))
 
 
 def test_series_m7_against_brute_force():
@@ -50,11 +68,22 @@ def test_series_strictly_decreasing_for_catalog():
 
 
 def test_series_detects_non_nilpotent():
-    # [e1, e1] = e1 stabilizes at dimension 1
-    a = Algebra(["e1", "e2"], {(0, 0): (ONE, Scalar(0))})
+    # [a, a] = a, [c, a] = b: L^2 = <a, b>, L^3 = L^4 = <a>; the repeated
+    # L^4 ends the image chain and is not part of the report
+    z = Scalar(0)
+    a = Algebra(["a", "b", "c"], {(0, 0): (ONE, z, z), (2, 0): (z, ONE, z)})
+    assert [len(level) for level in image_chain(3, a.by_right)] == [3, 2, 1, 1]
     s = central_series(a)
     assert s.nilindex is None
     assert not s.is_nilpotent
+    assert s.dims == (3, 2, 1) and len(s.subspace_bases) == 3
+    assert oracle_series_dims(a) == (3, 2, 1, "stuck")
+
+
+def test_series_of_the_zero_algebra():
+    s = central_series(alg("abelian", 0))
+    assert (s.subspace_bases, s.dims, s.nilindex) == (((),), (0,), 1)
+    assert characteristic_sequence(alg("abelian", 0)) == CharSeq((), ())
 
 
 def test_right_annihilator_abelian_is_everything():
@@ -123,6 +152,31 @@ def test_charseq_abelian():
 
 def test_charseq_l1():
     assert characteristic_sequence(alg("L1", 7)).parts == (4, 1, 1, 1)
+
+
+@pytest.mark.parametrize("family,n,alpha", catalog_cases())
+def test_charseq_sparse_path_matches_dense_and_oracle(family, n, alpha):
+    # the sparse R_x columns characteristic_sequence hands to jordan_type
+    # give the Jordan type of the dense right_operator matrix, by the
+    # engine and by explicit powers; the series matches brute-force spans
+    a = case_algebra(family, n, alpha)
+    assert central_series(a).dims == oracle_series_dims(a)
+    cs = characteristic_sequence(a)
+    xs = sparse_vec(cs.witness)
+    sparse = jordan_type([sparse_bracket(a, {c: ONE}, xs) for c in range(a.dim)])
+    dense = right_operator(a, cs.witness)
+    assert sparse == cs.parts == nilpotent_partition(dense) == oracle_partition(dense)
+
+
+def test_charseq_builds_no_matrix(monkeypatch):
+    a = alg("M", 7)
+    central_series(a)
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("characteristic_sequence built a Matrix")
+
+    monkeypatch.setattr(linalg.Matrix, "__init__", no_matrix)
+    assert characteristic_sequence(a).parts == (5, 1, 1, 1)
 
 
 def test_charseq_rejects_non_nilpotent():

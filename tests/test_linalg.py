@@ -12,7 +12,9 @@ from leibnizkit.linalg import (
     SingularMatrixError,
     SparseEchelon,
     basis_vec,
+    image_chain,
     inverse,
+    jordan_type,
     kernel_basis,
     nilpotent_partition,
     rank,
@@ -85,8 +87,31 @@ def test_partition_rejects_non_square():
 
 
 def test_partition_rejects_non_nilpotent():
-    with pytest.raises(NotNilpotentError):
+    with pytest.raises(NotNilpotentError) as info:
         nilpotent_partition(Matrix.identity(3))
+    assert str(info.value) == "matrix is not nilpotent: rank(m^3) = 3"
+
+
+def test_partition_of_the_empty_matrix():
+    assert nilpotent_partition(Matrix.zero(0, 0)) == ()
+    assert jordan_type([]) == ()
+    assert image_chain(0, ()) == [[], []]
+
+
+def test_image_chain_of_one_jordan_block():
+    # e0 -> e1 -> e2 -> 0: each image drops the leading unit vector
+    block = {0: ((1, ONE),), 1: ((2, ONE),)}
+    assert image_chain(3, (block,)) == [
+        [{0: ONE}, {1: ONE}, {2: ONE}], [{1: ONE}, {2: ONE}], [{2: ONE}], []]
+    assert image_chain(3, ()) == [[{0: ONE}, {1: ONE}, {2: ONE}], []]
+    assert jordan_type([{1: ONE}, {2: ONE}, {}]) == (3,)
+
+
+def test_image_chain_sums_the_operators_images():
+    # two operators whose images alone have rank 1 span rank 2 together
+    first, second = {0: ((1, ONE),)}, {0: ((2, Scalar(0, 1)),)}
+    ranks = [len(level) for level in image_chain(3, (first, second))]
+    assert ranks == [3, 2, 0]
 
 
 def test_partition_shape_randomized():

@@ -181,8 +181,17 @@ def test_equal_values_built_differently_are_equal_and_hash_equal():
         for v in group:
             _assert_canonical(v)
             assert v == group[0]
-            assert hash(v) == hash(group[0]) == hash((group[0].re, group[0].im))
-    assert hash(Scalar(3)) == hash((3, 0))
+            assert hash(v) == hash(group[0])
+    assert hash(parse_scalar("6/2")) == hash(Scalar(3)) == hash(3)
+
+
+def test_hash_agrees_with_equality_against_ints():
+    for k in (-7, -1, 0, 1, 3, 2 ** 70):
+        for s in (Scalar(k), Scalar(Fraction(2 * k, 2)), (Scalar(k, 1) - I), parse_scalar(str(k))):
+            assert s == k and hash(s) == hash(k)
+            assert s in {k} and k in {s}
+            assert {k: "x"}[s] == "x"
+    assert Scalar(3, 1) not in {3} and Scalar(Fraction(3, 2)) not in {1, 2}
 
 
 def test_equality_against_ints():

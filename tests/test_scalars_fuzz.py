@@ -33,3 +33,16 @@ def test_any_text_parses_or_raises_parse_error(text):
     except ScalarParseError:
         return
     assert parse_scalar(s.render()) == s
+
+
+@FIXED
+@given(_gaussian, _gaussian, st.integers())
+def test_hash_agrees_with_equality(s, t, k):
+    # values reached two ways are equal and hash equal; an integral value
+    # hashes as its int, so it finds the int in a set and vice versa
+    assert hash(parse_scalar(s.render())) == hash(s)
+    if t:
+        assert (s * t) / t == s and hash((s * t) / t) == hash(s)
+    integral = (Scalar(k) + s) - s
+    assert integral == k and hash(integral) == hash(k)
+    assert integral in {k} and k in {integral}
