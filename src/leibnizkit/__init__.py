@@ -18,6 +18,7 @@ from .core import (
     bracket,
     change_of_basis,
     direct_sum,
+    from_terms,
     leibniz_residual,
     left_operator,
     right_operator,

@@ -1,7 +1,9 @@
 """Constructors for the catalog of algebra families, keyed by family name.
 
-Each builder transcribes one multiplication table exactly; unlisted
-products are zero.  Basis labels follow the order the generators are
+Each builder transcribes one multiplication table exactly, as a list of
+(left, right, result, coefficient) index terms that core.from_terms turns
+into an Algebra; unlisted products are zero, and only core knows the dense
+coordinate tuples.  Basis labels follow the order the generators are
 usually written in (e's before f's, y's before z's), so indices in reports
 line up with the usual notation.  The Lie family N is stored with both
 [x, y] and [y, x] = -[x, y] for every listed product, making antisymmetry
@@ -10,9 +12,9 @@ hold on the nose.
 
 from __future__ import annotations
 
-from .core import Algebra, leibniz_residual
-from .linalg import zero_vec
+from .core import from_terms, leibniz_residual
 from .scalars import ONE, ZERO, as_scalar
+
 
 class FamilyError(ValueError):
     """Bad family name, dimension out of range, or malformed parameters."""
@@ -80,12 +82,9 @@ def admissible_param_check(spec):
 
 
 # -- individual laws -------------------------------------------------------
-
-def _single(dim, k, coeff=ONE):
-    v = zero_vec(dim)
-    v[k] = coeff
-    return tuple(v)
-
+# Each builder lists its table as (left, right, result, coefficient) index
+# terms for core.from_terms; an unset or zero parameter gives a zero term,
+# and from_terms drops a product whose terms sum to zero.
 
 def _build_l1(spec):
     # dim n, basis e_1..e_{n-3}, f_1, f_2, f_3
@@ -94,12 +93,12 @@ def _build_l1(spec):
     labels = ["e%d" % i for i in range(1, n - 2)] + ["f1", "f2", "f3"]
     e = {i: i - 1 for i in range(1, n - 2)}
     f = {j: n - 4 + j for j in range(1, 4)}
-    gamma = {}
+    terms = []
     for i in range(1, n - 3):
-        gamma[(e[i], e[1])] = _single(n, e[i + 1])          # [e_i, e_1] = e_{i+1}
-        gamma[(e[i], f[2])] = _single(n, e[i + 1])          # [e_i, f_2] = e_{i+1}
-    gamma[(e[1], f[1])] = _single(n, f[3])                  # [e_1, f_1] = f_3
-    return Algebra(labels, gamma)
+        terms.append((e[i], e[1], e[i + 1], ONE))           # [e_i, e_1] = e_{i+1}
+        terms.append((e[i], f[2], e[i + 1], ONE))           # [e_i, f_2] = e_{i+1}
+    terms.append((e[1], f[1], f[3], ONE))                   # [e_1, f_1] = f_3
+    return from_terms(labels, terms)
 
 
 def _kf_common(spec, with_chain_shift):
@@ -114,42 +113,26 @@ def _kf_common(spec, with_chain_shift):
     def param(name):
         return p.get(name, ZERO)
 
-    gamma = {}
-    for i in range(1, n - 2):
-        gamma[(i - 1, 0)] = _single(n, i)                   # [e_i, e_1] = e_{i+1}
-
-    head = zero_vec(n)
-    head[n - 1] = ONE                                       # e_n term
+    terms = [(i - 1, 0, i, ONE) for i in range(1, n - 2)]   # [e_i, e_1] = e_{i+1}
+    terms.append((0, n - 2, n - 1, ONE))                    # [e_1, e_{n-1}]: e_n term
     if with_chain_shift:
-        head[1] = head[1] + ONE                             # KF5 extra e_2 term
+        terms.append((0, n - 2, 1, ONE))                    # KF5 extra e_2 term
     for t in range(3, n - 1):
-        head[t - 1] = head[t - 1] + param("alpha_%d" % t)
-    gamma[(0, n - 2)] = tuple(head)                         # [e_1, e_{n-1}]
-
-    diag = zero_vec(n)
-    for t in range(3, n - 1):
-        diag[t - 1] = param("beta_%d" % t)
-    if any(diag):
-        gamma[(n - 2, n - 2)] = tuple(diag)                 # [e_{n-1}, e_{n-1}]
+        terms.append((0, n - 2, t - 1, param("alpha_%d" % t)))      # [e_1, e_{n-1}]
+        terms.append((n - 2, n - 2, t - 1, param("beta_%d" % t)))   # [e_{n-1}, e_{n-1}]
 
     # KF5's shifted row must run through i = n-3: stopping at n-4 breaks the
     # Leibniz identity at (e_{n-4}, e_1, e_{n-1}) for every parameter choice
     mid_top = n - 2 if with_chain_shift else n - 3
     for i in range(2, mid_top):
-        row = zero_vec(n)
         if with_chain_shift:
-            row[i] = ONE                                    # KF5: e_{i+1} term
+            terms.append((i - 1, n - 2, i, ONE))            # KF5: e_{i+1} term
         for j in range(i + 2, n - 1):
-            row[j - 1] = param("beta_%d_%d" % (i, j))
-        if any(row):
-            gamma[(i - 1, n - 2)] = tuple(row)              # [e_i, e_{n-1}]
+            terms.append((i - 1, n - 2, j - 1, param("beta_%d_%d" % (i, j))))  # [e_i, e_{n-1}]
 
-    tail = zero_vec(n)
     for t in range(4, n - 1):
-        tail[t - 1] = param("gamma_%d" % t)
-    if any(tail):
-        gamma[(n - 1, n - 2)] = tuple(tail)                 # [e_n, e_{n-1}]
-    return Algebra(labels, gamma)
+        terms.append((n - 1, n - 2, t - 1, param("gamma_%d" % t)))  # [e_n, e_{n-1}]
+    return from_terms(labels, terms)
 
 
 def _build_kf4(spec):
@@ -165,71 +148,57 @@ def _build_ngf1(spec):
     _check_range(spec, 4)
     n = spec.n
     labels = ["e%d" % i for i in range(1, n + 1)]
-    gamma = {(0, 0): _single(n, 2)}                         # [e_1, e_1] = e_3
-    for i in range(2, n):
-        gamma[(i - 1, 0)] = _single(n, i)                   # [e_i, e_1] = e_{i+1}
-    return Algebra(labels, gamma)
+    terms = [(0, 0, 2, ONE)]                                # [e_1, e_1] = e_3
+    terms += [(i - 1, 0, i, ONE) for i in range(2, n)]      # [e_i, e_1] = e_{i+1}
+    return from_terms(labels, terms)
 
 
 def _build_n(spec):
     # dim n+1, basis e_0..e_{n-1}, f_1; n odd; closed under antisymmetry
     _check_range(spec, 7, parity="odd")
     n = spec.n
-    dim = n + 1
     labels = ["e%d" % i for i in range(n)] + ["f1"]
     f1 = n
-    gamma = {}
-
-    def add_pair(i, j, k, coeff):
-        # [e_i, e_j] = coeff * e_k together with [e_j, e_i] = -coeff * e_k
-        assert (i, j) not in gamma and (j, i) not in gamma
-        gamma[(i, j)] = _single(dim, k, coeff)
-        gamma[(j, i)] = _single(dim, k, -coeff)
-
-    for i in range(2, n - 1):
-        add_pair(i - 1, 0, i, ONE)                          # [e_{i-1}, e_0] = e_i
+    # (i, j, k, c): [e_i, e_j] = c * e_k, stored with [e_j, e_i] = -c * e_k
+    pairs = [(i - 1, 0, i, ONE) for i in range(2, n - 1)]  # [e_{i-1}, e_0] = e_i
     # alternating products [e_i, e_{n-2-i}] = (-1)^(i-1) e_{n-1}: the usual
     # presentation lists [e_{n-3}, e_1] = -e_{n-1}, [e_{n-4}, e_2] = e_{n-1}
     # and 3 <= i <= (n-3)/2; closed under antisymmetry that is one pair per
     # i < n-2-i, which is what the loop below adds
     for i in range(1, (n - 1) // 2):
-        coeff = ONE if i % 2 == 1 else -ONE
-        add_pair(i, n - 2 - i, n - 1, coeff)
-    add_pair(f1, 0, n - 1, ONE)                             # [f_1, e_0] = e_{n-1}
-    return Algebra(labels, gamma)
+        pairs.append((i, n - 2 - i, n - 1, ONE if i % 2 == 1 else -ONE))
+    pairs.append((f1, 0, n - 1, ONE))                       # [f_1, e_0] = e_{n-1}
+    unordered = {frozenset((i, j)) for i, j, _, _ in pairs}
+    assert len(unordered) == len(pairs), "a pair of N is listed twice"
+    return from_terms(labels, [t for i, j, k, c in pairs for t in ((i, j, k, c), (j, i, k, -c))])
 
 
-def _m_chain(n, dim):
-    gamma = {}
-    for i in range(1, n - 2):
-        gamma[(i - 1, 0)] = _single(dim, i)                 # [y_i, y_1] = y_{i+1}
-    gamma[(0, n - 2)] = _single(dim, n - 1)                 # [y_1, y_{n-1}] = y_n
-    return gamma
+def _m_chain(n):
+    terms = [(i - 1, 0, i, ONE) for i in range(1, n - 2)]   # [y_i, y_1] = y_{i+1}
+    terms.append((0, n - 2, n - 1, ONE))                    # [y_1, y_{n-1}] = y_n
+    return terms
 
 
 def _build_m(spec):
     # dim n+1, basis y_1..y_n, z_1
     _check_range(spec, 5)
     n = spec.n
-    dim = n + 1
     labels = ["y%d" % i for i in range(1, n + 1)] + ["z1"]
-    gamma = _m_chain(n, dim)
-    gamma[(n, n - 2)] = _single(dim, n - 3)                 # [z_1, y_{n-1}] = y_{n-2}
-    return Algebra(labels, gamma)
+    terms = _m_chain(n)
+    terms.append((n, n - 2, n - 3, ONE))                    # [z_1, y_{n-1}] = y_{n-2}
+    return from_terms(labels, terms)
 
 
 def _build_m1alpha(spec):
     # dim n+1, basis y_1..y_n, z_1; alpha defaults to 0
     _check_range(spec, 5)
     n = spec.n
-    dim = n + 1
     alpha = spec.params.get("alpha", ZERO)
     labels = ["y%d" % i for i in range(1, n + 1)] + ["z1"]
-    gamma = _m_chain(n, dim)
-    gamma[(n - 2, n)] = _single(dim, n - 3)                 # [y_{n-1}, z_1] = y_{n-2}
-    if alpha:
-        gamma[(n, n - 2)] = _single(dim, n - 3, alpha)      # [z_1, y_{n-1}] = alpha y_{n-2}
-    return Algebra(labels, gamma)
+    terms = _m_chain(n)
+    terms.append((n - 2, n, n - 3, ONE))                    # [y_{n-1}, z_1] = y_{n-2}
+    terms.append((n, n - 2, n - 3, alpha))                  # [z_1, y_{n-1}] = alpha y_{n-2}
+    return from_terms(labels, terms)
 
 
 def _build_nullfiliform(spec):
@@ -237,17 +206,13 @@ def _build_nullfiliform(spec):
     _check_range(spec, 1)
     n = spec.n
     labels = ["e%d" % i for i in range(1, n + 1)]
-    gamma = {}
-    for i in range(1, n):
-        gamma[(i - 1, 0)] = _single(n, i)                   # [e_i, e_1] = e_{i+1}
-    return Algebra(labels, gamma)
+    return from_terms(labels, [(i - 1, 0, i, ONE) for i in range(1, n)])  # [e_i, e_1] = e_{i+1}
 
 
 def _build_abelian(spec):
     if spec.n < 0:
         raise FamilyError("family abelian needs n >= 0, got %d" % spec.n)
-    labels = ["c%d" % i for i in range(1, spec.n + 1)]
-    return Algebra(labels, {})
+    return from_terms(["c%d" % i for i in range(1, spec.n + 1)], [])
 
 
 _BUILDERS = {

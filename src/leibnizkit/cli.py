@@ -11,27 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import catalog, core, gradations
-from .cohomology import derivation_space, h1_dimension, inner_derivation_space
-from .core import FormatError, leibniz_residual
-from .invariants import (
-    center,
-    central_series,
-    characteristic_sequence,
-    fingerprint,
-    natural_graded,
-    p_filiform_class,
-    right_annihilator,
-)
-from .iso import (
-    IsoCertificate,
-    certificate_load,
-    first_difference,
-    matrix_from_json,
-    verify_certificate,
-)
+from . import catalog, cohomology, core, gradations, invariants, iso, scalars
+from .core import FormatError
 from .linalg import NotNilpotentError
-from .scalars import ScalarParseError, parse_scalar
+from .scalars import ScalarParseError
 
 USAGE_ERROR = 2
 NEGATIVE = 1
@@ -58,7 +41,7 @@ def _print_violations(algebra, residuals, out):
 
 def cmd_check(args, out):
     algebra = core.load(args.algebra)
-    residuals = leibniz_residual(algebra)
+    residuals = core.leibniz_residual(algebra)
     if not residuals:
         print("Leibniz: OK (0 violations)", file=out)
         return 0
@@ -69,29 +52,29 @@ def cmd_check(args, out):
 
 def cmd_invariants(args, out):
     algebra = core.load(args.algebra)
-    series = central_series(algebra)
+    series = invariants.central_series(algebra)
     print("dim: %d" % algebra.dim, file=out)
     print("series dims: %s" % ",".join(str(d) for d in series.dims), file=out)
     print("nilindex: %s" % (series.nilindex if series.is_nilpotent else "not nilpotent"), file=out)
-    print("center dim: %d" % len(center(algebra)), file=out)
-    print("right annihilator dim: %d" % len(right_annihilator(algebra)), file=out)
+    print("center dim: %d" % len(invariants.center(algebra)), file=out)
+    print("right annihilator dim: %d" % len(invariants.right_annihilator(algebra)), file=out)
     if not series.is_nilpotent:
         return 0
-    cs = characteristic_sequence(algebra, trials=args.trials, seed=args.seed)
+    cs = invariants.characteristic_sequence(algebra, trials=args.trials, seed=args.seed)
     print("characteristic sequence: %s  [witnessed maximum; witness: %s]"
           % (cs.render(), render_vector(algebra, cs.witness)), file=out)
-    p = p_filiform_class(cs)
+    p = invariants.p_filiform_class(cs)
     print("p-filiform: %s" % ("p=%d" % p if p is not None else "not p-filiform"), file=out)
-    _, dims = natural_graded(algebra)
+    _, dims = invariants.natural_graded(algebra)
     print("natural gradation dims: %s" % ",".join(str(d) for d in dims), file=out)
     return 0
 
 
 def cmd_der(args, out):
     algebra = core.load(args.algebra)
-    der = derivation_space(algebra)
-    inn = inner_derivation_space(algebra)
-    h1 = h1_dimension(algebra, der=der, inn=inn)
+    der = cohomology.derivation_space(algebra)
+    inn = cohomology.inner_derivation_space(algebra)
+    h1 = cohomology.h1_dimension(algebra, der=der, inn=inn)
     print("dim Der: %d" % der.dim, file=out)
     print("dim Inn: %d" % inn.dim, file=out)
     print("dim H1: %d" % h1, file=out)
@@ -105,7 +88,7 @@ def cmd_der(args, out):
 
 def cmd_h1(args, out):
     algebra = core.load(args.algebra)
-    print("dim H1: %d" % h1_dimension(algebra), file=out)
+    print("dim H1: %d" % cohomology.h1_dimension(algebra), file=out)
     return 0
 
 
@@ -141,14 +124,14 @@ def _parse_params(pairs):
         if "=" not in text:
             raise FormatError("--param expects name=value, got '%s'" % text)
         name, value = text.split("=", 1)
-        params[name] = parse_scalar(value)
+        params[name] = scalars.parse_scalar(value)
     return params
 
 
 def cmd_catalog(args, out):
     spec = catalog.FamilySpec(args.family, args.n, _parse_params(args.param))
     algebra = catalog.build(spec)
-    residuals = leibniz_residual(algebra)
+    residuals = core.leibniz_residual(algebra)
     if args.out:
         core.save(algebra, args.out)
         print("wrote %s (dim %d, %d products) to %s"
@@ -167,7 +150,7 @@ def cmd_iso_verify(args, out):
     if args.map is None:
         if len(args.files) != 1:
             raise FormatError("iso-verify needs either CERT.json or SRC.json TGT.json --map MAP.json")
-        cert = certificate_load(args.files[0])
+        cert = iso.certificate_load(args.files[0])
     else:
         if len(args.files) != 2:
             raise FormatError("iso-verify with --map needs SRC.json and TGT.json")
@@ -176,12 +159,12 @@ def cmd_iso_verify(args, out):
         doc = core.decode_json(core.read_text(args.map), args.map)
         if isinstance(doc, dict) and "map" in doc:
             doc = doc["map"]
-        matrix = matrix_from_json(doc, where=args.map)
+        matrix = iso.matrix_from_json(doc, where=args.map)
         try:
-            cert = IsoCertificate(source, target, matrix)
+            cert = iso.IsoCertificate(source, target, matrix)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
-    report = verify_certificate(cert)
+    report = iso.verify_certificate(cert)
     if report.accepted:
         print("accept", file=out)
         return 0
@@ -191,14 +174,14 @@ def cmd_iso_verify(args, out):
 
 def cmd_fingerprint(args, out):
     first = core.load(args.files[0])
-    fp1 = fingerprint(first, trials=args.trials, seed=args.seed)
+    fp1 = invariants.fingerprint(first, trials=args.trials, seed=args.seed)
     print(fp1.record(), file=out)
     if len(args.files) == 1:
         return 0
     second = core.load(args.files[1])
-    fp2 = fingerprint(second, trials=args.trials, seed=args.seed)
+    fp2 = invariants.fingerprint(second, trials=args.trials, seed=args.seed)
     print(fp2.record(), file=out)
-    field = first_difference(fp1, fp2)
+    field = iso.first_difference(fp1, fp2)
     if field is None:
         print("inconclusive", file=out)
     else:
@@ -217,16 +200,16 @@ def cmd_replicate(args, out):
     ok = True
     if args.section == 3:
         rows = [("M", catalog.FamilySpec("M", n), n + 6, n + 4),
-                ("M^{1,1}", catalog.FamilySpec("M1alpha", n, {"alpha": parse_scalar("1")}), n + 5, n + 2)]
+                ("M^{1,1}", catalog.FamilySpec("M1alpha", n, {"alpha": scalars.ONE}), n + 5, n + 2)]
         if n % 2 == 1:
             rows.insert(0, ("N", catalog.FamilySpec("N", n), 3 * (n - 1) // 2 + 7, (n + 19) // 2))
         else:
             print("note: N skipped (needs odd n)", file=out)
         for name, spec, want_der, want_h1 in rows:
             algebra = catalog.build(spec)
-            der = derivation_space(algebra)
-            inn = inner_derivation_space(algebra)
-            h1 = h1_dimension(algebra, der=der, inn=inn)
+            der = cohomology.derivation_space(algebra)
+            inn = cohomology.inner_derivation_space(algebra)
+            h1 = cohomology.h1_dimension(algebra, der=der, inn=inn)
             print("%-8s dim Der = %-3d dim Inn = %-3d dim H1 = %-3d" % (name, der.dim, inn.dim, h1), file=out)
             ok &= _pass_fail(out, "%s: dim Der = %d" % (name, want_der), der.dim == want_der,
                              "(computed %d)" % der.dim)
@@ -241,7 +224,7 @@ def cmd_replicate(args, out):
         ("KF4", catalog.FamilySpec("KF4", n), (n - 2, 1, 1)),
         ("KF5", catalog.FamilySpec("KF5", n), (n - 2, 1, 1)),
         ("M", catalog.FamilySpec("M", n), (n - 2, 1, 1, 1)),
-        ("M^{1,1}", catalog.FamilySpec("M1alpha", n, {"alpha": parse_scalar("1")}), (n - 2, 1, 1, 1)),
+        ("M^{1,1}", catalog.FamilySpec("M1alpha", n, {"alpha": scalars.ONE}), (n - 2, 1, 1, 1)),
     ]
     if n % 2 == 1:
         zero_param_specs.append(("N", catalog.FamilySpec("N", n), (n - 2, 1, 1, 1)))
@@ -251,13 +234,13 @@ def cmd_replicate(args, out):
     for name, spec, want_cs in zero_param_specs:
         algebra = catalog.build(spec)
         algebras[name] = algebra
-        residuals = leibniz_residual(algebra)
+        residuals = core.leibniz_residual(algebra)
         ok &= _pass_fail(out, "%s: Leibniz identity" % name, not residuals,
                          "(%d violations)" % len(residuals) if residuals else "")
-        cs = characteristic_sequence(algebra, trials=args.trials, seed=args.seed)
+        cs = invariants.characteristic_sequence(algebra, trials=args.trials, seed=args.seed)
         ok &= _pass_fail(out, "%s: characteristic sequence %s" % (name, want_cs), cs.parts == want_cs,
                          "(computed %s)" % (cs.parts,))
-    _, dims = natural_graded(algebras["L1"])
+    _, dims = invariants.natural_graded(algebras["L1"])
     want = (3, 2) + (1,) * (n - 5)
     ok &= _pass_fail(out, "L1: natural gradation dims %s" % (want,), dims == want,
                      "(computed %s)" % (dims,))

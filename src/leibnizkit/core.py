@@ -14,6 +14,12 @@ with c != 0, reachable by its left factor (by_left[i][j]) and by its right
 factor (by_right[j][i]).  Every bracket loop in the package goes through
 this index, so its cost follows the nonzero products rather than dim^3.
 
+Only this module builds gamma's dense coordinate tuples.  Everything else
+writes a table as (left, right, result, coefficient) terms through
+from_terms (the catalog builders, the file loader, direct_sum and gr L)
+and reads one through by_left or products(); iso.verify_certificate alone
+reads gamma_vec, to stay independent of change_of_basis.
+
 Since the tables never change, two results are memoized on the algebra:
 leibniz_residual remembers that the residual is empty (a non-empty one is
 recomputed, so every caller gets its own list), and
@@ -27,8 +33,8 @@ from __future__ import annotations
 import json
 from types import MappingProxyType
 
-from .linalg import Matrix, as_vector, dense_vec, inverse, sparse_vec, zero_vec
-from .scalars import ONE, ZERO, ScalarParseError, as_scalar, parse_scalar
+from .linalg import Matrix, as_vector, dense_vec, inverse, sparse_vec
+from .scalars import ONE, ZERO, Echo, ScalarParseError, as_scalar, parse_scalar
 
 
 class FormatError(ValueError):
@@ -84,8 +90,8 @@ class Algebra:
         return v
 
     def products(self):
-        """Nonzero basis products in lexicographic (i, j) order."""
-        return sorted(self.gamma.items())
+        """(i, j, terms) per nonzero product, in lexicographic (i, j) order."""
+        return [(i, j, row[j]) for i, row in enumerate(self.by_left) for j in sorted(row)]
 
     def key(self):
         """Hashable canonical form, for caching in tests and tools."""
@@ -101,6 +107,28 @@ class Algebra:
 
     def __repr__(self):
         return "Algebra(dim=%d, products=%d)" % (self.dim, len(self.gamma))
+
+
+def from_terms(labels, terms):
+    """The algebra whose products are sums of (left, right, result, c) terms.
+
+    Indices are basis positions and c a scalar: [e_left, e_right] gains
+    c * e_result.  Terms of one product add up, and a product whose terms
+    cancel is absent.  This is the one builder of structure constants from
+    terms: the catalog tables, the file loader, direct_sum and gr L all
+    hand their products to it.
+    """
+    dim = len(labels)
+    gamma = {}
+    for i, j, k, c in terms:
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise ValueError("term index (%d,%d,%d) out of range for dim %d" % (i, j, k, dim))
+        if c:
+            vec = gamma.get((i, j))
+            if vec is None:
+                vec = gamma[(i, j)] = [ZERO] * dim
+            vec[k] = vec[k] + c
+    return Algebra(labels, gamma)
 
 
 # -- bracket -------------------------------------------------------------
@@ -246,27 +274,19 @@ def direct_sum(a, b):
             new += "'"
         labels.append(new)
         used.add(new)
-    n = a.dim + b.dim
-    gamma = {}
-    for (i, j), vec in a.gamma.items():
-        gamma[(i, j)] = tuple(vec) + (ZERO,) * b.dim
-    for (i, j), vec in b.gamma.items():
-        gamma[(i + a.dim, j + a.dim)] = (ZERO,) * a.dim + tuple(vec)
-    return Algebra(labels, gamma)
+    return from_terms(labels, [(i + shift, j + shift, k + shift, c)
+                               for shift, summand in ((0, a), (a.dim, b))
+                               for i, j, terms in summand.products() for k, c in terms])
 
 
 # -- interchange format ----------------------------------------------------
 
 def to_json_dict(algebra):
-    products = []
-    for (i, j), vec in algebra.products():
-        terms = [[algebra.labels[k], c.render()] for k, c in enumerate(vec) if c]
-        products.append({
-            "left": algebra.labels[i],
-            "right": algebra.labels[j],
-            "result": terms,
-        })
-    return {"dim": algebra.dim, "basis": list(algebra.labels), "products": products}
+    labels = algebra.labels
+    products = [{"left": labels[i], "right": labels[j],
+                 "result": [[labels[k], c.render()] for k, c in terms]}
+                for i, j, terms in algebra.products()]
+    return {"dim": algebra.dim, "basis": list(labels), "products": products}
 
 
 def from_json_dict(doc, where="<algebra>"):
@@ -281,23 +301,24 @@ def from_json_dict(doc, where="<algebra>"):
     if len(set(labels)) != len(labels):
         raise FormatError("%s: duplicate basis label" % where)
     if type(doc["dim"]) is not int:
-        raise FormatError("%s: dim must be an integer, got %r" % (where, doc["dim"]))
+        raise FormatError("%s: dim must be an integer, got %r" % (where, Echo(doc["dim"])))
     if doc["dim"] != len(labels):
-        raise FormatError("%s: dim %r does not match %d basis labels" % (where, doc["dim"], len(labels)))
+        raise FormatError("%s: dim %r does not match %d basis labels"
+                          % (where, Echo(doc["dim"]), len(labels)))
     index = {lb: k for k, lb in enumerate(labels)}
-    dim = len(labels)
     products = doc.get("products", [])
     if not isinstance(products, list):
         raise FormatError("%s: 'products' must be a list" % where)
 
     def lookup(ctx, label):
         if not isinstance(label, str):
-            raise FormatError("%s: labels must be strings, got %r" % (ctx, label))
+            raise FormatError("%s: labels must be strings, got %r" % (ctx, Echo(label)))
         if label not in index:
-            raise FormatError("%s: unknown label '%s'" % (ctx, label))
+            raise FormatError("%s: unknown label '%s'" % (ctx, Echo(label)))
         return index[label]
 
-    gamma = {}
+    seen = set()
+    terms = []
     for pos, prod in enumerate(products):
         ctx = "%s: products[%d]" % (where, pos)
         if not isinstance(prod, dict):
@@ -307,23 +328,21 @@ def from_json_dict(doc, where="<algebra>"):
                 raise FormatError("%s: missing field '%s'" % (ctx, field))
         i = lookup(ctx, prod["left"])
         j = lookup(ctx, prod["right"])
-        if (i, j) in gamma:
-            raise FormatError("%s: duplicate product (%s, %s)" % (ctx, prod["left"], prod["right"]))
+        if (i, j) in seen:
+            raise FormatError("%s: duplicate product (%s, %s)" % (ctx, Echo(labels[i]), Echo(labels[j])))
+        seen.add((i, j))
         if not isinstance(prod["result"], list):
             raise FormatError("%s: 'result' must be a list of terms" % ctx)
-        vec = zero_vec(dim)
         for term in prod["result"]:
             if not (isinstance(term, (list, tuple)) and len(term) == 2):
                 raise FormatError("%s: result terms must be [label, coefficient] pairs" % ctx)
             label, coeff = term
             k = lookup(ctx, label)
             try:
-                c = parse_scalar(coeff)
+                terms.append((i, j, k, parse_scalar(coeff)))
             except ScalarParseError as exc:
                 raise FormatError("%s: %s" % (ctx, exc)) from None
-            vec[k] = vec[k] + c
-        gamma[(i, j)] = tuple(vec)
-    return Algebra(labels, gamma)
+    return from_terms(labels, terms)
 
 
 def dumps(algebra):

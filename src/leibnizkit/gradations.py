@@ -13,6 +13,7 @@ import json
 from .cohomology import is_derivation
 from .core import FormatError, decode_json, read_text
 from .linalg import SparseEchelon
+from .scalars import Echo
 
 
 class WeightAssignment:
@@ -48,14 +49,15 @@ class WeightAssignment:
         ws = []
         for lb in algebra.labels:
             if lb not in table:
-                raise FormatError("%s: missing weight for basis label '%s'" % (where, lb))
+                raise FormatError("%s: missing weight for basis label '%s'" % (where, Echo(lb)))
             w = table[lb]
             if type(w) is not int:
-                raise FormatError("%s: weight of '%s' must be an integer, got %r" % (where, lb, w))
+                raise FormatError("%s: weight of '%s' must be an integer, got %r"
+                                  % (where, Echo(lb), Echo(w)))
             ws.append(w)
         for lb in table:
             if lb not in algebra.labels:
-                raise FormatError("%s: unknown basis label '%s'" % (where, lb))
+                raise FormatError("%s: unknown basis label '%s'" % (where, Echo(lb)))
         return cls(ws)
 
 
@@ -112,11 +114,8 @@ def verify_gradation(algebra, assignment):
     if len(w) != algebra.dim:
         raise ValueError("weight assignment has %d entries, algebra dim is %d"
                          % (len(w), algebra.dim))
-    violations = []
-    for (i, j), vec in algebra.products():
-        target = w[i] + w[j]
-        if any(c and w[k] != target for k, c in enumerate(vec)):
-            violations.append((i, j))
+    violations = [(i, j) for i, j, terms in algebra.products()
+                  if any(w[k] != w[i] + w[j] for k, _ in terms)]
     occupied = sorted(set(w))
     component_dims = {weight: 0 for weight in occupied}
     for weight in w:
@@ -134,11 +133,11 @@ def _homogeneity_constraints(algebra):
     some product has two or more result coordinates (then no gradation with
     pairwise-distinct weights can be homogeneous)."""
     constraints = []
-    for (i, j), vec in algebra.products():
-        support = [k for k, c in enumerate(vec) if c]
-        if len(support) > 1:
-            return None
-        constraints.append((i, j, support[0]))
+    for i, row in enumerate(algebra.by_left):
+        for j, terms in row.items():
+            if len(terms) > 1:
+                return None
+            constraints.append((i, j, terms[0][0]))
     return constraints
 
 

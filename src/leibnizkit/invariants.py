@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import cohomology
-from .core import Algebra, change_of_basis, require_leibniz, sparse_bracket
+from .core import change_of_basis, from_terms, require_leibniz, sparse_bracket
 from .linalg import (
     Matrix,
     NotNilpotentError,
@@ -28,7 +28,7 @@ from .linalg import (
     span_echelon,
     sparse_vec,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 
 
 class SeriesReport(NamedTuple):
@@ -181,13 +181,10 @@ def natural_graded(algebra):
             layer_of.append(i + 1)
             labels.append(algebra.labels[_pivot(v)])
     p = Matrix(n, n, [[layer_vectors[c][r] for c in range(n)] for r in range(n)])
-    gamma = {}
-    for (a, b), coords in change_of_basis(algebra, p).gamma.items():
-        target = layer_of[a] + layer_of[b]
-        proj = tuple(c if layer_of[k] == target else ZERO for k, c in enumerate(coords))
-        if any(proj):
-            gamma[(a, b)] = proj
-    return Algebra(labels, gamma), tuple(dims)
+    moved = change_of_basis(algebra, p)
+    terms = [(a, b, k, c) for a, b, product in moved.products() for k, c in product
+             if layer_of[k] == layer_of[a] + layer_of[b]]
+    return from_terms(labels, terms), tuple(dims)
 
 
 def _pivot(v):

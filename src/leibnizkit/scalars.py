@@ -15,12 +15,42 @@ with frac = int or int/posint, e.g. "3/2", "0", "-1/3+2i", "2i".
 from __future__ import annotations
 
 import re
+import reprlib
 from fractions import Fraction
 from math import gcd, lcm
 
 
 class ScalarParseError(ValueError):
     """Text did not match the scalar grammar."""
+
+
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 3
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 60
+_ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxdict = 10
+
+
+class Echo:
+    """An input value quoted in an error message, cut when long.
+
+    Format it with %r for its repr, or with %s for a string as itself.  A
+    short value prints exactly as the bare value would.  A longer one is
+    cut: a string or number past 60 characters, a list or object past 10
+    items, nesting past 3 levels.  So one bad field cannot make an error
+    line as long as the input.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self):
+        return _ECHO.repr(self.value)
+
+    def __str__(self):
+        text = self.value
+        return text if len(text) <= _ECHO.maxstring else text[:_ECHO.maxstring - 3] + "..."
 
 
 _new = object.__new__
@@ -170,19 +200,19 @@ def _parse_frac(token):
     try:
         p, q = int(num), int(den or 1)
     except ValueError as exc:  # more digits than int() converts
-        raise ScalarParseError("'%s': %s" % (token[:20] + "...", exc)) from None
+        raise ScalarParseError("'%s': %s" % (Echo(token), exc)) from None
     if q == 0:
-        raise ScalarParseError("zero denominator in '%s'" % token)
+        raise ScalarParseError("zero denominator in '%s'" % Echo(token))
     return p, q
 
 
 def parse_scalar(text):
     """Parse the scalar grammar; raises ScalarParseError naming the token."""
     if not isinstance(text, str):
-        raise ScalarParseError("expected a scalar string, got %r" % (text,))
+        raise ScalarParseError("expected a scalar string, got %r" % Echo(text))
     m = _SCALAR_RX.match(text.strip())
     if m is None:
-        raise ScalarParseError("malformed scalar '%s'" % text)
+        raise ScalarParseError("malformed scalar '%s'" % Echo(text))
     sign, first, pure_i, op, second = m.groups()
     p, q = _parse_frac(first)
     if sign:

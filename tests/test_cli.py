@@ -266,15 +266,16 @@ def test_fingerprint_compare(m7_file, tmp_path):
 
 
 def test_fingerprint_compare_computes_each_fingerprint_once(m7_file, tmp_path, monkeypatch):
-    from leibnizkit import cli, invariants, iso
+    from leibnizkit import invariants, iso
 
     calls = []
+    original = invariants.fingerprint
 
     def counted(algebra, **kwargs):
         calls.append(algebra.dim)
-        return invariants.fingerprint(algebra, **kwargs)
+        return original(algebra, **kwargs)
 
-    monkeypatch.setattr(cli, "fingerprint", counted)
+    monkeypatch.setattr(invariants, "fingerprint", counted)
     monkeypatch.setattr(iso, "fingerprint", counted)
     other = tmp_path / "m11.json"
     core.save(alg("M1alpha", 7, alpha=1), other)
@@ -282,6 +283,29 @@ def test_fingerprint_compare_computes_each_fingerprint_once(m7_file, tmp_path, m
     assert code == 0
     assert out.endswith("distinguished(dim_right_annihilator)\n")
     assert len(calls) == 2
+
+
+def test_verbs_call_library_functions_through_their_modules(m7_file, tmp_path, monkeypatch):
+    # a wrapper set on the module sees every call a verb makes
+    from leibnizkit import cohomology, invariants, iso
+
+    calls = []
+    for module, name in ((cohomology, "derivation_space"),
+                         (invariants, "characteristic_sequence"),
+                         (iso, "verify_certificate")):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    mpath = tmp_path / "map.json"
+    mpath.write_text(json.dumps([["1" if r == c else "0" for c in range(8)] for r in range(8)]))
+    assert run_cli("der", m7_file)[0] == 0
+    assert calls == ["derivation_space"]
+    assert run_cli("invariants", m7_file)[0] == 0
+    assert calls == ["derivation_space", "characteristic_sequence"]
+    assert run_cli("iso-verify", m7_file, m7_file, "--map", str(mpath)) == (0, "accept\n")
+    assert calls == ["derivation_space", "characteristic_sequence", "verify_certificate"]
 
 
 def test_replicate_section_3_even_n_passes():
@@ -389,6 +413,38 @@ def test_json_decoder_limits_exit_2_with_one_error_line(role, kind, m7_file, tmp
     assert err.startswith("error: %s: " % bad) and err.count("\n") == 1 and err.endswith("\n")
     if kind == "deep-nesting":
         assert err == "error: %s: JSON nested too deeply\n" % bad
+
+
+LONG = "x" * 100000
+
+
+LONG_VALUES = [
+    ("long-dim", json.dumps({"dim": LONG, "basis": []}),
+     "bad.json: dim must be an integer, got 'xxx"),
+    ("deep-dim", '{"dim": %s%s, "basis": []}' % ("[" * 900, "]" * 900),
+     "bad.json: dim must be an integer, got [[["),
+    ("long-weight", json.dumps({"weights": {"y1": "7" * 50000}}),
+     "bad.json: weight of 'y1' must be an integer, got '777"),
+    ("long-label", json.dumps({"dim": 1, "basis": ["a"],
+                               "products": [{"left": LONG, "right": "a", "result": []}]}),
+     "bad.json: products[0]: unknown label 'xxx"),
+    ("long-coefficient", json.dumps({"dim": 1, "basis": ["a"],
+                                     "products": [{"left": "a", "right": "a", "result": [["a", LONG]]}]}),
+     "bad.json: products[0]: malformed scalar 'xxx"),
+]
+
+
+@pytest.mark.parametrize("case,text,message", LONG_VALUES, ids=[c[0] for c in LONG_VALUES])
+def test_long_input_value_is_cut_in_the_error_line(case, text, message, m7_file, tmp_path,
+                                                   monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(text)
+    argv = ("grade-verify", m7_file, "--weights", "bad.json") if case == "long-weight" else ("check", "bad.json")
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1 and err.endswith("\n")
+    assert len(err) <= 200
 
 
 @pytest.mark.parametrize("verb", ["der", "h1", "fingerprint"])

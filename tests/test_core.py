@@ -12,6 +12,7 @@ from leibnizkit.core import (
     change_of_basis,
     direct_sum,
     dumps,
+    from_terms,
     leibniz_residual,
     loads,
     right_operator,
@@ -244,6 +245,26 @@ def test_json_duplicate_product_rejected():
     with pytest.raises(FormatError) as err:
         loads(doc)
     assert "duplicate product" in str(err.value)
+
+
+def test_from_terms_adds_the_terms_of_one_product():
+    a = from_terms(["x", "y"], [(0, 0, 1, Scalar(1)), (0, 0, 0, Scalar(0, 1)), (0, 0, 1, Scalar(2))])
+    assert a.gamma == {(0, 0): (Scalar(0, 1), Scalar(3))}
+    assert a.by_left[0][0] == ((0, Scalar(0, 1)), (1, Scalar(3)))
+
+
+def test_from_terms_drops_a_product_whose_terms_cancel():
+    a = from_terms(["x", "y"], [(0, 1, 0, Scalar(2)), (1, 0, 0, Scalar(1)), (0, 1, 0, Scalar(-2))])
+    assert a.gamma == {(1, 0): (Scalar(1), Scalar(0))}
+    assert a.by_left[0] == {} and a.by_right[1] == {}
+    assert from_terms(["x"], []) == from_terms(["x"], [(0, 0, 0, Scalar(0))])
+
+
+@pytest.mark.parametrize("term", [(2, 0, 0), (0, -1, 0), (0, 0, 2), (0, 0, -1)],
+                         ids=["left", "right", "result", "negative-result"])
+def test_from_terms_rejects_an_index_out_of_range(term):
+    with pytest.raises(ValueError, match="out of range for dim 2"):
+        from_terms(["x", "y"], [term + (Scalar(1),)])
 
 
 def test_residual_invariant_under_change_of_basis(rng):

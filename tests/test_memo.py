@@ -107,7 +107,7 @@ def test_cached_series_is_immutable():
 
 def test_tables_are_read_only():
     a = fresh_m7()
-    key, vec = a.products()[0]
+    key, vec = sorted(a.gamma.items())[0]
     with pytest.raises(TypeError):
         a.gamma[key] = vec
     with pytest.raises(TypeError):

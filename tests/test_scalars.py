@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from leibnizkit.scalars import I, ONE, ZERO, Scalar, ScalarParseError, as_scalar, parse_scalar
+from leibnizkit.scalars import I, ONE, ZERO, Echo, Scalar, ScalarParseError, as_scalar, parse_scalar
 from oracles import OracleQi
 
 
@@ -200,3 +200,19 @@ def test_equality_against_ints():
     assert Scalar(3, 1) != 3 and Scalar(0, 3) != 0
     assert Scalar(Fraction(3, 2)) != 3 and Scalar(Fraction(3, 2)) != 1
     assert ZERO == 0 and not ZERO
+
+
+def test_echo_shows_short_values_exactly_and_cuts_long_ones():
+    for value in ("a'b\\c", "x" * 58, 12, -10 ** 50, [1, [2, "c"]], {"k": None}, True, 1.5):
+        assert "%r" % Echo(value) == repr(value)
+    assert "'%s'" % Echo("a'b") == "'a'b'"
+    assert "%s" % Echo("y" * 60) == "y" * 60
+    deep = []
+    for _ in range(900):
+        deep = [deep]
+    for text in ("%s" % Echo("y" * 10 ** 5), "%r" % Echo("y" * 10 ** 5), "%r" % Echo(10 ** 4000),
+                 "%r" % Echo(deep), "%r" % Echo(list(range(10 ** 4)))):
+        assert len(text) <= 80
+    with pytest.raises(ScalarParseError) as err:
+        parse_scalar("1/" + "z" * 10 ** 5)
+    assert len(str(err.value)) <= 80
