@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / verified, 1 verified-negative (violations found,
 certificate rejected, search exhausted, replication mismatch), 2 usage or
-parse errors.  For fixed inputs and seeds every report is byte-identical
+parse errors.  Any other exception is a bug and propagates with its
+traceback.  For fixed inputs and seeds every report is byte-identical
 across runs.
 """
 
@@ -12,8 +13,8 @@ import argparse
 import sys
 
 from . import catalog, cohomology, core, gradations, invariants, iso, scalars
-from .core import FormatError
-from .linalg import NotNilpotentError
+from .core import FormatError, NotLeibnizError
+from .linalg import NotNilpotentError, SingularMatrixError
 from .scalars import ScalarParseError
 
 USAGE_ERROR = 2
@@ -102,7 +103,7 @@ def cmd_grade_verify(args, out):
 
 def cmd_grade_search(args, out):
     algebra = core.load(args.algebra)
-    max_abs = args.max_abs if args.max_abs is not None else 2 * algebra.dim
+    max_abs = args.max_abs if args.max_abs is not None else max(2 * algebra.dim, 1)
     found = gradations.search_diagonal_gradation(algebra, max_abs)
     if found is None:
         print("none found (diagonal gradations exhausted up to |weight| <= %d; "
@@ -344,8 +345,8 @@ def main(argv=None, out=None):
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args, out)
-    except (FormatError, ScalarParseError, catalog.FamilyError, NotNilpotentError,
-            OSError, ValueError) as exc:
+    except (FormatError, ScalarParseError, catalog.FamilyError, NotLeibnizError,
+            NotNilpotentError, SingularMatrixError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
 

@@ -1,6 +1,8 @@
 """Z-gradation machinery for a fixed basis: verification of weight
 assignments, connectedness and length, maximum-length certificates, and an
-exhaustive search for diagonal maximum-length gradations.
+exhaustive search with forward checking for diagonal maximum-length
+gradations: a product that fixes a weight which cannot be taken cuts the
+branch at once, and the first hit is the plain backtracking search's.
 
 A weight assignment puts basis vector k in the component V_{w[k]}; the
 gradation is valid when every product [e_i, e_j] lands in V_{w[i]+w[j]}.
@@ -128,32 +130,45 @@ def verify_gradation(algebra, assignment):
                            maximum_length, violations)
 
 
-def _homogeneity_constraints(algebra):
-    """Products as (i, j, k) with single result coordinate k, or None when
-    some product has two or more result coordinates (then no gradation with
-    pairwise-distinct weights can be homogeneous)."""
-    constraints = []
+def _homogeneity_forms(algebra):
+    """Each product [e_i, e_j] = c e_k as the form w_i + w_j - w_k = 0, a
+    sorted tuple of (position, coefficient) with repeated indices collapsed
+    (a square gives 2, i = k leaves w_j = 0) and duplicates dropped; None
+    when some product has two or more result coordinates (then no gradation
+    with pairwise-distinct weights can be homogeneous)."""
+    forms = set()
     for i, row in enumerate(algebra.by_left):
         for j, terms in row.items():
             if len(terms) > 1:
                 return None
-            constraints.append((i, j, terms[0][0]))
-    return constraints
+            coeffs = {}
+            for pos, c in ((i, 1), (j, 1), (terms[0][0], -1)):
+                coeffs[pos] = coeffs.get(pos, 0) + c
+            forms.add(tuple((pos, c) for pos, c in sorted(coeffs.items()) if c))
+    return sorted(forms)
 
 
 def search_diagonal_gradation(algebra, max_abs=None):
-    """Exhaustive search for a maximum-length gradation diagonal in the basis.
+    """Exhaustive search with forward checking for a maximum-length
+    gradation diagonal in the basis.
 
     A maximum-length assignment gives every basis vector a distinct weight
     and the weights fill an integer interval, so the search enumerates, for
     each admissible interval inside [-max_abs, max_abs], the bijections
-    basis -> interval by backtracking (values ascending, homogeneity checked
-    as soon as a product's three indices are weighted).  Intervals are tried
-    nearest-to-positive first (offset key |a-1|, ties resolved toward a>=1),
-    and the first hit is returned, so the result is the lexicographically
-    least assignment of the first feasible interval.  Returns None when the
-    space is exhausted; that is evidence restricted to diagonal gradations,
-    not a proof that no maximum-length gradation exists.
+    basis -> interval by backtracking, positions in basis order and values
+    ascending.  Forward checking: once a placement leaves a product's form
+    w_i + w_j - w_k = 0 one unplaced position, that position's value is
+    forced, and the branch is cut at once if the value is not an integer,
+    lies outside the interval, is held or reserved by another position, or
+    differs from a value already forced there.  A forced position tries only
+    its value; the others skip reserved values.  Only subtrees without a
+    solution are cut and the order is unchanged, so the first hit is the
+    plain backtracking search's.  Intervals are tried nearest-to-positive
+    first (offset key |a-1|, ties resolved toward a>=1), and the first hit
+    is returned, so the result is the lexicographically least assignment of
+    the first feasible interval.  Returns None when the space is exhausted;
+    that is evidence restricted to diagonal gradations, not a proof that no
+    maximum-length gradation exists.
     """
     d = algebra.dim
     if max_abs is None:
@@ -162,46 +177,71 @@ def search_diagonal_gradation(algebra, max_abs=None):
         raise ValueError("max_abs must be >= 1")
     if d == 0 or d > 2 * max_abs + 1:
         return None
-    constraints = _homogeneity_constraints(algebra)
-    if constraints is None:
+    forms = _homogeneity_forms(algebra)
+    if forms is None:
         return None
-    # constraints checked at the position where their last index is placed
-    by_position = [[] for _ in range(d)]
-    for (i, j, k) in constraints:
-        by_position[max(i, j, k)].append((i, j, k))
+    # a form fires when its second-to-last position is placed and forces its
+    # last one: triggers[p + 1] holds the forms that fire at position p, and
+    # triggers[0] those of one position, which fire before position 0
+    triggers = [[] for _ in range(d + 1)]
+    for form in forms:
+        (target, c), rest = form[-1], form[:-1]
+        triggers[rest[-1][0] + 1 if rest else 0].append((target, c, rest))
 
     offsets = sorted(range(-max_abs, max_abs - d + 2),
                      key=lambda a: (abs(a - 1), 0 if a >= 1 else 1))
     for a in offsets:
-        values = list(range(a, a + d))
-        found = _search_interval(by_position, d, values)
+        found = _search_interval(triggers, d, a)
         if found is not None:
             return WeightAssignment(found)
     return None
 
 
-def _search_interval(by_position, d, values):
+def _search_interval(triggers, d, a):
+    """Least bijection positions -> [a, a + d) in basis order, or None.
+    Values are indices into the interval: forced[p] is the one a form fixed
+    for position p, owner[v] the position v is reserved for, and held[v]
+    whether a placed position has v."""
     w = [None] * d
-    used = [False] * d
+    forced = [None] * d
+    owner = [None] * d
+    held = [False] * d
+
+    def fire(target, c, rest, fixed):
+        num = -sum(cp * w[p] for p, cp in rest)
+        if num % c:
+            return False
+        vi = num // c - a
+        if forced[target] is not None:
+            return forced[target] == vi
+        if not 0 <= vi < d or held[vi] or owner[vi] is not None:
+            return False
+        forced[target] = vi
+        owner[vi] = target
+        fixed.append(target)
+        return True
 
     def place(pos):
-        for vi, value in enumerate(values):
-            if used[vi]:
+        if pos == d:
+            return True
+        f = forced[pos]
+        for vi in (f,) if f is not None else range(d):
+            if held[vi] or (f is None and owner[vi] is not None):
                 continue
-            w[pos] = value
-            ok = all(w[i] + w[j] == w[k] for (i, j, k) in by_position[pos])
-            if ok:
-                used[vi] = True
-                if pos + 1 == d:
-                    return True
-                if place(pos + 1):
-                    return True
-                used[vi] = False
-        w[pos] = None
+            w[pos] = a + vi
+            held[vi] = True
+            fixed = []
+            if all(fire(t, c, rest, fixed) for t, c, rest in triggers[pos + 1]) \
+                    and place(pos + 1):
+                return True
+            for t in fixed:
+                owner[forced[t]] = None
+                forced[t] = None
+            held[vi] = False
         return False
 
-    if place(0):
-        return list(w)
+    if all(fire(t, c, rest, []) for t, c, rest in triggers[0]) and place(0):
+        return w
     return None
 
 

@@ -127,10 +127,6 @@ class Matrix:
 
 # -- vectors (plain lists of Scalars) -----------------------------------
 
-def zero_vec(n):
-    return [ZERO] * n
-
-
 def basis_vec(n, i):
     v = [ZERO] * n
     v[i] = ONE

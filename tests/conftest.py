@@ -9,8 +9,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 from leibnizkit.catalog import FAMILIES, FamilySpec, build
 from leibnizkit.cohomology import derivation_space, inner_derivation_space
 from leibnizkit.core import Algebra
-from leibnizkit.linalg import Matrix, rank, zero_vec
-from leibnizkit.scalars import ONE, Scalar, parse_scalar
+from leibnizkit.linalg import Matrix, rank
+from leibnizkit.scalars import ONE, ZERO, Scalar, parse_scalar
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -60,6 +60,10 @@ def cached_inn(algebra):
     if key not in _inn_cache:
         _inn_cache[key] = inner_derivation_space(algebra)
     return _inn_cache[key]
+
+
+def zero_vec(n):
+    return [ZERO] * n
 
 
 def mutated_m7():

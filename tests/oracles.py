@@ -6,12 +6,14 @@ Scalars, explicit matrix powers, and a finite-difference assembly of the
 derivation constraints.  oracle_inner_outside_der tests the assembly of
 derivation_space, so it may use SparseEchelon for span membership.
 OracleQi is Q(i) arithmetic on a pair of Fractions, independent of the
-integer representation inside Scalar.
+integer representation inside Scalar.  oracle_diagonal_gradation is the
+plain backtracking gradation search, without forward checking.
 """
 
 from fractions import Fraction
 
 from leibnizkit.core import bracket
+from leibnizkit.gradations import WeightAssignment
 from leibnizkit.linalg import Matrix, SparseEchelon, basis_vec, sparse_vec
 from leibnizkit.scalars import Scalar, ZERO
 
@@ -221,3 +223,64 @@ def oracle_inner_outside_der(algebra, der):
         if not span.contains(r_k):
             outside.append(algebra.labels[k])
     return outside
+
+
+def oracle_diagonal_gradation(algebra, max_abs=None):
+    """The plain backtracking search for a diagonal maximum-length gradation.
+
+    Same contract as gradations.search_diagonal_gradation (intervals in the
+    offset order |a-1|, ties toward a >= 1; values ascending per position),
+    but a product is checked only once its last index has a weight, with no
+    forward checking, so the first hit is the reference answer.
+    """
+    d = algebra.dim
+    if max_abs is None:
+        max_abs = 2 * d
+    if max_abs < 1:
+        raise ValueError("max_abs must be >= 1")
+    if d == 0 or d > 2 * max_abs + 1:
+        return None
+    constraints = []
+    for i, row in enumerate(algebra.by_left):
+        for j, terms in row.items():
+            if len(terms) > 1:
+                return None
+            constraints.append((i, j, terms[0][0]))
+    # constraints checked at the position where their last index is placed
+    by_position = [[] for _ in range(d)]
+    for (i, j, k) in constraints:
+        by_position[max(i, j, k)].append((i, j, k))
+
+    offsets = sorted(range(-max_abs, max_abs - d + 2),
+                     key=lambda a: (abs(a - 1), 0 if a >= 1 else 1))
+    for a in offsets:
+        values = list(range(a, a + d))
+        found = _oracle_search_interval(by_position, d, values)
+        if found is not None:
+            return WeightAssignment(found)
+    return None
+
+
+def _oracle_search_interval(by_position, d, values):
+    w = [None] * d
+    used = [False] * d
+
+    def place(pos):
+        for vi, value in enumerate(values):
+            if used[vi]:
+                continue
+            w[pos] = value
+            ok = all(w[i] + w[j] == w[k] for (i, j, k) in by_position[pos])
+            if ok:
+                used[vi] = True
+                if pos + 1 == d:
+                    return True
+                if place(pos + 1):
+                    return True
+                used[vi] = False
+        w[pos] = None
+        return False
+
+    if place(0):
+        return list(w)
+    return None

@@ -30,7 +30,7 @@ from leibnizkit.gradations import (
 )
 from leibnizkit.invariants import central_series, characteristic_sequence, fingerprint, natural_graded
 from leibnizkit.iso import IsoCertificate, verify_certificate
-from leibnizkit.linalg import Matrix, nilpotent_partition, span_echelon
+from leibnizkit.linalg import Matrix, nilpotent_partition, span_echelon, sparse_vec
 from leibnizkit.scalars import Scalar
 
 from conftest import DATA
@@ -72,6 +72,48 @@ def test_criterion_1_der_dims_M1alpha():
                                   % (name, n, got, n + 5))
     assert not mismatches, "; ".join(mismatches)
     print("[criterion 1] dim Der(M^{1,a}(n)) = n+5 for all sampled a: PASS")
+
+
+def _matrix(dim, entries):
+    """dim x dim matrix with entry (row, col) = value per (row, col, value)."""
+    m = Matrix.zero(dim, dim)
+    for r, c, v in entries:
+        m.data[r][c] = v
+    return m
+
+
+def test_criterion_1_M1alpha_minus_one_extra_derivation():
+    # positive evidence for the mismatch above.  Basis y1..yn, z1 (indices
+    # 0..n); column c of a matrix is the image of e_c.  The generic basis is
+    # the n+4 derivations common to every alpha plus D1(alpha): y1 -> z1,
+    # y_{n-1} -> -y_{n-3}, y_n -> alpha y_{n-2}.  At alpha = -1 the map
+    # X: y_{n-1} -> z1 is one more: the identity at (y_{n-1}, y_{n-1}) reads
+    # 0 = [z1, y_{n-1}] + [y_{n-1}, z1] = (alpha + 1) y_{n-2}
+    for n in (7, 9):
+        dim = n + 1
+        others = [alpha for name, alpha in ALPHAS if name != "-1"]
+        common = [m for m in cached_der(_m1(n, Scalar(2))).basis
+                  if all(is_derivation(_m1(n, alpha), m) for _, alpha in ALPHAS)]
+        assert len(common) == n + 4
+
+        def d1(alpha):
+            return _matrix(dim, [(n, 0, Scalar(1)), (n - 4, n - 2, Scalar(-1)), (n - 3, n - 1, alpha)])
+
+        for alpha in others:
+            generic = common + [d1(alpha)]
+            assert all(is_derivation(_m1(n, alpha), m) for m in generic)
+            assert span_echelon([m.flat() for m in generic], dim * dim).rank \
+                == cached_der(_m1(n, alpha)).dim == n + 5
+        minus_one = _m1(n, Scalar(-1))
+        x = _matrix(dim, [(n, n - 2, Scalar(1))])
+        assert is_derivation(minus_one, x)
+        assert not any(is_derivation(_m1(n, alpha), x) for alpha in others)
+        span = span_echelon([m.flat() for m in common + [d1(Scalar(-1))]], dim * dim)
+        assert span.rank == n + 5 and is_derivation(minus_one, d1(Scalar(-1)))
+        assert not span.contains(sparse_vec(x.flat()))
+        assert cached_der(minus_one).dim == n + 6
+    print("[criterion 1] M^{1,-1}(n) has the extra derivation y_{n-1} -> z1 outside "
+          "the generic span, so dim Der = n+6 at n = 7, 9: PASS")
 
 
 # -- criterion 2: cohomology dimensions -------------------------------------

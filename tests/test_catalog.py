@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import DATA, alg
+from conftest import DATA, alg, zero_vec
 
 from leibnizkit.catalog import (
     FAMILIES,
@@ -11,7 +11,6 @@ from leibnizkit.catalog import (
     param_names,
 )
 from leibnizkit.core import dumps, leibniz_residual
-from leibnizkit.linalg import zero_vec
 from leibnizkit.scalars import ONE, Scalar, parse_scalar
 
 

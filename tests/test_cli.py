@@ -7,7 +7,7 @@ import pytest
 
 from conftest import DATA, alg, mutated_m7
 
-from leibnizkit import core
+from leibnizkit import core, gradations
 from leibnizkit.cli import main
 from leibnizkit.core import change_of_basis
 from leibnizkit.linalg import Matrix
@@ -484,3 +484,26 @@ def test_module_entry_point(m7_file):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "Leibniz: OK (0 violations)\n"
+
+
+def test_grade_search_on_empty_algebra_exhausts(tmp_path):
+    # the default bound 2 * dim would be 0; the empty basis has no gradation
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"dim": 0, "basis": [], "products": []}))
+    code, out = run_cli("grade-search", str(path))
+    assert code == 1
+    assert out.startswith("none found (diagonal gradations exhausted up to |weight| <= 1;")
+
+
+@pytest.mark.parametrize("verb,module,name", [
+    ("check", core, "leibniz_residual"),
+    ("grade-search", gradations, "search_diagonal_gradation"),
+])
+def test_unexpected_value_error_is_not_a_usage_error(verb, module, name, m7_file, monkeypatch):
+    # only the package's input-error classes map to exit 2; a bare
+    # ValueError from inside a verb is a bug and keeps its traceback
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+    monkeypatch.setattr(module, name, broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        run_cli(verb, m7_file)

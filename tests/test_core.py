@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import DATA, alg, mutated_m7, random_invertible, random_vector
+from conftest import DATA, alg, mutated_m7, random_invertible, random_vector, zero_vec
 from oracles import oracle_residual
 
 from leibnizkit.core import (
@@ -23,7 +23,6 @@ from leibnizkit.linalg import (
     basis_vec,
     inverse,
     span_echelon,
-    zero_vec,
 )
 from leibnizkit.scalars import Scalar
 

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
-from conftest import DATA, alg, cached_der
+from conftest import DATA, alg, cached_der, case_algebra
+from oracles import oracle_diagonal_gradation
 
-from leibnizkit.core import FormatError
+from leibnizkit.catalog import FAMILIES
+from leibnizkit.core import FormatError, from_terms
 from leibnizkit.gradations import (
     WeightAssignment,
     graded_derivation_split,
@@ -193,3 +197,53 @@ def test_weights_file_errors():
     assert "weight of 'c1' must be an integer" in str(err.value)
     with pytest.raises(FormatError):
         weights_loads('[]', a)
+
+
+# -- forward-checking search against the plain backtracking oracle -------------
+
+def _table(d, products):
+    """Algebra on e0..e{d-1} with [e_i, e_j] = c e_k per (i, j, k, c)."""
+    return from_terms(["e%d" % t for t in range(d)], products)
+
+
+def _random_tables(count, seed=1311):
+    """(algebra, max_abs) for seeded sparse tables: d = 3..7, 1-7 single-term
+    products with random coefficients, max_abs the default, 2 or 3."""
+    rng = random.Random(seed)
+    coeffs = (Scalar(1), Scalar(-1), Scalar(2), Scalar(1, 1))
+    for _ in range(count):
+        d = rng.randint(3, 7)
+        pairs = {(rng.randrange(d), rng.randrange(d)): rng.randrange(d)
+                 for _ in range(rng.randint(1, 7))}
+        products = [(i, j, k, rng.choice(coeffs)) for (i, j), k in sorted(pairs.items())]
+        yield _table(d, products), rng.choice((None, 2, 3))
+
+
+def test_search_matches_oracle_on_random_tables():
+    mismatches, found = [], 0
+    for a, max_abs in _random_tables(1200):
+        got = search_diagonal_gradation(a, max_abs)
+        if got != oracle_diagonal_gradation(a, max_abs):
+            mismatches.append((a.key(), max_abs, got))
+        found += got is not None
+    assert not mismatches
+    assert found >= 100          # the pool holds positives, not only exhausted spaces
+
+
+def test_search_matches_oracle_on_late_binding_negatives():
+    # [e_{d-1}, e_{d-1}] = [e_{d-2}, e_{d-2}] = e_0 forces w_{d-1} = w_{d-2}:
+    # the plain search meets the clash only at position d-1 and grows about
+    # x11 per step, so d = 9 runs on the three intervals of max_abs = 5
+    for d, max_abs in ((6, None), (7, None), (8, None), (9, 5)):
+        a = _table(d, [(d - 2, d - 2, 0, Scalar(1)), (d - 1, d - 1, 0, Scalar(1))])
+        assert search_diagonal_gradation(a, max_abs) is None
+        assert oracle_diagonal_gradation(a, max_abs) is None
+
+
+@pytest.mark.parametrize("n", (7, 9, 11, 15))
+def test_search_matches_oracle_on_catalog(n):
+    for family in FAMILIES:
+        alphas = ("-1", "1", "1i") if family == "M1alpha" else (None,)
+        for alpha in alphas:
+            a = case_algebra(family, n, alpha)
+            assert search_diagonal_gradation(a) == oracle_diagonal_gradation(a), (family, n, alpha)
