@@ -2,9 +2,9 @@
 
 Exit codes: 0 success / verified, 1 verified-negative (violations found,
 certificate rejected, search exhausted, replication mismatch), 2 usage or
-parse errors.  Any other exception is a bug and propagates with its
-traceback.  For fixed inputs and seeds every report is byte-identical
-across runs.
+parse errors.  Any other exception is a bug: main lets it propagate, and
+the console entry point, console_main, prints its traceback and exits 3.
+For fixed inputs and seeds every report is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .core import FormatError, NotLeibnizError
 from .linalg import NotNilpotentError, SingularMatrixError
 from .scalars import ScalarParseError
 
+CRASH = 3
 USAGE_ERROR = 2
 NEGATIVE = 1
 
@@ -351,5 +352,14 @@ def main(argv=None, out=None):
         return USAGE_ERROR
 
 
+def console_main():
+    """main for the console script: a crash prints its traceback, exits 3."""
+    try:
+        return main()
+    except Exception:
+        sys.excepthook(*sys.exc_info())  # the interpreter's own traceback
+        return CRASH
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

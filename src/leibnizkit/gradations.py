@@ -133,9 +133,11 @@ def verify_gradation(algebra, assignment):
 def _homogeneity_forms(algebra):
     """Each product [e_i, e_j] = c e_k as the form w_i + w_j - w_k = 0, a
     sorted tuple of (position, coefficient) with repeated indices collapsed
-    (a square gives 2, i = k leaves w_j = 0) and duplicates dropped; None
-    when some product has two or more result coordinates (then no gradation
-    with pairwise-distinct weights can be homogeneous)."""
+    (a square gives 2, i = k leaves w_j = 0) and duplicates dropped.  None
+    when no gradation with pairwise-distinct weights can be homogeneous:
+    some product has two or more result coordinates, or two forms differ
+    only in one position each, a and b, with the same coefficient there,
+    which forces w_a = w_b."""
     forms = set()
     for i, row in enumerate(algebra.by_left):
         for j, terms in row.items():
@@ -145,6 +147,11 @@ def _homogeneity_forms(algebra):
             for pos, c in ((i, 1), (j, 1), (terms[0][0], -1)):
                 coeffs[pos] = coeffs.get(pos, 0) + c
             forms.add(tuple((pos, c) for pos, c in sorted(coeffs.items()) if c))
+    seen = {}  # (form without one entry, that entry's coefficient) -> position
+    for form in forms:
+        for t, (pos, c) in enumerate(form):
+            if seen.setdefault((form[:t] + form[t + 1:], c), pos) != pos:
+                return None
     return sorted(forms)
 
 
@@ -163,7 +170,8 @@ def search_diagonal_gradation(algebra, max_abs=None):
     differs from a value already forced there.  A forced position tries only
     its value; the others skip reserved values.  Only subtrees without a
     solution are cut and the order is unchanged, so the first hit is the
-    plain backtracking search's.  Intervals are tried nearest-to-positive
+    plain backtracking search's; forms that force two weights equal end it
+    before any interval is tried.  Intervals are tried nearest-to-positive
     first (offset key |a-1|, ties resolved toward a>=1), and the first hit
     is returned, so the result is the lexicographically least assignment of
     the first feasible interval.  Returns None when the space is exhausted;

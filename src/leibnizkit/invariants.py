@@ -4,7 +4,8 @@ sequence, the associated graded algebra and the isomorphism fingerprint.
 Both chains the classification reads come from linalg.image_chain: the
 central series is the chain of the right operators R_{e_j}, and each
 characteristic-sequence candidate x gives the Jordan type of R_x from
-its sparse columns, with no dense matrix in between.
+its sparse columns, with no dense matrix in between; a candidate's lazy
+chain stops once its ranks prove that it cannot beat the best so far.
 
 fingerprint checks its input with core.require_leibniz, the guard Der and
 Inn share, and calls them through the cohomology module, which imports
@@ -24,7 +25,7 @@ from .linalg import (
     SparseEchelon,
     dense_vec,
     image_chain,
-    jordan_type,
+    partition_of_ranks,
     span_echelon,
     sparse_vec,
 )
@@ -65,7 +66,7 @@ def central_series(algebra):
 def _series(algebra):
     # L^{k+1} = [L^k, L] = sum_j R_{e_j}(L^k): the image chain of the right
     # operators, whose last level is 0 or the stabilized L^k
-    levels = image_chain(algebra.dim, algebra.by_right)
+    levels = list(image_chain(algebra.dim, algebra.by_right))
     last = levels.pop()
     bases = tuple(tuple(tuple(dense_vec(row, algebra.dim)) for row in level) for level in levels)
     dims = tuple(len(level) for level in levels)
@@ -113,6 +114,11 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     The maximum is taken over a deterministic candidate set (basis vectors
     outside L^2 and their pairwise sums) plus `trials` seeded random small
     Q(i)-combinations; the witness makes the reported maximum auditable.
+
+    Dominance cut, exact: r_j = rank R_x^j is at most dim L^{j+1} (0 past
+    the nilindex), as R_x(L^j) = [L^j, x], and at most max(r_k - (j - k), 0)
+    for j > k, as R_x is nilpotent.  Once r_0..r_k and these bounds are all
+    <= the best's ranks, R_x's type is dominated, so not lex above the best.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -134,13 +140,22 @@ def characteristic_sequence(algebra, trials=20, seed=1):
         if not l2.contains(v):
             candidates.append(v)
 
-    best = None
-    witness = None
+    best = witness = None
+    dims = series.dims
     for x in candidates:
-        parts = jordan_type([sparse_bracket(algebra, {c: ONE}, x) for c in range(n)])
-        if best is None or parts > best:
-            best = parts
-            witness = tuple(dense_vec(x, n))
+        op = {c: tuple(col.items()) for c in range(n) if (col := sparse_bracket(algebra, {c: ONE}, x))}
+        ranks = []
+        for k, level in enumerate(image_chain(n, (op,))):
+            ranks.append(len(level))
+            # the cut: r_j <= rho_j for j <= k, and min(dims[j], r_k - (j - k)) <= rho_j beyond
+            if best is not None and all(r <= p for r, p in zip(ranks, rho)) and all(
+                    min(dims[j], ranks[k] - (j - k)) <= rho[j] for j in range(k + 1, len(dims))):
+                break
+        else:
+            parts = partition_of_ranks(ranks)
+            if best is None or parts > best:
+                best, rho = parts, ranks + [0] * (len(dims) + 1 - len(ranks))  # 0 to the nilindex
+                witness = tuple(dense_vec(x, n))
     return CharSeq(best, witness)
 
 

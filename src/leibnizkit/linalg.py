@@ -7,7 +7,9 @@ a reduced row still has; the RREF of a span is unique, so no result
 depends on the order in which rows arrive.
 
 image_chain is the one descending-image loop, behind both the central
-series and every Jordan type.
+series and every Jordan type.  It is lazy: it yields each level before it
+computes the next, so a caller that needs only the first ranks stops the
+elimination there.
 """
 
 from __future__ import annotations
@@ -273,12 +275,13 @@ def inverse(m):
 
 def image_chain(n, operators):
     """Levels V_0 = Q(i)^n, V_{k+1} = sum_T T(V_k), each as its sparse RREF
-    rows in pivot order, ending with the first level of rank 0 or of the
-    rank before it.  An operator maps a column to the terms of its image,
-    {column: ((row, entry), ...)}, the form of Algebra.by_right[j].
+    rows in pivot order and yielded before the next is computed, ending with
+    the first level of rank 0 or of the rank before it.  An operator maps a
+    column to the terms of its image, {column: ((row, entry), ...)}, the
+    form of Algebra.by_right[j].
     """
     level = [{c: ONE} for c in range(n)]
-    levels = [level]
+    yield level
     while True:
         ech = SparseEchelon(n)
         for v in level:
@@ -288,28 +291,31 @@ def image_chain(n, operators):
                     for r, b in op.get(c, ()):
                         w[r] = w.get(r, ZERO) + a * b
                 ech.add(w)
+        before = len(level)
         level = [ech.pivot_rows[c] for c in sorted(ech.pivot_rows)]
-        levels.append(level)
-        if not level or len(level) == len(levels[-2]):
-            return levels
+        yield level
+        if not level or len(level) == before:
+            return
 
 
-def jordan_type(columns):
-    """Jordan block sizes, weakly decreasing, of the nilpotent operator with
-    sparse columns {row: entry}, from the ranks r_k = dim im(T^k): there are
-    r_{k-1} - 2 r_k + r_{k+1} blocks of size k.  A rank that repeats before
-    0 is rank(T^dim), and the operator is rejected as not nilpotent.
+def partition_of_ranks(ranks):
+    """Jordan block sizes, weakly decreasing, from the ranks r_k = dim im(T^k)
+    as image_chain ends them: r_{k-1} - 2 r_k + r_{k+1} blocks of size k.  A
+    last rank above 0 is rank(T^n), and T is rejected as not nilpotent.
     """
-    n = len(columns)
-    op = {c: tuple(col.items()) for c, col in enumerate(columns) if col}
-    ranks = [len(level) for level in image_chain(n, (op,))]
     if ranks[-1]:
-        raise NotNilpotentError("matrix is not nilpotent: rank(m^%d) = %d" % (n, ranks[-1]))
-    ranks.append(0)  # r_{m+1} = 0 past the nilindex m, now len(ranks) - 2
+        raise NotNilpotentError("matrix is not nilpotent: rank(m^%d) = %d" % (ranks[0], ranks[-1]))
+    ranks = list(ranks) + [0]  # r_{m+1} = 0 past the nilindex m, now len(ranks) - 2
     parts = []
     for k in range(len(ranks) - 2, 0, -1):
         parts.extend([k] * (ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]))
     return tuple(parts)
+
+
+def jordan_type(columns):
+    """Jordan type of the nilpotent operator with sparse columns {row: entry}."""
+    op = {c: tuple(col.items()) for c, col in enumerate(columns) if col}
+    return partition_of_ranks([len(level) for level in image_chain(len(columns), (op,))])
 
 
 def nilpotent_partition(m):

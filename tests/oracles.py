@@ -8,14 +8,28 @@ derivation_space, so it may use SparseEchelon for span membership.
 OracleQi is Q(i) arithmetic on a pair of Fractions, independent of the
 integer representation inside Scalar.  oracle_diagonal_gradation is the
 plain backtracking gradation search, without forward checking.
+oracle_characteristic_sequence is the characteristic-sequence loop without
+the dominance cut: it runs jordan_type to the end on every candidate.
 """
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
-from leibnizkit.core import bracket
+from leibnizkit.core import bracket, sparse_bracket
 from leibnizkit.gradations import WeightAssignment
-from leibnizkit.linalg import Matrix, SparseEchelon, basis_vec, sparse_vec
-from leibnizkit.scalars import Scalar, ZERO
+from leibnizkit.invariants import CharSeq, central_series
+from leibnizkit.linalg import (
+    Matrix,
+    NotNilpotentError,
+    SparseEchelon,
+    basis_vec,
+    dense_vec,
+    jordan_type,
+    span_echelon,
+    sparse_vec,
+)
+from leibnizkit.scalars import ONE, Scalar, ZERO
 
 
 class OracleQi:
@@ -284,3 +298,37 @@ def _oracle_search_interval(by_position, d, values):
     if place(0):
         return list(w)
     return None
+
+
+def oracle_characteristic_sequence(algebra, trials=20, seed=1):
+    """invariants.characteristic_sequence without the dominance cut: the
+    same candidates in the same order, the full Jordan type of every R_x,
+    and the first lexicographic maximum with its witness."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    series = central_series(algebra)
+    if not series.is_nilpotent:
+        raise NotNilpotentError("characteristic sequence needs a nilpotent algebra")
+    n = algebra.dim
+    if n == 0:
+        return CharSeq((), ())
+    l2 = span_echelon(series.subspace_bases[1], n) if len(series.subspace_bases) > 1 else SparseEchelon(n)
+    outside = [i for i in range(n) if not l2.contains({i: ONE})]
+
+    candidates = [{i: ONE} for i in outside]  # sparse {index: coefficient} maps
+    candidates += [{a: ONE, b: ONE} for a, b in combinations(outside, 2)]
+    rng = random.Random(seed)
+    wanted = len(candidates) + trials
+    while len(candidates) < wanted:
+        v = sparse_vec([Scalar(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(n)])
+        if not l2.contains(v):
+            candidates.append(v)
+
+    best = None
+    witness = None
+    for x in candidates:
+        parts = jordan_type([sparse_bracket(algebra, {c: ONE}, x) for c in range(n)])
+        if best is None or parts > best:
+            best = parts
+            witness = tuple(dense_vec(x, n))
+    return CharSeq(best, witness)

@@ -8,7 +8,7 @@ import pytest
 from conftest import DATA, alg, mutated_m7
 
 from leibnizkit import core, gradations
-from leibnizkit.cli import main
+from leibnizkit.cli import console_main, main
 from leibnizkit.core import change_of_basis
 from leibnizkit.linalg import Matrix
 from leibnizkit.scalars import Scalar
@@ -507,3 +507,29 @@ def test_unexpected_value_error_is_not_a_usage_error(verb, module, name, m7_file
     monkeypatch.setattr(module, name, broken)
     with pytest.raises(ValueError, match="internal bug"):
         run_cli(verb, m7_file)
+
+
+def test_crash_exits_3_with_its_traceback(m7_file, monkeypatch, capsys):
+    # exit 1 means "verified negative"; a crash must not read as one
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+    monkeypatch.setattr(gradations, "search_diagonal_gradation", broken)
+    monkeypatch.setattr(sys, "argv", ["leibnizkit", "grade-search", m7_file])
+    assert console_main() == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith("ValueError: internal bug\n")
+
+
+def test_module_entry_point_exits_3_on_a_crash(m7_file):
+    # python -m leibnizkit goes through console_main as the console script does
+    code = ("import runpy, sys; from leibnizkit import gradations\n"
+            "def broken(*args): raise ValueError('internal bug')\n"
+            "gradations.search_diagonal_gradation = broken\n"
+            "sys.argv = ['leibnizkit', 'grade-search', sys.argv[1]]\n"
+            "runpy.run_module('leibnizkit', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", code, m7_file], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" in proc.stderr and proc.stderr.endswith("ValueError: internal bug\n")

@@ -5,6 +5,7 @@ import pytest
 from conftest import DATA, alg, cached_der, case_algebra
 from oracles import oracle_diagonal_gradation
 
+from leibnizkit import gradations
 from leibnizkit.catalog import FAMILIES
 from leibnizkit.core import FormatError, from_terms
 from leibnizkit.gradations import (
@@ -238,6 +239,23 @@ def test_search_matches_oracle_on_late_binding_negatives():
         a = _table(d, [(d - 2, d - 2, 0, Scalar(1)), (d - 1, d - 1, 0, Scalar(1))])
         assert search_diagonal_gradation(a, max_abs) is None
         assert oracle_diagonal_gradation(a, max_abs) is None
+
+
+def _no_interval(*args):
+    raise AssertionError("an interval was searched")
+
+
+def test_search_matches_oracle_on_equal_form_negatives(monkeypatch):
+    # [e_{d-4}, e_{d-3}] = e_{d-2} and [e_{d-3}, e_{d-4}] = e_{d-1} force
+    # w_{d-2} = w_{d-1}; the forms differ in that one position, so the
+    # search answers before it tries any interval (16 s at d = 9 without)
+    for d, max_abs in ((7, None), (8, None), (9, 5)):
+        a = _table(d, [(d - 4, d - 3, d - 2, Scalar(1)), (d - 3, d - 4, d - 1, Scalar(1))])
+        assert oracle_diagonal_gradation(a, max_abs) is None
+        with monkeypatch.context() as m:
+            m.setattr(gradations, "_search_interval", _no_interval)
+            assert search_diagonal_gradation(a, max_abs) is None
+            assert search_diagonal_gradation(a) is None
 
 
 @pytest.mark.parametrize("n", (7, 9, 11, 15))

@@ -95,15 +95,15 @@ def test_partition_rejects_non_nilpotent():
 def test_partition_of_the_empty_matrix():
     assert nilpotent_partition(Matrix.zero(0, 0)) == ()
     assert jordan_type([]) == ()
-    assert image_chain(0, ()) == [[], []]
+    assert list(image_chain(0, ())) == [[], []]
 
 
 def test_image_chain_of_one_jordan_block():
     # e0 -> e1 -> e2 -> 0: each image drops the leading unit vector
     block = {0: ((1, ONE),), 1: ((2, ONE),)}
-    assert image_chain(3, (block,)) == [
+    assert list(image_chain(3, (block,))) == [
         [{0: ONE}, {1: ONE}, {2: ONE}], [{1: ONE}, {2: ONE}], [{2: ONE}], []]
-    assert image_chain(3, ()) == [[{0: ONE}, {1: ONE}, {2: ONE}], []]
+    assert list(image_chain(3, ())) == [[{0: ONE}, {1: ONE}, {2: ONE}], []]
     assert jordan_type([{1: ONE}, {2: ONE}, {}]) == (3,)
 
 
