@@ -137,7 +137,7 @@ def cmd_catalog(args, out):
     if args.out:
         core.save(algebra, args.out)
         print("wrote %s (dim %d, %d products) to %s"
-              % (args.family, algebra.dim, len(algebra.gamma), args.out), file=out)
+              % (args.family, algebra.dim, len(algebra.products()), args.out), file=out)
     else:
         out.write(core.dumps(algebra))
     if residuals:
@@ -205,10 +205,10 @@ def cmd_replicate(args, out):
                 ("M^{1,1}", catalog.FamilySpec("M1alpha", n, {"alpha": scalars.ONE}), n + 5, n + 2)]
         if n % 2 == 1:
             rows.insert(0, ("N", catalog.FamilySpec("N", n), 3 * (n - 1) // 2 + 7, (n + 19) // 2))
-        else:
+        built = [catalog.build(spec) for _, spec, _, _ in rows]   # a FamilyError before any output
+        if n % 2 == 0:
             print("note: N skipped (needs odd n)", file=out)
-        for name, spec, want_der, want_h1 in rows:
-            algebra = catalog.build(spec)
+        for (name, _, want_der, want_h1), algebra in zip(rows, built):
             der = cohomology.derivation_space(algebra)
             inn = cohomology.inner_derivation_space(algebra)
             h1 = cohomology.h1_dimension(algebra, der=der, inn=inn)
@@ -230,12 +230,11 @@ def cmd_replicate(args, out):
     ]
     if n % 2 == 1:
         zero_param_specs.append(("N", catalog.FamilySpec("N", n), (n - 2, 1, 1, 1)))
-    else:
+    algebras = {name: catalog.build(spec) for name, spec, _ in zero_param_specs}
+    if n % 2 == 0:
         print("note: N skipped (needs odd n)", file=out)
-    algebras = {}
-    for name, spec, want_cs in zero_param_specs:
-        algebra = catalog.build(spec)
-        algebras[name] = algebra
+    for name, _, want_cs in zero_param_specs:
+        algebra = algebras[name]
         residuals = core.leibniz_residual(algebra)
         ok &= _pass_fail(out, "%s: Leibniz identity" % name, not residuals,
                          "(%d violations)" % len(residuals) if residuals else "")

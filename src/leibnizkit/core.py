@@ -1,24 +1,22 @@
 """Algebras presented by structure constants, and the bracket machinery.
 
-An Algebra is an ordered basis of labels plus a sparse read-only map
-gamma[(i, j)] -> coordinates of [e_i, e_j]; no operation modifies one.  The
-bracket convention is right-Leibniz throughout: gamma rows index the left
-argument, columns the right argument, and the identity checked by
-leibniz_residual is
+An Algebra is an ordered basis of labels plus its nonzero products
+[e_i, e_j]; no operation modifies one.  The bracket convention is
+right-Leibniz throughout: the left argument indexes the rows, the right
+argument the columns, and the identity checked by leibniz_residual is
 
     [x, [y, z]] = [[x, y], z] - [[x, z], y].
 
-require_leibniz is the package's one Leibniz guard.  The constructor also
-indexes gamma once: each nonzero product becomes a tuple of (k, c) terms
-with c != 0, reachable by its left factor (by_left[i][j]) and by its right
-factor (by_right[j][i]).  Every bracket loop in the package goes through
-this index, so its cost follows the nonzero products rather than dim^3.
+require_leibniz is the package's one Leibniz guard.  The products are
+stored once, as sparse terms: each nonzero product is a tuple of (k, c)
+terms with c != 0, sorted by k, reachable by its left factor
+(by_left[i][j]) and by its right factor (by_right[j][i]).  Every bracket
+loop goes through this index, so its cost follows the nonzero products.
 
-Only this module builds gamma's dense coordinate tuples.  Everything else
-writes a table as (left, right, result, coefficient) terms through
-from_terms (the catalog builders, the file loader, direct_sum and gr L)
-and reads one through by_left or products(); iso.verify_certificate alone
-reads gamma_vec, to stay independent of change_of_basis.
+Only from_terms and the dense adapter Algebra(labels, gamma) build an
+Algebra, and both run the one term accumulator.  The catalog builders,
+the file loader, change_of_basis, direct_sum and gr L all write terms
+through from_terms; gamma is a dense read-only view built on each read.
 
 Since the tables never change, two results are memoized on the algebra:
 leibniz_residual remembers that the residual is empty (a non-empty one is
@@ -48,33 +46,52 @@ class NotLeibnizError(ValueError):
 class Algebra:
     """Finite-dimensional algebra over Q(i) given by structure constants."""
 
-    __slots__ = ("dim", "labels", "gamma", "by_left", "by_right", "_leibniz", "_series")
+    __slots__ = ("dim", "labels", "by_left", "by_right", "_leibniz", "_series")
 
     def __init__(self, labels, gamma):
+        """Adapter for a dense table: gamma[(i, j)] = coordinates of [e_i, e_j]."""
+        labels = tuple(labels)
+        dim = len(labels)
+        terms = []
+        for (i, j), vec in gamma.items():
+            if len(vec) != dim:
+                raise ValueError("product (%d,%d) has %d coordinates, need %d" % (i, j, len(vec), dim))
+            terms.extend((i, j, k, c) for k, c in enumerate(vec))   # zeros too: each index is checked
+        self._accumulate(labels, terms)
+
+    def _accumulate(self, labels, terms):
+        """Index the sums of (i, j, k, c) terms: the one table builder."""
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be unique")
         dim = len(labels)
-        clean = {}
+        sums = {}
+        for i, j, k, c in terms:
+            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+                raise ValueError("term index (%d,%d,%d) out of range for dim %d" % (i, j, k, dim))
+            if c:
+                row = sums.get((i, j))
+                if row is None:
+                    row = sums[(i, j)] = {}
+                row[k] = row[k] + c if k in row else as_scalar(c)
         by_left = [{} for _ in range(dim)]
         by_right = [{} for _ in range(dim)]
-        for (i, j), vec in gamma.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError("product index (%d,%d) out of range for dim %d" % (i, j, dim))
-            v = tuple(as_scalar(x) for x in vec)
-            if len(v) != dim:
-                raise ValueError("product (%d,%d) has %d coordinates, need %d" % (i, j, len(v), dim))
-            terms = tuple((k, c) for k, c in enumerate(v) if c)
-            if terms:
-                clean[(i, j)] = v
-                by_left[i][j] = by_right[j][i] = terms
+        for (i, j), row in sums.items():
+            prod = tuple(sorted((k, c) for k, c in row.items() if c))
+            if prod:
+                by_left[i][j] = by_right[j][i] = prod
         self.dim = dim
         self.labels = labels
-        self.gamma = MappingProxyType(clean)
         self.by_left = tuple(by_left)
         self.by_right = tuple(by_right)
         self._leibniz = False   # memo: the residual was found empty
         self._series = None     # memo: invariants.central_series
+
+    @property
+    def gamma(self):
+        """Read-only dense view (i, j) -> coordinates of [e_i, e_j], built on each read."""
+        return MappingProxyType({(i, j): tuple(dense_vec(dict(terms), self.dim))
+                                 for i, j, terms in self.products()})
 
     def index(self, label):
         try:
@@ -82,31 +99,24 @@ class Algebra:
         except ValueError:
             raise KeyError("unknown basis label %r" % (label,)) from None
 
-    def gamma_vec(self, i, j):
-        """Coordinates of [e_i, e_j]; a zero tuple when the product is absent."""
-        v = self.gamma.get((i, j))
-        if v is None:
-            return (ZERO,) * self.dim
-        return v
-
     def products(self):
         """(i, j, terms) per nonzero product, in lexicographic (i, j) order."""
         return [(i, j, row[j]) for i, row in enumerate(self.by_left) for j in sorted(row)]
 
     def key(self):
         """Hashable canonical form, for caching in tests and tools."""
-        return (self.labels, tuple(sorted(self.gamma.items())))
+        return (self.labels, tuple(self.products()))
 
     def __eq__(self, other):
         if not isinstance(other, Algebra):
             return NotImplemented
-        return self.labels == other.labels and self.gamma == other.gamma
+        return self.labels == other.labels and self.by_left == other.by_left
 
     def __hash__(self):
         return hash(self.key())
 
     def __repr__(self):
-        return "Algebra(dim=%d, products=%d)" % (self.dim, len(self.gamma))
+        return "Algebra(dim=%d, products=%d)" % (self.dim, len(self.products()))
 
 
 def from_terms(labels, terms):
@@ -115,20 +125,12 @@ def from_terms(labels, terms):
     Indices are basis positions and c a scalar: [e_left, e_right] gains
     c * e_result.  Terms of one product add up, and a product whose terms
     cancel is absent.  This is the one builder of structure constants from
-    terms: the catalog tables, the file loader, direct_sum and gr L all
-    hand their products to it.
+    terms: the catalog tables, the file loader, change_of_basis, direct_sum
+    and gr L all hand their products to it.
     """
-    dim = len(labels)
-    gamma = {}
-    for i, j, k, c in terms:
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise ValueError("term index (%d,%d,%d) out of range for dim %d" % (i, j, k, dim))
-        if c:
-            vec = gamma.get((i, j))
-            if vec is None:
-                vec = gamma[(i, j)] = [ZERO] * dim
-            vec[k] = vec[k] + c
-    return Algebra(labels, gamma)
+    algebra = Algebra.__new__(Algebra)
+    algebra._accumulate(labels, terms)
+    return algebra
 
 
 # -- bracket -------------------------------------------------------------
@@ -252,16 +254,13 @@ def change_of_basis(algebra, p):
     p_inv = inverse(p)  # raises SingularMatrixError when P is singular
     n = algebra.dim
     cols = [sparse_vec(p.column(j)) for j in range(n)]
-    gamma = {}
+    terms = []
     for i in range(n):
         for j in range(n):
             w = sparse_bracket(algebra, cols[i], cols[j])
-            if not w:
-                continue
-            coords = p_inv.mul_vec(dense_vec(w, n))
-            if any(coords):
-                gamma[(i, j)] = tuple(coords)
-    return Algebra(algebra.labels, gamma)
+            if w:
+                terms.extend((i, j, k, x) for k, x in enumerate(p_inv.mul_vec(dense_vec(w, n))) if x)
+    return from_terms(algebra.labels, terms)
 
 
 def direct_sum(a, b):

@@ -57,7 +57,7 @@ def verify_certificate(cert):
     cols = [sparse_vec(p.column(j)) for j in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = p.mul_vec(list(a.gamma_vec(i, j)))
+            lhs = p.mul_vec(dense_vec(dict(a.by_left[i].get(j, ())), n))
             rhs = dense_vec(sparse_bracket(b, cols[i], cols[j]), n)
             if any(x - y for x, y in zip(lhs, rhs)):
                 reason = "bracket mismatch at (%s, %s)" % (a.labels[i], a.labels[j])

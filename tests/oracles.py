@@ -147,9 +147,10 @@ def oracle_residual(algebra):
     triple is visited, in lexicographic order.
     """
     n = algebra.dim
+    gamma = algebra.gamma
 
     def g(a, b, c):
-        vec = algebra.gamma.get((a, b))
+        vec = gamma.get((a, b))
         return ZERO if vec is None else vec[c]
 
     out = []
@@ -189,6 +190,7 @@ def oracle_series_dims(algebra):
 def oracle_der_dim(algebra):
     """dim Der via residual columns of the elementary matrices."""
     n = algebra.dim
+    gamma, zero = algebra.gamma, [ZERO] * n
     cols = []
     for r in range(n):
         for c in range(n):
@@ -198,7 +200,7 @@ def oracle_der_dim(algebra):
             resid = []
             for i in range(n):
                 for j in range(n):
-                    lhs = e.mul_vec(list(algebra.gamma_vec(i, j)))
+                    lhs = e.mul_vec(list(gamma.get((i, j), zero)))
                     t1 = bracket(algebra, ecols[i], basis_vec(n, j))
                     t2 = bracket(algebra, basis_vec(n, i), ecols[j])
                     resid.extend(a - b - d for a, b, d in zip(lhs, t1, t2))
@@ -224,6 +226,7 @@ def oracle_inner_outside_der(algebra, der):
     the e_r coordinate of [e_c, e_k].
     """
     n = algebra.dim
+    gamma = algebra.gamma
     span = SparseEchelon(n * n)
     for m in der.basis:
         span.add(sparse_vec(m.flat()))
@@ -231,7 +234,7 @@ def oracle_inner_outside_der(algebra, der):
     for k in range(n):
         r_k = {}
         for c in range(n):
-            for r, v in enumerate(algebra.gamma_vec(c, k)):
+            for r, v in enumerate(gamma.get((c, k), ())):
                 if v:
                     r_k[r * n + c] = v
         if not span.contains(r_k):

@@ -49,10 +49,11 @@ def test_dimension_contract(family, n, dim):
 def test_n_is_antisymmetric_on_all_pairs():
     for n in (7, 9, 11):
         a = alg("N", n)
+        gamma, zero = a.gamma, zero_vec(a.dim)
         for i in range(a.dim):
             for j in range(a.dim):
-                lhs = list(a.gamma_vec(i, j))
-                rhs = [-x for x in a.gamma_vec(j, i)]
+                lhs = list(gamma.get((i, j), zero))
+                rhs = [-x for x in gamma.get((j, i), zero)]
                 assert lhs == rhs, (n, a.labels[i], a.labels[j])
 
 
@@ -60,11 +61,12 @@ def test_n_listed_products_present():
     a = alg("N", 9)
     n = 9
     e = {i: i for i in range(n)}
-    assert a.gamma_vec(e[1], e[0])[2] == 1            # [e1, e0] = e2
-    assert a.gamma_vec(e[n - 3], e[1])[n - 1] == Scalar(-1)   # [e_{n-3}, e_1] = -e_{n-1}
-    assert a.gamma_vec(e[n - 4], e[2])[n - 1] == 1    # [e_{n-4}, e_2] = e_{n-1}
-    assert a.gamma_vec(e[3], e[n - 5])[n - 1] == 1    # [e_3, e_4] = e_8 at n = 9
-    assert a.gamma_vec(a.index("f1"), e[0])[n - 1] == 1       # [f1, e0] = e_{n-1}
+    gamma = a.gamma
+    assert gamma[(e[1], e[0])][2] == 1            # [e1, e0] = e2
+    assert gamma[(e[n - 3], e[1])][n - 1] == Scalar(-1)   # [e_{n-3}, e_1] = -e_{n-1}
+    assert gamma[(e[n - 4], e[2])][n - 1] == 1    # [e_{n-4}, e_2] = e_{n-1}
+    assert gamma[(e[3], e[n - 5])][n - 1] == 1    # [e_3, e_4] = e_8 at n = 9
+    assert gamma[(a.index("f1"), e[0])][n - 1] == 1       # [f1, e0] = e_{n-1}
 
 
 def test_n7_alternating_range_is_empty():
@@ -147,7 +149,7 @@ def test_param_names_kf_ranges():
 def test_m1alpha_defaults_to_alpha_zero():
     a = alg("M1alpha", 7)
     assert (8 - 1, 8 - 3) not in a.gamma      # no [z1, y6] product at alpha = 0
-    assert a.gamma_vec(5, 7)[4] == 1          # [y6, z1] = y5 still present
+    assert a.gamma[(5, 7)][4] == 1            # [y6, z1] = y5 still present
 
 
 def test_catalog_output_byte_stable():

@@ -112,6 +112,7 @@ def test_der_dump_dense_basis_matches_golden(tmp_path):
     move = Matrix(8, 8, [[Scalar(v) for v in row] for row in N7_MOVE])
     path = tmp_path / "n7_moved.json"
     core.save(change_of_basis(alg("N", 7), move), path)
+    assert path.read_text(encoding="utf-8") == _golden("n7_moved.json")
     code, out = run_cli("der", str(path), "--dump")
     assert code == 0
     assert out == _golden("n7_moved_der_dump.txt")
@@ -179,7 +180,14 @@ def test_catalog_writes_interchange_file(tmp_path):
     assert "wrote M1alpha (dim 10" in out
     reloaded = core.load(out_path)
     assert reloaded.dim == 10
-    assert reloaded.gamma_vec(9, 7)[6].render() == "1/2"
+    assert reloaded.gamma[(9, 7)][6].render() == "1/2"
+
+
+def test_catalog_out_prints_one_summary_line(tmp_path):
+    out_path = tmp_path / "m7.json"
+    code, out = run_cli("catalog", "--family", "M", "--n", "7", "--out", str(out_path))
+    assert code == 0
+    assert out == "wrote M (dim 8, 6 products) to %s\n" % out_path
 
 
 def test_catalog_stdout_mode():
@@ -337,6 +345,19 @@ def test_replicate_section_2_odd_n_reports_n_charseq():
     assert code == 1
     assert "FAIL N: characteristic sequence (5, 1, 1, 1)  (computed (5, 2, 1))" in out
     assert "PASS N: diagonal maximum-length gradation found" in out
+
+
+@pytest.mark.parametrize("argv,family,minimum", [
+    (("--section", "3", "--n", "2"), "M", 5),
+    (("--section", "2", "--n", "6"), "L1", 7),
+], ids=["section-3", "section-2"])
+def test_replicate_below_a_family_minimum_prints_only_the_error(argv, family, minimum, capsys):
+    # every algebra is built before the first line, so the even-n note
+    # does not precede the error
+    code, out = run_cli("replicate", *argv)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: family %s needs n >= %d, got %s\n" % (family, minimum, argv[-1])
 
 
 def test_replicate_section_2_odd_n_matches_golden():

@@ -86,6 +86,43 @@ def _random_sparse_table(rng, d, products):
     return Algebra(["e%d" % t for t in range(d)], gamma)
 
 
+def _random_terms(rng, d, count):
+    """(i, j, k, c) terms with repeats and cancelling pairs, some c plain ints."""
+    terms = []
+    for _ in range(count):
+        a = rng.choice((-2, -1, 1, 2))
+        c = rng.choice((a, Scalar(a, rng.choice((0, 1)))))
+        term = (rng.randrange(d), rng.randrange(d), rng.randrange(d), c)
+        terms.append(term)
+        if rng.random() < 0.3:
+            terms.append(term)
+        if rng.random() < 0.3:
+            terms.append(term[:3] + (-c,))
+    rng.shuffle(terms)
+    return terms
+
+
+def test_from_terms_and_dense_adapter_agree():
+    rng = random.Random(13)
+    cancelled = 0
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        terms = _random_terms(rng, d, rng.randint(0, 10))
+        sums = {}
+        for i, j, k, c in terms:
+            vec = sums.setdefault((i, j), zero_vec(d))
+            vec[k] = vec[k] + c
+        labels = ["e%d" % t for t in range(d)]
+        a, b = from_terms(labels, terms), Algebra(labels, sums)
+        assert a == b and hash(a) == hash(b) and a.key() == b.key()
+        assert dumps(a) == dumps(b)
+        nonzero = {key for key, vec in sums.items() if any(vec)}
+        assert {(i, j) for i, j, _ in a.products()} == nonzero
+        cancelled += len(sums) - len(nonzero)
+        assert all(type(c) is Scalar for x in (a, b) for _, _, ts in x.products() for _, c in ts)
+    assert cancelled > 0
+
+
 def test_residual_matches_oracle_exactly():
     rng = random.Random(11)
     bad = mutated_m7()
@@ -150,7 +187,7 @@ def test_change_of_basis_rescaling_preserves_residual():
     assert leibniz_residual(moved) == []
     v = zero_vec(8)
     v[1] = Scalar(4)
-    assert list(moved.gamma_vec(0, 0)) == v
+    assert list(moved.gamma[(0, 0)]) == v
 
 
 def test_change_of_basis_rejects_singular():
@@ -264,6 +301,13 @@ def test_from_terms_drops_a_product_whose_terms_cancel():
 def test_from_terms_rejects_an_index_out_of_range(term):
     with pytest.raises(ValueError, match="out of range for dim 2"):
         from_terms(["x", "y"], [term + (Scalar(1),)])
+
+
+def test_dense_adapter_checks_indices_and_coordinate_count():
+    with pytest.raises(ValueError, match="out of range for dim 2"):
+        Algebra(["x", "y"], {(2, 0): zero_vec(2)})      # an all-zero product is checked too
+    with pytest.raises(ValueError, match="has 1 coordinates, need 2"):
+        Algebra(["x", "y"], {(0, 0): [Scalar(1)]})
 
 
 def test_residual_invariant_under_change_of_basis(rng):
