@@ -7,7 +7,9 @@ coordinate tuples.  Basis labels follow the order the generators are
 usually written in (e's before f's, y's before z's), so indices in reports
 line up with the usual notation.  The Lie family N is stored with both
 [x, y] and [y, x] = -[x, y] for every listed product, making antisymmetry
-hold on the nose.
+hold on the nose.  The family table at the end of the module owns each
+family's sizes (least n, odd n only): build checks them, and no builder
+does.
 """
 
 from __future__ import annotations
@@ -39,25 +41,15 @@ class FamilySpec:
 
 def param_names(family, n):
     """The admissible parameter names for a family at size n."""
-    names = set()
     if family in ("KF4", "KF5"):
-        for t in range(3, n - 1):
-            names.add("alpha_%d" % t)
-            names.add("beta_%d" % t)
-        for i in range(2, n - 3):
-            for j in range(i + 2, n - 1):
-                names.add("beta_%d_%d" % (i, j))
-        for t in range(4, n - 1):
-            names.add("gamma_%d" % t)
-    elif family == "M1alpha":
-        names.add("alpha")
-    return names
+        return {name for name, _, _, _ in _kf_parameters(n)}
+    return {"alpha"} if family == "M1alpha" else set()
 
 
-def _check_range(spec, minimum, parity=None):
+def _check_range(spec, minimum, odd):
     if spec.n < minimum:
         raise FamilyError("family %s needs n >= %d, got %d" % (spec.family, minimum, spec.n))
-    if parity == "odd" and spec.n % 2 == 0:
+    if odd and spec.n % 2 == 0:
         raise FamilyError("family %s needs odd n, got %d" % (spec.family, spec.n))
 
 
@@ -72,7 +64,8 @@ def _check_params(spec):
 def build(spec):
     """Build the requested catalog algebra; exact transcription of its law."""
     _check_params(spec)
-    builder = _BUILDERS[spec.family]
+    builder, least, odd = _FAMILY_TABLE[spec.family]
+    _check_range(spec, least, odd)
     return builder(spec)
 
 
@@ -88,7 +81,6 @@ def admissible_param_check(spec):
 
 def _build_l1(spec):
     # dim n, basis e_1..e_{n-3}, f_1, f_2, f_3
-    _check_range(spec, 7)
     n = spec.n
     labels = ["e%d" % i for i in range(1, n - 2)] + ["f1", "f2", "f3"]
     e = {i: i - 1 for i in range(1, n - 2)}
@@ -101,37 +93,35 @@ def _build_l1(spec):
     return from_terms(labels, terms)
 
 
+def _kf_parameters(n):
+    """(name, left, right, result) of every KF parameter term at size n: the
+    one list of the KF parameters, read by param_names and _kf_common."""
+    rows = []
+    for t in range(3, n - 1):
+        rows.append(("alpha_%d" % t, 0, n - 2, t - 1))                 # [e_1, e_{n-1}]
+        rows.append(("beta_%d" % t, n - 2, n - 2, t - 1))              # [e_{n-1}, e_{n-1}]
+    rows += [("beta_%d_%d" % (i, j), i - 1, n - 2, j - 1)             # [e_i, e_{n-1}]
+             for i in range(2, n - 3) for j in range(i + 2, n - 1)]
+    rows += [("gamma_%d" % t, n - 1, n - 2, t - 1) for t in range(4, n - 1)]  # [e_n, e_{n-1}]
+    return rows
+
+
 def _kf_common(spec, with_chain_shift):
     # dim n, basis e_1..e_n; the naturally graded representative has all
     # parameters zero, admissibility of other values is decided by the
     # Leibniz residual rather than a hand-derived constraint list
-    _check_range(spec, 7)
     n = spec.n
     labels = ["e%d" % i for i in range(1, n + 1)]
-    p = spec.params
-
-    def param(name):
-        return p.get(name, ZERO)
-
     terms = [(i - 1, 0, i, ONE) for i in range(1, n - 2)]   # [e_i, e_1] = e_{i+1}
     terms.append((0, n - 2, n - 1, ONE))                    # [e_1, e_{n-1}]: e_n term
     if with_chain_shift:
         terms.append((0, n - 2, 1, ONE))                    # KF5 extra e_2 term
-    for t in range(3, n - 1):
-        terms.append((0, n - 2, t - 1, param("alpha_%d" % t)))      # [e_1, e_{n-1}]
-        terms.append((n - 2, n - 2, t - 1, param("beta_%d" % t)))   # [e_{n-1}, e_{n-1}]
-
-    # KF5's shifted row must run through i = n-3: stopping at n-4 breaks the
-    # Leibniz identity at (e_{n-4}, e_1, e_{n-1}) for every parameter choice
-    mid_top = n - 2 if with_chain_shift else n - 3
-    for i in range(2, mid_top):
-        if with_chain_shift:
-            terms.append((i - 1, n - 2, i, ONE))            # KF5: e_{i+1} term
-        for j in range(i + 2, n - 1):
-            terms.append((i - 1, n - 2, j - 1, param("beta_%d_%d" % (i, j))))  # [e_i, e_{n-1}]
-
-    for t in range(4, n - 1):
-        terms.append((n - 1, n - 2, t - 1, param("gamma_%d" % t)))  # [e_n, e_{n-1}]
+        # KF5's shifted row must run through i = n-3: stopping at n-4 breaks
+        # the Leibniz identity at (e_{n-4}, e_1, e_{n-1}) for every parameter
+        # choice
+        terms += [(i - 1, n - 2, i, ONE) for i in range(2, n - 2)]  # [e_i, e_{n-1}]: e_{i+1} term
+    terms += [(left, right, result, spec.params.get(name, ZERO))
+              for name, left, right, result in _kf_parameters(n)]
     return from_terms(labels, terms)
 
 
@@ -145,7 +135,6 @@ def _build_kf5(spec):
 
 def _build_ngf1(spec):
     # dim n, basis e_1..e_n
-    _check_range(spec, 4)
     n = spec.n
     labels = ["e%d" % i for i in range(1, n + 1)]
     terms = [(0, 0, 2, ONE)]                                # [e_1, e_1] = e_3
@@ -155,7 +144,6 @@ def _build_ngf1(spec):
 
 def _build_n(spec):
     # dim n+1, basis e_0..e_{n-1}, f_1; n odd; closed under antisymmetry
-    _check_range(spec, 7, parity="odd")
     n = spec.n
     labels = ["e%d" % i for i in range(n)] + ["f1"]
     f1 = n
@@ -181,7 +169,6 @@ def _m_chain(n):
 
 def _build_m(spec):
     # dim n+1, basis y_1..y_n, z_1
-    _check_range(spec, 5)
     n = spec.n
     labels = ["y%d" % i for i in range(1, n + 1)] + ["z1"]
     terms = _m_chain(n)
@@ -191,7 +178,6 @@ def _build_m(spec):
 
 def _build_m1alpha(spec):
     # dim n+1, basis y_1..y_n, z_1; alpha defaults to 0
-    _check_range(spec, 5)
     n = spec.n
     alpha = spec.params.get("alpha", ZERO)
     labels = ["y%d" % i for i in range(1, n + 1)] + ["z1"]
@@ -203,27 +189,24 @@ def _build_m1alpha(spec):
 
 def _build_nullfiliform(spec):
     # dim n, basis e_1..e_n; the maximum-length null-filiform chain
-    _check_range(spec, 1)
     n = spec.n
     labels = ["e%d" % i for i in range(1, n + 1)]
     return from_terms(labels, [(i - 1, 0, i, ONE) for i in range(1, n)])  # [e_i, e_1] = e_{i+1}
 
 
 def _build_abelian(spec):
-    if spec.n < 0:
-        raise FamilyError("family abelian needs n >= 0, got %d" % spec.n)
     return from_terms(["c%d" % i for i in range(1, spec.n + 1)], [])
 
 
-_BUILDERS = {
-    "L1": _build_l1,
-    "KF4": _build_kf4,
-    "KF5": _build_kf5,
-    "NGF1": _build_ngf1,
-    "N": _build_n,
-    "M": _build_m,
-    "M1alpha": _build_m1alpha,
-    "nullfiliform-ml": _build_nullfiliform,
-    "abelian": _build_abelian,
+_FAMILY_TABLE = {  # name: (builder, least n, odd n only)
+    "L1": (_build_l1, 7, False),
+    "KF4": (_build_kf4, 7, False),
+    "KF5": (_build_kf5, 7, False),
+    "NGF1": (_build_ngf1, 4, False),
+    "N": (_build_n, 7, True),
+    "M": (_build_m, 5, False),
+    "M1alpha": (_build_m1alpha, 5, False),
+    "nullfiliform-ml": (_build_nullfiliform, 1, False),
+    "abelian": (_build_abelian, 0, False),
 }
-FAMILIES = tuple(_BUILDERS)
+FAMILIES = tuple(_FAMILY_TABLE)

@@ -10,11 +10,12 @@ For fixed inputs and seeds every report is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import catalog, cohomology, core, gradations, invariants, iso, scalars
 from .core import FormatError, NotLeibnizError
-from .linalg import NotNilpotentError, SingularMatrixError
+from .linalg import NotNilpotentError
 from .scalars import ScalarParseError
 
 CRASH = 3
@@ -104,18 +105,19 @@ def cmd_grade_verify(args, out):
 
 def cmd_grade_search(args, out):
     algebra = core.load(args.algebra)
-    max_abs = args.max_abs if args.max_abs is not None else max(2 * algebra.dim, 1)
+    max_abs = args.max_abs if args.max_abs is not None else gradations.default_max_abs(algebra.dim)
     found = gradations.search_diagonal_gradation(algebra, max_abs)
     if found is None:
         print("none found (diagonal gradations exhausted up to |weight| <= %d; "
               "evidence restricted to the given basis, not a proof)" % max_abs, file=out)
         return NEGATIVE
+    if args.out:   # written before any output, so a bad path prints nothing
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(gradations.weights_dumps(algebra, found))
     print("maximum-length assignment found:", file=out)
     for lb, w in zip(algebra.labels, found.weights):
         print("  %s: %d" % (lb, w), file=out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(gradations.weights_dumps(algebra, found))
         print("wrote %s" % args.out, file=out)
     return 0
 
@@ -175,19 +177,16 @@ def cmd_iso_verify(args, out):
 
 
 def cmd_fingerprint(args, out):
-    first = core.load(args.files[0])
-    fp1 = invariants.fingerprint(first, trials=args.trials, seed=args.seed)
-    print(fp1.record(), file=out)
-    if len(args.files) == 1:
-        return 0
-    second = core.load(args.files[1])
-    fp2 = invariants.fingerprint(second, trials=args.trials, seed=args.seed)
-    print(fp2.record(), file=out)
-    field = iso.first_difference(fp1, fp2)
-    if field is None:
-        print("inconclusive", file=out)
-    else:
-        print("distinguished(%s)" % field, file=out)
+    if len(args.files) > 2:
+        raise FormatError("fingerprint takes one or two files, got %d" % len(args.files))
+    # every fingerprint is computed before the first line, so an error prints nothing
+    fps = [invariants.fingerprint(core.load(path), trials=args.trials, seed=args.seed)
+           for path in args.files]
+    for fp in fps:
+        print(fp.record(), file=out)
+    if len(fps) == 2:
+        field = iso.first_difference(*fps)
+        print("inconclusive" if field is None else "distinguished(%s)" % field, file=out)
     return 0
 
 
@@ -336,17 +335,21 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():   # built on first use, not at import, then reused: parsing does not change it
+    return build_parser()
+
+
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args, out)
     except (FormatError, ScalarParseError, catalog.FamilyError, NotLeibnizError,
-            NotNilpotentError, SingularMatrixError, OSError) as exc:
+            NotNilpotentError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
 

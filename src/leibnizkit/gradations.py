@@ -19,12 +19,19 @@ from .scalars import Echo
 
 
 class WeightAssignment:
-    """Integer weight per basis vector, in basis order."""
+    """Integer weight per basis vector, in basis order.
+
+    Weights must be exact ints (type int, so not bool, float or str), the
+    rule from_json_dict applies to files; anything else raises TypeError.
+    """
 
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        ws = tuple(int(w) for w in weights)
+        ws = tuple(weights)
+        for w in ws:
+            if type(w) is not int:
+                raise TypeError("a weight must be an int, got %r" % (Echo(w),))
         self.weights = ws
 
     def __eq__(self, other):
@@ -79,17 +86,13 @@ class GradationReport:
         self.maximum_length = maximum_length
         self.violations = list(violations)
 
-    def render(self, algebra=None):
+    def render(self, algebra):
         """Structured text with the occupied-interval picture."""
         lines = []
         lines.append("valid: %s" % ("yes" if self.valid else "no"))
-        if self.violations:
-            for i, j in self.violations:
-                if algebra is not None:
-                    lines.append("  violated: [%s,%s] leaves its component"
-                                 % (algebra.labels[i], algebra.labels[j]))
-                else:
-                    lines.append("  violated: product (%d,%d)" % (i, j))
+        for i, j in self.violations:
+            lines.append("  violated: [%s,%s] leaves its component"
+                         % (algebra.labels[i], algebra.labels[j]))
         if self.occupied:
             picture = " ".join(
                 "V_%d:%d" % (w, self.component_dims[w]) for w in self.occupied
@@ -111,8 +114,8 @@ class GradationReport:
 
 
 def verify_gradation(algebra, assignment):
-    """Check homogeneity of every product against the weight assignment."""
-    w = assignment.weights if isinstance(assignment, WeightAssignment) else tuple(assignment)
+    """Check homogeneity of every product against a WeightAssignment."""
+    w = assignment.weights
     if len(w) != algebra.dim:
         raise ValueError("weight assignment has %d entries, algebra dim is %d"
                          % (len(w), algebra.dim))
@@ -155,6 +158,11 @@ def _homogeneity_forms(algebra):
     return sorted(forms)
 
 
+def default_max_abs(dim):
+    """The search bound when none is given: 2 * dim, and at least 1."""
+    return max(2 * dim, 1)
+
+
 def search_diagonal_gradation(algebra, max_abs=None):
     """Exhaustive search with forward checking for a maximum-length
     gradation diagonal in the basis.
@@ -176,11 +184,12 @@ def search_diagonal_gradation(algebra, max_abs=None):
     is returned, so the result is the lexicographically least assignment of
     the first feasible interval.  Returns None when the space is exhausted;
     that is evidence restricted to diagonal gradations, not a proof that no
-    maximum-length gradation exists.
+    maximum-length gradation exists.  max_abs defaults to
+    default_max_abs(dim).
     """
     d = algebra.dim
     if max_abs is None:
-        max_abs = 2 * d
+        max_abs = default_max_abs(d)
     if max_abs < 1:
         raise ValueError("max_abs must be >= 1")
     if d == 0 or d > 2 * max_abs + 1:
@@ -256,16 +265,16 @@ def _search_interval(triggers, d, a):
 def graded_derivation_split(algebra, assignment, der_basis):
     """Split Der(L) along a valid gradation: dim of each weight component.
 
-    Matrix entry (r, c) carries weight w[r] - w[c].  The derivation identity
-    is homogeneous for a valid gradation, so every weight component of a
-    derivation is a derivation; only the der_basis input is checked.
+    assignment is a WeightAssignment; matrix entry (r, c) carries weight
+    w[r] - w[c].  The derivation identity is homogeneous for a valid
+    gradation, so every weight component of a derivation is a derivation;
+    only the der_basis input is checked.
     Returns {weight: dim W_weight} with dims summing to the dimension of
     the span of der_basis.
     """
-    w = assignment.weights if isinstance(assignment, WeightAssignment) else tuple(assignment)
-    report = verify_gradation(algebra, WeightAssignment(w))
-    if not report.valid:
+    if not verify_gradation(algebra, assignment).valid:
         raise ValueError("weight assignment is not a gradation for this algebra")
+    w = assignment.weights
     n = algebra.dim
     spans = {}
     for m in der_basis:

@@ -78,13 +78,26 @@ def test_n7_alternating_range_is_empty():
 
 
 def test_n_rejects_even_n():
-    with pytest.raises(FamilyError):
+    with pytest.raises(FamilyError, match="^family N needs odd n, got 8$"):
         build(FamilySpec("N", 8))
 
 
-def test_l1_range_enforced():
-    with pytest.raises(FamilyError):
-        build(FamilySpec("L1", 6))
+LEAST_N = [
+    ("L1", 7), ("KF4", 7), ("KF5", 7), ("NGF1", 4), ("N", 7), ("M", 5), ("M1alpha", 5),
+    ("nullfiliform-ml", 1), ("abelian", 0),
+]
+
+
+@pytest.mark.parametrize("family,least", LEAST_N, ids=[family for family, _ in LEAST_N])
+def test_family_range_enforced(family, least):
+    # the least n of N is odd, so one below it fails on the range, not the parity
+    with pytest.raises(FamilyError, match=r"^family %s needs n >= %d, got %d$" % (family, least, least - 1)):
+        build(FamilySpec(family, least - 1))
+    build(FamilySpec(family, least))
+
+
+def test_least_n_lists_every_family():
+    assert [family for family, _ in LEAST_N] == list(FAMILIES)
 
 
 def test_zero_param_catalog_is_leibniz():

@@ -495,6 +495,72 @@ def test_count_below_one_exits_2_before_any_output(argv, m7_file, capsys):
     assert captured.err.endswith("error: argument %s: must be >= 1, got %s\n" % (option, argv[-1]))
 
 
+def _malformed(tmp_path):
+    path = tmp_path / "malformed.json"
+    path.write_text("{")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("fingerprint", "{m7}", "{malformed}"),
+    ("fingerprint", "{m7}", "{bad}"),
+    ("fingerprint", "{m7}", "{m7}", "{malformed}"),
+    ("grade-search", "{m7}", "--out", "{missing}"),
+], ids=["fingerprint-malformed-second", "fingerprint-non-leibniz-second",
+        "fingerprint-three-files", "grade-search-out-missing-directory"])
+def test_exit_2_prints_nothing_on_stdout(argv, m7_file, bad_file, tmp_path, capsys):
+    # every input is read and checked, and --out written, before the first line
+    missing = tmp_path / "missing" / "w.json"
+    code, out = run_cli(*(a.format(m7=m7_file, bad=bad_file, malformed=_malformed(tmp_path),
+                                   missing=missing) for a in argv))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not missing.exists()
+
+
+def test_fingerprint_rejects_a_non_nilpotent_lie_algebra(tmp_path, capsys):
+    # [x, y] = y, [y, x] = -y is Leibniz (a Lie algebra) but not nilpotent
+    path = tmp_path / "xy.json"
+    path.write_text(json.dumps({"dim": 2, "basis": ["x", "y"], "products": [
+        {"left": "x", "right": "y", "result": [["y", "1"]]},
+        {"left": "y", "right": "x", "result": [["y", "-1"]]}]}))
+    code, out = run_cli("fingerprint", str(path))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: fingerprint expects a nilpotent algebra\n"
+
+
+def test_main_reuses_one_parser(m7_file, monkeypatch):
+    # the parser is built on the first call and reused; parsing does not change it
+    import argparse
+
+    run_cli("check", m7_file)
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli("check", m7_file) == (0, "Leibniz: OK (0 violations)\n")
+    assert run_cli("h1", m7_file) == (0, "dim H1: 11\n")
+    assert built == []
+
+
+def test_singular_matrix_error_is_a_bug(m7_file, monkeypatch):
+    # only linalg.inverse raises it, and no input reaches inverse with a
+    # singular matrix: natural_graded's lifts form a basis
+    from leibnizkit import invariants
+    from leibnizkit.linalg import SingularMatrixError
+
+    def broken(*args, **kwargs):
+        raise SingularMatrixError("matrix is singular")
+    monkeypatch.setattr(invariants, "natural_graded", broken)
+    with pytest.raises(SingularMatrixError):
+        run_cli("invariants", m7_file)
+
+
 def test_unknown_verb_exits_2():
     code, _out = run_cli("frobnicate")
     assert code == 2

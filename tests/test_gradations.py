@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -112,6 +113,20 @@ def test_search_result_always_verifies():
 def test_search_rejects_bad_max_abs():
     with pytest.raises(ValueError):
         search_diagonal_gradation(alg("M", 7), 0)
+
+
+def test_search_default_bound_on_empty_algebra():
+    # the default bound is at least 1, so dim 0 exhausts instead of raising
+    assert gradations.default_max_abs(0) == 1 and gradations.default_max_abs(8) == 16
+    assert search_diagonal_gradation(from_terms([], [])) is None
+
+
+@pytest.mark.parametrize("bad", [2.7, "1", True], ids=["float", "str", "bool"])
+def test_weight_assignment_takes_only_exact_ints(bad):
+    # the same rule as from_json_dict: no value is rounded or converted
+    with pytest.raises(TypeError, match="^a weight must be an int, got %s$" % re.escape(repr(bad))):
+        WeightAssignment([1, bad, 3])
+    assert WeightAssignment([1, -2, 3]).weights == (1, -2, 3)
 
 
 def test_search_interval_cannot_fit():
