@@ -15,7 +15,7 @@ does.
 from __future__ import annotations
 
 from .core import from_terms, leibniz_residual
-from .scalars import ONE, ZERO, as_scalar
+from .scalars import ONE, ZERO, Echo, as_scalar
 
 
 class FamilyError(ValueError):
@@ -30,8 +30,10 @@ class FamilySpec:
     def __init__(self, family, n, params=None):
         if family not in FAMILIES:
             raise FamilyError("unknown family %r; choose one of %s" % (family, ", ".join(FAMILIES)))
+        if type(n) is not int:
+            raise TypeError("a family size must be an int, got %r" % (Echo(n),))
         self.family = family
-        self.n = int(n)
+        self.n = n
         self.params = {k: as_scalar(v) for k, v in (params or {}).items()}
 
     def __repr__(self):

@@ -8,14 +8,16 @@ component of a derivation is a derivation.
 
 The derivation identity d([x,y]) = [d(x),y] + [x,d(y)] over all basis pairs
 is a homogeneous linear system in the dim^2 matrix entries; it is assembled
-sparsely and eliminated incrementally (SparseEchelon.add drops zero entries
+sparsely and eliminated incrementally (SparseEchelon drops zero entries
 and empty rows itself), which keeps the dim^3 equations cheap at the
-dimensions the catalog uses.
+dimensions the catalog uses.  Both the Der and the Inn rows are read off
+core.gaussian_table as Gaussian integers and eliminated without a Scalar;
+the bases are made Scalars only when the kernel and the RREF are read.
 """
 
 from __future__ import annotations
 
-from .core import require_leibniz, sparse_bracket
+from .core import gaussian_table, require_leibniz, sparse_bracket
 from .linalg import Matrix, SparseEchelon, sparse_vec
 from .scalars import ONE, ZERO
 
@@ -53,45 +55,50 @@ def is_derivation(algebra, m):
 
 
 def derivation_space(algebra):
-    """Solve the derivation identity for Der(L); dim = dim^2 - rank."""
+    """Solve the derivation identity for Der(L); dim = dim^2 - rank.
+
+    The equations are read off core.gaussian_table, D * gamma as (re, im)
+    int pairs: the identity is linear in gamma, so the solutions are Der(L)'s.
+    """
     require_leibniz(algebra)
     n = algebra.dim
+    _, by_left, by_right = gaussian_table(algebra)
     ech = SparseEchelon(n * n)
     for i in range(n):
         for j in range(n):
+            # (equation k, unknown d[a][b] as a * n + b, re, im) terms:
+            # d([e_i, e_j]), where d[k][r] multiplies the e_r coordinate,
+            # then -[d e_i, e_j], where d[r][i] multiplies [e_r, e_j],
+            # then -[e_i, d e_j], where d[r][j] multiplies [e_i, e_r]
+            terms = []
+            for r, (cr, ci) in by_left[i].get(j, ()):
+                terms += [(k, k * n + r, cr, ci) for k in range(n)]
+            for r, product in by_right[j].items():
+                terms += [(k, r * n + i, -cr, -ci) for k, (cr, ci) in product]
+            for r, product in by_left[i].items():
+                terms += [(k, r * n + j, -cr, -ci) for k, (cr, ci) in product]
             rows = {}
-            for r, coeff in algebra.by_left[i].get(j, ()):
-                for k in range(n):
-                    key = k * n + r  # unknown d[k][r]
-                    row = rows.setdefault(k, {})
-                    row[key] = row.get(key, ZERO) + coeff
-            for r, terms in algebra.by_right[j].items():
-                # -[d e_i, e_j]: d[r][i] multiplies [e_r, e_j]
-                for k, coeff in terms:
-                    key = r * n + i
-                    row = rows.setdefault(k, {})
-                    row[key] = row.get(key, ZERO) - coeff
-            for r, terms in algebra.by_left[i].items():
-                # -[e_i, d e_j]: d[r][j] multiplies [e_i, e_r]
-                for k, coeff in terms:
-                    key = r * n + j
-                    row = rows.setdefault(k, {})
-                    row[key] = row.get(key, ZERO) - coeff
+            for k, key, re, im in terms:
+                row = rows.setdefault(k, {})
+                o = row.get(key)
+                row[key] = (re, im) if o is None else (o[0] + re, o[1] + im)
             for k in sorted(rows):
-                ech.add(rows[k])
+                ech.add_gaussian(rows[k])
     basis = [Matrix(n, n, vec) for vec in ech.kernel_basis()]
     return DerivationSpace(basis)
 
 
 def inner_derivation_space(algebra):
     """Echelonized span of the right operators R_{e_k}, each a derivation
-    once core.require_leibniz passes, so Inn(L) is a subspace of Der(L)."""
+    once core.require_leibniz passes, so Inn(L) is a subspace of Der(L).
+    The rows come from core.gaussian_table, so they span D * Inn = Inn."""
     require_leibniz(algebra)
     n = algebra.dim
+    _, _, by_right = gaussian_table(algebra)
     ech = SparseEchelon(n * n)
-    for column in algebra.by_right:
+    for column in by_right:
         # entry (k, r) of R_{e_i} is the e_k coordinate of [e_r, e_i]
-        ech.add({k * n + r: g for r, terms in column.items() for k, g in terms})
+        ech.add_gaussian({k * n + r: g for r, terms in column.items() for k, g in terms})
     basis = [Matrix(n, n, row) for row in ech.basis_rows()]
     return DerivationSpace(basis)
 

@@ -18,12 +18,16 @@ Algebra, and both run the one term accumulator.  The catalog builders,
 the file loader, change_of_basis, direct_sum and gr L all write terms
 through from_terms; gamma is a dense read-only view built on each read.
 
-Since the tables never change, two results are memoized on the algebra:
-leibniz_residual remembers that the residual is empty (a non-empty one is
-recomputed, so every caller gets its own list), and
-invariants.central_series keeps its immutable SeriesReport.  Equality,
-hashing and key() ignore both slots.  Concurrent use needs no locking:
-threads that race to fill a slot compute and store equal values.
+Since the tables never change, three results are memoized on the
+algebra: leibniz_residual remembers that the residual is empty (a
+non-empty one is recomputed, so every caller gets its own list),
+invariants.central_series keeps its immutable SeriesReport, and
+gaussian_table keeps D times the structure constants as (re, im) int
+pairs, D the lcm of their denominators.  The residual, the Der and Inn
+systems, the annihilators and every image chain run on that table, and
+make Scalars only of their results.  Equality, hashing and key() ignore
+all three slots.  Concurrent use needs no locking: threads that race to
+fill a slot compute and store equal values.
 """
 
 from __future__ import annotations
@@ -32,7 +36,17 @@ import json
 from types import MappingProxyType
 
 from .linalg import Matrix, as_vector, dense_vec, inverse, sparse_vec
-from .scalars import ONE, ZERO, Echo, ScalarParseError, as_scalar, parse_scalar
+from .scalars import (
+    ONE,
+    ZERO,
+    Echo,
+    ScalarParseError,
+    as_scalar,
+    common_denominator,
+    from_gaussian,
+    gaussian_parts,
+    parse_scalar,
+)
 
 
 class FormatError(ValueError):
@@ -46,7 +60,7 @@ class NotLeibnizError(ValueError):
 class Algebra:
     """Finite-dimensional algebra over Q(i) given by structure constants."""
 
-    __slots__ = ("dim", "labels", "by_left", "by_right", "_leibniz", "_series")
+    __slots__ = ("dim", "labels", "by_left", "by_right", "_leibniz", "_series", "_gaussian")
 
     def __init__(self, labels, gamma):
         """Adapter for a dense table: gamma[(i, j)] = coordinates of [e_i, e_j]."""
@@ -86,6 +100,7 @@ class Algebra:
         self.by_right = tuple(by_right)
         self._leibniz = False   # memo: the residual was found empty
         self._series = None     # memo: invariants.central_series
+        self._gaussian = None   # memo: gaussian_table
 
     @property
     def gamma(self):
@@ -190,27 +205,56 @@ def _residual(algebra):
     accumulated only from products that exist: [e_i, [e_j, e_k]] from
     gamma_jk and by_right, and [[e_i, e_j], e_k] from gamma_ij and by_left,
     where it is the second term of (i, j, k) and the third of (i, k, j).
+    The sums run on the Gaussian-integer table D * gamma; the residual is
+    quadratic in gamma, so each nonzero entry is a Scalar over D^2.
     """
+    d, by_left, by_right = gaussian_table(algebra)
     acc = {}
-    for j, row in enumerate(algebra.by_left):
+    for j, row in enumerate(by_left):
         for k, g_jk in row.items():
-            for t, c in g_jk:
-                for i, g_it in algebra.by_right[t].items():
+            for t, (cr, ci) in g_jk:
+                for i, g_it in by_right[t].items():
                     res = acc.setdefault((i, j, k), {})      # + [e_i, [e_j, e_k]]
-                    for m, w in g_it:
-                        res[m] = res.get(m, ZERO) + c * w
-    for i, row in enumerate(algebra.by_left):
+                    for m, (wr, wi) in g_it:
+                        o = res.get(m, (0, 0))
+                        res[m] = (o[0] + cr * wr - ci * wi, o[1] + cr * wi + ci * wr)
+    for i, row in enumerate(by_left):
         for j, g_ij in row.items():
-            for t, c in g_ij:
-                for k, g_tk in algebra.by_left[t].items():
+            for t, (cr, ci) in g_ij:
+                for k, g_tk in by_left[t].items():
                     minus = acc.setdefault((i, j, k), {})    # - [[e_i, e_j], e_k]
                     plus = acc.setdefault((i, k, j), {})     # + [[e_i, e_j], e_k] at (i, k, j)
-                    for m, w in g_tk:
-                        p = c * w
-                        minus[m] = minus.get(m, ZERO) - p
-                        plus[m] = plus.get(m, ZERO) + p
-    n = algebra.dim
-    return [key + (dense_vec(acc[key], n),) for key in sorted(acc) if any(acc[key].values())]
+                    for m, (wr, wi) in g_tk:
+                        pr, pi = cr * wr - ci * wi, cr * wi + ci * wr
+                        o = minus.get(m, (0, 0))
+                        minus[m] = (o[0] - pr, o[1] - pi)
+                        o = plus.get(m, (0, 0))
+                        plus[m] = (o[0] + pr, o[1] + pi)
+    n, dd = algebra.dim, d * d
+    out = []
+    for key in sorted(acc):
+        terms = {m: from_gaussian(x, y, dd) for m, (x, y) in acc[key].items() if x or y}
+        if terms:
+            out.append(key + (dense_vec(terms, n),))
+    return out
+
+
+def gaussian_table(algebra):
+    """(D, by_left, by_right): D times the structure constants, D the lcm of
+    their denominators, indexed as the algebra's by_left and by_right with
+    each coefficient an (re, im) pair of ints.  Built once and memoized.
+
+    The Der system is linear in gamma, so D * gamma has the same solutions;
+    the series and the Jordan types read images only, which scaling keeps.
+    """
+    table = algebra._gaussian
+    if table is None:
+        d = common_denominator([c for row in algebra.by_left for terms in row.values() for _, c in terms])
+        by_left = tuple({j: tuple((k, gaussian_parts(c, d)) for k, c in terms) for j, terms in row.items()}
+                        for row in algebra.by_left)
+        by_right = tuple({i: by_left[i][j] for i in column} for j, column in enumerate(algebra.by_right))
+        algebra._gaussian = table = (d, by_left, by_right)
+    return table
 
 
 def require_leibniz(algebra):

@@ -6,6 +6,9 @@ central series is the chain of the right operators R_{e_j}, and each
 characteristic-sequence candidate x gives the Jordan type of R_x from
 its sparse columns, with no dense matrix in between; a candidate's lazy
 chain stops once its ranks prove that it cannot beat the best so far.
+Both chains, and the annihilators, read their operators and equations off
+core.gaussian_table, so they run on Gaussian integers; only the series
+bases are made Scalars.
 
 fingerprint checks its input with core.require_leibniz, the guard Der and
 Inn share, and calls them through the cohomology module, which imports
@@ -18,7 +21,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import cohomology
-from .core import change_of_basis, from_terms, require_leibniz, sparse_bracket
+from .core import change_of_basis, from_terms, gaussian_table, require_leibniz
 from .linalg import (
     Matrix,
     NotNilpotentError,
@@ -29,7 +32,7 @@ from .linalg import (
     span_echelon,
     sparse_vec,
 )
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, common_denominator, gaussian_parts
 
 
 class SeriesReport(NamedTuple):
@@ -66,7 +69,8 @@ def central_series(algebra):
 def _series(algebra):
     # L^{k+1} = [L^k, L] = sum_j R_{e_j}(L^k): the image chain of the right
     # operators, whose last level is 0 or the stabilized L^k
-    levels = list(image_chain(algebra.dim, algebra.by_right))
+    _, _, by_right = gaussian_table(algebra)
+    levels = list(image_chain(algebra.dim, by_right))
     last = levels.pop()
     bases = tuple(tuple(tuple(dense_vec(row, algebra.dim)) for row in level) for level in levels)
     dims = tuple(len(level) for level in levels)
@@ -75,18 +79,21 @@ def _series(algebra):
 
 def right_annihilator(algebra):
     """Echelonized basis of R(L) = {x : [y, x] = 0 for all y}."""
-    return _annihilator(algebra, (algebra.by_left,))
+    _, by_left, _ = gaussian_table(algebra)
+    return _annihilator(algebra.dim, (by_left,))
 
 
 def center(algebra):
     """Echelonized basis of Cent(L) = {z : [x, z] = [z, x] = 0 for all x}."""
-    return _annihilator(algebra, (algebra.by_left, algebra.by_right))
+    _, by_left, by_right = gaussian_table(algebra)
+    return _annihilator(algebra.dim, (by_left, by_right))
 
 
-def _annihilator(algebra, adjacencies):
+def _annihilator(n, adjacencies):
     # one equation per (e_a, e_k): the e_k coordinate of the product of
-    # e_a with x, on the side the adjacency names, must vanish
-    ech = SparseEchelon(algebra.dim)
+    # e_a with x, on the side the adjacency names, must vanish; read off
+    # core.gaussian_table, the equations are D times these, same solutions
+    ech = SparseEchelon(n)
     for adjacency in adjacencies:
         for products in adjacency:
             rows = {}
@@ -94,7 +101,7 @@ def _annihilator(algebra, adjacencies):
                 for k, g in terms:
                     rows.setdefault(k, {})[c] = g
             for row in rows.values():
-                ech.add(row)
+                ech.add_gaussian(row)
     return ech.kernel_basis()
 
 
@@ -142,10 +149,10 @@ def characteristic_sequence(algebra, trials=20, seed=1):
 
     best = witness = None
     dims = series.dims
+    _, by_left, _ = gaussian_table(algebra)
     for x in candidates:
-        op = {c: tuple(col.items()) for c in range(n) if (col := sparse_bracket(algebra, {c: ONE}, x))}
         ranks = []
-        for k, level in enumerate(image_chain(n, (op,))):
+        for k, level in enumerate(image_chain(n, (_right_multiple(by_left, x),))):
             ranks.append(len(level))
             # the cut: r_j <= rho_j for j <= k, and min(dims[j], r_k - (j - k)) <= rho_j beyond
             if best is not None and all(r <= p for r, p in zip(ranks, rho)) and all(
@@ -157,6 +164,25 @@ def characteristic_sequence(algebra, trials=20, seed=1):
                 best, rho = parts, ranks + [0] * (len(dims) + 1 - len(ranks))  # 0 to the nilindex
                 witness = tuple(dense_vec(x, n))
     return CharSeq(best, witness)
+
+
+def _right_multiple(by_left, x):
+    """Columns {c: ((row, (re, im)), ...)} of a nonzero multiple of R_x, from
+    a Gaussian-integer table by_left and x cleared of its denominators:
+    column c is [e_c, x].  Scaling keeps every image, so the Jordan type."""
+    d = common_denominator(x.values())
+    x = [(j, gaussian_parts(v, d)) for j, v in x.items()]
+    op = {}
+    for c, row in enumerate(by_left):
+        col = {}
+        for j, (fr, fi) in x:
+            for k, (gr, gi) in row.get(j, ()):
+                o = col.get(k, (0, 0))
+                col[k] = (o[0] + fr * gr - fi * gi, o[1] + fr * gi + fi * gr)
+        terms = tuple((k, v) for k, v in col.items() if v[0] or v[1])
+        if terms:
+            op[c] = terms
+    return op
 
 
 def p_filiform_class(cs):

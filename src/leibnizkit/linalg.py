@@ -4,17 +4,31 @@ SparseEchelon is the package's one elimination: ranks, kernels, spans,
 Jordan types and the inverse all insert sparse rows into it.  It keeps the
 reduced row echelon form of the rows so far, pivoting on the lowest column
 a reduced row still has; the RREF of a span is unique, so no result
-depends on the order in which rows arrive.
+depends on the order in which rows arrive.  Its row operations run
+fraction-free on Gaussian integers, (re, im) pairs of plain ints, with
+each pivot row stored over a positive int lead (Bareiss, Math. Comp. 22,
+1968, without the determinant bookkeeping); Scalars are made only when a
+caller reads rows, a kernel or a residual.
 
 image_chain is the one descending-image loop, behind both the central
 series and every Jordan type.  It is lazy: it yields each level before it
 computes the next, so a caller that needs only the first ranks stops the
-elimination there.
+elimination there.  It hands each level's integer rows to the next.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, as_scalar
+from math import gcd, lcm
+
+from .scalars import (
+    ONE,
+    ZERO,
+    Scalar,
+    as_scalar,
+    common_denominator,
+    from_gaussian,
+    gaussian_parts,
+)
 
 
 class SingularMatrixError(ValueError):
@@ -42,7 +56,7 @@ class Matrix:
             raise ValueError("matrix shape mismatch")
         self.rows = rows
         self.cols = cols
-        self.data = [[as_scalar(v) for v in row] for row in nested]
+        self.data = [[v if type(v) is Scalar else as_scalar(v) for v in row] for row in nested]
 
     @classmethod
     def zero(cls, rows, cols=None):
@@ -158,86 +172,180 @@ def dense_vec(terms, n):
 # -- elimination ---------------------------------------------------------
 
 class SparseEchelon:
-    """Incrementally maintained reduced row echelon form over Q(i).
+    """Incrementally maintained reduced row echelon form over Q(i), kept
+    fraction-free on Gaussian integers.
 
-    Rows are sparse {column: Scalar} dicts; add() drops zero entries and
-    ignores a row that reduces to nothing, so callers need not filter.
-    Pivot rows keep a leading 1 and no entry in any other pivot column, so
-    reduce() is a one-pass membership test and kernel_basis() reads
-    straight off the free columns.
+    Rows go in as sparse {column: Scalar} dicts (add) or as sparse
+    {column: (re, im)} dicts of ints (add_gaussian); zero entries are
+    dropped and a row that reduces to nothing is ignored, so callers need
+    not filter.  Each pivot row is stored as a positive multiple of its
+    RREF row: (re, im) int pairs with no common factor, over a positive
+    int lead, which fixes it uniquely.  So no row operation makes a Scalar
+    or takes a gcd per entry.  A column index maps each non-pivot column
+    to the pivot rows that hold it: add back-substitutes only into those
+    rows, and kernel_basis reads them off.  pivot_rows, basis_rows,
+    kernel_basis and reduce give exact Scalars, built when read; iterating
+    an echelon gives its sparse RREF rows in pivot order, and len() is its
+    rank.
     """
+
+    __slots__ = ("ncols", "_rows", "_index")
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.pivot_rows = {}  # pivot column -> reduced row dict
+        self._rows = {}   # pivot column -> {column: (re, im)}, lead entry (l, 0) with l > 0
+        self._index = {}  # non-pivot column -> set of the pivot columns whose rows hold it
 
     @property
     def rank(self):
-        return len(self.pivot_rows)
+        return len(self._rows)
 
-    def reduce(self, row):
-        """Return the residual of row after eliminating all pivot columns:
-        a pivot row has no other pivot column, so one pass over the pivots
-        the row hits suffices."""
-        out = {c: v for c, v in row.items() if v}
-        for c in [c for c in out if c in self.pivot_rows]:
-            f = out.pop(c)
-            for pc, pv in self.pivot_rows[c].items():
-                if pc == c:
-                    continue
-                nv = out.get(pc, ZERO) - f * pv
-                if nv:
-                    out[pc] = nv
-                else:
-                    out.pop(pc, None)
-        return out
+    def __len__(self):
+        return len(self._rows)
 
-    def add(self, row):
-        """Insert a row; returns True when it enlarged the span."""
-        res = self.reduce(row)
+    def __iter__(self):
+        rows = self._rows
+        for pc in sorted(rows):
+            row = rows[pc]
+            lead = row[pc][0]
+            yield {c: from_gaussian(x, y, lead) for c, (x, y) in row.items()}
+
+    @property
+    def pivot_rows(self):
+        """{pivot column: sparse RREF row of Scalars}, built on each read."""
+        return dict(zip(sorted(self._rows), self))
+
+    def _reduce(self, row):
+        """(m, m * row minus multiples of pivot rows) for a Gaussian-integer
+        row: its residual times m, the least m > 0 that keeps every step in
+        Z[i].  A pivot row has no other pivot column, so the row's entries
+        in the pivot columns it hits fix every multiplier up front."""
+        rows = self._rows
+        out = {c: v for c, v in row.items() if v[0] or v[1]}
+        hits = [c for c in out if c in rows]
+        m = 1
+        for c in hits:
+            lead = rows[c][c][0]
+            if lead != 1:
+                fr, fi = out[c]
+                m = lcm(m, lead // gcd(lead, fr, fi))
+        if m != 1:
+            out = {c: (x * m, y * m) for c, (x, y) in out.items()}
+        for c in hits:
+            prow = rows[c]
+            fr, fi = out[c]
+            lead = prow[c][0]
+            if lead != 1:
+                fr, fi = fr // lead, fi // lead
+            _subtract_multiple(out, fr, fi, prow)
+        return m, out
+
+    def add_gaussian(self, row):
+        """Insert a row of (re, im) int pairs; True when it enlarged the span."""
+        res = self._reduce(row)[1]
         if not res:
             return False
         lead = min(res)
-        inv = ONE / res[lead]
-        new_row = {c: inv * v for c, v in res.items()}
-        new_row[lead] = ONE
-        for prow in self.pivot_rows.values():
-            f = prow.get(lead)
-            if f is None:
-                continue
-            del prow[lead]
-            for c, v in new_row.items():
-                if c == lead:
-                    continue
-                nv = prow.get(c, ZERO) - f * v
-                if nv:
-                    prow[c] = nv
-                else:
-                    prow.pop(c, None)
-        self.pivot_rows[lead] = new_row
+        a, b = res[lead]
+        if b or a < 0:
+            # times the conjugate of the lead, which becomes a^2 + b^2 > 0
+            res = {c: (x * a + y * b, y * a - x * b) for c, (x, y) in res.items()}
+        res = _primitive(res, lead)
+        rows, index = self._rows, self._index
+        for c in res:
+            if c != lead:
+                index.setdefault(c, set()).add(lead)
+        top = res[lead][0]
+        for pc in index.pop(lead, ()):
+            # prow <- (top/g) prow - (f/g) res clears prow's entry f at lead
+            prow = rows[pc]
+            fr, fi = prow[lead]
+            if top != 1:
+                g = gcd(top, fr, fi)
+                fr, fi, s = fr // g, fi // g, top // g
+                if s != 1:
+                    prow = rows[pc] = {c: (x * s, y * s) for c, (x, y) in prow.items()}
+            _subtract_multiple(prow, fr, fi, res)
+            for c in res:
+                if c in prow:
+                    index[c].add(pc)
+                elif c != lead:
+                    index[c].discard(pc)
+            if prow[pc][0] != 1:
+                rows[pc] = _primitive(prow, pc)
+        rows[lead] = res
         return True
 
+    def add(self, row):
+        """Insert a row of Scalars; True when it enlarged the span."""
+        return self.add_gaussian(_gaussian_row(row)[1])
+
+    def reduce(self, row):
+        """The residual of a row of Scalars after eliminating every pivot
+        column: the row minus its RREF combination, as a sparse dict."""
+        d, row = _gaussian_row(row)
+        m, out = self._reduce(row)
+        d *= m
+        return {c: from_gaussian(x, y, d) for c, (x, y) in out.items()}
+
     def contains(self, row):
-        return not self.reduce(row)
+        return not self._reduce(_gaussian_row(row)[1])[1]
 
     def basis_rows(self):
         """Dense RREF rows, sorted by pivot column."""
-        return [dense_vec(self.pivot_rows[pc], self.ncols) for pc in sorted(self.pivot_rows)]
+        return [dense_vec(row, self.ncols) for row in self]
 
     def kernel_basis(self):
         """One kernel vector per free column, in column order."""
+        rows, index = self._rows, self._index
         vecs = []
         for f in range(self.ncols):
-            if f in self.pivot_rows:
+            if f in rows:
                 continue
             v = [ZERO] * self.ncols
             v[f] = ONE
-            for pc, prow in self.pivot_rows.items():
-                w = prow.get(f)
-                if w is not None:
-                    v[pc] = -w
+            for pc in index.get(f, ()):
+                x, y = rows[pc][f]
+                v[pc] = from_gaussian(-x, -y, rows[pc][pc][0])
             vecs.append(v)
         return vecs
+
+
+def _gaussian_row(row):
+    """(d, d * row as (re, im) int pairs) for a sparse row of Scalars, d the
+    lcm of its denominators; zero entries are dropped."""
+    row = {c: v for c, v in row.items() if v}
+    d = common_denominator(row.values())
+    return d, {c: gaussian_parts(v, d) for c, v in row.items()}
+
+
+def _subtract_multiple(out, fr, fi, row):
+    """out -= (fr + fi*i) * row in place, dropping the entries that cancel."""
+    get = out.get
+    for c, (x, y) in row.items():
+        pr, pi = fr * x - fi * y, fr * y + fi * x
+        o = get(c)
+        if o is None:
+            out[c] = (-pr, -pi)
+        else:
+            nr, ni = o[0] - pr, o[1] - pi
+            if nr or ni:
+                out[c] = (nr, ni)
+            else:
+                del out[c]
+
+
+def _primitive(row, lead):
+    """row divided by the gcd of all its parts; a lead entry (1, 0) at
+    column lead settles it at once."""
+    g = row[lead][0]
+    if g == 1:
+        return row
+    for x, y in row.values():
+        g = gcd(g, x, y)
+        if g == 1:
+            return row
+    return {c: (x // g, y // g) for c, (x, y) in row.items()}
 
 
 def span_echelon(vectors, ncols):
@@ -268,34 +376,54 @@ def inverse(m):
         raise SingularMatrixError("only square matrices can be inverted")
     n = m.rows
     ech = span_echelon([row + basis_vec(n, r) for r, row in enumerate(m.data)], 2 * n)
-    if any(c not in ech.pivot_rows for c in range(n)):
+    if any(c not in ech._rows for c in range(n)):
         raise SingularMatrixError("matrix is singular")
     return Matrix(n, n, [row[n:] for row in ech.basis_rows()])
 
 
 def image_chain(n, operators):
-    """Levels V_0 = Q(i)^n, V_{k+1} = sum_T T(V_k), each as its sparse RREF
-    rows in pivot order and yielded before the next is computed, ending with
-    the first level of rank 0 or of the rank before it.  An operator maps a
-    column to the terms of its image, {column: ((row, entry), ...)}, the
-    form of Algebra.by_right[j].
+    """Levels V_0 = Q(i)^n, V_{k+1} = sum_T T(V_k), each a SparseEchelon
+    yielded before the next is computed, ending with the first level of
+    rank 0 or of the rank before it.  An operator maps a column to the terms
+    of its image, {column: ((row, entry), ...)}, the form of
+    Algebra.by_right[j]; its entries are all Scalars or all (re, im) int
+    pairs.  Scaling an operator leaves every T(V) unchanged, so a Scalar
+    operator is cleared of its denominators once, and each level is formed
+    from the Gaussian-integer pivot rows of the last: no Scalar is made
+    until a caller reads a level's rows.
     """
-    level = [{c: ONE} for c in range(n)]
+    operators = [_gaussian_operator(op) for op in operators]
+    level = SparseEchelon(n)
+    level._rows = {c: {c: (1, 0)} for c in range(n)}
     yield level
     while True:
         ech = SparseEchelon(n)
-        for v in level:
+        add = ech.add_gaussian
+        for v in level._rows.values():
             for op in operators:
                 w = {}
-                for c, a in v.items():
-                    for r, b in op.get(c, ()):
-                        w[r] = w.get(r, ZERO) + a * b
-                ech.add(w)
+                get = w.get
+                for c, (ar, ai) in v.items():
+                    for r, (br, bi) in op.get(c, ()):
+                        pr, pi = ar * br - ai * bi, ar * bi + ai * br
+                        o = get(r)
+                        w[r] = (pr, pi) if o is None else (o[0] + pr, o[1] + pi)
+                if w:
+                    add(w)
         before = len(level)
-        level = [ech.pivot_rows[c] for c in sorted(ech.pivot_rows)]
+        level = ech
         yield level
         if not level or len(level) == before:
             return
+
+
+def _gaussian_operator(op):
+    """op with (re, im) int entries: a Scalar operator times the lcm of its denominators."""
+    entries = [b for terms in op.values() for _, b in terms]
+    if not entries or not isinstance(entries[0], Scalar):
+        return op
+    d = common_denominator(entries)
+    return {c: tuple((r, gaussian_parts(b, d)) for r, b in terms) for c, terms in op.items()}
 
 
 def partition_of_ranks(ranks):

@@ -1,7 +1,11 @@
 """Exact scalars: Gaussian rationals (a + b*i)/d on plain Python ints.
 
-Every quantity in the package (structure constants, matrix entries,
+Every quantity the package hands out (structure constants, matrix entries,
 certificate maps) is a Scalar, so rank and dimension counts are exact.
+The hot loops of the elimination, the residual and the Der system run
+fraction-free on Gaussian integers, (re, im) pairs of plain ints:
+common_denominator and gaussian_parts clear the denominators of some
+Scalars, and from_gaussian makes a Scalar of a result.
 A Scalar holds three ints in canonical form, d > 0 and gcd(a, b, d) == 1,
 so equal values have equal fields; re and im are derived Fractions.
 The text grammar accepted by parse_scalar is the interchange format used
@@ -174,6 +178,21 @@ class Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
+
+
+def common_denominator(values):
+    """The lcm of the denominators of some Scalars; 1 for none."""
+    return lcm(*[v.d for v in values])
+
+
+def gaussian_parts(value, d):
+    """d * value as an (re, im) pair of ints; d must be a multiple of value's denominator."""
+    k = d // value.d
+    return value.a * k, value.b * k
+
+
+# from_gaussian(re, im, d): the Scalar (re + im*i)/d of ints re, im and d > 0
+from_gaussian = _reduced
 
 
 def as_scalar(value):

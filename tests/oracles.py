@@ -10,6 +10,9 @@ integer representation inside Scalar.  oracle_diagonal_gradation is the
 plain backtracking gradation search, without forward checking.
 oracle_characteristic_sequence is the characteristic-sequence loop without
 the dominance cut: it runs jordan_type to the end on every candidate.
+OracleEchelon is the incremental RREF on Scalars, with a leading 1 per
+pivot row and a scan of every pivot row on back-substitution: the engine
+that linalg.SparseEchelon's fraction-free Gaussian-integer rows replace.
 """
 
 import random
@@ -335,3 +338,83 @@ def oracle_characteristic_sequence(algebra, trials=20, seed=1):
             best = parts
             witness = tuple(dense_vec(x, n))
     return CharSeq(best, witness)
+
+
+class OracleEchelon:
+    """Incrementally maintained reduced row echelon form over Q(i), on Scalars.
+
+    Rows are sparse {column: Scalar} dicts; add() drops zero entries and
+    ignores a row that reduces to nothing.  Pivot rows keep a leading 1 and
+    no entry in any other pivot column, so reduce() is a one-pass
+    membership test and kernel_basis() reads straight off the free columns.
+    """
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.pivot_rows = {}  # pivot column -> reduced row dict
+
+    @property
+    def rank(self):
+        return len(self.pivot_rows)
+
+    def reduce(self, row):
+        """The residual of row after eliminating all pivot columns."""
+        out = {c: v for c, v in row.items() if v}
+        for c in [c for c in out if c in self.pivot_rows]:
+            f = out.pop(c)
+            for pc, pv in self.pivot_rows[c].items():
+                if pc == c:
+                    continue
+                nv = out.get(pc, ZERO) - f * pv
+                if nv:
+                    out[pc] = nv
+                else:
+                    out.pop(pc, None)
+        return out
+
+    def add(self, row):
+        """Insert a row; returns True when it enlarged the span."""
+        res = self.reduce(row)
+        if not res:
+            return False
+        lead = min(res)
+        inv = ONE / res[lead]
+        new_row = {c: inv * v for c, v in res.items()}
+        new_row[lead] = ONE
+        for prow in self.pivot_rows.values():
+            f = prow.get(lead)
+            if f is None:
+                continue
+            del prow[lead]
+            for c, v in new_row.items():
+                if c == lead:
+                    continue
+                nv = prow.get(c, ZERO) - f * v
+                if nv:
+                    prow[c] = nv
+                else:
+                    prow.pop(c, None)
+        self.pivot_rows[lead] = new_row
+        return True
+
+    def contains(self, row):
+        return not self.reduce(row)
+
+    def basis_rows(self):
+        """Dense RREF rows, sorted by pivot column."""
+        return [dense_vec(self.pivot_rows[pc], self.ncols) for pc in sorted(self.pivot_rows)]
+
+    def kernel_basis(self):
+        """One kernel vector per free column, in column order."""
+        vecs = []
+        for f in range(self.ncols):
+            if f in self.pivot_rows:
+                continue
+            v = [ZERO] * self.ncols
+            v[f] = ONE
+            for pc, prow in self.pivot_rows.items():
+                w = prow.get(f)
+                if w is not None:
+                    v[pc] = -w
+            vecs.append(v)
+        return vecs

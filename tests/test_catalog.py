@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import DATA, alg, zero_vec
@@ -149,6 +151,14 @@ def test_unknown_param_rejected():
 def test_unknown_family_rejected():
     with pytest.raises(FamilyError):
         FamilySpec("X9", 7)
+
+
+@pytest.mark.parametrize("bad", [7.9, "7", True], ids=["float", "str", "bool"])
+def test_family_size_takes_only_exact_ints(bad):
+    # the rule WeightAssignment follows: no size is rounded or converted
+    with pytest.raises(TypeError, match="^a family size must be an int, got %s$" % re.escape(repr(bad))):
+        FamilySpec("M", bad)
+    assert FamilySpec("M", 7).n == 7
 
 
 def test_param_names_kf_ranges():

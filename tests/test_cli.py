@@ -11,7 +11,7 @@ from leibnizkit import core, gradations
 from leibnizkit.cli import console_main, main
 from leibnizkit.core import change_of_basis
 from leibnizkit.linalg import Matrix
-from leibnizkit.scalars import Scalar
+from leibnizkit.scalars import Scalar, parse_scalar
 
 
 def run_cli(*argv):
@@ -116,6 +116,29 @@ def test_der_dump_dense_basis_matches_golden(tmp_path):
     code, out = run_cli("der", str(path), "--dump")
     assert code == 0
     assert out == _golden("n7_moved_der_dump.txt")
+
+
+def _mutated_moved_n7(path):
+    """Moved N(7) with [e1, e2] gaining (1/2+2/3i) e0 + (-3/5+1/7i) e2: its
+    residual has Gaussian-rational entries, squares of a constant among them."""
+    move = Matrix(8, 8, [[Scalar(v) for v in row] for row in N7_MOVE])
+    moved = change_of_basis(alg("N", 7), move)
+    terms = [(i, j, k, c) for i, j, product in moved.products() for k, c in product]
+    terms += [(1, 2, 0, parse_scalar("1/2+2/3i")), (1, 2, 2, parse_scalar("-3/5+1/7i"))]
+    core.save(core.from_terms(moved.labels, terms), path)
+    return str(path)
+
+
+def test_check_dense_nonzero_residual_matches_golden(tmp_path):
+    code, out = run_cli("check", _mutated_moved_n7(tmp_path / "bad.json"))
+    assert code == 1
+    assert out == _golden("n7_moved_mutated_check.txt")
+
+
+def test_der_dense_nonzero_residual_names_the_operator(tmp_path, capsys):
+    code, out = run_cli("der", _mutated_moved_n7(tmp_path / "bad.json"))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: R_e0 is not a derivation; the algebra is not Leibniz\n"
 
 
 def test_invariants_dense_basis_matches_golden(tmp_path):

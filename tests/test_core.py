@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from leibnizkit.core import (
     direct_sum,
     dumps,
     from_terms,
+    gaussian_table,
     leibniz_residual,
     loads,
     right_operator,
@@ -135,6 +137,35 @@ def test_residual_matches_oracle_exactly():
         res = leibniz_residual(a)
         assert res
         assert res == oracle_residual(a)
+
+
+def _dense_rational_move(rng, n):
+    """An invertible n x n matrix of Gaussian rationals, every entry nonzero."""
+    while True:
+        p = Matrix(n, n, [[Scalar(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)),
+                                  Fraction(rng.randint(-1, 1), rng.randint(1, 2)))
+                           for _ in range(n)] for _ in range(n)])
+        if span_echelon(p.data, n).rank == n:
+            return p
+
+
+def test_integer_residual_matches_oracle_on_dense_conjugates():
+    # the residual runs on D * gamma and divides by D^2: on Leibniz algebras
+    # moved to dense Gaussian-rational bases it must stay empty, and on the
+    # same tables with one product changed it must equal the oracle entry
+    # for entry
+    rng = random.Random(23)
+    for family, n, params in [("M", 5, {}), ("M1alpha", 5, {"alpha": Scalar(3, 1)}), ("NGF1", 5, {}),
+                              ("L1", 7, {}), ("N", 7, {})]:
+        base = alg(family, n, **params)
+        a = change_of_basis(base, _dense_rational_move(rng, base.dim))
+        assert gaussian_table(a)[0] > 1   # the move brings denominators
+        assert leibniz_residual(a) == [] == oracle_residual(a)
+        terms = [(i, j, k, c) for i, j, product in a.products() for k, c in product]
+        i, j, k = (rng.randrange(a.dim) for _ in range(3))
+        bad = from_terms(a.labels, terms + [(i, j, k, Scalar(Fraction(1, 7), Fraction(-2, 5)))])
+        res = leibniz_residual(bad)
+        assert res and res == oracle_residual(bad)
 
 
 def test_right_operator_of_top_vector_is_zero():

@@ -41,7 +41,7 @@ def _contains(vectors, dim, target):
 
 def test_series_abelian():
     a = alg("abelian", 3)
-    assert list(image_chain(3, a.by_right)) == [[{0: ONE}, {1: ONE}, {2: ONE}], []]
+    assert [list(level) for level in image_chain(3, a.by_right)] == [[{0: ONE}, {1: ONE}, {2: ONE}], []]
     s = central_series(a)
     assert s.dims == (3,)
     assert s.nilindex == 1

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from conftest import alg, random_invertible
-from oracles import oracle_matrix_rank, oracle_partition, oracle_rank
+from oracles import OracleEchelon, oracle_matrix_rank, oracle_partition, oracle_rank
 
 from leibnizkit.core import right_operator
 from leibnizkit.linalg import (
@@ -95,15 +97,15 @@ def test_partition_rejects_non_nilpotent():
 def test_partition_of_the_empty_matrix():
     assert nilpotent_partition(Matrix.zero(0, 0)) == ()
     assert jordan_type([]) == ()
-    assert list(image_chain(0, ())) == [[], []]
+    assert [list(level) for level in image_chain(0, ())] == [[], []]
 
 
 def test_image_chain_of_one_jordan_block():
     # e0 -> e1 -> e2 -> 0: each image drops the leading unit vector
     block = {0: ((1, ONE),), 1: ((2, ONE),)}
-    assert list(image_chain(3, (block,))) == [
+    assert [list(level) for level in image_chain(3, (block,))] == [
         [{0: ONE}, {1: ONE}, {2: ONE}], [{1: ONE}, {2: ONE}], [{2: ONE}], []]
-    assert list(image_chain(3, ())) == [[{0: ONE}, {1: ONE}, {2: ONE}], []]
+    assert [list(level) for level in image_chain(3, ())] == [[{0: ONE}, {1: ONE}, {2: ONE}], []]
     assert jordan_type([{1: ONE}, {2: ONE}, {}]) == (3,)
 
 
@@ -181,6 +183,81 @@ def test_echelon_rref_invariant_randomized():
             for row in shuffled:
                 other.add(row)
             assert other.basis_rows() == basis
+
+
+def _gaussian_rational(rng):
+    """A random Q(i) value with small denominators: zero about a fifth of the time."""
+    if rng.random() < 0.2:
+        return ZERO
+    return Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                  Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < 0.6 else 0)
+
+
+def _rational_rows(rng, ncols, nrows):
+    """Sparse Gaussian-rational rows, a third of them combinations of earlier ones."""
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and rng.random() < 0.35:
+            a, b = rng.sample(rows, 2)
+            s, t = _gaussian_rational(rng), _gaussian_rational(rng)
+            rows.append({c: s * a.get(c, ZERO) + t * b.get(c, ZERO) for c in range(ncols)})
+        else:
+            rows.append({c: _gaussian_rational(rng) for c in rng.sample(range(ncols), rng.randint(0, ncols))})
+    return rows
+
+
+def test_echelon_matches_the_scalar_oracle_engine():
+    # the fraction-free Gaussian-integer engine against the plain Scalar
+    # RREF it replaced: the same rank, rows, kernel, residuals and membership
+    rng = random.Random(2026)
+    for _ in range(120):
+        ncols = rng.randint(1, 12)
+        rows = _rational_rows(rng, ncols, rng.randint(1, 14))
+        ech, oracle = SparseEchelon(ncols), OracleEchelon(ncols)
+        for row in rows:
+            assert ech.add(row) == oracle.add(row)
+        assert ech.rank == oracle.rank == len(ech)
+        for pc, row in ech._rows.items():
+            # the stored form: a positive int lead and no common factor
+            assert min(row) == pc and row[pc][0] > 0 and row[pc][1] == 0
+            assert gcd(*[t for v in row.values() for t in v]) == 1
+        assert ech.pivot_rows == oracle.pivot_rows
+        assert ech.basis_rows() == oracle.basis_rows()
+        assert [dict(r) for r in ech] == [oracle.pivot_rows[pc] for pc in sorted(oracle.pivot_rows)]
+        assert ech.kernel_basis() == oracle.kernel_basis()
+        for probe in _rational_rows(rng, ncols, 6) + rows:
+            assert ech.reduce(probe) == oracle.reduce(probe)
+            assert ech.contains(probe) == oracle.contains(probe)
+
+
+def test_echelon_takes_gaussian_integer_rows():
+    # add_gaussian(d * row as int pairs) spans what add(row) spans
+    rng = random.Random(8)
+    for _ in range(40):
+        ncols = rng.randint(1, 9)
+        rows = _rational_rows(rng, ncols, rng.randint(1, 10))
+        ech, scaled = SparseEchelon(ncols), SparseEchelon(ncols)
+        for row in rows:
+            d = rng.choice((1, 2, 6)) * lcm(*[v.d for v in row.values()])
+            pairs = {c: (v.a * d // v.d, v.b * d // v.d) for c, v in row.items()}
+            assert scaled.add_gaussian(pairs) == ech.add(row)
+        assert scaled.basis_rows() == ech.basis_rows()
+
+
+def test_inverse_round_trip_on_dense_rational_matrices():
+    rng = random.Random(31)
+    for trial in range(30):
+        n = rng.randint(1, 6)
+        # odd trials Gaussian rationals, even trials plain rationals
+        entry = (lambda: _gaussian_rational(rng)) if trial % 2 else (
+            lambda: Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+        while True:
+            m = Matrix(n, n, [[entry() for _ in range(n)] for _ in range(n)])
+            if oracle_matrix_rank(m) == n:
+                break
+        inv = inverse(m)
+        assert m * inv == Matrix.identity(n) == inv * m
+        assert inverse(inv) == m
 
 
 def test_inverse_round_trip():

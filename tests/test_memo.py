@@ -1,11 +1,12 @@
-"""The two results memoized on an Algebra: an empty Leibniz residual and the
-central series.  Each is computed once per algebra, a non-empty residual is
-recomputed on every call, and the memo never leaks into equality, hashing
-or what a caller can modify."""
+"""The three results memoized on an Algebra: an empty Leibniz residual, the
+central series and the Gaussian-integer table.  Each is computed once per
+algebra, a non-empty residual is recomputed on every call, and the memo
+never leaks into equality, hashing or what a caller can modify."""
 
 import io
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from leibnizkit.catalog import FamilySpec, build
 from leibnizkit.cli import main
 from leibnizkit.core import NotLeibnizError, leibniz_residual, require_leibniz
 from leibnizkit.invariants import central_series, fingerprint
+from leibnizkit.scalars import Scalar
 
 NOT_LEIBNIZ = "R_y1 is not a derivation; the algebra is not Leibniz"
 
@@ -121,11 +123,25 @@ def test_memo_does_not_affect_equality_or_hash():
     a = fresh_m7()
     fingerprint(a)
     fresh = fresh_m7()
-    assert a._leibniz and a._series is not None
-    assert not fresh._leibniz and fresh._series is None
+    assert a._leibniz and a._series is not None and a._gaussian is not None
+    assert not fresh._leibniz and fresh._series is None and fresh._gaussian is None
     assert a == fresh and fresh == a
     assert hash(a) == hash(fresh)
     assert a.key() == fresh.key()
+
+
+def test_gaussian_table_memo_does_not_affect_equality_or_hash():
+    # M^{1,alpha} at alpha = 1/2 - i/3 has denominators, so D = 6 scales the table
+    spec = FamilySpec("M1alpha", 7, {"alpha": Scalar(Fraction(1, 2), Fraction(-1, 3))})
+    a, fresh = build(spec), build(spec)
+    before = (hash(a), a.key())
+    table = core.gaussian_table(a)
+    assert table[0] == 6 and core.gaussian_table(a) is table
+    assert a._gaussian is table and fresh._gaussian is None
+    assert a == fresh and fresh == a
+    assert hash(a) == hash(fresh) == before[0]
+    assert a.key() == fresh.key() == before[1]
+    assert all(type(c) is Scalar for _, _, terms in a.products() for _, c in terms)
 
 
 def test_threads_racing_to_fill_the_memo_agree():
