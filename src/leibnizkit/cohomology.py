@@ -18,8 +18,7 @@ the bases are made Scalars only when the kernel and the RREF are read.
 from __future__ import annotations
 
 from .core import gaussian_table, require_leibniz, sparse_bracket
-from .linalg import Matrix, SparseEchelon, sparse_vec
-from .scalars import ONE, ZERO
+from .linalg import Matrix, SparseEchelon, gaussian_combination
 
 
 class DerivationSpace:
@@ -36,20 +35,21 @@ class DerivationSpace:
 
 
 def is_derivation(algebra, m):
-    """Exact check of d([e_i,e_j]) = [d e_i, e_j] + [e_i, d e_j] on all pairs."""
+    """Exact check of d([e_i,e_j]) = [d e_i, e_j] + [e_i, d e_j] on all pairs,
+    on Gaussian integers: the table D * gamma and the columns of d_m * m scale
+    all three terms by D * d_m."""
     n = algebra.dim
-    cols = [sparse_vec(m.column(c)) for c in range(n)]
+    _, by_left, _ = gaussian_table(algebra)
+    _, cols = m.gaussian_columns()
     for i in range(n):
         for j in range(n):
-            defect = {}
-            for k, c in algebra.by_left[i].get(j, ()):
-                for r, v in cols[k].items():
-                    defect[r] = defect.get(r, ZERO) + c * v
-            for side in (sparse_bracket(algebra, cols[i], {j: ONE}),
-                         sparse_bracket(algebra, {i: ONE}, cols[j])):
-                for r, v in side.items():
-                    defect[r] = defect.get(r, ZERO) - v
-            if any(defect.values()):
+            defect = gaussian_combination(cols, dict(by_left[i].get(j, ())))
+            for side in (sparse_bracket(algebra, cols[i], {j: (1, 0)}),
+                         sparse_bracket(algebra, {i: (1, 0)}, cols[j])):
+                for r, (x, y) in side.items():
+                    o = defect.get(r, (0, 0))
+                    defect[r] = (o[0] - x, o[1] - y)
+            if any(x or y for x, y in defect.values()):
                 return False
     return True
 

@@ -24,10 +24,11 @@ non-empty one is recomputed, so every caller gets its own list),
 invariants.central_series keeps its immutable SeriesReport, and
 gaussian_table keeps D times the structure constants as (re, im) int
 pairs, D the lcm of their denominators.  The residual, the Der and Inn
-systems, the annihilators and every image chain run on that table, and
-make Scalars only of their results.  Equality, hashing and key() ignore
-all three slots.  Concurrent use needs no locking: threads that race to
-fill a slot compute and store equal values.
+systems, the annihilators, every image chain and sparse_bracket, the one
+bracket kernel, run on that table, and its callers make Scalars only of
+their results.  Equality, hashing and key() ignore all three slots.
+Concurrent use needs no locking: threads that race to fill a slot compute
+and store equal values.
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ from __future__ import annotations
 import json
 from types import MappingProxyType
 
-from .linalg import Matrix, as_vector, dense_vec, inverse, sparse_vec
+from .linalg import Matrix, as_vector, dense_vec, gaussian_combination, gaussian_row, inverse
 from .scalars import (
-    ONE,
-    ZERO,
     Echo,
     ScalarParseError,
     as_scalar,
@@ -151,37 +150,44 @@ def from_terms(labels, terms):
 # -- bracket -------------------------------------------------------------
 
 def sparse_bracket(algebra, x, y):
-    """[x, y] for x, y given as {index: coefficient} maps; same form out.
+    """D * [x, y] for x, y given as {index: (re, im)} maps of ints; same form out.
 
-    The single bracket kernel: it walks the products adjacent to the
-    smaller argument, so brackets with a basis vector touch one row or
-    column of gamma only.
+    The single bracket kernel.  It runs on the Gaussian-integer table D * gamma
+    of gaussian_table, so for x and y cleared of denominators dx and dy it
+    gives D * dx * dy times the true bracket.  It walks the products adjacent
+    to the smaller argument, so brackets with a basis vector touch one row or
+    column of the table only.
     """
+    _, by_left, by_right = gaussian_table(algebra)
+    # [e_i, e_j] is by_left[i][j] = by_right[j][i], and Z[i] is commutative
+    outer, inner, index = (x, y, by_left) if len(x) <= len(y) else (y, x, by_right)
     out = {}
-    if len(x) <= len(y):
-        for i, a in x.items():
-            for j, terms in algebra.by_left[i].items():
-                b = y.get(j)
-                if b:
-                    c = a * b
-                    for k, g in terms:
-                        out[k] = out.get(k, ZERO) + c * g
-    else:
-        for j, b in y.items():
-            for i, terms in algebra.by_right[j].items():
-                a = x.get(i)
-                if a:
-                    c = a * b
-                    for k, g in terms:
-                        out[k] = out.get(k, ZERO) + c * g
-    return {k: v for k, v in out.items() if v}
+    for i, (ar, ai) in outer.items():
+        for j, terms in index[i].items():
+            b = inner.get(j)
+            if b is not None:
+                cr, ci = ar * b[0] - ai * b[1], ar * b[1] + ai * b[0]
+                for k, (gr, gi) in terms:
+                    o = out.get(k, (0, 0))
+                    out[k] = (o[0] + cr * gr - ci * gi, o[1] + cr * gi + ci * gr)
+    return {k: v for k, v in out.items() if v[0] or v[1]}
+
+
+def _cleared(vector, n):
+    """(d, d * vector as an {index: (re, im)} map) for a dense Scalar vector."""
+    return gaussian_row(dict(enumerate(as_vector(vector, n))))
+
+
+def _scalars(terms, d):
+    """{index: Scalar} from Gaussian-integer terms over a common denominator d."""
+    return {k: from_gaussian(re, im, d) for k, (re, im) in terms.items()}
 
 
 def bracket(algebra, x, y):
     """Bilinear extension of gamma: the product [x, y]."""
-    x = as_vector(x, algebra.dim)
-    y = as_vector(y, algebra.dim)
-    return dense_vec(sparse_bracket(algebra, sparse_vec(x), sparse_vec(y)), algebra.dim)
+    (dx, x), (dy, y) = _cleared(x, algebra.dim), _cleared(y, algebra.dim)
+    d = gaussian_table(algebra)[0] * dx * dy
+    return dense_vec(_scalars(sparse_bracket(algebra, x, y), d), algebra.dim)
 
 
 def leibniz_residual(algebra):
@@ -269,41 +275,44 @@ def require_leibniz(algebra):
 
 def right_operator(algebra, x):
     """Matrix of R_x : y -> [y, x] in the algebra's basis."""
-    x = sparse_vec(as_vector(x, algebra.dim))
-    return _from_columns([sparse_bracket(algebra, {c: ONE}, x) for c in range(algebra.dim)])
+    d, x = _cleared(x, algebra.dim)
+    return _from_columns(algebra, d, [sparse_bracket(algebra, {c: (1, 0)}, x) for c in range(algebra.dim)])
 
 
 def left_operator(algebra, x):
     """Matrix of L_x : y -> [x, y] in the algebra's basis."""
-    x = sparse_vec(as_vector(x, algebra.dim))
-    return _from_columns([sparse_bracket(algebra, x, {c: ONE}) for c in range(algebra.dim)])
+    d, x = _cleared(x, algebra.dim)
+    return _from_columns(algebra, d, [sparse_bracket(algebra, x, {c: (1, 0)}) for c in range(algebra.dim)])
 
 
-def _from_columns(cols):
-    m = Matrix.zero(len(cols))
-    for c, col in enumerate(cols):
-        for k, v in col.items():
-            m.data[k][c] = v
-    return m
+def _from_columns(algebra, d, cols):
+    # cols are D * d times the operator's columns
+    d *= gaussian_table(algebra)[0]
+    return Matrix(algebra.dim, algebra.dim, [[from_gaussian(*col.get(k, (0, 0)), d) for col in cols]
+                                             for k in range(algebra.dim)])
 
 
 def change_of_basis(algebra, p):
     """Transport the algebra along an invertible matrix P.
 
     Column j of P holds the old coordinates of the new basis vector u_j;
-    the new constants satisfy [u, v]_new = P^-1 [P u, P v].
+    the new constants satisfy [u, v]_new = P^-1 [P u, P v].  P and P^-1 are
+    cleared of their denominators d_P and d_inv once each, and every
+    coefficient is formed in Gaussian integers over D * d_P^2 * d_inv.
     """
     if p.rows != algebra.dim or p.cols != algebra.dim:
         raise ValueError("change of basis matrix must be %d x %d" % (algebra.dim, algebra.dim))
-    p_inv = inverse(p)  # raises SingularMatrixError when P is singular
+    d_inv, inv_cols = inverse(p).gaussian_columns()  # SingularMatrixError when P is singular
+    d_p, cols = p.gaussian_columns()
+    d = gaussian_table(algebra)[0] * d_p * d_p * d_inv
     n = algebra.dim
-    cols = [sparse_vec(p.column(j)) for j in range(n)]
     terms = []
     for i in range(n):
         for j in range(n):
             w = sparse_bracket(algebra, cols[i], cols[j])
             if w:
-                terms.extend((i, j, k, x) for k, x in enumerate(p_inv.mul_vec(dense_vec(w, n))) if x)
+                w = _scalars(gaussian_combination(inv_cols, w), d)
+                terms.extend((i, j, k, w[k]) for k in sorted(w))
     return from_terms(algebra.labels, terms)
 
 

@@ -6,9 +6,9 @@ central series is the chain of the right operators R_{e_j}, and each
 characteristic-sequence candidate x gives the Jordan type of R_x from
 its sparse columns, with no dense matrix in between; a candidate's lazy
 chain stops once its ranks prove that it cannot beat the best so far.
-Both chains, and the annihilators, read their operators and equations off
-core.gaussian_table, so they run on Gaussian integers; only the series
-bases are made Scalars.
+Both chains and the annihilators read core.gaussian_table, and the
+candidates are drawn as Gaussian integers, so all of it runs in ints;
+only the series bases and the witness are made Scalars.
 
 fingerprint checks its input with core.require_leibniz, the guard Der and
 Inn share, and calls them through the cohomology module, which imports
@@ -30,9 +30,8 @@ from .linalg import (
     image_chain,
     partition_of_ranks,
     span_echelon,
-    sparse_vec,
 )
-from .scalars import ONE, Scalar, common_denominator, gaussian_parts
+from .scalars import from_gaussian
 
 
 class SeriesReport(NamedTuple):
@@ -136,23 +135,23 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     if n == 0:
         return CharSeq((), ())
     l2 = span_echelon(series.subspace_bases[1], n) if len(series.subspace_bases) > 1 else SparseEchelon(n)
-    outside = [i for i in range(n) if not l2.contains({i: ONE})]
+    outside = [i for i in range(n) if not l2.contains_gaussian({i: (1, 0)})]
 
-    candidates = [{i: ONE} for i in outside]  # sparse {index: coefficient} maps
-    candidates += [{a: ONE, b: ONE} for a, b in combinations(outside, 2)]
+    candidates = [{i: (1, 0)} for i in outside]  # sparse {index: (re, im)} maps of ints
+    candidates += [{a: (1, 0), b: (1, 0)} for a, b in combinations(outside, 2)]
     rng = random.Random(seed)
     wanted = len(candidates) + trials
     while len(candidates) < wanted:
-        v = sparse_vec([Scalar(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(n)])
-        if not l2.contains(v):
+        v = {c: z for c in range(n) if (z := (rng.randint(-3, 3), rng.randint(-1, 1))) != (0, 0)}
+        if not l2.contains_gaussian(v):
             candidates.append(v)
 
     best = witness = None
     dims = series.dims
-    _, by_left, _ = gaussian_table(algebra)
+    _, _, by_right = gaussian_table(algebra)
     for x in candidates:
         ranks = []
-        for k, level in enumerate(image_chain(n, (_right_multiple(by_left, x),))):
+        for k, level in enumerate(image_chain(n, (_right_multiple(by_right, x),))):
             ranks.append(len(level))
             # the cut: r_j <= rho_j for j <= k, and min(dims[j], r_k - (j - k)) <= rho_j beyond
             if best is not None and all(r <= p for r, p in zip(ranks, rho)) and all(
@@ -162,27 +161,22 @@ def characteristic_sequence(algebra, trials=20, seed=1):
             parts = partition_of_ranks(ranks)
             if best is None or parts > best:
                 best, rho = parts, ranks + [0] * (len(dims) + 1 - len(ranks))  # 0 to the nilindex
-                witness = tuple(dense_vec(x, n))
+                witness = tuple(dense_vec({c: from_gaussian(re, im, 1) for c, (re, im) in x.items()}, n))
     return CharSeq(best, witness)
 
 
-def _right_multiple(by_left, x):
-    """Columns {c: ((row, (re, im)), ...)} of a nonzero multiple of R_x, from
-    a Gaussian-integer table by_left and x cleared of its denominators:
-    column c is [e_c, x].  Scaling keeps every image, so the Jordan type."""
-    d = common_denominator(x.values())
-    x = [(j, gaussian_parts(v, d)) for j, v in x.items()]
+def _right_multiple(by_right, x):
+    """Columns {c: ((row, (re, im)), ...)} of D * R_x = sum_j x_j D * R_{e_j},
+    x an {index: (re, im)} map of ints, in O(nnz) from the Gaussian-integer
+    table by_right: column c is D * [e_c, x].  Scaling keeps the Jordan type."""
     op = {}
-    for c, row in enumerate(by_left):
-        col = {}
-        for j, (fr, fi) in x:
-            for k, (gr, gi) in row.get(j, ()):
+    for j, (xr, xi) in x.items():
+        for c, terms in by_right[j].items():
+            col = op.setdefault(c, {})
+            for k, (gr, gi) in terms:
                 o = col.get(k, (0, 0))
-                col[k] = (o[0] + fr * gr - fi * gi, o[1] + fr * gi + fi * gr)
-        terms = tuple((k, v) for k, v in col.items() if v[0] or v[1])
-        if terms:
-            op[c] = terms
-    return op
+                col[k] = (o[0] + xr * gr - xi * gi, o[1] + xr * gi + xi * gr)
+    return {c: tuple((k, v) for k, v in col.items() if v[0] or v[1]) for c, col in op.items()}
 
 
 def p_filiform_class(cs):

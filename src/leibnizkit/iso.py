@@ -1,16 +1,17 @@
 """Certificate-based isomorphism verification and fingerprint screening.
 
 verify_certificate is sound and complete for a given linear map; it never
-searches.  compare_fingerprints is sound for non-isomorphism only: a
-distinguished field proves the algebras are not isomorphic, while
-"inconclusive" proves nothing.
+searches, and it stays independent of core.change_of_basis.
+compare_fingerprints is sound for non-isomorphism only: a distinguished
+field proves the algebras are not isomorphic, while "inconclusive" proves
+nothing.
 """
 
 from __future__ import annotations
 
-from .core import FormatError, decode_json, from_json_dict, read_text, sparse_bracket
+from .core import FormatError, decode_json, from_json_dict, gaussian_table, read_text, sparse_bracket
 from .invariants import Fingerprint, fingerprint
-from .linalg import Matrix, dense_vec, span_echelon, sparse_vec
+from .linalg import Matrix, gaussian_combination, span_echelon
 from .scalars import ScalarParseError, parse_scalar
 
 
@@ -49,17 +50,25 @@ class CertificateReport:
 
 
 def verify_certificate(cert):
-    """Accept iff the map is invertible and transports every basis product."""
+    """Accept iff the map is invertible and transports every basis product.
+
+    P gamma_a(i, j) = [P e_i, P e_j]_b is checked through the bracket kernel on
+    Gaussian integers, both sides times d_P^2 D_a D_b: (d_P P)(D_a gamma_a(i, j))
+    D_b d_P against [d_P P e_i, d_P P e_j] on D_b gamma_b, times D_a.
+    """
     a, b, p = cert.source, cert.target, cert.map
     n = a.dim
     if span_echelon(p.data, n).rank != n:
         return CertificateReport(False, "singular map")
-    cols = [sparse_vec(p.column(j)) for j in range(n)]
+    d_p, cols = p.gaussian_columns()
+    d_a, by_left, _ = gaussian_table(a)
+    scale = gaussian_table(b)[0] * d_p
+    lhs_cols = [{r: (x * scale, y * scale) for r, (x, y) in col.items()} for col in cols]
+    rhs_cols = [{r: (x * d_a, y * d_a) for r, (x, y) in col.items()} for col in cols]
     for i in range(n):
         for j in range(n):
-            lhs = p.mul_vec(dense_vec(dict(a.by_left[i].get(j, ())), n))
-            rhs = dense_vec(sparse_bracket(b, cols[i], cols[j]), n)
-            if any(x - y for x, y in zip(lhs, rhs)):
+            if gaussian_combination(lhs_cols, dict(by_left[i].get(j, ()))) != \
+                    sparse_bracket(b, rhs_cols[i], cols[j]):
                 reason = "bracket mismatch at (%s, %s)" % (a.labels[i], a.labels[j])
                 return CertificateReport(False, reason, pair=(i, j))
     return CertificateReport(True)
@@ -97,9 +106,9 @@ def certificate_from_json_dict(doc, where="<certificate>"):
 
 
 def matrix_from_json(rows, where="<map>"):
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise FormatError("%s: expected a non-empty list of rows" % where)
-    width = len(rows[0])
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise FormatError("%s: expected a list of rows" % where)
+    width = len(rows[0]) if rows else 0   # [] is the 0 x 0 map
     parsed = []
     for rno, row in enumerate(rows):
         if len(row) != width:

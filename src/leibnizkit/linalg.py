@@ -8,7 +8,8 @@ depends on the order in which rows arrive.  Its row operations run
 fraction-free on Gaussian integers, (re, im) pairs of plain ints, with
 each pivot row stored over a positive int lead (Bareiss, Math. Comp. 22,
 1968, without the determinant bookkeeping); Scalars are made only when a
-caller reads rows, a kernel or a residual.
+caller reads rows, a kernel or a residual.  The transport and the
+certificate check apply maps in ints: gaussian_columns, gaussian_combination.
 
 image_chain is the one descending-image loop, behind both the central
 series and every Jordan type.  It is lazy: it yields each level before it
@@ -135,6 +136,13 @@ class Matrix:
 
     def flat(self):
         return [v for row in self.data for v in row]
+
+    def gaussian_columns(self):
+        """(d, columns): d the lcm of the denominators, and column c of d times
+        the matrix as a {row: (re, im)} map of ints, zeros dropped."""
+        d = common_denominator(self.flat())
+        return d, [{r: gaussian_parts(row[c], d) for r, row in enumerate(self.data) if row[c]}
+                   for c in range(self.cols)]
 
     def __repr__(self):
         body = "; ".join(" ".join(v.render() for v in row) for row in self.data)
@@ -278,18 +286,22 @@ class SparseEchelon:
 
     def add(self, row):
         """Insert a row of Scalars; True when it enlarged the span."""
-        return self.add_gaussian(_gaussian_row(row)[1])
+        return self.add_gaussian(gaussian_row(row)[1])
 
     def reduce(self, row):
         """The residual of a row of Scalars after eliminating every pivot
         column: the row minus its RREF combination, as a sparse dict."""
-        d, row = _gaussian_row(row)
+        d, row = gaussian_row(row)
         m, out = self._reduce(row)
         d *= m
         return {c: from_gaussian(x, y, d) for c, (x, y) in out.items()}
 
     def contains(self, row):
-        return not self._reduce(_gaussian_row(row)[1])[1]
+        return self.contains_gaussian(gaussian_row(row)[1])
+
+    def contains_gaussian(self, row):
+        """Whether a row of (re, im) int pairs lies in the span."""
+        return not self._reduce(row)[1]
 
     def basis_rows(self):
         """Dense RREF rows, sorted by pivot column."""
@@ -311,12 +323,26 @@ class SparseEchelon:
         return vecs
 
 
-def _gaussian_row(row):
+def gaussian_row(row):
     """(d, d * row as (re, im) int pairs) for a sparse row of Scalars, d the
     lcm of its denominators; zero entries are dropped."""
     row = {c: v for c, v in row.items() if v}
     d = common_denominator(row.values())
     return d, {c: gaussian_parts(v, d) for c, v in row.items()}
+
+
+def gaussian_combination(columns, coefficients):
+    """sum_c coefficients[c] * columns[c] as an {index: (re, im)} map, zeros
+    dropped: columns are those of a square matrix as {row: (re, im)} maps,
+    and coefficients a {c: (re, im)} map, all of ints."""
+    if not coefficients:
+        return {}
+    re, im = [0] * len(columns), [0] * len(columns)
+    for c, (ar, ai) in coefficients.items():
+        for r, (br, bi) in columns[c].items():
+            re[r] += ar * br - ai * bi
+            im[r] += ar * bi + ai * br
+    return {r: (x, y) for r, (x, y) in enumerate(zip(re, im)) if x or y}
 
 
 def _subtract_multiple(out, fr, fi, row):

@@ -13,21 +13,27 @@ the dominance cut: it runs jordan_type to the end on every candidate.
 OracleEchelon is the incremental RREF on Scalars, with a leading 1 per
 pivot row and a scan of every pivot row on back-substitution: the engine
 that linalg.SparseEchelon's fraction-free Gaussian-integer rows replace.
+oracle_bracket sums the product terms on Scalars, without the
+Gaussian-integer kernel core.sparse_bracket; oracle_change_of_basis and
+oracle_verify_certificate are the Scalar transport and certificate check
+that core.change_of_basis and iso.verify_certificate replace.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from leibnizkit.core import bracket, sparse_bracket
+from leibnizkit.core import bracket, from_terms
 from leibnizkit.gradations import WeightAssignment
 from leibnizkit.invariants import CharSeq, central_series
+from leibnizkit.iso import CertificateReport
 from leibnizkit.linalg import (
     Matrix,
     NotNilpotentError,
     SparseEchelon,
     basis_vec,
     dense_vec,
+    inverse,
     jordan_type,
     span_echelon,
     sparse_vec,
@@ -333,11 +339,59 @@ def oracle_characteristic_sequence(algebra, trials=20, seed=1):
     best = None
     witness = None
     for x in candidates:
-        parts = jordan_type([sparse_bracket(algebra, {c: ONE}, x) for c in range(n)])
+        parts = jordan_type([sparse_vec(oracle_bracket(algebra, basis_vec(n, c), dense_vec(x, n)))
+                             for c in range(n)])
         if best is None or parts > best:
             best = parts
             witness = tuple(dense_vec(x, n))
     return CharSeq(best, witness)
+
+
+def oracle_bracket(algebra, x, y):
+    """[x, y] of dense Scalar vectors, summed over every product term of the
+    algebra on Scalars: no Gaussian-integer table, no bracket kernel."""
+    out = [ZERO] * algebra.dim
+    for i, j, terms in algebra.products():
+        c = x[i] * y[j]
+        if c:
+            for k, g in terms:
+                out[k] = out[k] + c * g
+    return out
+
+
+def oracle_change_of_basis(algebra, p):
+    """core.change_of_basis on Scalars: [u, v]_new = P^-1 [P u, P v] with
+    every bracket and every product by P^-1 formed entry by entry."""
+    if p.rows != algebra.dim or p.cols != algebra.dim:
+        raise ValueError("change of basis matrix must be %d x %d" % (algebra.dim, algebra.dim))
+    p_inv = inverse(p)
+    n = algebra.dim
+    cols = [p.column(j) for j in range(n)]
+    terms = []
+    for i in range(n):
+        for j in range(n):
+            w = oracle_bracket(algebra, cols[i], cols[j])
+            if any(w):
+                terms.extend((i, j, k, x) for k, x in enumerate(p_inv.mul_vec(w)) if x)
+    return from_terms(algebra.labels, terms)
+
+
+def oracle_verify_certificate(cert):
+    """iso.verify_certificate on Scalars: P gamma_a(i, j) against
+    [P e_i, P e_j]_b as dense vectors, the first mismatch in (i, j) order."""
+    a, b, p = cert.source, cert.target, cert.map
+    n = a.dim
+    if span_echelon(p.data, n).rank != n:
+        return CertificateReport(False, "singular map")
+    cols = [p.column(j) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = p.mul_vec(dense_vec(dict(a.by_left[i].get(j, ())), n))
+            rhs = oracle_bracket(b, cols[i], cols[j])
+            if any(x - y for x, y in zip(lhs, rhs)):
+                reason = "bracket mismatch at (%s, %s)" % (a.labels[i], a.labels[j])
+                return CertificateReport(False, reason, pair=(i, j))
+    return CertificateReport(True)
 
 
 class OracleEchelon:

@@ -272,6 +272,24 @@ def test_iso_verify_map_orientation(tmp_path):
         assert run_cli("iso-verify", str(cpath)) == want
 
 
+def test_iso_verify_dim_zero_certificate(tmp_path, capsys):
+    # [] is the 0 x 0 map: it certifies the dim-0 algebra, and is the wrong
+    # size for M(7), in a certificate file and under --map alike
+    zero = {"dim": 0, "basis": []}
+    m7 = core.to_json_dict(alg("M", 7))
+    for algebra, want in ((zero, (0, "accept\n", "")),
+                          (m7, (2, "", "certificate map must be 8 x 8\n"))):
+        src, cpath, mpath = tmp_path / "src.json", tmp_path / "cert.json", tmp_path / "map.json"
+        src.write_text(json.dumps(algebra))
+        cpath.write_text(json.dumps({"source": algebra, "target": algebra, "map": []}))
+        mpath.write_text("[]")
+        for argv in (["iso-verify", str(cpath)], ["iso-verify", str(src), str(src), "--map", str(mpath)]):
+            code, out = run_cli(*argv)
+            err = capsys.readouterr().err
+            assert (code, out) == want[:2]
+            assert err.endswith(want[2]) and (err == "") == (want[2] == "")
+
+
 def test_iso_verify_malformed_map_reports_line(m7_file, tmp_path, capsys):
     mpath = tmp_path / "map.json"
     mpath.write_text("not json")

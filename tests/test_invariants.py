@@ -162,8 +162,8 @@ def test_charseq_sparse_path_matches_dense_and_oracle(family, n, alpha):
     a = case_algebra(family, n, alpha)
     assert central_series(a).dims == oracle_series_dims(a)
     cs = characteristic_sequence(a)
-    xs = sparse_vec(cs.witness)
-    sparse = jordan_type([sparse_bracket(a, {c: ONE}, xs) for c in range(a.dim)])
+    xs = {c: (v.a, v.b) for c, v in sparse_vec(cs.witness).items()}   # witnesses have integer entries
+    sparse = jordan_type([sparse_bracket(a, {c: (1, 0)}, xs) for c in range(a.dim)])
     dense = right_operator(a, cs.witness)
     assert sparse == cs.parts == nilpotent_partition(dense) == oracle_partition(dense)
 
