@@ -6,18 +6,25 @@ core.require_leibniz, the guard both spaces start with, has passed.  For a
 valid Z-gradation the derivation identity is homogeneous, so each weight
 component of a derivation is a derivation.
 
-The derivation identity d([x,y]) = [d(x),y] + [x,d(y)] over all basis pairs
-is a homogeneous linear system in the dim^2 matrix entries; it is assembled
+A third theorem trims the Der system.  For a linear map d of a Leibniz
+algebra, the y with d([x,y]) = [d(x),y] + [x,d(y)] for all x form a
+subalgebra: expand [x,[y,z]] by the identity and apply d.  So the
+derivation identity need only hold on the pairs (e_i, e_g) with g in
+core.generating_set, whose left-normed words span L; when no smaller
+generating set is certified, that set is the whole basis.  The identity is
+a homogeneous linear system in the dim^2 matrix entries; it is assembled
 sparsely and eliminated incrementally (SparseEchelon drops zero entries
-and empty rows itself), which keeps the dim^3 equations cheap at the
-dimensions the catalog uses.  Both the Der and the Inn rows are read off
-core.gaussian_table as Gaussian integers and eliminated without a Scalar;
-the bases are made Scalars only when the kernel and the RREF are read.
+and empty rows itself).  The RREF of the kernel is unique, so the Der
+basis is the one all dim^2 pairs would give.  is_derivation still checks
+every pair, as an independent test.  Both the Der and the Inn rows are
+read off core.gaussian_table as Gaussian integers and eliminated without a
+Scalar; the bases are made Scalars only when the kernel and the RREF are
+read.
 """
 
 from __future__ import annotations
 
-from .core import gaussian_table, require_leibniz, sparse_bracket
+from .core import gaussian_table, generating_set, require_leibniz, sparse_bracket
 from .linalg import Matrix, SparseEchelon, gaussian_combination
 
 
@@ -57,15 +64,19 @@ def is_derivation(algebra, m):
 def derivation_space(algebra):
     """Solve the derivation identity for Der(L); dim = dim^2 - rank.
 
-    The equations are read off core.gaussian_table, D * gamma as (re, im)
-    int pairs: the identity is linear in gamma, so the solutions are Der(L)'s.
+    The identity is imposed on the pairs (e_i, e_g) with g in
+    core.generating_set only; the other pairs follow (see the module
+    docstring).  The equations are read off core.gaussian_table, D * gamma
+    as (re, im) int pairs: the identity is linear in gamma, so the
+    solutions are Der(L)'s.
     """
     require_leibniz(algebra)
     n = algebra.dim
     _, by_left, by_right = gaussian_table(algebra)
+    generators = generating_set(algebra)
     ech = SparseEchelon(n * n)
     for i in range(n):
-        for j in range(n):
+        for j in generators:
             # (equation k, unknown d[a][b] as a * n + b, re, im) terms:
             # d([e_i, e_j]), where d[k][r] multiplies the e_r coordinate,
             # then -[d e_i, e_j], where d[r][i] multiplies [e_r, e_j],

@@ -18,17 +18,28 @@ Algebra, and both run the one term accumulator.  The catalog builders,
 the file loader, change_of_basis, direct_sum and gr L all write terms
 through from_terms; gamma is a dense read-only view built on each read.
 
-Since the tables never change, three results are memoized on the
+Since the tables never change, four results are memoized on the
 algebra: leibniz_residual remembers that the residual is empty (a
 non-empty one is recomputed, so every caller gets its own list),
-invariants.central_series keeps its immutable SeriesReport, and
+invariants.central_series keeps its immutable SeriesReport,
 gaussian_table keeps D times the structure constants as (re, im) int
-pairs, D the lcm of their denominators.  The residual, the Der and Inn
-systems, the annihilators, every image chain and sparse_bracket, the one
-bracket kernel, run on that table, and its callers make Scalars only of
-their results.  Equality, hashing and key() ignore all three slots.
+pairs, D the lcm of their denominators, and generating_set keeps the
+basis indices whose left-normed words span L.  The residual, the Der and
+Inn systems, the annihilators, every image chain and sparse_bracket, the
+one bracket kernel, run on that table, and its callers make Scalars only
+of their results.  Equality, hashing and key() ignore all four slots.
 Concurrent use needs no locking: threads that race to fill a slot compute
 and store equal values.
+
+The right-Leibniz identity and the derivation identity need checking only
+with their last argument in a generating set G.  In any algebra,
+R_[u, g] = [R_g, R_u] once R_g is a derivation, so {z : R_z is a
+derivation} is a subalgebra; and in a Leibniz algebra the y on which a
+linear map d satisfies the derivation identity for every x form one too.
+generating_set picks G greedily among the basis vectors independent modulo
+L^2 and keeps it only if the closure of span G under the R_g is all of L,
+which holds for every nilpotent Leibniz algebra; otherwise G is the whole
+basis, and nothing is skipped.
 """
 
 from __future__ import annotations
@@ -36,7 +47,15 @@ from __future__ import annotations
 import json
 from types import MappingProxyType
 
-from .linalg import Matrix, as_vector, dense_vec, gaussian_combination, gaussian_row, inverse
+from .linalg import (
+    Matrix,
+    SparseEchelon,
+    as_vector,
+    dense_vec,
+    gaussian_combination,
+    gaussian_inverse,
+    gaussian_row,
+)
 from .scalars import (
     Echo,
     ScalarParseError,
@@ -59,7 +78,8 @@ class NotLeibnizError(ValueError):
 class Algebra:
     """Finite-dimensional algebra over Q(i) given by structure constants."""
 
-    __slots__ = ("dim", "labels", "by_left", "by_right", "_leibniz", "_series", "_gaussian")
+    __slots__ = ("dim", "labels", "by_left", "by_right", "_leibniz", "_series", "_gaussian",
+                 "_generators")
 
     def __init__(self, labels, gamma):
         """Adapter for a dense table: gamma[(i, j)] = coordinates of [e_i, e_j]."""
@@ -100,6 +120,7 @@ class Algebra:
         self._leibniz = False   # memo: the residual was found empty
         self._series = None     # memo: invariants.central_series
         self._gaussian = None   # memo: gaussian_table
+        self._generators = None  # memo: generating_set
 
     @property
     def gamma(self):
@@ -207,42 +228,104 @@ def leibniz_residual(algebra):
 
 
 def _residual(algebra):
-    """The residual triples of leibniz_residual, always computed.  Terms are
-    accumulated only from products that exist: [e_i, [e_j, e_k]] from
-    gamma_jk and by_right, and [[e_i, e_j], e_k] from gamma_ij and by_left,
-    where it is the second term of (i, j, k) and the third of (i, k, j).
-    The sums run on the Gaussian-integer table D * gamma; the residual is
-    quadratic in gamma, so each nonzero entry is a Scalar over D^2.
+    """The residual triples of leibniz_residual, always computed.
+
+    The triples whose third index lies in generating_set come first; if
+    none has a nonzero residual, every R_z is a derivation (see the module
+    docstring).  Otherwise the triples of the other third indices are
+    added, so a non-empty residual lists every triple.
+    """
+    generators = generating_set(algebra)
+    found = _triples(algebra, generators)
+    if found and len(generators) < algebra.dim:
+        rest = [k for k in range(algebra.dim) if k not in generators]
+        found = sorted(found + _triples(algebra, rest), key=lambda triple: triple[:3])
+    return found
+
+
+def _triples(algebra, third):
+    """The residual triples (i, j, k) with k in third, in lexicographic order.
+
+    The residual at (i, j, k) is R_{e_k}'s failure on (e_i, e_j), and its
+    terms are accumulated only from products that exist: [e_i, [e_j, e_k]]
+    from gamma_jk and by_right, [[e_i, e_k], e_j] from gamma_ik and by_left,
+    and [[e_i, e_j], e_k] from each product whose result holds an e_t with
+    gamma_tk nonzero.  The sums run on the Gaussian-integer table D * gamma;
+    the residual is quadratic in gamma, so each nonzero entry is a Scalar
+    over D^2.
     """
     d, by_left, by_right = gaussian_table(algebra)
+    n = algebra.dim
+    within = [[] for _ in range(n)]   # t -> (i, j, coefficient of e_t in [e_i, e_j])
+    for i, row in enumerate(by_left):
+        for j, g_ij in row.items():
+            for t, c in g_ij:
+                within[t].append((i, j, c))
     acc = {}
-    for j, row in enumerate(by_left):
-        for k, g_jk in row.items():
+    for k in third:
+        column = by_right[k]
+        for j, g_jk in column.items():
             for t, (cr, ci) in g_jk:
                 for i, g_it in by_right[t].items():
                     res = acc.setdefault((i, j, k), {})      # + [e_i, [e_j, e_k]]
                     for m, (wr, wi) in g_it:
                         o = res.get(m, (0, 0))
                         res[m] = (o[0] + cr * wr - ci * wi, o[1] + cr * wi + ci * wr)
-    for i, row in enumerate(by_left):
-        for j, g_ij in row.items():
-            for t, (cr, ci) in g_ij:
-                for k, g_tk in by_left[t].items():
-                    minus = acc.setdefault((i, j, k), {})    # - [[e_i, e_j], e_k]
-                    plus = acc.setdefault((i, k, j), {})     # + [[e_i, e_j], e_k] at (i, k, j)
-                    for m, (wr, wi) in g_tk:
-                        pr, pi = cr * wr - ci * wi, cr * wi + ci * wr
-                        o = minus.get(m, (0, 0))
-                        minus[m] = (o[0] - pr, o[1] - pi)
-                        o = plus.get(m, (0, 0))
-                        plus[m] = (o[0] + pr, o[1] + pi)
-    n, dd = algebra.dim, d * d
+        for i, g_ik in column.items():
+            for t, (cr, ci) in g_ik:
+                for j, g_tj in by_left[t].items():
+                    res = acc.setdefault((i, j, k), {})      # + [[e_i, e_k], e_j]
+                    for m, (wr, wi) in g_tj:
+                        o = res.get(m, (0, 0))
+                        res[m] = (o[0] + cr * wr - ci * wi, o[1] + cr * wi + ci * wr)
+        for t, g_tk in column.items():
+            for i, j, (cr, ci) in within[t]:
+                res = acc.setdefault((i, j, k), {})          # - [[e_i, e_j], e_k]
+                for m, (wr, wi) in g_tk:
+                    o = res.get(m, (0, 0))
+                    res[m] = (o[0] - cr * wr + ci * wi, o[1] - cr * wi - ci * wr)
+    dd = d * d
     out = []
     for key in sorted(acc):
         terms = {m: from_gaussian(x, y, dd) for m, (x, y) in acc[key].items() if x or y}
         if terms:
             out.append(key + (dense_vec(terms, n),))
     return out
+
+
+def generating_set(algebra):
+    """Basis indices G whose left-normed words [..[[g_1, g_2], g_3].., g_r]
+    span L, or every index.  Memoized on the algebra.
+
+    G is picked greedily among the basis vectors, each independent of L^2
+    (the span of all products) and of those picked before; it is kept only
+    if the closure of span G under the operators R_g, g in G, is all of L.
+    A complement of L^2 always passes for a nilpotent Leibniz algebra; any
+    other algebra may fall back to every index.
+    """
+    generators = algebra._generators
+    if generators is None:
+        algebra._generators = generators = _generating_set(algebra)
+    return generators
+
+
+def _generating_set(algebra):
+    n = algebra.dim
+    _, by_left, _ = gaussian_table(algebra)
+    span = SparseEchelon(n)
+    for row in by_left:
+        for product in row.values():
+            span.add_gaussian(dict(product))
+    generators = tuple(g for g in range(n) if span.add_gaussian({g: (1, 0)}))
+    closure = SparseEchelon(n)
+    frontier = [{g: (1, 0)} for g in generators]
+    for v in frontier:
+        closure.add_gaussian(v)
+    while frontier and len(closure) < n:
+        # the images [v, e_g] of the vectors that last enlarged the closure
+        images = (sparse_bracket(algebra, v, {g: (1, 0)}) for v in frontier for g in generators)
+        frontier = [w for w in images if closure.add_gaussian(w)]
+    return generators if len(closure) == n else tuple(range(n))
 
 
 def gaussian_table(algebra):
@@ -302,7 +385,7 @@ def change_of_basis(algebra, p):
     """
     if p.rows != algebra.dim or p.cols != algebra.dim:
         raise ValueError("change of basis matrix must be %d x %d" % (algebra.dim, algebra.dim))
-    d_inv, inv_cols = inverse(p).gaussian_columns()  # SingularMatrixError when P is singular
+    d_inv, inv_cols = gaussian_inverse(p)  # SingularMatrixError when P is singular
     d_p, cols = p.gaussian_columns()
     d = gaussian_table(algebra)[0] * d_p * d_p * d_inv
     n = algebra.dim

@@ -206,15 +206,15 @@ def natural_graded(algebra):
     layer_of = []        # layer index (1-based) per new basis position
     labels = []
     dims = []
+    pivots = [[_pivot(v) for v in basis] for basis in series.subspace_bases] + [[]]
     for i, basis in enumerate(series.subspace_bases):
-        deeper = series.subspace_bases[i + 1] if i + 1 < len(series.subspace_bases) else []
-        deeper_pivots = {_pivot(v) for v in deeper}
-        layer = [v for v in basis if _pivot(v) not in deeper_pivots]
+        deeper_pivots = set(pivots[i + 1])
+        layer = [(v, k) for v, k in zip(basis, pivots[i]) if k not in deeper_pivots]
         dims.append(len(layer))
-        for v in layer:
+        for v, k in layer:
             layer_vectors.append(v)
             layer_of.append(i + 1)
-            labels.append(algebra.labels[_pivot(v)])
+            labels.append(algebra.labels[k])
     p = Matrix(n, n, [[layer_vectors[c][r] for c in range(n)] for r in range(n)])
     moved = change_of_basis(algebra, p)
     terms = [(a, b, k, c) for a, b, product in moved.products() for k, c in product

@@ -9,7 +9,8 @@ fraction-free on Gaussian integers, (re, im) pairs of plain ints, with
 each pivot row stored over a positive int lead (Bareiss, Math. Comp. 22,
 1968, without the determinant bookkeeping); Scalars are made only when a
 caller reads rows, a kernel or a residual.  The transport and the
-certificate check apply maps in ints: gaussian_columns, gaussian_combination.
+certificate check apply maps in ints: gaussian_columns, gaussian_inverse,
+gaussian_combination.
 
 image_chain is the one descending-image loop, behind both the central
 series and every Jordan type.  It is lazy: it yields each level before it
@@ -119,19 +120,6 @@ class Matrix:
                     w = brow[c]
                     if w:
                         orow[c] = orow[c] + v * w
-        return out
-
-    def mul_vec(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("vector length %d != cols %d" % (len(vec), self.cols))
-        out = [ZERO] * self.rows
-        for c, v in enumerate(vec):
-            if not v:
-                continue
-            for r in range(self.rows):
-                w = self.data[r][c]
-                if w:
-                    out[r] = out[r] + w * v
         return out
 
     def flat(self):
@@ -392,19 +380,36 @@ def kernel_basis(m):
 
 
 def inverse(m):
-    """Inverse read off the RREF of [m | I]; raises SingularMatrixError.
+    """Inverse of a square matrix; raises SingularMatrixError."""
+    d, cols = gaussian_inverse(m)
+    n = m.rows
+    return Matrix(n, n, [[from_gaussian(*col.get(r, (0, 0)), d) for col in cols] for r in range(n)])
+
+
+def gaussian_inverse(m):
+    """(d, columns) of d * m^-1 as gaussian_columns gives them, read off the
+    Gaussian-integer pivot rows of the RREF of [m | I]; raises
+    SingularMatrixError.
 
     The rows of [m | I] are independent, so the RREF has n rows; m is
     invertible iff their pivots are the n left columns, and then the right
-    half is m^-1.
+    half is m^-1.  Pivot row r is primitive over its lead l_r, so l_r is the
+    least denominator of row r of m^-1 and d = lcm(l_r) that of all of it.
     """
     if m.rows != m.cols:
         raise SingularMatrixError("only square matrices can be inverted")
     n = m.rows
-    ech = span_echelon([row + basis_vec(n, r) for r, row in enumerate(m.data)], 2 * n)
-    if any(c not in ech._rows for c in range(n)):
+    rows = span_echelon([row + basis_vec(n, r) for r, row in enumerate(m.data)], 2 * n)._rows
+    if any(c not in rows for c in range(n)):
         raise SingularMatrixError("matrix is singular")
-    return Matrix(n, n, [row[n:] for row in ech.basis_rows()])
+    d = lcm(*(rows[r][r][0] for r in range(n)))
+    cols = [{} for _ in range(n)]
+    for r in range(n):
+        s = d // rows[r][r][0]
+        for c, (x, y) in rows[r].items():
+            if c >= n:
+                cols[c - n][r] = (x * s, y * s)
+    return d, cols
 
 
 def image_chain(n, operators):

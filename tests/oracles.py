@@ -1,10 +1,16 @@
 """Independent reference computations used to pin expected values.
 
-Everything here but oracle_inner_outside_der deliberately avoids the
-package's elimination engine: plain dense Gaussian elimination over
-Scalars, explicit matrix powers, and a finite-difference assembly of the
-derivation constraints.  oracle_inner_outside_der tests the assembly of
-derivation_space, so it may use SparseEchelon for span membership.
+Everything here but oracle_inner_outside_der, oracle_residual and
+oracle_derivation_space deliberately avoids the package's elimination
+engine: plain dense Gaussian elimination over Scalars, explicit matrix
+powers, and a finite-difference assembly of the derivation constraints.
+oracle_inner_outside_der tests the assembly of derivation_space, so it
+may use SparseEchelon for span membership.  oracle_residual and
+oracle_derivation_space are the loops over every basis triple and every
+basis pair that core._residual and cohomology.derivation_space trim to a
+generating set; they read core.gaussian_table, and the Der system is
+eliminated by SparseEchelon.  oracle_residual_by_definition sums the
+residual from gamma over every index, with no sparse table at all.
 OracleQi is Q(i) arithmetic on a pair of Fractions, independent of the
 integer representation inside Scalar.  oracle_diagonal_gradation is the
 plain backtracking gradation search, without forward checking.
@@ -23,7 +29,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from leibnizkit.core import bracket, from_terms
+from leibnizkit.cohomology import DerivationSpace
+from leibnizkit.core import bracket, from_terms, gaussian_table, require_leibniz
 from leibnizkit.gradations import WeightAssignment
 from leibnizkit.invariants import CharSeq, central_series
 from leibnizkit.iso import CertificateReport
@@ -38,7 +45,7 @@ from leibnizkit.linalg import (
     span_echelon,
     sparse_vec,
 )
-from leibnizkit.scalars import ONE, Scalar, ZERO
+from leibnizkit.scalars import ONE, Scalar, ZERO, from_gaussian
 
 
 class OracleQi:
@@ -122,6 +129,21 @@ def oracle_matrix_rank(m):
     return oracle_rank(m.data)
 
 
+def mul_vec(m, vec):
+    """The product of a Matrix and a dense vector, entry by entry on Scalars."""
+    if len(vec) != m.cols:
+        raise ValueError("vector length %d != cols %d" % (len(vec), m.cols))
+    out = [ZERO] * m.rows
+    for c, v in enumerate(vec):
+        if not v:
+            continue
+        for r in range(m.rows):
+            w = m.data[r][c]
+            if w:
+                out[r] = out[r] + w * v
+    return out
+
+
 def oracle_partition(m):
     """Jordan type of a nilpotent matrix from the rank chain of its powers."""
     n = m.rows
@@ -147,7 +169,7 @@ def oracle_partition(m):
     return tuple(sorted(parts, reverse=True))
 
 
-def oracle_residual(algebra):
+def oracle_residual_by_definition(algebra):
     """Right-Leibniz residual triples straight from the definition.
 
     Entry m of the residual at (i, j, k) is
@@ -209,7 +231,7 @@ def oracle_der_dim(algebra):
             resid = []
             for i in range(n):
                 for j in range(n):
-                    lhs = e.mul_vec(list(gamma.get((i, j), zero)))
+                    lhs = mul_vec(e, list(gamma.get((i, j), zero)))
                     t1 = bracket(algebra, ecols[i], basis_vec(n, j))
                     t2 = bracket(algebra, basis_vec(n, i), ecols[j])
                     resid.extend(a - b - d for a, b, d in zip(lhs, t1, t2))
@@ -372,7 +394,7 @@ def oracle_change_of_basis(algebra, p):
         for j in range(n):
             w = oracle_bracket(algebra, cols[i], cols[j])
             if any(w):
-                terms.extend((i, j, k, x) for k, x in enumerate(p_inv.mul_vec(w)) if x)
+                terms.extend((i, j, k, x) for k, x in enumerate(mul_vec(p_inv, w)) if x)
     return from_terms(algebra.labels, terms)
 
 
@@ -386,7 +408,7 @@ def oracle_verify_certificate(cert):
     cols = [p.column(j) for j in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = p.mul_vec(dense_vec(dict(a.by_left[i].get(j, ())), n))
+            lhs = mul_vec(p, dense_vec(dict(a.by_left[i].get(j, ())), n))
             rhs = oracle_bracket(b, cols[i], cols[j])
             if any(x - y for x, y in zip(lhs, rhs)):
                 reason = "bracket mismatch at (%s, %s)" % (a.labels[i], a.labels[j])
@@ -472,3 +494,73 @@ class OracleEchelon:
                     v[pc] = -w
             vecs.append(v)
         return vecs
+
+
+def oracle_residual(algebra):
+    """The full residual loop that core._residual replaces: every triple is
+    summed, none skipped by a generating set.  Terms come only from
+    products that exist, [e_i, [e_j, e_k]] from gamma_jk and by_right and
+    [[e_i, e_j], e_k] from gamma_ij and by_left, where it is the second term
+    of (i, j, k) and the third of (i, k, j), on D * gamma; each nonzero
+    entry is a Scalar over D^2."""
+    d, by_left, by_right = gaussian_table(algebra)
+    acc = {}
+    for j, row in enumerate(by_left):
+        for k, g_jk in row.items():
+            for t, (cr, ci) in g_jk:
+                for i, g_it in by_right[t].items():
+                    res = acc.setdefault((i, j, k), {})      # + [e_i, [e_j, e_k]]
+                    for m, (wr, wi) in g_it:
+                        o = res.get(m, (0, 0))
+                        res[m] = (o[0] + cr * wr - ci * wi, o[1] + cr * wi + ci * wr)
+    for i, row in enumerate(by_left):
+        for j, g_ij in row.items():
+            for t, (cr, ci) in g_ij:
+                for k, g_tk in by_left[t].items():
+                    minus = acc.setdefault((i, j, k), {})    # - [[e_i, e_j], e_k]
+                    plus = acc.setdefault((i, k, j), {})     # + [[e_i, e_j], e_k] at (i, k, j)
+                    for m, (wr, wi) in g_tk:
+                        pr, pi = cr * wr - ci * wi, cr * wi + ci * wr
+                        o = minus.get(m, (0, 0))
+                        minus[m] = (o[0] - pr, o[1] - pi)
+                        o = plus.get(m, (0, 0))
+                        plus[m] = (o[0] + pr, o[1] + pi)
+    n, dd = algebra.dim, d * d
+    out = []
+    for key in sorted(acc):
+        terms = {m: from_gaussian(x, y, dd) for m, (x, y) in acc[key].items() if x or y}
+        if terms:
+            out.append(key + (dense_vec(terms, n),))
+    return out
+
+
+def oracle_derivation_space(algebra):
+    """The Der system that cohomology.derivation_space trims: the
+    derivation identity imposed on all dim^2 basis pairs, read off
+    core.gaussian_table and eliminated by SparseEchelon."""
+    require_leibniz(algebra)
+    n = algebra.dim
+    _, by_left, by_right = gaussian_table(algebra)
+    ech = SparseEchelon(n * n)
+    for i in range(n):
+        for j in range(n):
+            # (equation k, unknown d[a][b] as a * n + b, re, im) terms:
+            # d([e_i, e_j]), where d[k][r] multiplies the e_r coordinate,
+            # then -[d e_i, e_j], where d[r][i] multiplies [e_r, e_j],
+            # then -[e_i, d e_j], where d[r][j] multiplies [e_i, e_r]
+            terms = []
+            for r, (cr, ci) in by_left[i].get(j, ()):
+                terms += [(k, k * n + r, cr, ci) for k in range(n)]
+            for r, product in by_right[j].items():
+                terms += [(k, r * n + i, -cr, -ci) for k, (cr, ci) in product]
+            for r, product in by_left[i].items():
+                terms += [(k, r * n + j, -cr, -ci) for k, (cr, ci) in product]
+            rows = {}
+            for k, key, re, im in terms:
+                row = rows.setdefault(k, {})
+                o = row.get(key)
+                row[key] = (re, im) if o is None else (o[0] + re, o[1] + im)
+            for k in sorted(rows):
+                ech.add_gaussian(rows[k])
+    basis = [Matrix(n, n, vec) for vec in ech.kernel_basis()]
+    return DerivationSpace(basis)

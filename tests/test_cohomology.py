@@ -11,7 +11,7 @@ from conftest import (
     random_vector,
 )
 
-from oracles import oracle_der_dim, oracle_inner_dim, oracle_inner_outside_der
+from oracles import mul_vec, oracle_der_dim, oracle_inner_dim, oracle_inner_outside_der
 
 from leibnizkit import NotLeibnizError
 from leibnizkit.cohomology import (
@@ -146,7 +146,7 @@ def test_commutator_with_inner_is_inner(rng):
         x = random_vector(rng, 8)
         rx = right_operator(m7, x)
         lhs = d * rx - rx * d
-        rhs = right_operator(m7, d.mul_vec(x))
+        rhs = right_operator(m7, mul_vec(d, x))
         assert lhs == rhs
 
 

@@ -14,6 +14,7 @@ from leibnizkit.linalg import (
     SingularMatrixError,
     SparseEchelon,
     basis_vec,
+    gaussian_inverse,
     image_chain,
     inverse,
     jordan_type,
@@ -258,6 +259,21 @@ def test_inverse_round_trip_on_dense_rational_matrices():
         inv = inverse(m)
         assert m * inv == Matrix.identity(n) == inv * m
         assert inverse(inv) == m
+
+
+def test_gaussian_inverse_is_the_cleared_inverse():
+    # d is the least common denominator of m^-1, as gaussian_columns finds it
+    rng = random.Random(47)
+    for trial in range(30):
+        n = rng.randint(0, 6)
+        entry = (lambda: _gaussian_rational(rng)) if trial % 2 else (lambda: Scalar(rng.randint(-2, 2)))
+        while True:
+            m = Matrix(n, n, [[entry() for _ in range(n)] for _ in range(n)])
+            if oracle_matrix_rank(m) == n:
+                break
+        assert gaussian_inverse(m) == inverse(m).gaussian_columns()
+    with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+        gaussian_inverse(Matrix(3, 3, [1, 2, 0, 0, 0, 1, 3, 6, 5]))
 
 
 def test_inverse_round_trip():
