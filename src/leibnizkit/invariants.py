@@ -5,10 +5,12 @@ Both chains the classification reads come from linalg.image_chain: the
 central series is the chain of the right operators R_{e_j}, and each
 characteristic-sequence candidate x gives the Jordan type of R_x from
 its sparse columns, with no dense matrix in between; a candidate's lazy
-chain stops once its ranks prove that it cannot beat the best so far.
-Both chains and the annihilators read core.gaussian_table, and the
-candidates are drawn as Gaussian integers, so all of it runs in ints;
-only the series bases and the witness are made Scalars.
+chain stops once its ranks prove that it cannot beat the best so far,
+and the search stops once the best reaches the ceiling that the support
+of the R_{e_j} proves.  Both chains and the annihilators read
+core.gaussian_table, and the candidates are drawn as Gaussian integers, so
+all of it runs in ints; only the series bases and the witness are made
+Scalars.
 
 fingerprint checks its input with core.require_leibniz, the guard Der and
 Inn share, and calls them through the cohomology module, which imports
@@ -121,10 +123,18 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     outside L^2 and their pairwise sums) plus `trials` seeded random small
     Q(i)-combinations; the witness makes the reported maximum auditable.
 
-    Dominance cut, exact: r_j = rank R_x^j is at most dim L^{j+1} (0 past
-    the nilindex), as R_x(L^j) = [L^j, x], and at most max(r_k - (j - k), 0)
-    for j > k, as R_x is nilpotent.  Once r_0..r_k and these bounds are all
-    <= the best's ranks, R_x's type is dominated, so not lex above the best.
+    Ceiling, exact: R_x = sum_j x_j R_{e_j}, so the support of R_x^j lies in
+    the Boolean power S^j of the support S of all the R_{e_j} together, and
+    r_j = rank R_x^j <= b_j = min(dim L^{j+1}, term rank of S^j), as rank is
+    at most term rank (Frobenius-König; Brualdi & Ryser, Combinatorial
+    Matrix Theory, 1991).  No type is lex above mu, the lex-greatest
+    partition of dim L with ranks <= b, so once the best reaches mu the
+    search stops and no further candidate is drawn.
+
+    Dominance cut, exact: r_j <= b_j (0 past the nilindex), and
+    r_j <= max(r_k - (j - k), 0) for j > k, as R_x is nilpotent.  Once
+    r_0..r_k and these bounds are all <= the best's ranks, R_x's type is
+    dominated, so not lex above the best.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -134,35 +144,124 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     n = algebra.dim
     if n == 0:
         return CharSeq((), ())
-    l2 = span_echelon(series.subspace_bases[1], n) if len(series.subspace_bases) > 1 else SparseEchelon(n)
-    outside = [i for i in range(n) if not l2.contains_gaussian({i: (1, 0)})]
-
-    candidates = [{i: (1, 0)} for i in outside]  # sparse {index: (re, im)} maps of ints
-    candidates += [{a: (1, 0), b: (1, 0)} for a, b in combinations(outside, 2)]
-    rng = random.Random(seed)
-    wanted = len(candidates) + trials
-    while len(candidates) < wanted:
-        v = {c: z for c in range(n) if (z := (rng.randint(-3, 3), rng.randint(-1, 1))) != (0, 0)}
-        if not l2.contains_gaussian(v):
-            candidates.append(v)
-
+    bound = _rank_bound(algebra)
+    ceiling = _ceiling(n, bound)
     best = witness = None
-    dims = series.dims
     _, _, by_right = gaussian_table(algebra)
-    for x in candidates:
+    for x in _candidates(series, n, trials, seed):
         ranks = []
         for k, level in enumerate(image_chain(n, (_right_multiple(by_right, x),))):
             ranks.append(len(level))
-            # the cut: r_j <= rho_j for j <= k, and min(dims[j], r_k - (j - k)) <= rho_j beyond
+            # the cut: r_j <= rho_j for j <= k, and min(b_j, r_k - (j - k)) <= rho_j beyond
             if best is not None and all(r <= p for r, p in zip(ranks, rho)) and all(
-                    min(dims[j], ranks[k] - (j - k)) <= rho[j] for j in range(k + 1, len(dims))):
+                    min(bound[j], ranks[k] - (j - k)) <= rho[j] for j in range(k + 1, len(bound))):
                 break
         else:
             parts = partition_of_ranks(ranks)
             if best is None or parts > best:
-                best, rho = parts, ranks + [0] * (len(dims) + 1 - len(ranks))  # 0 to the nilindex
+                best, rho = parts, ranks + [0] * (len(bound) + 1 - len(ranks))  # 0 to the nilindex
                 witness = tuple(dense_vec({c: from_gaussian(re, im, 1) for c, (re, im) in x.items()}, n))
+                if best == ceiling:
+                    break
     return CharSeq(best, witness)
+
+
+def _candidates(series, n, trials, seed):
+    """The candidates in order, drawn lazily as sparse {index: (re, im)} maps
+    of ints: basis vectors outside L^2, their pairwise sums, then `trials`
+    seeded draws outside L^2."""
+    l2 = span_echelon(series.subspace_bases[1], n) if len(series.subspace_bases) > 1 else SparseEchelon(n)
+    outside = [i for i in range(n) if not l2.contains_gaussian({i: (1, 0)})]
+    yield from ({i: (1, 0)} for i in outside)
+    yield from ({a: (1, 0), b: (1, 0)} for a, b in combinations(outside, 2))
+    rng = random.Random(seed)
+    while trials:
+        v = {c: z for c in range(n) if (z := (rng.randint(-3, 3), rng.randint(-1, 1))) != (0, 0)}
+        if not l2.contains_gaussian(v):
+            trials -= 1
+            yield v
+
+
+def _rank_bound(algebra):
+    """b_j = min(dim L^{j+1}, term rank of S^j) for j below the nilindex of a
+    nilpotent algebra, S the support of all the R_{e_j} together: each
+    rank R_x^j is at most b_j.  Column c of S, as a bitmask of rows, holds
+    the result indices of every product [e_c, e_j]."""
+    _, by_left, _ = gaussian_table(algebra)
+    s = [0] * algebra.dim
+    for c, row in enumerate(by_left):
+        for terms in row.values():
+            for k, _ in terms:
+                s[c] |= 1 << k
+    power = [1 << c for c in range(algebra.dim)]   # S^0
+    bound = []
+    for d in central_series(algebra).dims:
+        bound.append(_term_rank(power, d))
+        power = [_union(s, col) for col in power]
+    return bound
+
+
+def _union(s, mask):
+    # column of S times a column bitmask: the union of the columns it selects
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= s[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _term_rank(cols, cap):
+    """min(cap, size of a maximum matching of the columns to the rows their
+    bitmasks hold): the term rank of the pattern, counted up to cap."""
+    row_of, col_of = {}, {}   # the matching, both ways
+    for c in range(len(cols)):
+        if len(row_of) == cap:
+            break
+        r, parent = _alternating_path(cols, c, col_of)
+        while r is not None:   # flip the path: one more column matched
+            a = parent[r]
+            col_of[r] = a
+            row_of[a], r = r, row_of.get(a)
+    return len(row_of)
+
+
+def _alternating_path(cols, c, col_of):
+    """(r, parent): an unmatched row r that a breadth-first search over the
+    alternating paths from column c reaches, or None, with parent[row] the
+    column each row was reached from."""
+    parent, frontier, seen = {}, [c], 0
+    while frontier:
+        following = []
+        for a in frontier:
+            new = cols[a] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                new ^= low
+                r = low.bit_length() - 1
+                parent[r] = a
+                if r not in col_of:
+                    return r, parent
+                following.append(col_of[r])
+        frontier = following
+    return None, parent
+
+
+def _ceiling(n, bound):
+    """The lex-greatest partition of n whose ranks sum_p max(p - j, 0) are
+    all <= bound[j], 0 past its end, for bound[0] >= n: each part, no larger
+    than the one before, as large as the parts so far completed by ones allow."""
+    parts, ranks, p, left = [], [0] * len(bound), n, n
+    while left:
+        p = min(p, left)
+        while p > 1 and (p > len(bound) or any(ranks[j] + p - j > bound[j] for j in range(1, p))):
+            p -= 1
+        parts.append(p)
+        left -= p
+        for j in range(1, p):
+            ranks[j] += p - j
+    return tuple(parts)
 
 
 def _right_multiple(by_right, x):

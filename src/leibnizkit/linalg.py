@@ -1,10 +1,10 @@
 """Exact dense matrices and the elimination engine behind every dimension count.
 
 SparseEchelon is the package's one elimination: ranks, kernels, spans,
-Jordan types and the inverse all insert sparse rows into it.  It keeps the
-reduced row echelon form of the rows so far, pivoting on the lowest column
-a reduced row still has; the RREF of a span is unique, so no result
-depends on the order in which rows arrive.  Its row operations run
+Jordan types and gaussian_inverse all insert sparse rows into it.  It
+keeps the reduced row echelon form of the rows so far, pivoting on the
+lowest column a reduced row still has; the RREF of a span is unique, so
+no result depends on the order in which rows arrive.  Its row operations run
 fraction-free on Gaussian integers, (re, im) pairs of plain ints, with
 each pivot row stored over a positive int lead (Bareiss, Math. Comp. 22,
 1968, without the determinant bookkeeping); Scalars are made only when a
@@ -377,13 +377,6 @@ def rank(m):
 def kernel_basis(m):
     """Echelonized basis of {v : m.v = 0}; size is cols - rank."""
     return span_echelon(m.data, m.cols).kernel_basis()
-
-
-def inverse(m):
-    """Inverse of a square matrix; raises SingularMatrixError."""
-    d, cols = gaussian_inverse(m)
-    n = m.rows
-    return Matrix(n, n, [[from_gaussian(*col.get(r, (0, 0)), d) for col in cols] for r in range(n)])
 
 
 def gaussian_inverse(m):

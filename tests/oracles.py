@@ -1,7 +1,7 @@
 """Independent reference computations used to pin expected values.
 
-Everything here but oracle_inner_outside_der, oracle_residual and
-oracle_derivation_space deliberately avoids the package's elimination
+Everything here but inverse, oracle_inner_outside_der, oracle_residual
+and oracle_derivation_space deliberately avoids the package's elimination
 engine: plain dense Gaussian elimination over Scalars, explicit matrix
 powers, and a finite-difference assembly of the derivation constraints.
 oracle_inner_outside_der tests the assembly of derivation_space, so it
@@ -14,8 +14,11 @@ residual from gamma over every index, with no sparse table at all.
 OracleQi is Q(i) arithmetic on a pair of Fractions, independent of the
 integer representation inside Scalar.  oracle_diagonal_gradation is the
 plain backtracking gradation search, without forward checking.
+inverse gives linalg.gaussian_inverse as a Matrix of Scalars, for the
+round-trip tests and the Scalar transport below.
 oracle_characteristic_sequence is the characteristic-sequence loop without
-the dominance cut: it runs jordan_type to the end on every candidate.
+the dominance cut and the ceiling: it runs jordan_type to the end on every
+candidate that oracle_charseq_candidates draws.
 OracleEchelon is the incremental RREF on Scalars, with a leading 1 per
 pivot row and a scan of every pivot row on back-substitution: the engine
 that linalg.SparseEchelon's fraction-free Gaussian-integer rows replace.
@@ -40,7 +43,7 @@ from leibnizkit.linalg import (
     SparseEchelon,
     basis_vec,
     dense_vec,
-    inverse,
+    gaussian_inverse,
     jordan_type,
     span_echelon,
     sparse_vec,
@@ -142,6 +145,14 @@ def mul_vec(m, vec):
             if w:
                 out[r] = out[r] + w * v
     return out
+
+
+def inverse(m):
+    """Inverse of a square matrix as a Matrix of Scalars, read off
+    gaussian_inverse; raises SingularMatrixError."""
+    d, cols = gaussian_inverse(m)
+    n = m.rows
+    return Matrix(n, n, [[from_gaussian(*col.get(r, (0, 0)), d) for col in cols] for r in range(n)])
 
 
 def oracle_partition(m):
@@ -335,9 +346,23 @@ def _oracle_search_interval(by_position, d, values):
 
 
 def oracle_characteristic_sequence(algebra, trials=20, seed=1):
-    """invariants.characteristic_sequence without the dominance cut: the
-    same candidates in the same order, the full Jordan type of every R_x,
-    and the first lexicographic maximum with its witness."""
+    """invariants.characteristic_sequence without the dominance cut and the
+    ceiling: the same candidates in the same order, the full Jordan type of
+    every R_x, and the first lexicographic maximum with its witness."""
+    best = None
+    witness = None
+    for x in oracle_charseq_candidates(algebra, trials, seed):
+        parts = oracle_right_type(algebra, x)
+        if best is None or parts > best:
+            best = parts
+            witness = tuple(dense_vec(x, algebra.dim))
+    return CharSeq(best or (), witness or ())
+
+
+def oracle_charseq_candidates(algebra, trials=20, seed=1):
+    """Every candidate of the characteristic-sequence search, in order, as
+    sparse {index: Scalar} maps: basis vectors outside L^2, their pairwise
+    sums, then `trials` seeded draws outside L^2."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     series = central_series(algebra)
@@ -345,11 +370,11 @@ def oracle_characteristic_sequence(algebra, trials=20, seed=1):
         raise NotNilpotentError("characteristic sequence needs a nilpotent algebra")
     n = algebra.dim
     if n == 0:
-        return CharSeq((), ())
+        return []
     l2 = span_echelon(series.subspace_bases[1], n) if len(series.subspace_bases) > 1 else SparseEchelon(n)
     outside = [i for i in range(n) if not l2.contains({i: ONE})]
 
-    candidates = [{i: ONE} for i in outside]  # sparse {index: coefficient} maps
+    candidates = [{i: ONE} for i in outside]
     candidates += [{a: ONE, b: ONE} for a, b in combinations(outside, 2)]
     rng = random.Random(seed)
     wanted = len(candidates) + trials
@@ -357,16 +382,15 @@ def oracle_characteristic_sequence(algebra, trials=20, seed=1):
         v = sparse_vec([Scalar(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(n)])
         if not l2.contains(v):
             candidates.append(v)
+    return candidates
 
-    best = None
-    witness = None
-    for x in candidates:
-        parts = jordan_type([sparse_vec(oracle_bracket(algebra, basis_vec(n, c), dense_vec(x, n)))
-                             for c in range(n)])
-        if best is None or parts > best:
-            best = parts
-            witness = tuple(dense_vec(x, n))
-    return CharSeq(best, witness)
+
+def oracle_right_type(algebra, x):
+    """Jordan type of R_x, x a sparse {index: Scalar} map, from its columns
+    [e_c, x] summed on Scalars."""
+    n = algebra.dim
+    return jordan_type([sparse_vec(oracle_bracket(algebra, basis_vec(n, c), dense_vec(x, n)))
+                        for c in range(n)])
 
 
 def oracle_bracket(algebra, x, y):

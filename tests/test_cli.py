@@ -590,8 +590,8 @@ def test_main_reuses_one_parser(m7_file, monkeypatch):
 
 
 def test_singular_matrix_error_is_a_bug(m7_file, monkeypatch):
-    # only linalg.inverse raises it, and no input reaches inverse with a
-    # singular matrix: natural_graded's lifts form a basis
+    # only linalg.gaussian_inverse raises it, and no input reaches it with
+    # a singular matrix: natural_graded's lifts form a basis
     from leibnizkit import invariants
     from leibnizkit.linalg import SingularMatrixError
 

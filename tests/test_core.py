@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import DATA, alg, mutated_m7, random_invertible, random_vector, zero_vec
-from oracles import mul_vec, oracle_residual_by_definition
+from oracles import inverse, mul_vec, oracle_residual_by_definition
 
 from leibnizkit.core import (
     Algebra,
@@ -23,7 +23,6 @@ from leibnizkit.linalg import (
     Matrix,
     SingularMatrixError,
     basis_vec,
-    inverse,
     span_echelon,
 )
 from leibnizkit.scalars import Scalar

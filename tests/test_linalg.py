@@ -5,7 +5,7 @@ from math import gcd, lcm
 import pytest
 
 from conftest import alg, random_invertible
-from oracles import OracleEchelon, oracle_matrix_rank, oracle_partition, oracle_rank
+from oracles import OracleEchelon, inverse, oracle_matrix_rank, oracle_partition, oracle_rank
 
 from leibnizkit.core import right_operator
 from leibnizkit.linalg import (
@@ -16,7 +16,6 @@ from leibnizkit.linalg import (
     basis_vec,
     gaussian_inverse,
     image_chain,
-    inverse,
     jordan_type,
     kernel_basis,
     nilpotent_partition,

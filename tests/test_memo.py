@@ -1,7 +1,8 @@
-"""The three results memoized on an Algebra: an empty Leibniz residual, the
-central series and the Gaussian-integer table.  Each is computed once per
-algebra, a non-empty residual is recomputed on every call, and the memo
-never leaks into equality, hashing or what a caller can modify."""
+"""The four results memoized on an Algebra: an empty Leibniz residual, the
+central series, the Gaussian-integer table and the generating set.  Each is
+computed once per algebra, a non-empty residual is recomputed on every
+call, and the memo never leaks into equality, hashing or what a caller can
+modify."""
 
 import io
 import sys
@@ -123,8 +124,8 @@ def test_memo_does_not_affect_equality_or_hash():
     a = fresh_m7()
     fingerprint(a)
     fresh = fresh_m7()
-    assert a._leibniz and a._series is not None and a._gaussian is not None
-    assert not fresh._leibniz and fresh._series is None and fresh._gaussian is None
+    assert a._leibniz and a._series is not None and a._gaussian is not None and a._generators is not None
+    assert not fresh._leibniz and fresh._series is None and fresh._gaussian is None and fresh._generators is None
     assert a == fresh and fresh == a
     assert hash(a) == hash(fresh)
     assert a.key() == fresh.key()
