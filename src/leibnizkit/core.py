@@ -27,7 +27,12 @@ pairs, D the lcm of their denominators, and generating_set keeps the
 basis indices whose left-normed words span L.  The residual, the Der and
 Inn systems, the annihilators, every image chain and sparse_bracket, the
 one bracket kernel, run on that table, and its callers make Scalars only
-of their results.  Equality, hashing and key() ignore all four slots.
+of their results.  gaussian_table is one of the three places that clear
+Scalars to the integer rows linalg's elimination takes, beside
+linalg.gaussian_row and Matrix.gaussian_columns.  On that table,
+square_span is the one echelon of L^2 and operator_columns the one
+builder of the columns of R_x and L_x.  Equality, hashing and key()
+ignore all four slots.
 Concurrent use needs no locking: threads that race to fill a slot compute
 and store equal values.
 
@@ -57,6 +62,7 @@ from .linalg import (
     gaussian_row,
 )
 from .scalars import (
+    ZERO,
     Echo,
     ScalarParseError,
     as_scalar,
@@ -311,11 +317,7 @@ def generating_set(algebra):
 
 def _generating_set(algebra):
     n = algebra.dim
-    _, by_left, _ = gaussian_table(algebra)
-    span = SparseEchelon(n)
-    for row in by_left:
-        for product in row.values():
-            span.add_gaussian(dict(product))
+    span = square_span(algebra)
     generators = tuple(g for g in range(n) if span.add_gaussian({g: (1, 0)}))
     closure = SparseEchelon(n)
     frontier = [{g: (1, 0)} for g in generators]
@@ -326,6 +328,16 @@ def _generating_set(algebra):
         images = (sparse_bracket(algebra, v, {g: (1, 0)}) for v in frontier for g in generators)
         frontier = [w for w in images if closure.add_gaussian(w)]
     return generators if len(closure) == n else tuple(range(n))
+
+
+def square_span(algebra):
+    """L^2, the span of all products, as a new SparseEchelon of the
+    Gaussian-integer products of gaussian_table."""
+    span = SparseEchelon(algebra.dim)
+    for row in gaussian_table(algebra)[1]:
+        for product in row.values():
+            span.add_gaussian(dict(product))
+    return span
 
 
 def gaussian_table(algebra):
@@ -356,23 +368,43 @@ def require_leibniz(algebra):
         raise NotLeibnizError("R_%s is not a derivation; the algebra is not Leibniz" % algebra.labels[k])
 
 
+def operator_columns(index, x):
+    """Columns {c: ((k, (re, im)), ...)} of sum_j x_j index[j], x an
+    {index: (re, im)} map of ints, in O(nnz), zeros dropped: the one
+    operator builder.  index is the by_right or the by_left of
+    gaussian_table, whose [j][c] is column c of D * R_{e_j} or of
+    D * L_{e_j}, so the sum is D * R_x or D * L_x, in the form
+    linalg.image_chain takes."""
+    op = {}
+    for j, (xr, xi) in x.items():
+        for c, terms in index[j].items():
+            col = op.setdefault(c, {})
+            for k, (gr, gi) in terms:
+                o = col.get(k, (0, 0))
+                col[k] = (o[0] + xr * gr - xi * gi, o[1] + xr * gi + xi * gr)
+    return {c: tuple((k, v) for k, v in col.items() if v[0] or v[1]) for c, col in op.items()}
+
+
 def right_operator(algebra, x):
     """Matrix of R_x : y -> [y, x] in the algebra's basis."""
-    d, x = _cleared(x, algebra.dim)
-    return _from_columns(algebra, d, [sparse_bracket(algebra, {c: (1, 0)}, x) for c in range(algebra.dim)])
+    return _operator(algebra, x, gaussian_table(algebra)[2])
 
 
 def left_operator(algebra, x):
     """Matrix of L_x : y -> [x, y] in the algebra's basis."""
-    d, x = _cleared(x, algebra.dim)
-    return _from_columns(algebra, d, [sparse_bracket(algebra, x, {c: (1, 0)}) for c in range(algebra.dim)])
+    return _operator(algebra, x, gaussian_table(algebra)[1])
 
 
-def _from_columns(algebra, d, cols):
-    # cols are D * d times the operator's columns
+def _operator(algebra, x, index):
+    # the columns operator_columns gives for d * x are D * d times the operator's
+    n = algebra.dim
+    d, x = _cleared(x, n)
     d *= gaussian_table(algebra)[0]
-    return Matrix(algebra.dim, algebra.dim, [[from_gaussian(*col.get(k, (0, 0)), d) for col in cols]
-                                             for k in range(algebra.dim)])
+    data = [[ZERO] * n for _ in range(n)]
+    for c, terms in operator_columns(index, x).items():
+        for k, (re, im) in terms:
+            data[k][c] = from_gaussian(re, im, d)
+    return Matrix(n, n, data)
 
 
 def change_of_basis(algebra, p):

@@ -269,8 +269,11 @@ def graded_derivation_split(algebra, assignment, der_basis):
     w[r] - w[c].  The derivation identity is homogeneous for a valid
     gradation, so every weight component of a derivation is a derivation;
     only the der_basis input is checked.
-    Returns {weight: dim W_weight} with dims summing to the dimension of
-    the span of der_basis.
+    Returns {weight: dim W_weight}, W_weight the span of the weight
+    components of der_basis.  The dims sum to the dimension of the
+    smallest graded subspace that contains the span of der_basis, which is
+    dim Der(L) when der_basis spans Der(L), but may exceed the dimension of
+    the span itself: d1 + d2 with d1, d2 of two weights gives 1 + 1.
     """
     if not verify_gradation(algebra, assignment).valid:
         raise ValueError("weight assignment is not a gradation for this algebra")
@@ -280,14 +283,13 @@ def graded_derivation_split(algebra, assignment, der_basis):
     for m in der_basis:
         if not is_derivation(algebra, m):
             raise ValueError("der_basis contains a matrix violating the derivation identity")
-        components = {}  # weight -> {flat index r * n + c: entry}
-        for r, row in enumerate(m.data):
-            for c, v in enumerate(row):
-                if v:
-                    components.setdefault(w[r] - w[c], {})[r * n + c] = v
+        components = {}  # weight -> {flat index r * n + c: (re, im)}, d_m times m's
+        for c, column in enumerate(m.gaussian_columns()[1]):
+            for r, v in column.items():
+                components.setdefault(w[r] - w[c], {})[r * n + c] = v
         for weight, comp in components.items():
-            spans.setdefault(weight, SparseEchelon(n * n)).add(comp)
-    return {weight: span.rank for weight, span in sorted(spans.items())}
+            spans.setdefault(weight, SparseEchelon(n * n)).add_gaussian(comp)
+    return {weight: len(span) for weight, span in sorted(spans.items())}
 
 
 def weights_dumps(algebra, assignment):

@@ -4,13 +4,15 @@ sequence, the associated graded algebra and the isomorphism fingerprint.
 Both chains the classification reads come from linalg.image_chain: the
 central series is the chain of the right operators R_{e_j}, and each
 characteristic-sequence candidate x gives the Jordan type of R_x from
-its sparse columns, with no dense matrix in between; a candidate's lazy
-chain stops once its ranks prove that it cannot beat the best so far,
-and the search stops once the best reaches the ceiling that the support
-of the R_{e_j} proves.  Both chains and the annihilators read
-core.gaussian_table, and the candidates are drawn as Gaussian integers, so
-all of it runs in ints; only the series bases and the witness are made
-Scalars.
+the sparse columns core.operator_columns builds, with no dense matrix in
+between; a candidate's lazy chain stops once its ranks prove that it
+cannot beat the best so far, and the search stops once the best reaches
+the ceiling that the support of the R_{e_j} proves.  Both chains, the
+annihilators and the L^2 that candidates are drawn outside of
+(core.square_span) read core.gaussian_table, and the candidates are drawn
+as Gaussian integers, so all of it runs on the integer rows that
+linalg's elimination takes and clears no Scalar; only the series bases
+and the witness are made Scalars.
 
 fingerprint checks its input with core.require_leibniz, the guard Der and
 Inn share, and calls them through the cohomology module, which imports
@@ -23,16 +25,15 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import cohomology
-from .core import change_of_basis, from_terms, gaussian_table, require_leibniz
-from .linalg import (
-    Matrix,
-    NotNilpotentError,
-    SparseEchelon,
-    dense_vec,
-    image_chain,
-    partition_of_ranks,
-    span_echelon,
+from .core import (
+    change_of_basis,
+    from_terms,
+    gaussian_table,
+    operator_columns,
+    require_leibniz,
+    square_span,
 )
+from .linalg import Matrix, NotNilpotentError, SparseEchelon, dense_vec, image_chain, partition_of_ranks
 from .scalars import from_gaussian
 
 
@@ -148,9 +149,9 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     ceiling = _ceiling(n, bound)
     best = witness = None
     _, _, by_right = gaussian_table(algebra)
-    for x in _candidates(series, n, trials, seed):
+    for x in _candidates(algebra, trials, seed):
         ranks = []
-        for k, level in enumerate(image_chain(n, (_right_multiple(by_right, x),))):
+        for k, level in enumerate(image_chain(n, (operator_columns(by_right, x),))):
             ranks.append(len(level))
             # the cut: r_j <= rho_j for j <= k, and min(b_j, r_k - (j - k)) <= rho_j beyond
             if best is not None and all(r <= p for r, p in zip(ranks, rho)) and all(
@@ -166,11 +167,12 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     return CharSeq(best, witness)
 
 
-def _candidates(series, n, trials, seed):
+def _candidates(algebra, trials, seed):
     """The candidates in order, drawn lazily as sparse {index: (re, im)} maps
     of ints: basis vectors outside L^2, their pairwise sums, then `trials`
     seeded draws outside L^2."""
-    l2 = span_echelon(series.subspace_bases[1], n) if len(series.subspace_bases) > 1 else SparseEchelon(n)
+    n = algebra.dim
+    l2 = square_span(algebra)
     outside = [i for i in range(n) if not l2.contains_gaussian({i: (1, 0)})]
     yield from ({i: (1, 0)} for i in outside)
     yield from ({a: (1, 0), b: (1, 0)} for a, b in combinations(outside, 2))
@@ -262,20 +264,6 @@ def _ceiling(n, bound):
         for j in range(1, p):
             ranks[j] += p - j
     return tuple(parts)
-
-
-def _right_multiple(by_right, x):
-    """Columns {c: ((row, (re, im)), ...)} of D * R_x = sum_j x_j D * R_{e_j},
-    x an {index: (re, im)} map of ints, in O(nnz) from the Gaussian-integer
-    table by_right: column c is D * [e_c, x].  Scaling keeps the Jordan type."""
-    op = {}
-    for j, (xr, xi) in x.items():
-        for c, terms in by_right[j].items():
-            col = op.setdefault(c, {})
-            for k, (gr, gi) in terms:
-                o = col.get(k, (0, 0))
-                col[k] = (o[0] + xr * gr - xi * gi, o[1] + xr * gi + xi * gr)
-    return {c: tuple((k, v) for k, v in col.items() if v[0] or v[1]) for c, col in op.items()}
 
 
 def p_filiform_class(cs):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .core import FormatError, decode_json, from_json_dict, gaussian_table, read_text, sparse_bracket
 from .invariants import Fingerprint, fingerprint
-from .linalg import Matrix, gaussian_combination, span_echelon
+from .linalg import Matrix, SparseEchelon, gaussian_combination
 from .scalars import ScalarParseError, parse_scalar
 
 
@@ -58,9 +58,10 @@ def verify_certificate(cert):
     """
     a, b, p = cert.source, cert.target, cert.map
     n = a.dim
-    if span_echelon(p.data, n).rank != n:
-        return CertificateReport(False, "singular map")
     d_p, cols = p.gaussian_columns()
+    span = SparseEchelon(n)
+    if not all(span.add_gaussian(col) for col in cols):   # a column in the span of those before
+        return CertificateReport(False, "singular map")
     d_a, by_left, _ = gaussian_table(a)
     scale = gaussian_table(b)[0] * d_p
     lhs_cols = [{r: (x * scale, y * scale) for r, (x, y) in col.items()} for col in cols]

@@ -4,13 +4,16 @@ SparseEchelon is the package's one elimination: ranks, kernels, spans,
 Jordan types and gaussian_inverse all insert sparse rows into it.  It
 keeps the reduced row echelon form of the rows so far, pivoting on the
 lowest column a reduced row still has; the RREF of a span is unique, so
-no result depends on the order in which rows arrive.  Its row operations run
-fraction-free on Gaussian integers, (re, im) pairs of plain ints, with
-each pivot row stored over a positive int lead (Bareiss, Math. Comp. 22,
-1968, without the determinant bookkeeping); Scalars are made only when a
-caller reads rows, a kernel or a residual.  The transport and the
-certificate check apply maps in ints: gaussian_columns, gaussian_inverse,
-gaussian_combination.
+no result depends on the order in which rows arrive.  It takes Gaussian-
+integer rows only, (re, im) pairs of plain ints, and runs fraction-free,
+with each pivot row stored over a positive int lead (Bareiss, Math. Comp.
+22, 1968, without the determinant bookkeeping); Scalars are made only when
+a caller reads rows or a kernel.  Scalars are cleared in three places:
+gaussian_row for a sparse row, Matrix.gaussian_columns for a matrix, and
+core.gaussian_table for structure constants.  span_echelon is the one
+entry point for dense Scalar vectors, behind rank, kernel_basis and
+gaussian_inverse.  The transport and the certificate check apply maps in
+ints: gaussian_columns, gaussian_inverse, gaussian_combination.
 
 image_chain is the one descending-image loop, behind both the central
 series and every Jordan type.  It is lazy: it yields each level before it
@@ -171,18 +174,17 @@ class SparseEchelon:
     """Incrementally maintained reduced row echelon form over Q(i), kept
     fraction-free on Gaussian integers.
 
-    Rows go in as sparse {column: Scalar} dicts (add) or as sparse
-    {column: (re, im)} dicts of ints (add_gaussian); zero entries are
-    dropped and a row that reduces to nothing is ignored, so callers need
-    not filter.  Each pivot row is stored as a positive multiple of its
-    RREF row: (re, im) int pairs with no common factor, over a positive
-    int lead, which fixes it uniquely.  So no row operation makes a Scalar
-    or takes a gcd per entry.  A column index maps each non-pivot column
-    to the pivot rows that hold it: add back-substitutes only into those
-    rows, and kernel_basis reads them off.  pivot_rows, basis_rows,
-    kernel_basis and reduce give exact Scalars, built when read; iterating
-    an echelon gives its sparse RREF rows in pivot order, and len() is its
-    rank.
+    Rows go in as sparse {column: (re, im)} dicts of ints (add_gaussian);
+    zero entries are dropped and a row that reduces to nothing is ignored,
+    so callers need not filter.  Each pivot row is stored as a positive
+    multiple of its RREF row: (re, im) int pairs with no common factor,
+    over a positive int lead, which fixes it uniquely.  So no row operation
+    makes a Scalar or takes a gcd per entry.  A column index maps each
+    non-pivot column to the pivot rows that hold it: add_gaussian
+    back-substitutes only into those rows, and kernel_basis reads them off.
+    basis_rows and kernel_basis give exact Scalars, built when read;
+    iterating an echelon gives its sparse RREF rows in pivot order, and
+    len() is its rank.
     """
 
     __slots__ = ("ncols", "_rows", "_index")
@@ -191,10 +193,6 @@ class SparseEchelon:
         self.ncols = ncols
         self._rows = {}   # pivot column -> {column: (re, im)}, lead entry (l, 0) with l > 0
         self._index = {}  # non-pivot column -> set of the pivot columns whose rows hold it
-
-    @property
-    def rank(self):
-        return len(self._rows)
 
     def __len__(self):
         return len(self._rows)
@@ -206,16 +204,11 @@ class SparseEchelon:
             lead = row[pc][0]
             yield {c: from_gaussian(x, y, lead) for c, (x, y) in row.items()}
 
-    @property
-    def pivot_rows(self):
-        """{pivot column: sparse RREF row of Scalars}, built on each read."""
-        return dict(zip(sorted(self._rows), self))
-
     def _reduce(self, row):
-        """(m, m * row minus multiples of pivot rows) for a Gaussian-integer
-        row: its residual times m, the least m > 0 that keeps every step in
-        Z[i].  A pivot row has no other pivot column, so the row's entries
-        in the pivot columns it hits fix every multiplier up front."""
+        """m * row minus multiples of pivot rows, for a Gaussian-integer row:
+        its residual times m, the least m > 0 that keeps every step in Z[i].
+        A pivot row has no other pivot column, so the row's entries in the
+        pivot columns it hits fix every multiplier up front."""
         rows = self._rows
         out = {c: v for c, v in row.items() if v[0] or v[1]}
         hits = [c for c in out if c in rows]
@@ -234,11 +227,11 @@ class SparseEchelon:
             if lead != 1:
                 fr, fi = fr // lead, fi // lead
             _subtract_multiple(out, fr, fi, prow)
-        return m, out
+        return out
 
     def add_gaussian(self, row):
         """Insert a row of (re, im) int pairs; True when it enlarged the span."""
-        res = self._reduce(row)[1]
+        res = self._reduce(row)
         if not res:
             return False
         lead = min(res)
@@ -272,24 +265,9 @@ class SparseEchelon:
         rows[lead] = res
         return True
 
-    def add(self, row):
-        """Insert a row of Scalars; True when it enlarged the span."""
-        return self.add_gaussian(gaussian_row(row)[1])
-
-    def reduce(self, row):
-        """The residual of a row of Scalars after eliminating every pivot
-        column: the row minus its RREF combination, as a sparse dict."""
-        d, row = gaussian_row(row)
-        m, out = self._reduce(row)
-        d *= m
-        return {c: from_gaussian(x, y, d) for c, (x, y) in out.items()}
-
-    def contains(self, row):
-        return self.contains_gaussian(gaussian_row(row)[1])
-
     def contains_gaussian(self, row):
         """Whether a row of (re, im) int pairs lies in the span."""
-        return not self._reduce(row)[1]
+        return not self._reduce(row)
 
     def basis_rows(self):
         """Dense RREF rows, sorted by pivot column."""
@@ -363,15 +341,16 @@ def _primitive(row, lead):
 
 
 def span_echelon(vectors, ncols):
+    """The SparseEchelon of dense Scalar vectors, each cleared by gaussian_row."""
     ech = SparseEchelon(ncols)
     for v in vectors:
-        ech.add(sparse_vec(v))
+        ech.add_gaussian(gaussian_row(sparse_vec(v))[1])
     return ech
 
 
 def rank(m):
     """Exact rank by incremental elimination."""
-    return span_echelon(m.data, m.cols).rank
+    return len(span_echelon(m.data, m.cols))
 
 
 def kernel_basis(m):
@@ -409,14 +388,11 @@ def image_chain(n, operators):
     """Levels V_0 = Q(i)^n, V_{k+1} = sum_T T(V_k), each a SparseEchelon
     yielded before the next is computed, ending with the first level of
     rank 0 or of the rank before it.  An operator maps a column to the terms
-    of its image, {column: ((row, entry), ...)}, the form of
-    Algebra.by_right[j]; its entries are all Scalars or all (re, im) int
-    pairs.  Scaling an operator leaves every T(V) unchanged, so a Scalar
-    operator is cleared of its denominators once, and each level is formed
-    from the Gaussian-integer pivot rows of the last: no Scalar is made
-    until a caller reads a level's rows.
+    of its image, {column: ((row, (re, im)), ...)} with int parts, the form
+    of core.gaussian_table's by_right[j].  Each level is formed from the
+    Gaussian-integer pivot rows of the last: no Scalar is made until a
+    caller reads a level's rows.
     """
-    operators = [_gaussian_operator(op) for op in operators]
     level = SparseEchelon(n)
     level._rows = {c: {c: (1, 0)} for c in range(n)}
     yield level
@@ -441,15 +417,6 @@ def image_chain(n, operators):
             return
 
 
-def _gaussian_operator(op):
-    """op with (re, im) int entries: a Scalar operator times the lcm of its denominators."""
-    entries = [b for terms in op.values() for _, b in terms]
-    if not entries or not isinstance(entries[0], Scalar):
-        return op
-    d = common_denominator(entries)
-    return {c: tuple((r, gaussian_parts(b, d)) for r, b in terms) for c, terms in op.items()}
-
-
 def partition_of_ranks(ranks):
     """Jordan block sizes, weakly decreasing, from the ranks r_k = dim im(T^k)
     as image_chain ends them: r_{k-1} - 2 r_k + r_{k+1} blocks of size k.  A
@@ -465,7 +432,8 @@ def partition_of_ranks(ranks):
 
 
 def jordan_type(columns):
-    """Jordan type of the nilpotent operator with sparse columns {row: entry}."""
+    """Jordan type of the nilpotent operator with sparse columns {row: (re, im)}
+    of ints; scaling an operator keeps its type."""
     op = {c: tuple(col.items()) for c, col in enumerate(columns) if col}
     return partition_of_ranks([len(level) for level in image_chain(len(columns), (op,))])
 
@@ -474,4 +442,4 @@ def nilpotent_partition(m):
     """Jordan block sizes of a nilpotent matrix; no power of m is formed."""
     if m.rows != m.cols:
         raise NotNilpotentError("nilpotent_partition needs a square matrix")
-    return jordan_type([sparse_vec(m.column(c)) for c in range(m.cols)])
+    return jordan_type(m.gaussian_columns()[1])

@@ -17,8 +17,8 @@ plain backtracking gradation search, without forward checking.
 inverse gives linalg.gaussian_inverse as a Matrix of Scalars, for the
 round-trip tests and the Scalar transport below.
 oracle_characteristic_sequence is the characteristic-sequence loop without
-the dominance cut and the ceiling: it runs jordan_type to the end on every
-candidate that oracle_charseq_candidates draws.
+the dominance cut and the ceiling: it runs nilpotent_partition to the end
+on every candidate that oracle_charseq_candidates draws.
 OracleEchelon is the incremental RREF on Scalars, with a leading 1 per
 pivot row and a scan of every pivot row on back-substitution: the engine
 that linalg.SparseEchelon's fraction-free Gaussian-integer rows replace.
@@ -26,6 +26,8 @@ oracle_bracket sums the product terms on Scalars, without the
 Gaussian-integer kernel core.sparse_bracket; oracle_change_of_basis and
 oracle_verify_certificate are the Scalar transport and certificate check
 that core.change_of_basis and iso.verify_certificate replace.
+add_row and in_span hand a sparse row of Scalars to a SparseEchelon, which
+takes Gaussian-integer rows only, through linalg.gaussian_row.
 """
 
 import random
@@ -44,8 +46,8 @@ from leibnizkit.linalg import (
     basis_vec,
     dense_vec,
     gaussian_inverse,
-    jordan_type,
-    span_echelon,
+    gaussian_row,
+    nilpotent_partition,
     sparse_vec,
 )
 from leibnizkit.scalars import ONE, Scalar, ZERO, from_gaussian
@@ -271,7 +273,7 @@ def oracle_inner_outside_der(algebra, der):
     gamma = algebra.gamma
     span = SparseEchelon(n * n)
     for m in der.basis:
-        span.add(sparse_vec(m.flat()))
+        add_row(span, sparse_vec(m.flat()))
     outside = []
     for k in range(n):
         r_k = {}
@@ -279,7 +281,7 @@ def oracle_inner_outside_der(algebra, der):
             for r, v in enumerate(gamma.get((c, k), ())):
                 if v:
                     r_k[r * n + c] = v
-        if not span.contains(r_k):
+        if not in_span(span, r_k):
             outside.append(algebra.labels[k])
     return outside
 
@@ -371,7 +373,9 @@ def oracle_charseq_candidates(algebra, trials=20, seed=1):
     n = algebra.dim
     if n == 0:
         return []
-    l2 = span_echelon(series.subspace_bases[1], n) if len(series.subspace_bases) > 1 else SparseEchelon(n)
+    l2 = OracleEchelon(n)
+    for v in series.subspace_bases[1] if len(series.subspace_bases) > 1 else ():
+        l2.add(sparse_vec(v))
     outside = [i for i in range(n) if not l2.contains({i: ONE})]
 
     candidates = [{i: ONE} for i in outside]
@@ -389,8 +393,8 @@ def oracle_right_type(algebra, x):
     """Jordan type of R_x, x a sparse {index: Scalar} map, from its columns
     [e_c, x] summed on Scalars."""
     n = algebra.dim
-    return jordan_type([sparse_vec(oracle_bracket(algebra, basis_vec(n, c), dense_vec(x, n)))
-                        for c in range(n)])
+    cols = [oracle_bracket(algebra, basis_vec(n, c), dense_vec(x, n)) for c in range(n)]
+    return nilpotent_partition(Matrix(n, n, [[col[r] for col in cols] for r in range(n)]))
 
 
 def oracle_bracket(algebra, x, y):
@@ -427,7 +431,7 @@ def oracle_verify_certificate(cert):
     [P e_i, P e_j]_b as dense vectors, the first mismatch in (i, j) order."""
     a, b, p = cert.source, cert.target, cert.map
     n = a.dim
-    if span_echelon(p.data, n).rank != n:
+    if oracle_matrix_rank(p) != n:
         return CertificateReport(False, "singular map")
     cols = [p.column(j) for j in range(n)]
     for i in range(n):
@@ -438,6 +442,16 @@ def oracle_verify_certificate(cert):
                 reason = "bracket mismatch at (%s, %s)" % (a.labels[i], a.labels[j])
                 return CertificateReport(False, reason, pair=(i, j))
     return CertificateReport(True)
+
+
+def add_row(ech, row):
+    """SparseEchelon.add_gaussian of a sparse {column: Scalar} row."""
+    return ech.add_gaussian(gaussian_row(row)[1])
+
+
+def in_span(ech, row):
+    """Whether a sparse {column: Scalar} row lies in a SparseEchelon's span."""
+    return ech.contains_gaussian(gaussian_row(row)[1])
 
 
 class OracleEchelon:

@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import DATA, alg, mutated_m7, random_invertible, random_vector, zero_vec
-from oracles import inverse, mul_vec, oracle_residual_by_definition
+from conftest import (
+    DATA,
+    alg,
+    case_algebra,
+    catalog_cases,
+    mutated_m7,
+    random_invertible,
+    random_vector,
+    zero_vec,
+)
+from oracles import inverse, mul_vec, oracle_bracket, oracle_residual_by_definition
 
 from leibnizkit.core import (
     Algebra,
@@ -16,6 +25,7 @@ from leibnizkit.core import (
     from_terms,
     gaussian_table,
     leibniz_residual,
+    left_operator,
     loads,
     right_operator,
 )
@@ -144,7 +154,7 @@ def _dense_rational_move(rng, n):
         p = Matrix(n, n, [[Scalar(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)),
                                   Fraction(rng.randint(-1, 1), rng.randint(1, 2)))
                            for _ in range(n)] for _ in range(n)])
-        if span_echelon(p.data, n).rank == n:
+        if len(span_echelon(p.data, n)) == n:
             return p
 
 
@@ -182,7 +192,7 @@ def test_right_operator_l1_image():
     op = right_operator(l1, e(7, 0))
     image = span_echelon([op.column(c) for c in range(7)], 7)
     expected = span_echelon([e(7, 1), e(7, 2), e(7, 3)], 7)
-    assert image.rank == 3
+    assert len(image) == 3
     assert image.basis_rows() == expected.basis_rows()
 
 
@@ -192,6 +202,25 @@ def test_right_operator_matches_bracket(rng):
         x = random_vector(rng, 8)
         y = random_vector(rng, 8)
         assert mul_vec(right_operator(m7, x), y) == bracket(m7, y, x)
+
+
+def _gaussian_rational_vector(rng, n):
+    return [Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("family,n,alpha", catalog_cases())
+def test_operators_match_bracket_on_gaussian_rationals(family, n, alpha):
+    # left_operator and right_operator share core.operator_columns, run on
+    # by_left and by_right: L_x y = [x, y] and R_x y = [y, x], on the catalog
+    # table and on a dense Gaussian-rational conjugate of it
+    rng = random.Random("%s %d %s" % (family, n, alpha))
+    base = case_algebra(family, n, alpha)
+    for a in (base, change_of_basis(base, _dense_rational_move(rng, base.dim))):
+        for _ in range(4):
+            x, y = _gaussian_rational_vector(rng, a.dim), _gaussian_rational_vector(rng, a.dim)
+            assert mul_vec(left_operator(a, x), y) == bracket(a, x, y) == oracle_bracket(a, x, y)
+            assert mul_vec(right_operator(a, x), y) == bracket(a, y, x) == oracle_bracket(a, y, x)
 
 
 def test_change_of_basis_identity():

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import alg
 
-from oracles import oracle_derivation_space, oracle_residual
+from oracles import add_row, oracle_derivation_space, oracle_residual
 
 from leibnizkit.catalog import FAMILIES
 from leibnizkit.cohomology import derivation_space, is_derivation
@@ -65,7 +65,7 @@ def codim_square(a):
     """dim L - dim L^2, L^2 the span of all products."""
     span = SparseEchelon(a.dim)
     for _, _, terms in a.products():
-        span.add(dict(terms))
+        add_row(span, dict(terms))
     return a.dim - len(span)
 
 

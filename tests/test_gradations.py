@@ -17,7 +17,7 @@ from leibnizkit.gradations import (
     weights_dumps,
     weights_loads,
 )
-from leibnizkit.linalg import Matrix
+from leibnizkit.linalg import Matrix, rank
 from leibnizkit.scalars import Scalar
 
 
@@ -152,6 +152,22 @@ def test_split_n7_sums_to_der_dim():
     w = search_diagonal_gradation(a)
     split = graded_derivation_split(a, w, cached_der(a).basis)
     assert sum(split.values()) == 16
+
+
+def test_split_counts_the_graded_hull_not_the_span():
+    # d1 + d2, with d1 and d2 basis derivations of weights 3 and 4, spans a
+    # line, but the smallest graded subspace that holds it is <d1, d2>
+    a = alg("M", 7)
+    w = search_diagonal_gradation(a)
+    assert w.weights == (1, 2, 3, 4, 5, -1, 0, 6)
+
+    def weights(m):
+        return {w.weights[r] - w.weights[c] for r in range(8) for c in range(8) if m.data[r][c]}
+
+    d1, d2 = ([m for m in cached_der(a).basis if weights(m) == {k}][0] for k in (3, 4))
+    assert rank(Matrix(1, 64, [(d1 + d2).flat()])) == 1
+    assert graded_derivation_split(a, w, [d1 + d2]) == {3: 1, 4: 1}
+    assert graded_derivation_split(a, w, [d1, d2, d1 + d2]) == {3: 1, 4: 1}
 
 
 def test_split_components_recombine(rng):

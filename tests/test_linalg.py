@@ -5,7 +5,7 @@ from math import gcd, lcm
 import pytest
 
 from conftest import alg, random_invertible
-from oracles import OracleEchelon, inverse, oracle_matrix_rank, oracle_partition, oracle_rank
+from oracles import OracleEchelon, add_row, in_span, inverse, oracle_matrix_rank, oracle_partition, oracle_rank
 
 from leibnizkit.core import right_operator
 from leibnizkit.linalg import (
@@ -102,16 +102,16 @@ def test_partition_of_the_empty_matrix():
 
 def test_image_chain_of_one_jordan_block():
     # e0 -> e1 -> e2 -> 0: each image drops the leading unit vector
-    block = {0: ((1, ONE),), 1: ((2, ONE),)}
+    block = {0: ((1, (1, 0)),), 1: ((2, (1, 0)),)}
     assert [list(level) for level in image_chain(3, (block,))] == [
         [{0: ONE}, {1: ONE}, {2: ONE}], [{1: ONE}, {2: ONE}], [{2: ONE}], []]
     assert [list(level) for level in image_chain(3, ())] == [[{0: ONE}, {1: ONE}, {2: ONE}], []]
-    assert jordan_type([{1: ONE}, {2: ONE}, {}]) == (3,)
+    assert jordan_type([{1: (1, 0)}, {2: (1, 0)}, {}]) == (3,)
 
 
 def test_image_chain_sums_the_operators_images():
     # two operators whose images alone have rank 1 span rank 2 together
-    first, second = {0: ((1, ONE),)}, {0: ((2, Scalar(0, 1)),)}
+    first, second = {0: ((1, (1, 0)),)}, {0: ((2, (0, 1)),)}
     ranks = [len(level) for level in image_chain(3, (first, second))]
     assert ranks == [3, 2, 0]
 
@@ -168,20 +168,20 @@ def test_echelon_rref_invariant_randomized():
         ech = SparseEchelon(ncols)
         for row in rows:
             before = dict(row)
-            ech.add(row)
+            add_row(ech, row)
             assert row == before
-            for pc, prow in ech.pivot_rows.items():
+            for pc, prow in zip(sorted(ech._rows), ech):
                 assert prow[pc] == ONE and min(prow) == pc and all(prow.values())
-                assert not any(c != pc and c in ech.pivot_rows for c in prow)
-        assert all(ech.reduce(row) == {} for row in rows)
-        assert ech.rank == oracle_rank([[row.get(c, ZERO) for c in range(ncols)] for row in rows])
+                assert not any(c != pc and c in ech._rows for c in prow)
+        assert all(in_span(ech, row) for row in rows)
+        assert len(ech) == oracle_rank([[row.get(c, ZERO) for c in range(ncols)] for row in rows])
         basis = ech.basis_rows()
         for _ in range(3):
             shuffled = rows[:]
             rng.shuffle(shuffled)
             other = SparseEchelon(ncols)
             for row in shuffled:
-                other.add(row)
+                add_row(other, row)
             assert other.basis_rows() == basis
 
 
@@ -208,30 +208,30 @@ def _rational_rows(rng, ncols, nrows):
 
 def test_echelon_matches_the_scalar_oracle_engine():
     # the fraction-free Gaussian-integer engine against the plain Scalar
-    # RREF it replaced: the same rank, rows, kernel, residuals and membership
+    # RREF it replaced: the same rank, rows, kernel and membership
     rng = random.Random(2026)
     for _ in range(120):
         ncols = rng.randint(1, 12)
         rows = _rational_rows(rng, ncols, rng.randint(1, 14))
         ech, oracle = SparseEchelon(ncols), OracleEchelon(ncols)
         for row in rows:
-            assert ech.add(row) == oracle.add(row)
-        assert ech.rank == oracle.rank == len(ech)
+            assert add_row(ech, row) == oracle.add(row)
+        assert len(ech) == oracle.rank
         for pc, row in ech._rows.items():
             # the stored form: a positive int lead and no common factor
             assert min(row) == pc and row[pc][0] > 0 and row[pc][1] == 0
             assert gcd(*[t for v in row.values() for t in v]) == 1
-        assert ech.pivot_rows == oracle.pivot_rows
+        assert dict(zip(sorted(ech._rows), ech)) == oracle.pivot_rows
         assert ech.basis_rows() == oracle.basis_rows()
         assert [dict(r) for r in ech] == [oracle.pivot_rows[pc] for pc in sorted(oracle.pivot_rows)]
         assert ech.kernel_basis() == oracle.kernel_basis()
         for probe in _rational_rows(rng, ncols, 6) + rows:
-            assert ech.reduce(probe) == oracle.reduce(probe)
-            assert ech.contains(probe) == oracle.contains(probe)
+            assert in_span(ech, probe) == oracle.contains(probe)
 
 
 def test_echelon_takes_gaussian_integer_rows():
-    # add_gaussian(d * row as int pairs) spans what add(row) spans
+    # add_gaussian(d * row as int pairs) spans what the row cleared by
+    # gaussian_row spans, for any multiple d of its denominators
     rng = random.Random(8)
     for _ in range(40):
         ncols = rng.randint(1, 9)
@@ -240,7 +240,7 @@ def test_echelon_takes_gaussian_integer_rows():
         for row in rows:
             d = rng.choice((1, 2, 6)) * lcm(*[v.d for v in row.values()])
             pairs = {c: (v.a * d // v.d, v.b * d // v.d) for c, v in row.items()}
-            assert scaled.add_gaussian(pairs) == ech.add(row)
+            assert scaled.add_gaussian(pairs) == add_row(ech, row)
         assert scaled.basis_rows() == ech.basis_rows()
 
 
