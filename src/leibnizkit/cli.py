@@ -139,7 +139,7 @@ def cmd_catalog(args, out):
     if args.out:
         core.save(algebra, args.out)
         print("wrote %s (dim %d, %d products) to %s"
-              % (args.family, algebra.dim, len(algebra.products()), args.out), file=out)
+              % (args.family, algebra.dim, sum(map(len, algebra.by_left)), args.out), file=out)
     else:
         out.write(core.dumps(algebra))
     if residuals:

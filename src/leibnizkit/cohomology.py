@@ -16,16 +16,16 @@ a homogeneous linear system in the dim^2 matrix entries; it is assembled
 sparsely and eliminated incrementally (SparseEchelon drops zero entries
 and empty rows itself).  The RREF of the kernel is unique, so the Der
 basis is the one all dim^2 pairs would give.  is_derivation still checks
-every pair, as an independent test.  Both the Der and the Inn rows are
-read off core.gaussian_table as Gaussian integers and eliminated without a
-Scalar; the bases are made Scalars only when the kernel and the RREF are
-read.
+every pair, through core.derivation_defects, the loop behind the
+residual.  Both the Der and the Inn rows are read off the algebra's
+Gaussian-integer table and eliminated without a Scalar; the bases are made
+Scalars only when the kernel and the RREF are read.
 """
 
 from __future__ import annotations
 
-from .core import gaussian_table, generating_set, require_leibniz, sparse_bracket
-from .linalg import Matrix, SparseEchelon, gaussian_combination
+from .core import derivation_defects, generating_set, require_leibniz
+from .linalg import Matrix, SparseEchelon
 
 
 class DerivationSpace:
@@ -43,22 +43,10 @@ class DerivationSpace:
 
 def is_derivation(algebra, m):
     """Exact check of d([e_i,e_j]) = [d e_i, e_j] + [e_i, d e_j] on all pairs,
-    on Gaussian integers: the table D * gamma and the columns of d_m * m scale
-    all three terms by D * d_m."""
-    n = algebra.dim
-    _, by_left, _ = gaussian_table(algebra)
+    on Gaussian integers: core.derivation_defects on the columns of d_m * m."""
     _, cols = m.gaussian_columns()
-    for i in range(n):
-        for j in range(n):
-            defect = gaussian_combination(cols, dict(by_left[i].get(j, ())))
-            for side in (sparse_bracket(algebra, cols[i], {j: (1, 0)}),
-                         sparse_bracket(algebra, {i: (1, 0)}, cols[j])):
-                for r, (x, y) in side.items():
-                    o = defect.get(r, (0, 0))
-                    defect[r] = (o[0] - x, o[1] - y)
-            if any(x or y for x, y in defect.values()):
-                return False
-    return True
+    defects = next(derivation_defects(algebra, [{c: col.items() for c, col in enumerate(cols)}]))
+    return not any(x or y for defect in defects.values() for x, y in defect.values())
 
 
 def derivation_space(algebra):
@@ -66,13 +54,13 @@ def derivation_space(algebra):
 
     The identity is imposed on the pairs (e_i, e_g) with g in
     core.generating_set only; the other pairs follow (see the module
-    docstring).  The equations are read off core.gaussian_table, D * gamma
+    docstring).  The equations are read off the algebra's table, D * gamma
     as (re, im) int pairs: the identity is linear in gamma, so the
     solutions are Der(L)'s.
     """
     require_leibniz(algebra)
     n = algebra.dim
-    _, by_left, by_right = gaussian_table(algebra)
+    by_left, by_right = algebra.by_left, algebra.by_right
     generators = generating_set(algebra)
     ech = SparseEchelon(n * n)
     for i in range(n):
@@ -102,12 +90,11 @@ def derivation_space(algebra):
 def inner_derivation_space(algebra):
     """Echelonized span of the right operators R_{e_k}, each a derivation
     once core.require_leibniz passes, so Inn(L) is a subspace of Der(L).
-    The rows come from core.gaussian_table, so they span D * Inn = Inn."""
+    The rows come from the table D * gamma, so they span D * Inn = Inn."""
     require_leibniz(algebra)
     n = algebra.dim
-    _, _, by_right = gaussian_table(algebra)
     ech = SparseEchelon(n * n)
-    for column in by_right:
+    for column in algebra.by_right:
         # entry (k, r) of R_{e_i} is the e_k coordinate of [e_r, e_i]
         ech.add_gaussian({k * n + r: g for r, terms in column.items() for k, g in terms})
     basis = [Matrix(n, n, row) for row in ech.basis_rows()]

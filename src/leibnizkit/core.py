@@ -8,31 +8,34 @@ argument the columns, and the identity checked by leibniz_residual is
     [x, [y, z]] = [[x, y], z] - [[x, z], y].
 
 require_leibniz is the package's one Leibniz guard.  The products are
-stored once, as sparse terms: each nonzero product is a tuple of (k, c)
-terms with c != 0, sorted by k, reachable by its left factor
-(by_left[i][j]) and by its right factor (by_right[j][i]).  Every bracket
-loop goes through this index, so its cost follows the nonzero products.
+stored once, as Gaussian integers: denominator is D, the lcm of the
+reduced denominators of the structure constants, and each nonzero product
+of D * gamma is a tuple of (k, (re, im)) terms of ints, not both zero,
+sorted by k, reachable by its left factor (by_left[i][j]) and by its right
+factor (by_right[j][i]).  Every bracket loop goes through this index, so
+its cost follows the nonzero products: the residual, the Der and Inn
+systems, the annihilators, every image chain and sparse_bracket, the one
+bracket kernel, run on it and make Scalars only of their results.  On it,
+square_span is the one echelon of L^2, operator_columns the one builder of
+the columns of R_x and L_x, and derivation_defects the one loop that
+checks the derivation identity, behind both the residual and
+cohomology.is_derivation.
 
 Only from_terms and the dense adapter Algebra(labels, gamma) build an
-Algebra, and both run the one term accumulator.  The catalog builders,
-the file loader, change_of_basis, direct_sum and gr L all write terms
-through from_terms; gamma is a dense read-only view built on each read.
+Algebra, and both run the one term accumulator, Algebra._accumulate, which
+sums Scalar terms and clears them to the table: one of the three places
+that clear Scalars, beside linalg.gaussian_row and Matrix.gaussian_columns.
+The catalog builders, the file loader, change_of_basis, direct_sum and gr L
+all write terms through from_terms.  products() and gamma are Scalar views
+made on each read.
 
-Since the tables never change, four results are memoized on the
+Since the tables never change, three results are memoized on the
 algebra: leibniz_residual remembers that the residual is empty (a
 non-empty one is recomputed, so every caller gets its own list),
-invariants.central_series keeps its immutable SeriesReport,
-gaussian_table keeps D times the structure constants as (re, im) int
-pairs, D the lcm of their denominators, and generating_set keeps the
-basis indices whose left-normed words span L.  The residual, the Der and
-Inn systems, the annihilators, every image chain and sparse_bracket, the
-one bracket kernel, run on that table, and its callers make Scalars only
-of their results.  gaussian_table is one of the three places that clear
-Scalars to the integer rows linalg's elimination takes, beside
-linalg.gaussian_row and Matrix.gaussian_columns.  On that table,
-square_span is the one echelon of L^2 and operator_columns the one
-builder of the columns of R_x and L_x.  Equality, hashing and key()
-ignore all four slots.
+invariants.central_series keeps its immutable SeriesReport, and
+generating_set keeps the basis indices whose left-normed words span L.
+Equality, hashing and key() ignore all three slots; they compare the
+labels, D and the table.
 Concurrent use needs no locking: threads that race to fill a slot compute
 and store equal values.
 
@@ -84,7 +87,7 @@ class NotLeibnizError(ValueError):
 class Algebra:
     """Finite-dimensional algebra over Q(i) given by structure constants."""
 
-    __slots__ = ("dim", "labels", "by_left", "by_right", "_leibniz", "_series", "_gaussian",
+    __slots__ = ("dim", "labels", "denominator", "by_left", "by_right", "_leibniz", "_series",
                  "_generators")
 
     def __init__(self, labels, gamma):
@@ -99,7 +102,8 @@ class Algebra:
         self._accumulate(labels, terms)
 
     def _accumulate(self, labels, terms):
-        """Index the sums of (i, j, k, c) terms: the one table builder."""
+        """Index the sums of (i, j, k, c) terms, cleared to Gaussian integers
+        over their common denominator: the one table builder."""
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be unique")
@@ -113,19 +117,20 @@ class Algebra:
                 if row is None:
                     row = sums[(i, j)] = {}
                 row[k] = row[k] + c if k in row else as_scalar(c)
+        sums = {key: sorted((k, c) for k, c in row.items() if c) for key, row in sums.items()}
+        d = common_denominator([c for prod in sums.values() for _, c in prod])
         by_left = [{} for _ in range(dim)]
         by_right = [{} for _ in range(dim)]
-        for (i, j), row in sums.items():
-            prod = tuple(sorted((k, c) for k, c in row.items() if c))
+        for (i, j), prod in sums.items():
             if prod:
-                by_left[i][j] = by_right[j][i] = prod
+                by_left[i][j] = by_right[j][i] = tuple((k, gaussian_parts(c, d)) for k, c in prod)
         self.dim = dim
         self.labels = labels
+        self.denominator = d
         self.by_left = tuple(by_left)
         self.by_right = tuple(by_right)
         self._leibniz = False   # memo: the residual was found empty
         self._series = None     # memo: invariants.central_series
-        self._gaussian = None   # memo: gaussian_table
         self._generators = None  # memo: generating_set
 
     @property
@@ -141,23 +146,30 @@ class Algebra:
             raise KeyError("unknown basis label %r" % (label,)) from None
 
     def products(self):
-        """(i, j, terms) per nonzero product, in lexicographic (i, j) order."""
+        """(i, j, terms) per nonzero product, in lexicographic (i, j) order,
+        each term a (k, Scalar) pair: a view made on each read."""
+        d = self.denominator
+        return [(i, j, tuple((k, from_gaussian(re, im, d)) for k, (re, im) in terms))
+                for i, j, terms in self._table()]
+
+    def _table(self):
         return [(i, j, row[j]) for i, row in enumerate(self.by_left) for j in sorted(row)]
 
     def key(self):
         """Hashable canonical form, for caching in tests and tools."""
-        return (self.labels, tuple(self.products()))
+        return (self.labels, self.denominator, tuple(self._table()))
 
     def __eq__(self, other):
         if not isinstance(other, Algebra):
             return NotImplemented
-        return self.labels == other.labels and self.by_left == other.by_left
+        return (self.labels == other.labels and self.denominator == other.denominator
+                and self.by_left == other.by_left)
 
     def __hash__(self):
         return hash(self.key())
 
     def __repr__(self):
-        return "Algebra(dim=%d, products=%d)" % (self.dim, len(self.products()))
+        return "Algebra(dim=%d, products=%d)" % (self.dim, sum(map(len, self.by_left)))
 
 
 def from_terms(labels, terms):
@@ -179,15 +191,14 @@ def from_terms(labels, terms):
 def sparse_bracket(algebra, x, y):
     """D * [x, y] for x, y given as {index: (re, im)} maps of ints; same form out.
 
-    The single bracket kernel.  It runs on the Gaussian-integer table D * gamma
-    of gaussian_table, so for x and y cleared of denominators dx and dy it
-    gives D * dx * dy times the true bracket.  It walks the products adjacent
-    to the smaller argument, so brackets with a basis vector touch one row or
-    column of the table only.
+    The single bracket kernel.  It runs on the Gaussian-integer table D * gamma,
+    so for x and y cleared of denominators dx and dy it gives D * dx * dy
+    times the true bracket.  It walks the products adjacent to the smaller
+    argument, so brackets with a basis vector touch one row or column of the
+    table only.
     """
-    _, by_left, by_right = gaussian_table(algebra)
     # [e_i, e_j] is by_left[i][j] = by_right[j][i], and Z[i] is commutative
-    outer, inner, index = (x, y, by_left) if len(x) <= len(y) else (y, x, by_right)
+    outer, inner, index = (x, y, algebra.by_left) if len(x) <= len(y) else (y, x, algebra.by_right)
     out = {}
     for i, (ar, ai) in outer.items():
         for j, terms in index[i].items():
@@ -213,7 +224,7 @@ def _scalars(terms, d):
 def bracket(algebra, x, y):
     """Bilinear extension of gamma: the product [x, y]."""
     (dx, x), (dy, y) = _cleared(x, algebra.dim), _cleared(y, algebra.dim)
-    d = gaussian_table(algebra)[0] * dx * dy
+    d = algebra.denominator * dx * dy
     return dense_vec(_scalars(sparse_bracket(algebra, x, y), d), algebra.dim)
 
 
@@ -252,51 +263,62 @@ def _residual(algebra):
 def _triples(algebra, third):
     """The residual triples (i, j, k) with k in third, in lexicographic order.
 
-    The residual at (i, j, k) is R_{e_k}'s failure on (e_i, e_j), and its
-    terms are accumulated only from products that exist: [e_i, [e_j, e_k]]
-    from gamma_jk and by_right, [[e_i, e_k], e_j] from gamma_ik and by_left,
-    and [[e_i, e_j], e_k] from each product whose result holds an e_t with
-    gamma_tk nonzero.  The sums run on the Gaussian-integer table D * gamma;
-    the residual is quadratic in gamma, so each nonzero entry is a Scalar
-    over D^2.
+    The residual at (i, j, k) is the derivation defect of R_{e_k} on
+    (e_i, e_j), and by_right[k] holds the columns of D * R_{e_k}.  It is
+    quadratic in gamma, so each nonzero entry is a Scalar over D^2.
     """
-    d, by_left, by_right = gaussian_table(algebra)
-    n = algebra.dim
-    within = [[] for _ in range(n)]   # t -> (i, j, coefficient of e_t in [e_i, e_j])
+    n, dd = algebra.dim, algebra.denominator ** 2
+    out = []
+    for k, defects in zip(third, derivation_defects(algebra, [algebra.by_right[k] for k in third])):
+        for (i, j), acc in defects.items():
+            terms = {m: from_gaussian(x, y, dd) for m, (x, y) in acc.items() if x or y}
+            if terms:
+                out.append((i, j, k, dense_vec(terms, n)))
+    return sorted(out, key=lambda triple: triple[:3])
+
+
+def derivation_defects(algebra, maps):
+    """For each map d in maps, {(i, j): {m: (re, im)}}, the defect
+    [e_i, d e_j] + [d e_i, e_j] - d[e_i, e_j]; d is a derivation iff every
+    entry is zero.
+
+    Each map is given by columns {c: ((row, (re, im)), ...)} of ints, as
+    by_right[k] gives D * R_{e_k}; zero columns may be absent.  Terms are
+    accumulated only from products that exist: [e_i, d e_j] from by_right,
+    [d e_i, e_j] from by_left, and d[e_i, e_j] from each product whose
+    result holds an e_t with column t of d nonzero.  On D * gamma and the
+    columns of d_m * d, each defect is D * d_m times the true one; a pair
+    absent has defect zero, and zero entries are kept.
+    """
+    by_left, by_right = algebra.by_left, algebra.by_right
+    within = [[] for _ in range(algebra.dim)]   # t -> (i, j, coefficient of e_t in [e_i, e_j])
     for i, row in enumerate(by_left):
         for j, g_ij in row.items():
             for t, c in g_ij:
                 within[t].append((i, j, c))
-    acc = {}
-    for k in third:
-        column = by_right[k]
-        for j, g_jk in column.items():
-            for t, (cr, ci) in g_jk:
+    for columns in maps:
+        acc = {}
+        for j, d_j in columns.items():
+            for t, (cr, ci) in d_j:
                 for i, g_it in by_right[t].items():
-                    res = acc.setdefault((i, j, k), {})      # + [e_i, [e_j, e_k]]
+                    res = acc.setdefault((i, j), {})      # + [e_i, d e_j]
                     for m, (wr, wi) in g_it:
                         o = res.get(m, (0, 0))
                         res[m] = (o[0] + cr * wr - ci * wi, o[1] + cr * wi + ci * wr)
-        for i, g_ik in column.items():
-            for t, (cr, ci) in g_ik:
+        for i, d_i in columns.items():
+            for t, (cr, ci) in d_i:
                 for j, g_tj in by_left[t].items():
-                    res = acc.setdefault((i, j, k), {})      # + [[e_i, e_k], e_j]
+                    res = acc.setdefault((i, j), {})      # + [d e_i, e_j]
                     for m, (wr, wi) in g_tj:
                         o = res.get(m, (0, 0))
                         res[m] = (o[0] + cr * wr - ci * wi, o[1] + cr * wi + ci * wr)
-        for t, g_tk in column.items():
+        for t, d_t in columns.items():
             for i, j, (cr, ci) in within[t]:
-                res = acc.setdefault((i, j, k), {})          # - [[e_i, e_j], e_k]
-                for m, (wr, wi) in g_tk:
+                res = acc.setdefault((i, j), {})          # - d[e_i, e_j]
+                for m, (wr, wi) in d_t:
                     o = res.get(m, (0, 0))
                     res[m] = (o[0] - cr * wr + ci * wi, o[1] - cr * wi - ci * wr)
-    dd = d * d
-    out = []
-    for key in sorted(acc):
-        terms = {m: from_gaussian(x, y, dd) for m, (x, y) in acc[key].items() if x or y}
-        if terms:
-            out.append(key + (dense_vec(terms, n),))
-    return out
+        yield acc
 
 
 def generating_set(algebra):
@@ -332,30 +354,12 @@ def _generating_set(algebra):
 
 def square_span(algebra):
     """L^2, the span of all products, as a new SparseEchelon of the
-    Gaussian-integer products of gaussian_table."""
+    Gaussian-integer products."""
     span = SparseEchelon(algebra.dim)
-    for row in gaussian_table(algebra)[1]:
+    for row in algebra.by_left:
         for product in row.values():
             span.add_gaussian(dict(product))
     return span
-
-
-def gaussian_table(algebra):
-    """(D, by_left, by_right): D times the structure constants, D the lcm of
-    their denominators, indexed as the algebra's by_left and by_right with
-    each coefficient an (re, im) pair of ints.  Built once and memoized.
-
-    The Der system is linear in gamma, so D * gamma has the same solutions;
-    the series and the Jordan types read images only, which scaling keeps.
-    """
-    table = algebra._gaussian
-    if table is None:
-        d = common_denominator([c for row in algebra.by_left for terms in row.values() for _, c in terms])
-        by_left = tuple({j: tuple((k, gaussian_parts(c, d)) for k, c in terms) for j, terms in row.items()}
-                        for row in algebra.by_left)
-        by_right = tuple({i: by_left[i][j] for i in column} for j, column in enumerate(algebra.by_right))
-        algebra._gaussian = table = (d, by_left, by_right)
-    return table
 
 
 def require_leibniz(algebra):
@@ -371,10 +375,9 @@ def require_leibniz(algebra):
 def operator_columns(index, x):
     """Columns {c: ((k, (re, im)), ...)} of sum_j x_j index[j], x an
     {index: (re, im)} map of ints, in O(nnz), zeros dropped: the one
-    operator builder.  index is the by_right or the by_left of
-    gaussian_table, whose [j][c] is column c of D * R_{e_j} or of
-    D * L_{e_j}, so the sum is D * R_x or D * L_x, in the form
-    linalg.image_chain takes."""
+    operator builder.  index is an algebra's by_right or by_left, whose
+    [j][c] is column c of D * R_{e_j} or of D * L_{e_j}, so the sum is
+    D * R_x or D * L_x, in the form linalg.image_chain takes."""
     op = {}
     for j, (xr, xi) in x.items():
         for c, terms in index[j].items():
@@ -387,19 +390,19 @@ def operator_columns(index, x):
 
 def right_operator(algebra, x):
     """Matrix of R_x : y -> [y, x] in the algebra's basis."""
-    return _operator(algebra, x, gaussian_table(algebra)[2])
+    return _operator(algebra, x, algebra.by_right)
 
 
 def left_operator(algebra, x):
     """Matrix of L_x : y -> [x, y] in the algebra's basis."""
-    return _operator(algebra, x, gaussian_table(algebra)[1])
+    return _operator(algebra, x, algebra.by_left)
 
 
 def _operator(algebra, x, index):
     # the columns operator_columns gives for d * x are D * d times the operator's
     n = algebra.dim
     d, x = _cleared(x, n)
-    d *= gaussian_table(algebra)[0]
+    d *= algebra.denominator
     data = [[ZERO] * n for _ in range(n)]
     for c, terms in operator_columns(index, x).items():
         for k, (re, im) in terms:
@@ -419,7 +422,7 @@ def change_of_basis(algebra, p):
         raise ValueError("change of basis matrix must be %d x %d" % (algebra.dim, algebra.dim))
     d_inv, inv_cols = gaussian_inverse(p)  # SingularMatrixError when P is singular
     d_p, cols = p.gaussian_columns()
-    d = gaussian_table(algebra)[0] * d_p * d_p * d_inv
+    d = algebra.denominator * d_p * d_p * d_inv
     n = algebra.dim
     terms = []
     for i in range(n):

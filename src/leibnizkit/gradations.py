@@ -119,8 +119,8 @@ def verify_gradation(algebra, assignment):
     if len(w) != algebra.dim:
         raise ValueError("weight assignment has %d entries, algebra dim is %d"
                          % (len(w), algebra.dim))
-    violations = [(i, j) for i, j, terms in algebra.products()
-                  if any(w[k] != w[i] + w[j] for k, _ in terms)]
+    violations = [(i, j) for i, row in enumerate(algebra.by_left) for j in sorted(row)
+                  if any(w[k] != w[i] + w[j] for k, _ in row[j])]
     occupied = sorted(set(w))
     component_dims = {weight: 0 for weight in occupied}
     for weight in w:

@@ -9,10 +9,10 @@ between; a candidate's lazy chain stops once its ranks prove that it
 cannot beat the best so far, and the search stops once the best reaches
 the ceiling that the support of the R_{e_j} proves.  Both chains, the
 annihilators and the L^2 that candidates are drawn outside of
-(core.square_span) read core.gaussian_table, and the candidates are drawn
-as Gaussian integers, so all of it runs on the integer rows that
-linalg's elimination takes and clears no Scalar; only the series bases
-and the witness are made Scalars.
+(core.square_span) read the algebra's Gaussian-integer table, and the
+candidates are drawn as Gaussian integers, so all of it runs on the
+integer rows that linalg's elimination takes and clears no Scalar; only
+the series bases and the witness are made Scalars.
 
 fingerprint checks its input with core.require_leibniz, the guard Der and
 Inn share, and calls them through the cohomology module, which imports
@@ -28,7 +28,6 @@ from . import cohomology
 from .core import (
     change_of_basis,
     from_terms,
-    gaussian_table,
     operator_columns,
     require_leibniz,
     square_span,
@@ -71,8 +70,7 @@ def central_series(algebra):
 def _series(algebra):
     # L^{k+1} = [L^k, L] = sum_j R_{e_j}(L^k): the image chain of the right
     # operators, whose last level is 0 or the stabilized L^k
-    _, _, by_right = gaussian_table(algebra)
-    levels = list(image_chain(algebra.dim, by_right))
+    levels = list(image_chain(algebra.dim, algebra.by_right))
     last = levels.pop()
     bases = tuple(tuple(tuple(dense_vec(row, algebra.dim)) for row in level) for level in levels)
     dims = tuple(len(level) for level in levels)
@@ -81,20 +79,18 @@ def _series(algebra):
 
 def right_annihilator(algebra):
     """Echelonized basis of R(L) = {x : [y, x] = 0 for all y}."""
-    _, by_left, _ = gaussian_table(algebra)
-    return _annihilator(algebra.dim, (by_left,))
+    return _annihilator(algebra.dim, (algebra.by_left,))
 
 
 def center(algebra):
     """Echelonized basis of Cent(L) = {z : [x, z] = [z, x] = 0 for all x}."""
-    _, by_left, by_right = gaussian_table(algebra)
-    return _annihilator(algebra.dim, (by_left, by_right))
+    return _annihilator(algebra.dim, (algebra.by_left, algebra.by_right))
 
 
 def _annihilator(n, adjacencies):
     # one equation per (e_a, e_k): the e_k coordinate of the product of
     # e_a with x, on the side the adjacency names, must vanish; read off
-    # core.gaussian_table, the equations are D times these, same solutions
+    # the table D * gamma, the equations are D times these, same solutions
     ech = SparseEchelon(n)
     for adjacency in adjacencies:
         for products in adjacency:
@@ -148,10 +144,9 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     bound = _rank_bound(algebra)
     ceiling = _ceiling(n, bound)
     best = witness = None
-    _, _, by_right = gaussian_table(algebra)
     for x in _candidates(algebra, trials, seed):
         ranks = []
-        for k, level in enumerate(image_chain(n, (operator_columns(by_right, x),))):
+        for k, level in enumerate(image_chain(n, (operator_columns(algebra.by_right, x),))):
             ranks.append(len(level))
             # the cut: r_j <= rho_j for j <= k, and min(b_j, r_k - (j - k)) <= rho_j beyond
             if best is not None and all(r <= p for r, p in zip(ranks, rho)) and all(
@@ -189,9 +184,8 @@ def _rank_bound(algebra):
     nilpotent algebra, S the support of all the R_{e_j} together: each
     rank R_x^j is at most b_j.  Column c of S, as a bitmask of rows, holds
     the result indices of every product [e_c, e_j]."""
-    _, by_left, _ = gaussian_table(algebra)
     s = [0] * algebra.dim
-    for c, row in enumerate(by_left):
+    for c, row in enumerate(algebra.by_left):
         for terms in row.values():
             for k, _ in terms:
                 s[c] |= 1 << k

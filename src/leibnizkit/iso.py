@@ -9,7 +9,7 @@ nothing.
 
 from __future__ import annotations
 
-from .core import FormatError, decode_json, from_json_dict, gaussian_table, read_text, sparse_bracket
+from .core import FormatError, decode_json, from_json_dict, read_text, sparse_bracket
 from .invariants import Fingerprint, fingerprint
 from .linalg import Matrix, SparseEchelon, gaussian_combination
 from .scalars import ScalarParseError, parse_scalar
@@ -62,13 +62,12 @@ def verify_certificate(cert):
     span = SparseEchelon(n)
     if not all(span.add_gaussian(col) for col in cols):   # a column in the span of those before
         return CertificateReport(False, "singular map")
-    d_a, by_left, _ = gaussian_table(a)
-    scale = gaussian_table(b)[0] * d_p
+    d_a, scale = a.denominator, b.denominator * d_p
     lhs_cols = [{r: (x * scale, y * scale) for r, (x, y) in col.items()} for col in cols]
     rhs_cols = [{r: (x * d_a, y * d_a) for r, (x, y) in col.items()} for col in cols]
     for i in range(n):
         for j in range(n):
-            if gaussian_combination(lhs_cols, dict(by_left[i].get(j, ()))) != \
+            if gaussian_combination(lhs_cols, dict(a.by_left[i].get(j, ()))) != \
                     sparse_bracket(b, rhs_cols[i], cols[j]):
                 reason = "bracket mismatch at (%s, %s)" % (a.labels[i], a.labels[j])
                 return CertificateReport(False, reason, pair=(i, j))

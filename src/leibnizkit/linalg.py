@@ -10,7 +10,7 @@ with each pivot row stored over a positive int lead (Bareiss, Math. Comp.
 22, 1968, without the determinant bookkeeping); Scalars are made only when
 a caller reads rows or a kernel.  Scalars are cleared in three places:
 gaussian_row for a sparse row, Matrix.gaussian_columns for a matrix, and
-core.gaussian_table for structure constants.  span_echelon is the one
+core.Algebra._accumulate for structure constants.  span_echelon is the one
 entry point for dense Scalar vectors, behind rank, kernel_basis and
 gaussian_inverse.  The transport and the certificate check apply maps in
 ints: gaussian_columns, gaussian_inverse, gaussian_combination.
@@ -389,7 +389,7 @@ def image_chain(n, operators):
     yielded before the next is computed, ending with the first level of
     rank 0 or of the rank before it.  An operator maps a column to the terms
     of its image, {column: ((row, (re, im)), ...)} with int parts, the form
-    of core.gaussian_table's by_right[j].  Each level is formed from the
+    of an Algebra's by_right[j].  Each level is formed from the
     Gaussian-integer pivot rows of the last: no Scalar is made until a
     caller reads a level's rows.
     """

@@ -2,10 +2,11 @@
 
 Every quantity the package hands out (structure constants, matrix entries,
 certificate maps) is a Scalar, so rank and dimension counts are exact.
-The hot loops of the elimination, the residual and the Der system run
-fraction-free on Gaussian integers, (re, im) pairs of plain ints:
+An Algebra stores its structure constants as Gaussian integers over a
+common denominator, and the hot loops of the elimination, the residual
+and the Der system run fraction-free on such (re, im) pairs of plain ints:
 common_denominator and gaussian_parts clear the denominators of some
-Scalars, and from_gaussian makes a Scalar of a result.
+Scalars, and from_gaussian makes a Scalar of a stored or computed value.
 A Scalar holds three ints in canonical form, d > 0 and gcd(a, b, d) == 1,
 so equal values have equal fields; re and im are derived Fractions.
 The text grammar accepted by parse_scalar is the interchange format used

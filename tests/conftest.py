@@ -1,6 +1,7 @@
 import os
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -83,6 +84,16 @@ def random_vector(rng, n, lo=-3, hi=3):
 def random_invertible(rng, n, lo=-2, hi=2):
     while True:
         m = Matrix(n, n, [[Scalar(rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)])
+        if rank(m) == n:
+            return m
+
+
+def dense_rational_move(rng, n):
+    """An invertible n x n matrix of Gaussian rationals, every entry nonzero."""
+    while True:
+        m = Matrix(n, n, [[Scalar(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)),
+                                  Fraction(rng.randint(-1, 1), rng.randint(1, 2)))
+                           for _ in range(n)] for _ in range(n)])
         if rank(m) == n:
             return m
 

@@ -8,8 +8,11 @@ oracle_inner_outside_der tests the assembly of derivation_space, so it
 may use SparseEchelon for span membership.  oracle_residual and
 oracle_derivation_space are the loops over every basis triple and every
 basis pair that core._residual and cohomology.derivation_space trim to a
-generating set; they read core.gaussian_table, and the Der system is
-eliminated by SparseEchelon.  oracle_residual_by_definition sums the
+generating set; they read the algebra's Gaussian-integer table (denominator,
+by_left, by_right), and the Der system is eliminated by SparseEchelon.
+oracle_is_derivation checks the derivation identity pair by pair with two
+core.sparse_bracket calls each, where cohomology.is_derivation runs the one
+defect loop, core.derivation_defects.  oracle_residual_by_definition sums the
 residual from gamma over every index, with no sparse table at all.
 OracleQi is Q(i) arithmetic on a pair of Fractions, independent of the
 integer representation inside Scalar.  oracle_diagonal_gradation is the
@@ -35,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from leibnizkit.cohomology import DerivationSpace
-from leibnizkit.core import bracket, from_terms, gaussian_table, require_leibniz
+from leibnizkit.core import bracket, from_terms, require_leibniz, sparse_bracket
 from leibnizkit.gradations import WeightAssignment
 from leibnizkit.invariants import CharSeq, central_series
 from leibnizkit.iso import CertificateReport
@@ -45,6 +48,7 @@ from leibnizkit.linalg import (
     SparseEchelon,
     basis_vec,
     dense_vec,
+    gaussian_combination,
     gaussian_inverse,
     gaussian_row,
     nilpotent_partition,
@@ -434,9 +438,10 @@ def oracle_verify_certificate(cert):
     if oracle_matrix_rank(p) != n:
         return CertificateReport(False, "singular map")
     cols = [p.column(j) for j in range(n)]
+    gamma = a.gamma
     for i in range(n):
         for j in range(n):
-            lhs = mul_vec(p, dense_vec(dict(a.by_left[i].get(j, ())), n))
+            lhs = mul_vec(p, gamma.get((i, j), (ZERO,) * n))
             rhs = oracle_bracket(b, cols[i], cols[j])
             if any(x - y for x, y in zip(lhs, rhs)):
                 reason = "bracket mismatch at (%s, %s)" % (a.labels[i], a.labels[j])
@@ -541,7 +546,7 @@ def oracle_residual(algebra):
     [[e_i, e_j], e_k] from gamma_ij and by_left, where it is the second term
     of (i, j, k) and the third of (i, k, j), on D * gamma; each nonzero
     entry is a Scalar over D^2."""
-    d, by_left, by_right = gaussian_table(algebra)
+    d, by_left, by_right = algebra.denominator, algebra.by_left, algebra.by_right
     acc = {}
     for j, row in enumerate(by_left):
         for k, g_jk in row.items():
@@ -574,11 +579,11 @@ def oracle_residual(algebra):
 
 def oracle_derivation_space(algebra):
     """The Der system that cohomology.derivation_space trims: the
-    derivation identity imposed on all dim^2 basis pairs, read off
-    core.gaussian_table and eliminated by SparseEchelon."""
+    derivation identity imposed on all dim^2 basis pairs, read off the
+    algebra's Gaussian-integer table and eliminated by SparseEchelon."""
     require_leibniz(algebra)
     n = algebra.dim
-    _, by_left, by_right = gaussian_table(algebra)
+    by_left, by_right = algebra.by_left, algebra.by_right
     ech = SparseEchelon(n * n)
     for i in range(n):
         for j in range(n):
@@ -602,3 +607,23 @@ def oracle_derivation_space(algebra):
                 ech.add_gaussian(rows[k])
     basis = [Matrix(n, n, vec) for vec in ech.kernel_basis()]
     return DerivationSpace(basis)
+
+
+def oracle_is_derivation(algebra, m):
+    """Exact check of d([e_i,e_j]) = [d e_i, e_j] + [e_i, d e_j] on all pairs,
+    on Gaussian integers: the table D * gamma and the columns of d_m * m scale
+    all three terms by D * d_m."""
+    n = algebra.dim
+    by_left = algebra.by_left
+    _, cols = m.gaussian_columns()
+    for i in range(n):
+        for j in range(n):
+            defect = gaussian_combination(cols, dict(by_left[i].get(j, ())))
+            for side in (sparse_bracket(algebra, cols[i], {j: (1, 0)}),
+                         sparse_bracket(algebra, {i: (1, 0)}, cols[j])):
+                for r, (x, y) in side.items():
+                    o = defect.get(r, (0, 0))
+                    defect[r] = (o[0] - x, o[1] - y)
+            if any(x or y for x, y in defect.values()):
+                return False
+    return True

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import (
@@ -6,12 +8,13 @@ from conftest import (
     cached_inn,
     case_algebra,
     catalog_cases,
+    dense_rational_move,
     mutated_m7,
     random_invertible,
     random_vector,
 )
 
-from oracles import mul_vec, oracle_der_dim, oracle_inner_dim, oracle_inner_outside_der
+from oracles import mul_vec, oracle_der_dim, oracle_inner_dim, oracle_inner_outside_der, oracle_is_derivation
 
 from leibnizkit import NotLeibnizError
 from leibnizkit.cohomology import (
@@ -22,8 +25,8 @@ from leibnizkit.cohomology import (
 )
 from leibnizkit.core import change_of_basis, right_operator
 from leibnizkit.invariants import fingerprint, right_annihilator
-from leibnizkit.linalg import basis_vec, span_echelon
-from leibnizkit.scalars import Scalar
+from leibnizkit.linalg import Matrix, basis_vec, span_echelon
+from leibnizkit.scalars import Scalar, from_gaussian
 
 
 def test_der_dim_n_family():
@@ -49,6 +52,32 @@ def test_der_dim_against_independent_assembly():
     assert cached_der(m7).dim == oracle_der_dim(m7) == 13
     m11 = alg("M1alpha", 7, alpha=Scalar(1))
     assert cached_der(m11).dim == oracle_der_dim(m11) == 12
+
+
+def _perturbed(m, rng):
+    """m with one seeded entry changed by a nonzero Gaussian rational."""
+    data = [list(row) for row in m.data]
+    r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+    data[r][c] = data[r][c] + from_gaussian(rng.choice((-2, -1, 1, 2)), rng.randint(-1, 1), rng.randint(1, 3))
+    return Matrix(m.rows, m.cols, data)
+
+
+@pytest.mark.parametrize("family,n,alpha", [case for case in catalog_cases() if case[1] != 8])
+def test_is_derivation_matches_the_pair_by_pair_oracle(family, n, alpha):
+    # the one defect loop against n^2 bracket pairs, on every Der basis
+    # element and on two one-entry perturbations of each; at n = 7 the first
+    # case of each family is also moved to two dense Gaussian-rational bases
+    rng = random.Random("%s %d %s" % (family, n, alpha))
+    base = case_algebra(family, n, alpha)
+    algebras = [base]
+    if n == 7 and alpha in (None, "-1"):
+        algebras += [change_of_basis(base, dense_rational_move(rng, base.dim)) for _ in range(2)]
+    for a in algebras:
+        for m in derivation_space(a).basis:
+            assert is_derivation(a, m) and oracle_is_derivation(a, m)
+            for _ in range(2):
+                p = _perturbed(m, rng)
+                assert is_derivation(a, p) == oracle_is_derivation(a, p)
 
 
 def test_every_der_basis_element_is_a_derivation():

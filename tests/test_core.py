@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,6 +9,7 @@ from conftest import (
     alg,
     case_algebra,
     catalog_cases,
+    dense_rational_move,
     mutated_m7,
     random_invertible,
     random_vector,
@@ -15,6 +17,7 @@ from conftest import (
 )
 from oracles import inverse, mul_vec, oracle_bracket, oracle_residual_by_definition
 
+from leibnizkit.catalog import FamilySpec, build
 from leibnizkit.core import (
     Algebra,
     FormatError,
@@ -23,12 +26,14 @@ from leibnizkit.core import (
     direct_sum,
     dumps,
     from_terms,
-    gaussian_table,
     leibniz_residual,
+    load,
     left_operator,
     loads,
     right_operator,
+    save,
 )
+from leibnizkit.invariants import natural_graded
 from leibnizkit.linalg import (
     Matrix,
     SingularMatrixError,
@@ -148,16 +153,6 @@ def test_residual_matches_oracle_exactly():
         assert res == oracle_residual_by_definition(a)
 
 
-def _dense_rational_move(rng, n):
-    """An invertible n x n matrix of Gaussian rationals, every entry nonzero."""
-    while True:
-        p = Matrix(n, n, [[Scalar(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)),
-                                  Fraction(rng.randint(-1, 1), rng.randint(1, 2)))
-                           for _ in range(n)] for _ in range(n)])
-        if len(span_echelon(p.data, n)) == n:
-            return p
-
-
 def test_integer_residual_matches_oracle_on_dense_conjugates():
     # the residual runs on D * gamma and divides by D^2: on Leibniz algebras
     # moved to dense Gaussian-rational bases it must stay empty, and on the
@@ -167,8 +162,8 @@ def test_integer_residual_matches_oracle_on_dense_conjugates():
     for family, n, params in [("M", 5, {}), ("M1alpha", 5, {"alpha": Scalar(3, 1)}), ("NGF1", 5, {}),
                               ("L1", 7, {}), ("N", 7, {})]:
         base = alg(family, n, **params)
-        a = change_of_basis(base, _dense_rational_move(rng, base.dim))
-        assert gaussian_table(a)[0] > 1   # the move brings denominators
+        a = change_of_basis(base, dense_rational_move(rng, base.dim))
+        assert a.denominator > 1   # the move brings denominators
         assert leibniz_residual(a) == [] == oracle_residual_by_definition(a)
         terms = [(i, j, k, c) for i, j, product in a.products() for k, c in product]
         i, j, k = (rng.randrange(a.dim) for _ in range(3))
@@ -216,7 +211,7 @@ def test_operators_match_bracket_on_gaussian_rationals(family, n, alpha):
     # table and on a dense Gaussian-rational conjugate of it
     rng = random.Random("%s %d %s" % (family, n, alpha))
     base = case_algebra(family, n, alpha)
-    for a in (base, change_of_basis(base, _dense_rational_move(rng, base.dim))):
+    for a in (base, change_of_basis(base, dense_rational_move(rng, base.dim))):
         for _ in range(4):
             x, y = _gaussian_rational_vector(rng, a.dim), _gaussian_rational_vector(rng, a.dim)
             assert mul_vec(left_operator(a, x), y) == bracket(a, x, y) == oracle_bracket(a, x, y)
@@ -345,7 +340,92 @@ def test_json_duplicate_product_rejected():
 def test_from_terms_adds_the_terms_of_one_product():
     a = from_terms(["x", "y"], [(0, 0, 1, Scalar(1)), (0, 0, 0, Scalar(0, 1)), (0, 0, 1, Scalar(2))])
     assert a.gamma == {(0, 0): (Scalar(0, 1), Scalar(3))}
-    assert a.by_left[0][0] == ((0, Scalar(0, 1)), (1, Scalar(3)))
+    assert a.denominator == 1 and a.by_left[0][0] == ((0, (0, 1)), (1, (3, 0)))
+    assert a.products() == [(0, 0, ((0, Scalar(0, 1)), (1, Scalar(3))))]
+
+
+ALPHA = Scalar(Fraction(1, 2), Fraction(-1, 3))
+
+
+def _m1alpha7():
+    return build(FamilySpec("M1alpha", 7, {"alpha": ALPHA}))
+
+
+def _reduced_lcm(algebra):
+    # independent of Scalar's fields: the lcm of the denominators of the
+    # reduced real and imaginary parts of every coefficient of the view
+    return lcm(*[q.denominator for _, _, terms in algebra.products() for _, c in terms for q in (c.re, c.im)])
+
+
+def test_denominator_is_the_lcm_of_the_reduced_denominators():
+    # M^{1,alpha}(7) at alpha = 1/2 - i/3 stores D = 6, by every route that builds a table
+    a = _m1alpha7()
+    n = a.dim
+    swap = Matrix(n, n, [[Scalar(int(c == (r + 1) % n)) for c in range(n)] for r in range(n)])
+    quarter = from_terms(["z"], [(0, 0, 0, Scalar(Fraction(1, 4)))])
+    routes = {
+        "from_terms": (from_terms(a.labels, [(i, j, k, c) for i, j, t in a.products() for k, c in t]), 6),
+        "dense adapter": (Algebra(a.labels, a.gamma), 6),
+        "loads": (loads(dumps(a)), 6),
+        "change_of_basis": (change_of_basis(a, Matrix.identity(n)), 6),
+        "change_of_basis, permuted": (change_of_basis(a, swap), 6),
+        "direct_sum": (direct_sum(a, a), 6),
+        "direct_sum, two denominators": (direct_sum(a, quarter), 12),
+        "natural_graded": (natural_graded(from_terms(["x", "y"], [(0, 0, 1, ALPHA)]))[0], 6),
+        "integral": (alg("M", 7), 1),
+    }
+    assert a.denominator == _reduced_lcm(a) == 6
+    for route, (b, d) in routes.items():
+        assert b.denominator == _reduced_lcm(b) == d, route
+
+
+def test_terms_summed_to_a_smaller_denominator_store_the_reduced_one():
+    # 1/3 + 1/6 = 1/2: D is 2, not lcm(3, 6)
+    a = from_terms(["x"], [(0, 0, 0, Scalar(Fraction(1, 3))), (0, 0, 0, Scalar(Fraction(1, 6)))])
+    assert a.denominator == 2 and a.by_left[0][0] == ((0, (1, 0)),)
+    assert a == from_terms(["x"], [(0, 0, 0, Scalar(Fraction(1, 2)))])
+
+
+def test_products_and_gamma_are_scalar_views_of_the_terms_handed_in():
+    terms = [(0, 0, 1, Scalar(Fraction(1, 2), Fraction(-1, 3))), (0, 1, 0, Scalar(3)),
+             (1, 0, 1, Scalar(0, Fraction(1, 4))), (1, 0, 0, Scalar(-1))]
+    a = from_terms(["x", "y"], terms)
+    assert a.denominator == 12
+    assert a.by_left[0] == {0: ((1, (6, -4)),), 1: ((0, (36, 0)),)}
+    assert a.by_right[0] == {0: ((1, (6, -4)),), 1: ((0, (-12, 0)), (1, (0, 3)))}
+    assert a.products() == [(0, 0, ((1, terms[0][3]),)), (0, 1, ((0, terms[1][3]),)),
+                            (1, 0, ((0, terms[3][3]), (1, terms[2][3])))]
+    assert a.gamma == {(0, 0): (Scalar(0), terms[0][3]), (0, 1): (terms[1][3], Scalar(0)),
+                       (1, 0): (terms[3][3], terms[2][3])}
+    assert all(type(c) is Scalar for _, _, ts in a.products() for _, c in ts)
+    assert all(type(c) is Scalar for vec in a.gamma.values() for c in vec)
+
+
+def test_equality_compares_the_denominator():
+    # equal int terms over D = 1 and D = 2 are different tables
+    one = from_terms(["x"], [(0, 0, 0, 1)])
+    half = from_terms(["x"], [(0, 0, 0, Fraction(1, 2))])
+    assert one.by_left == half.by_left and (one.denominator, half.denominator) == (1, 2)
+    assert one != half and half != one
+    assert one.key() != half.key()
+
+
+def test_equal_algebras_built_by_different_routes_hash_equal(tmp_path):
+    a = _m1alpha7()
+    terms = [(i, j, k, c) for i, j, t in a.products() for k, c in t]
+    path = tmp_path / "m1alpha.json"
+    save(a, path)
+    same = [
+        from_terms(a.labels, terms[::-1]),        # another insertion order
+        from_terms(a.labels, terms + [(0, 0, 1, Scalar(Fraction(1, 3))), (0, 0, 1, Scalar(Fraction(-1, 3)))]),
+        Algebra(a.labels, a.gamma),
+        loads(dumps(a)),
+        load(path),
+        change_of_basis(a, Matrix.identity(a.dim)),
+    ]
+    for b in same:
+        assert b == a and a == b
+        assert hash(b) == hash(a) and b.key() == a.key()
 
 
 def test_from_terms_drops_a_product_whose_terms_cancel():

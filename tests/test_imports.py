@@ -4,8 +4,9 @@ Every import sits at module level, and the graph of imports between the
 package's modules, counting imports at any depth of the syntax tree, has
 no cycle: a module never needs a late import to dodge one.  The
 elimination engine takes Gaussian-integer rows only, and three functions
-clear Scalars to such rows: nothing else uses scalars.gaussian_parts or
-scalars.common_denominator.
+clear Scalars to such rows (the algebra's term accumulator, which stores
+the structure constants as Gaussian integers, a sparse row and a matrix):
+nothing else uses scalars.gaussian_parts or scalars.common_denominator.
 """
 
 import ast
@@ -122,5 +123,5 @@ def _uses(trees, names):
 
 def test_scalars_are_cleared_in_three_places():
     names = {"gaussian_parts", "common_denominator"}
-    places = {"core.gaussian_table", "linalg.gaussian_row", "linalg.Matrix.gaussian_columns"}
+    places = {"core.Algebra._accumulate", "linalg.gaussian_row", "linalg.Matrix.gaussian_columns"}
     assert _uses(_trees(), names) == {(name, place) for name in names for place in places}

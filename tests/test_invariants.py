@@ -9,7 +9,6 @@ from leibnizkit.core import (
     Algebra,
     bracket,
     change_of_basis,
-    gaussian_table,
     leibniz_residual,
     right_operator,
     sparse_bracket,
@@ -42,7 +41,7 @@ def _contains(vectors, dim, target):
 
 def test_series_abelian():
     a = alg("abelian", 3)
-    levels = image_chain(3, gaussian_table(a)[2])
+    levels = image_chain(3, a.by_right)
     assert [list(level) for level in levels] == [[{0: ONE}, {1: ONE}, {2: ONE}], []]
     s = central_series(a)
     assert s.dims == (3,)
@@ -74,7 +73,7 @@ def test_series_detects_non_nilpotent():
     # L^4 ends the image chain and is not part of the report
     z = Scalar(0)
     a = Algebra(["a", "b", "c"], {(0, 0): (ONE, z, z), (2, 0): (z, ONE, z)})
-    assert [len(level) for level in image_chain(3, gaussian_table(a)[2])] == [3, 2, 1, 1]
+    assert [len(level) for level in image_chain(3, a.by_right)] == [3, 2, 1, 1]
     s = central_series(a)
     assert s.nilindex is None
     assert not s.is_nilpotent

@@ -1,8 +1,8 @@
-"""The four results memoized on an Algebra: an empty Leibniz residual, the
-central series, the Gaussian-integer table and the generating set.  Each is
-computed once per algebra, a non-empty residual is recomputed on every
-call, and the memo never leaks into equality, hashing or what a caller can
-modify."""
+"""The three results memoized on an Algebra: an empty Leibniz residual, the
+central series and the generating set.  Each is computed once per algebra,
+a non-empty residual is recomputed on every call, and the memo never leaks
+into equality, hashing or what a caller can modify.  The Gaussian-integer
+table is stored when the algebra is built, not memoized."""
 
 import io
 import sys
@@ -124,25 +124,29 @@ def test_memo_does_not_affect_equality_or_hash():
     a = fresh_m7()
     fingerprint(a)
     fresh = fresh_m7()
-    assert a._leibniz and a._series is not None and a._gaussian is not None and a._generators is not None
-    assert not fresh._leibniz and fresh._series is None and fresh._gaussian is None and fresh._generators is None
+    assert a._leibniz and a._series is not None and a._generators is not None
+    assert not fresh._leibniz and fresh._series is None and fresh._generators is None
     assert a == fresh and fresh == a
     assert hash(a) == hash(fresh)
     assert a.key() == fresh.key()
 
 
-def test_gaussian_table_memo_does_not_affect_equality_or_hash():
-    # M^{1,alpha} at alpha = 1/2 - i/3 has denominators, so D = 6 scales the table
+def test_memo_beside_a_stored_denominator_does_not_affect_equality_or_hash():
+    # M^{1,alpha} at alpha = 1/2 - i/3 has denominators, so its table is
+    # stored over D = 6 when it is built; filling the three memo slots
+    # changes neither that table nor equality, hashing or key()
     spec = FamilySpec("M1alpha", 7, {"alpha": Scalar(Fraction(1, 2), Fraction(-1, 3))})
     a, fresh = build(spec), build(spec)
-    before = (hash(a), a.key())
-    table = core.gaussian_table(a)
-    assert table[0] == 6 and core.gaussian_table(a) is table
-    assert a._gaussian is table and fresh._gaussian is None
+    before = (hash(a), a.key(), a.by_left)
+    fingerprint(a)
+    assert a._leibniz and a._series is not None and a._generators is not None
+    assert a.denominator == fresh.denominator == 6 and a.by_left == before[2]
     assert a == fresh and fresh == a
     assert hash(a) == hash(fresh) == before[0]
     assert a.key() == fresh.key() == before[1]
     assert all(type(c) is Scalar for _, _, terms in a.products() for _, c in terms)
+    assert [slot for slot in core.Algebra.__slots__ if slot.startswith("_")] == \
+        ["_leibniz", "_series", "_generators"]
 
 
 def test_threads_racing_to_fill_the_memo_agree():
