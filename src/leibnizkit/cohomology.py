@@ -19,7 +19,9 @@ basis is the one all dim^2 pairs would give.  is_derivation still checks
 every pair, through core.derivation_defects, the loop behind the
 residual.  Both the Der and the Inn rows are read off the algebra's
 Gaussian-integer table and eliminated without a Scalar; the bases are made
-Scalars only when the kernel and the RREF are read.
+Scalars only when the kernel and the RREF are read, and each basis Matrix
+takes those Scalar rows as they are (linalg's Matrix._of_scalars), with
+no second per-entry check.
 """
 
 from __future__ import annotations
@@ -83,8 +85,7 @@ def derivation_space(algebra):
                 row[key] = (re, im) if o is None else (o[0] + re, o[1] + im)
             for k in sorted(rows):
                 ech.add_gaussian(rows[k])
-    basis = [Matrix(n, n, vec) for vec in ech.kernel_basis()]
-    return DerivationSpace(basis)
+    return DerivationSpace(Matrix._of_scalars(n, n, vec) for vec in ech.kernel_basis())
 
 
 def inner_derivation_space(algebra):
@@ -97,8 +98,7 @@ def inner_derivation_space(algebra):
     for column in algebra.by_right:
         # entry (k, r) of R_{e_i} is the e_k coordinate of [e_r, e_i]
         ech.add_gaussian({k * n + r: g for r, terms in column.items() for k, g in terms})
-    basis = [Matrix(n, n, row) for row in ech.basis_rows()]
-    return DerivationSpace(basis)
+    return DerivationSpace(Matrix._of_scalars(n, n, row) for row in ech.basis_rows())
 
 
 def h1_dimension(algebra, der=None, inn=None):

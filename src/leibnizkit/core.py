@@ -29,13 +29,16 @@ The catalog builders, the file loader, change_of_basis, direct_sum and gr L
 all write terms through from_terms.  products() and gamma are Scalar views
 made on each read.
 
-Since the tables never change, three results are memoized on the
+Since the tables never change, four results are memoized on the
 algebra: leibniz_residual remembers that the residual is empty (a
 non-empty one is recomputed, so every caller gets its own list),
-invariants.central_series keeps its immutable SeriesReport, and
-generating_set keeps the basis indices whose left-normed words span L.
-Equality, hashing and key() ignore all three slots; they compare the
-labels, D and the table.
+invariants.central_series keeps its immutable SeriesReport (each level's
+sparse integer RREF rows), generating_set keeps the basis indices whose
+left-normed words span L, and square_span keeps the one SparseEchelon of
+L^2, which generating_set (on a copy it extends), the central series (as
+its level L^2) and the characteristic-sequence candidates read and never
+change.  Equality, hashing and key() ignore all four slots; they compare
+the labels, D and the table.
 Concurrent use needs no locking: threads that race to fill a slot compute
 and store equal values.
 
@@ -47,7 +50,8 @@ linear map d satisfies the derivation identity for every x form one too.
 generating_set picks G greedily among the basis vectors independent modulo
 L^2 and keeps it only if the closure of span G under the R_g is all of L,
 which holds for every nilpotent Leibniz algebra; otherwise G is the whole
-basis, and nothing is skipped.
+basis, and nothing is skipped.  By the same induction the central series
+needs only the R_g on a Leibniz algebra (invariants module docstring).
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ class Algebra:
     """Finite-dimensional algebra over Q(i) given by structure constants."""
 
     __slots__ = ("dim", "labels", "denominator", "by_left", "by_right", "_leibniz", "_series",
-                 "_generators")
+                 "_generators", "_square")
 
     def __init__(self, labels, gamma):
         """Adapter for a dense table: gamma[(i, j)] = coordinates of [e_i, e_j]."""
@@ -132,6 +136,7 @@ class Algebra:
         self._leibniz = False   # memo: the residual was found empty
         self._series = None     # memo: invariants.central_series
         self._generators = None  # memo: generating_set
+        self._square = None      # memo: square_span
 
     @property
     def gamma(self):
@@ -339,7 +344,7 @@ def generating_set(algebra):
 
 def _generating_set(algebra):
     n = algebra.dim
-    span = square_span(algebra)
+    span = square_span(algebra).copy()   # the kept L^2 is shared and must not grow
     generators = tuple(g for g in range(n) if span.add_gaussian({g: (1, 0)}))
     closure = SparseEchelon(n)
     frontier = [{g: (1, 0)} for g in generators]
@@ -353,12 +358,17 @@ def _generating_set(algebra):
 
 
 def square_span(algebra):
-    """L^2, the span of all products, as a new SparseEchelon of the
-    Gaussian-integer products."""
-    span = SparseEchelon(algebra.dim)
-    for row in algebra.by_left:
-        for product in row.values():
-            span.add_gaussian(dict(product))
+    """L^2, the span of all products, as a SparseEchelon of the
+    Gaussian-integer products.  Memoized on the algebra and shared by
+    generating_set, the central series (as its level L^2) and the
+    characteristic-sequence candidates: read it, or add to a copy()."""
+    span = algebra._square
+    if span is None:
+        span = SparseEchelon(algebra.dim)
+        for row in algebra.by_left:
+            for product in row.values():
+                span.add_gaussian(dict(product))
+        algebra._square = span
     return span
 
 

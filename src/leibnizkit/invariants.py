@@ -2,17 +2,28 @@
 sequence, the associated graded algebra and the isomorphism fingerprint.
 
 Both chains the classification reads come from linalg.image_chain: the
-central series is the chain of the right operators R_{e_j}, and each
+central series is the chain of right operators from L^2 on, and each
 characteristic-sequence candidate x gives the Jordan type of R_x from
 the sparse columns core.operator_columns builds, with no dense matrix in
 between; a candidate's lazy chain stops once its ranks prove that it
 cannot beat the best so far, and the search stops once the best reaches
 the ceiling that the support of the R_{e_j} proves.  Both chains, the
 annihilators and the L^2 that candidates are drawn outside of
-(core.square_span) read the algebra's Gaussian-integer table, and the
-candidates are drawn as Gaussian integers, so all of it runs on the
-integer rows that linalg's elimination takes and clears no Scalar; only
-the series bases and the witness are made Scalars.
+(core.square_span, kept on the algebra) read the algebra's Gaussian-integer
+table, and the candidates are drawn as Gaussian integers, so all of it
+runs on the integer rows that linalg's elimination takes and clears no
+Scalar; only the witness, and the series bases when read, are made Scalars.
+
+The series on a generating set.  Let L be Leibniz and G a set whose
+left-normed words span L, as core.generating_set certifies.  Then L^k is
+spanned by the words in G of length >= k, so L^{k+1} = sum_{g in G} R_g(L^k).
+Proof: let W_k be the span of the words of length >= k; [W_k, u] lies in
+W_{k+1} for every word u, by induction on the length of u for all k at
+once, the step being [w, [u', g]] = [[w, u'], g] - [[w, g], u'].  So once
+the residual is empty and G is smaller than the basis, the chain runs on
+the R_g alone, from the kept echelon of L^2 (the span of all products);
+otherwise (not Leibniz, or G fell back to every index) it runs on every
+R_{e_j} from L.  Each level is kept as its sparse integer RREF rows.
 
 fingerprint checks its input with core.require_leibniz, the guard Der and
 Inn share, and calls them through the cohomology module, which imports
@@ -28,24 +39,40 @@ from . import cohomology
 from .core import (
     change_of_basis,
     from_terms,
+    generating_set,
+    leibniz_residual,
     operator_columns,
     require_leibniz,
     square_span,
 )
 from .linalg import Matrix, NotNilpotentError, SparseEchelon, dense_vec, image_chain, partition_of_ranks
-from .scalars import from_gaussian
+from .scalars import ZERO, from_gaussian
 
 
 class SeriesReport(NamedTuple):
     """Descending central sequence L^1 >= L^2 >= ... with echelonized bases.
 
-    Immutable, down to the basis vectors: central_series hands the same
-    report to every caller for one algebra.
+    On a Leibniz algebra with a certified generating set G the levels come
+    from L^{k+1} = sum_{g in G} R_g(L^k), started at L^2; on any other
+    algebra (the fallback) from all the R_{e_j}, started at L (see the
+    module docstring).  Each level is kept sparse, as
+    linalg.SparseEchelon.gaussian_rows gives its RREF: one tuple of
+    (column, (re, im)) int pairs per basis vector, in pivot order, the lead
+    first; subspace_bases builds the dense Scalar vectors on each read.
+    Immutable, down to the rows: central_series hands the same report to
+    every caller for one algebra.
     """
 
-    subspace_bases: tuple  # per L^k, a tuple of dense basis vectors (tuples)
+    levels: tuple          # per L^k, its sparse pivot rows
     dims: tuple
     nilindex: int | None   # None when the algebra is not nilpotent
+
+    @property
+    def subspace_bases(self):
+        """Per L^k, a tuple of dense basis vectors (tuples of Scalars): the
+        RREF rows, built on each read."""
+        n = len(self.levels[0])   # L^1 = L has one row per basis vector
+        return tuple(tuple(_dense(row, n) for row in level) for level in self.levels)
 
     @property
     def is_nilpotent(self):
@@ -54,6 +81,12 @@ class SeriesReport(NamedTuple):
     def __repr__(self):
         tail = self.nilindex if self.nilindex is not None else "not nilpotent"
         return "SeriesReport(dims=%s, nilindex=%s)" % (list(self.dims), tail)
+
+
+def _dense(row, n):
+    """A sparse pivot row as a dense tuple of Scalars: the row over its lead."""
+    lead = row[0][1][0]
+    return tuple(dense_vec({c: from_gaussian(x, y, lead) for c, (x, y) in row}, n))
 
 
 def central_series(algebra):
@@ -69,12 +102,20 @@ def central_series(algebra):
 
 def _series(algebra):
     # L^{k+1} = [L^k, L] = sum_j R_{e_j}(L^k): the image chain of the right
-    # operators, whose last level is 0 or the stabilized L^k
-    levels = list(image_chain(algebra.dim, algebra.by_right))
+    # operators, whose last level is 0 or the stabilized L^k; on a Leibniz
+    # algebra whose generating set G is certified, the R_g with g in G
+    # suffice, from the kept L^2 on (see the module docstring)
+    n = algebra.dim
+    operators, start = algebra.by_right, None
+    if not leibniz_residual(algebra):
+        generators = generating_set(algebra)
+        if len(generators) < n:
+            operators, start = [algebra.by_right[g] for g in generators], square_span(algebra)
+    levels = [level.gaussian_rows() for level in image_chain(n, operators, start)]
+    if start is not None:
+        levels.insert(0, tuple(((c, (1, 0)),) for c in range(n)))   # L^1 = L
     last = levels.pop()
-    bases = tuple(tuple(tuple(dense_vec(row, algebra.dim)) for row in level) for level in levels)
-    dims = tuple(len(level) for level in levels)
-    return SeriesReport(bases, dims, None if last else len(levels))
+    return SeriesReport(tuple(levels), tuple(map(len, levels)), None if last else len(levels))
 
 
 def right_annihilator(algebra):
@@ -167,7 +208,7 @@ def _candidates(algebra, trials, seed):
     of ints: basis vectors outside L^2, their pairwise sums, then `trials`
     seeded draws outside L^2."""
     n = algebra.dim
-    l2 = square_span(algebra)
+    l2 = square_span(algebra)   # kept on the algebra: only read here
     outside = [i for i in range(n) if not l2.contains_gaussian({i: (1, 0)})]
     yield from ({i: (1, 0)} for i in outside)
     yield from ({a: (1, 0), b: (1, 0)} for a, b in combinations(outside, 2))
@@ -273,41 +314,36 @@ def p_filiform_class(cs):
 def natural_graded(algebra):
     """The associated graded algebra gr L and its component dimensions.
 
-    Complements of L^{i+1} in L^i are picked greedily from echelon bases
-    (lowest pivot first).  The lifts, layer by layer, form a basis P of L;
-    change_of_basis(algebra, P) gives the brackets of the lifts in that
-    basis, and gr L keeps of each [u_a, u_b] only its projection onto the
-    layer of degree deg a + deg b.
+    A complement of L^{i+1} in L^i is read off the sparse RREF rows the
+    series keeps: the rows of L^i whose pivot column is no pivot of
+    L^{i+1}, lowest pivot first.  The lifts, layer by layer, form a basis
+    P of L; change_of_basis(algebra, P) gives the brackets of the lifts in
+    that basis, and gr L keeps of each [u_a, u_b] only its projection onto
+    the layer of degree deg a + deg b.
     """
     series = central_series(algebra)
     if not series.is_nilpotent:
         raise NotNilpotentError("natural gradation needs a nilpotent algebra")
     n = algebra.dim
-    layer_vectors = []   # new basis, grouped by layer
-    layer_of = []        # layer index (1-based) per new basis position
+    flat = [ZERO] * (n * n)   # P, row-major: column c holds the c-th lift
+    layer_of = []             # layer index (1-based) per new basis position
     labels = []
     dims = []
-    pivots = [[_pivot(v) for v in basis] for basis in series.subspace_bases] + [[]]
-    for i, basis in enumerate(series.subspace_bases):
-        deeper_pivots = set(pivots[i + 1])
-        layer = [(v, k) for v, k in zip(basis, pivots[i]) if k not in deeper_pivots]
+    levels = series.levels + ((),)
+    for i, level in enumerate(series.levels):
+        deeper = {row[0][0] for row in levels[i + 1]}
+        layer = [row for row in level if row[0][0] not in deeper]
         dims.append(len(layer))
-        for v, k in layer:
-            layer_vectors.append(v)
+        for row in layer:
+            c, lead = len(layer_of), row[0][1][0]
+            for r, (x, y) in row:
+                flat[r * n + c] = from_gaussian(x, y, lead)
             layer_of.append(i + 1)
-            labels.append(algebra.labels[k])
-    p = Matrix(n, n, [[layer_vectors[c][r] for c in range(n)] for r in range(n)])
-    moved = change_of_basis(algebra, p)
+            labels.append(algebra.labels[row[0][0]])
+    moved = change_of_basis(algebra, Matrix._of_scalars(n, n, flat))
     terms = [(a, b, k, c) for a, b, product in moved.products() for k, c in product
              if layer_of[k] == layer_of[a] + layer_of[b]]
     return from_terms(labels, terms), tuple(dims)
-
-
-def _pivot(v):
-    for k, c in enumerate(v):
-        if c:
-            return k
-    return None
 
 
 class Fingerprint(NamedTuple):

@@ -18,7 +18,9 @@ ints: gaussian_columns, gaussian_inverse, gaussian_combination.
 image_chain is the one descending-image loop, behind both the central
 series and every Jordan type.  It is lazy: it yields each level before it
 computes the next, so a caller that needs only the first ranks stops the
-elimination there.  It hands each level's integer rows to the next.
+elimination there.  It hands each level's integer rows to the next, and
+it starts at the whole space or at a level the caller already holds (the
+central series starts at L^2).
 """
 
 from __future__ import annotations
@@ -62,6 +64,16 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = [[v if type(v) is Scalar else as_scalar(v) for v in row] for row in nested]
+
+    @classmethod
+    def _of_scalars(cls, rows, cols, flat):
+        """The matrix of a flat row-major list of Scalars, taken as they are:
+        the per-entry check of __init__ is skipped, so the caller vouches
+        that every entry is a Scalar."""
+        m = cls.__new__(cls)
+        m.rows, m.cols = rows, cols
+        m.data = [flat[r * cols:(r + 1) * cols] for r in range(rows)]
+        return m
 
     @classmethod
     def zero(cls, rows, cols=None):
@@ -265,6 +277,21 @@ class SparseEchelon:
         rows[lead] = res
         return True
 
+    def copy(self):
+        """An echelon of the same span that can grow on its own: add_gaussian
+        back-substitutes into the pivot rows in place, so they are copied."""
+        new = SparseEchelon(self.ncols)
+        new._rows = {pc: dict(row) for pc, row in self._rows.items()}
+        new._index = {c: set(pcs) for c, pcs in self._index.items()}
+        return new
+
+    def gaussian_rows(self):
+        """The pivot rows in pivot order, each a tuple of (column, (re, im))
+        int pairs sorted by column: its lead (l, 0), l > 0, first, at its
+        pivot column.  Row / l is the RREF row."""
+        rows = self._rows
+        return tuple(tuple(sorted(rows[pc].items())) for pc in sorted(rows))
+
     def contains_gaussian(self, row):
         """Whether a row of (re, im) int pairs lies in the span."""
         return not self._reduce(row)
@@ -384,17 +411,19 @@ def gaussian_inverse(m):
     return d, cols
 
 
-def image_chain(n, operators):
-    """Levels V_0 = Q(i)^n, V_{k+1} = sum_T T(V_k), each a SparseEchelon
-    yielded before the next is computed, ending with the first level of
-    rank 0 or of the rank before it.  An operator maps a column to the terms
-    of its image, {column: ((row, (re, im)), ...)} with int parts, the form
-    of an Algebra's by_right[j].  Each level is formed from the
+def image_chain(n, operators, level=None):
+    """Levels V_0, V_{k+1} = sum_T T(V_k), each a SparseEchelon yielded
+    before the next is computed, ending with the first level after V_0 of
+    rank 0 or of the rank before it.  V_0 is the echelon level, read and
+    never changed, or Q(i)^n by default.  An operator maps a column to the
+    terms of its image, {column: ((row, (re, im)), ...)} with int parts, the
+    form of an Algebra's by_right[j].  Each level is formed from the
     Gaussian-integer pivot rows of the last: no Scalar is made until a
     caller reads a level's rows.
     """
-    level = SparseEchelon(n)
-    level._rows = {c: {c: (1, 0)} for c in range(n)}
+    if level is None:
+        level = SparseEchelon(n)
+        level._rows = {c: {c: (1, 0)} for c in range(n)}
     yield level
     while True:
         ech = SparseEchelon(n)

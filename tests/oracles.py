@@ -19,6 +19,10 @@ integer representation inside Scalar.  oracle_diagonal_gradation is the
 plain backtracking gradation search, without forward checking.
 inverse gives linalg.gaussian_inverse as a Matrix of Scalars, for the
 round-trip tests and the Scalar transport below.
+oracle_series is the central series as the image chain of every right
+operator R_{e_j} from Q(i)^n, with dense bases: the loop that
+invariants._series replaces, on a Leibniz algebra with a certified
+generating set G, by the R_g with g in G from L^2 on.
 oracle_characteristic_sequence is the characteristic-sequence loop without
 the dominance cut and the ceiling: it runs nilpotent_partition to the end
 on every candidate that oracle_charseq_candidates draws.
@@ -51,6 +55,7 @@ from leibnizkit.linalg import (
     gaussian_combination,
     gaussian_inverse,
     gaussian_row,
+    image_chain,
     nilpotent_partition,
     sparse_vec,
 )
@@ -233,6 +238,16 @@ def oracle_series_dims(algebra):
         dims.append(d)
         # re-span: keep an explicit generating set for the next level
         current = [p for p in products if any(p)]
+
+
+def oracle_series(algebra):
+    """(subspace_bases, dims, nilindex) of the central series from the image
+    chain of all the right operators R_{e_j}, started at Q(i)^n, whatever
+    the generating set: every level's RREF as dense tuples of Scalars."""
+    levels = list(image_chain(algebra.dim, algebra.by_right))
+    last = levels.pop()
+    bases = tuple(tuple(tuple(dense_vec(row, algebra.dim)) for row in level) for level in levels)
+    return bases, tuple(len(level) for level in levels), None if last else len(levels)
 
 
 def oracle_der_dim(algebra):

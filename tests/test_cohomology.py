@@ -87,6 +87,19 @@ def test_every_der_basis_element_is_a_derivation():
             assert is_derivation(a, m)
 
 
+def test_der_and_inn_bases_are_square_matrices_of_scalars():
+    # both bases come from rows that are already Scalars, taken as they are:
+    # they must equal the matrices the checking constructor builds
+    a = change_of_basis(alg("M1alpha", 5, alpha=Scalar(3, 1)), random_invertible(random.Random(4), 6))
+    for space in (derivation_space(a), inner_derivation_space(a)):
+        assert space.dim and len(space.basis) == space.dim
+        for m in space.basis:
+            assert (m.rows, m.cols) == (6, 6) and all(len(row) == 6 for row in m.data)
+            assert all(type(v) is Scalar for v in m.flat())
+            assert m == Matrix(6, 6, m.flat())
+        assert len({id(row) for m in space.basis for row in m.data}) == 6 * space.dim
+
+
 def test_inner_dim_abelian_zero():
     assert inner_derivation_space(alg("abelian", 3)).dim == 0
 

@@ -21,7 +21,7 @@ from leibnizkit.linalg import (
     nilpotent_partition,
     rank,
 )
-from leibnizkit.scalars import ONE, ZERO, Scalar
+from leibnizkit.scalars import ONE, ZERO, Scalar, from_gaussian
 
 
 def test_rank_identity_and_zero():
@@ -114,6 +114,48 @@ def test_image_chain_sums_the_operators_images():
     first, second = {0: ((1, (1, 0)),)}, {0: ((2, (0, 1)),)}
     ranks = [len(level) for level in image_chain(3, (first, second))]
     assert ranks == [3, 2, 0]
+
+
+def test_image_chain_from_a_given_level_leaves_it_unchanged():
+    # started at span(e1, e2) the block's chain drops one unit vector a level
+    block = {0: ((1, (1, 0)),), 1: ((2, (1, 0)),)}
+    start = SparseEchelon(3)
+    start.add_gaussian({1: (2, 0), 2: (0, 2)})
+    start.add_gaussian({2: (1, 0)})
+    rows = start.gaussian_rows()
+    levels = list(image_chain(3, (block,), start))
+    assert levels[0] is start and start.gaussian_rows() == rows == (((1, (1, 0)),), ((2, (1, 0)),))
+    assert [list(level) for level in levels[1:]] == [[{2: ONE}], []]
+
+
+def test_gaussian_rows_are_the_rref_times_a_positive_lead():
+    ech = SparseEchelon(4)
+    ech.add_gaussian({3: (1, 0), 1: (0, 2)})
+    ech.add_gaussian({0: (3, 0), 2: (1, 1)})
+    assert ech.gaussian_rows() == (((0, (3, 0)), (2, (1, 1))), ((1, (2, 0)), (3, (0, -1))))
+    assert [{c: from_gaussian(x, y, row[0][1][0]) for c, (x, y) in row} for row in ech.gaussian_rows()] \
+        == list(ech)
+
+
+def test_a_copy_grows_on_its_own():
+    # add_gaussian back-substitutes into the pivot rows in place: the
+    # original must keep its rows and column index when its copy grows
+    ech = SparseEchelon(3)
+    ech.add_gaussian({0: (1, 0), 2: (1, 0)})
+    ech.add_gaussian({1: (1, 0), 2: (2, 0)})
+    rows, index = ech.gaussian_rows(), {c: set(p) for c, p in ech._index.items()}
+    grown = ech.copy()
+    assert grown.add_gaussian({2: (1, 0)})
+    assert grown.gaussian_rows() == (((0, (1, 0)),), ((1, (1, 0)),), ((2, (1, 0)),))
+    assert ech.gaussian_rows() == rows and ech._index == index and len(ech) == 2
+    assert not ech.contains_gaussian({2: (1, 0)})
+
+
+def test_matrix_of_scalars_takes_the_entries_as_they_are():
+    flat = [Scalar(c, r) for r in range(2) for c in range(3)]
+    m = Matrix._of_scalars(2, 3, flat)
+    assert m == Matrix(2, 3, flat) and m.data == [flat[:3], flat[3:]]
+    assert all(type(v) is Scalar for v in m.flat())
 
 
 def test_partition_shape_randomized():
