@@ -21,13 +21,14 @@ the columns of R_x and L_x, and derivation_defects the one loop that
 checks the derivation identity, behind both the residual and
 cohomology.is_derivation.
 
-Only from_terms and the dense adapter Algebra(labels, gamma) build an
-Algebra, and both run the one term accumulator, Algebra._accumulate, which
-sums Scalar terms and clears them to the table: one of the three places
-that clear Scalars, beside linalg.gaussian_row and Matrix.gaussian_columns.
-The catalog builders, the file loader, change_of_basis, direct_sum and gr L
-all write terms through from_terms.  products() and gamma are Scalar views
-made on each read.
+Every Algebra goes through the one table store, Algebra._store.  from_table
+hands it ints: change_of_basis and gr L through transport, the one
+transport of structure constants, and direct_sum.  from_terms and the
+dense adapter Algebra(labels, gamma) hand Scalar terms to the accumulator,
+Algebra._accumulate, which sums and clears them for the store: one of the
+three places that clear Scalars, beside linalg.gaussian_row and
+Matrix.gaussian_columns.  products() and gamma are Scalar views made on
+each read.
 
 Since the tables never change, four results are memoized on the
 algebra: leibniz_residual remembers that the residual is empty (a
@@ -57,6 +58,7 @@ needs only the R_g on a Leibniz algebra (invariants module docstring).
 from __future__ import annotations
 
 import json
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .linalg import (
@@ -106,11 +108,8 @@ class Algebra:
         self._accumulate(labels, terms)
 
     def _accumulate(self, labels, terms):
-        """Index the sums of (i, j, k, c) terms, cleared to Gaussian integers
-        over their common denominator: the one table builder."""
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("basis labels must be unique")
+        """Sum the (i, j, k, c) terms and clear the sums to Gaussian integers
+        over their common denominator, for _store."""
         dim = len(labels)
         sums = {}
         for i, j, k, c in terms:
@@ -121,16 +120,26 @@ class Algebra:
                 if row is None:
                     row = sums[(i, j)] = {}
                 row[k] = row[k] + c if k in row else as_scalar(c)
-        sums = {key: sorted((k, c) for k, c in row.items() if c) for key, row in sums.items()}
-        d = common_denominator([c for prod in sums.values() for _, c in prod])
-        by_left = [{} for _ in range(dim)]
-        by_right = [{} for _ in range(dim)]
-        for (i, j), prod in sums.items():
+        d = common_denominator([c for row in sums.values() for c in row.values()])
+        self._store(labels, {key: {k: gaussian_parts(c, d) for k, c in row.items()}
+                             for key, row in sums.items()}, d)
+
+    def _store(self, labels, table, d):
+        """Index table {(i, j): {k: (re, im)}} of ints over d > 0 divided once by
+        the gcd of d and every part, which leaves D: the one table store."""
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
+            raise ValueError("basis labels must be unique")
+        dim = len(labels)
+        g = d if d == 1 else gcd(d, *(x for row in table.values() for v in row.values() for x in v))
+        by_left, by_right = [{} for _ in range(dim)], [{} for _ in range(dim)]
+        for (i, j), row in table.items():
+            prod = tuple((k, (x // g, y // g)) for k, (x, y) in sorted(row.items()) if x or y)
             if prod:
-                by_left[i][j] = by_right[j][i] = tuple((k, gaussian_parts(c, d)) for k, c in prod)
+                by_left[i][j] = by_right[j][i] = prod
         self.dim = dim
         self.labels = labels
-        self.denominator = d
+        self.denominator = d // g
         self.by_left = tuple(by_left)
         self.by_right = tuple(by_right)
         self._leibniz = False   # memo: the residual was found empty
@@ -182,12 +191,19 @@ def from_terms(labels, terms):
 
     Indices are basis positions and c a scalar: [e_left, e_right] gains
     c * e_result.  Terms of one product add up, and a product whose terms
-    cancel is absent.  This is the one builder of structure constants from
-    terms: the catalog tables, the file loader, change_of_basis, direct_sum
-    and gr L all hand their products to it.
+    cancel is absent.  The one builder from Scalar terms (the catalog
+    tables, the file loader); it clears them for the one table store.
     """
     algebra = Algebra.__new__(Algebra)
     algebra._accumulate(labels, terms)
+    return algebra
+
+
+def from_table(labels, table, d):
+    """The algebra with [e_i, e_j] = table[(i, j)] / d, {k: (re, im)} maps of
+    ints over an int d > 0, zeros allowed: the store's Gaussian-integer entry."""
+    algebra = Algebra.__new__(Algebra)
+    algebra._store(labels, table, d)
     return algebra
 
 
@@ -221,16 +237,12 @@ def _cleared(vector, n):
     return gaussian_row(dict(enumerate(as_vector(vector, n))))
 
 
-def _scalars(terms, d):
-    """{index: Scalar} from Gaussian-integer terms over a common denominator d."""
-    return {k: from_gaussian(re, im, d) for k, (re, im) in terms.items()}
-
-
 def bracket(algebra, x, y):
     """Bilinear extension of gamma: the product [x, y]."""
     (dx, x), (dy, y) = _cleared(x, algebra.dim), _cleared(y, algebra.dim)
     d = algebra.denominator * dx * dy
-    return dense_vec(_scalars(sparse_bracket(algebra, x, y), d), algebra.dim)
+    w = sparse_bracket(algebra, x, y)
+    return dense_vec({k: from_gaussian(re, im, d) for k, (re, im) in w.items()}, algebra.dim)
 
 
 def leibniz_residual(algebra):
@@ -424,24 +436,40 @@ def change_of_basis(algebra, p):
     """Transport the algebra along an invertible matrix P.
 
     Column j of P holds the old coordinates of the new basis vector u_j;
-    the new constants satisfy [u, v]_new = P^-1 [P u, P v].  P and P^-1 are
-    cleared of their denominators d_P and d_inv once each, and every
-    coefficient is formed in Gaussian integers over D * d_P^2 * d_inv.
+    the new constants satisfy [u, v]_new = P^-1 [P u, P v].  transport runs
+    on M = d_P * P, whose constants are d_P times those along P, so these
+    are formed in Gaussian integers over D * d_P * d_inv, d_inv that of M^-1.
     """
     if p.rows != algebra.dim or p.cols != algebra.dim:
         raise ValueError("change of basis matrix must be %d x %d" % (algebra.dim, algebra.dim))
-    d_inv, inv_cols = gaussian_inverse(p)  # SingularMatrixError when P is singular
     d_p, cols = p.gaussian_columns()
-    d = algebra.denominator * d_p * d_p * d_inv
-    n = algebra.dim
-    terms = []
-    for i in range(n):
-        for j in range(n):
-            w = sparse_bracket(algebra, cols[i], cols[j])
-            if w:
-                w = _scalars(gaussian_combination(inv_cols, w), d)
-                terms.extend((i, j, k, w[k]) for k in sorted(w))
-    return from_terms(algebra.labels, terms)
+    d, table = transport(algebra, cols)   # SingularMatrixError when P is singular
+    return from_table(algebra.labels, table, d * d_p)
+
+
+def transport(algebra, cols):
+    """(d, table): table {(i, j): {k: (re, im)}} of ints is d times the
+    constants M^-1 [M u_i, M u_j], for M given by its columns u_j as
+    {row: (re, im)} maps of ints; SingularMatrixError when M is singular.
+    Only the nonzero products of D * gamma are walked, through the columns
+    of D * L_{M u_i}, and gaussian_inverse's d_inv * M^-1 gives d = D * d_inv.
+    """
+    d_inv, inv_cols = gaussian_inverse(cols)
+    rows = [{} for _ in cols]   # row b of M: {j: M[b][j]}
+    for j, col in enumerate(cols):
+        for b, v in col.items():
+            rows[b][j] = v
+    cells = {}
+    for i, x in enumerate(cols):
+        # column b of D * L_{M u_i} is D * [M u_i, e_b]; cell (i, j) gains M[b][j] times it
+        for b, terms in operator_columns(algebra.by_left, x).items():
+            for j, (yr, yi) in rows[b].items():
+                cell = cells.setdefault((i, j), {})
+                for k, (gr, gi) in terms:
+                    o = cell.get(k, (0, 0))
+                    cell[k] = (o[0] + yr * gr - yi * gi, o[1] + yr * gi + yi * gr)
+    return algebra.denominator * d_inv, {key: gaussian_combination(inv_cols, cell)
+                                         for key, cell in cells.items()}
 
 
 def direct_sum(a, b):
@@ -454,9 +482,10 @@ def direct_sum(a, b):
             new += "'"
         labels.append(new)
         used.add(new)
-    return from_terms(labels, [(i + shift, j + shift, k + shift, c)
-                               for shift, summand in ((0, a), (a.dim, b))
-                               for i, j, terms in summand.products() for k, c in terms])
+    d = lcm(a.denominator, b.denominator)
+    return from_table(labels, {(i + shift, j + shift): {k + shift: (x * s, y * s) for k, (x, y) in terms}
+                               for shift, summand in ((0, a), (a.dim, b)) for s in (d // summand.denominator,)
+                               for i, j, terms in summand._table()}, d)
 
 
 # -- interchange format ----------------------------------------------------

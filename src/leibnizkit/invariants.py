@@ -33,20 +33,21 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import lcm
 from typing import NamedTuple
 
 from . import cohomology
 from .core import (
-    change_of_basis,
-    from_terms,
+    _triples,
+    from_table,
     generating_set,
-    leibniz_residual,
     operator_columns,
     require_leibniz,
     square_span,
+    transport,
 )
-from .linalg import Matrix, NotNilpotentError, SparseEchelon, dense_vec, image_chain, partition_of_ranks
-from .scalars import ZERO, from_gaussian
+from .linalg import NotNilpotentError, SparseEchelon, dense_vec, image_chain, partition_of_ranks
+from .scalars import from_gaussian
 
 
 class SeriesReport(NamedTuple):
@@ -107,10 +108,11 @@ def _series(algebra):
     # suffice, from the kept L^2 on (see the module docstring)
     n = algebra.dim
     operators, start = algebra.by_right, None
-    if not leibniz_residual(algebra):
-        generators = generating_set(algebra)
-        if len(generators) < n:
-            operators, start = [algebra.by_right[g] for g in generators], square_span(algebra)
+    generators = generating_set(algebra)
+    # no residual triple with its third index in G: Leibniz (core module docstring)
+    algebra._leibniz = algebra._leibniz or not _triples(algebra, generators)
+    if algebra._leibniz and len(generators) < n:
+        operators, start = [algebra.by_right[g] for g in generators], square_span(algebra)
     levels = [level.gaussian_rows() for level in image_chain(n, operators, start)]
     if start is not None:
         levels.insert(0, tuple(((c, (1, 0)),) for c in range(n)))   # L^1 = L
@@ -316,34 +318,31 @@ def natural_graded(algebra):
 
     A complement of L^{i+1} in L^i is read off the sparse RREF rows the
     series keeps: the rows of L^i whose pivot column is no pivot of
-    L^{i+1}, lowest pivot first.  The lifts, layer by layer, form a basis
-    P of L; change_of_basis(algebra, P) gives the brackets of the lifts in
-    that basis, and gr L keeps of each [u_a, u_b] only its projection onto
+    L^{i+1}, lowest pivot first.  The lifts, layer by layer, are the
+    columns of a basis P of L, each row over its lead; core.transport runs
+    on M = d_P * P, d_P the lcm of the leads, and gives d_P times the
+    brackets of the lifts over D * d_inv, so the brackets over
+    D * d_P * d_inv.  gr L keeps of each [u_a, u_b] only its projection onto
     the layer of degree deg a + deg b.
     """
     series = central_series(algebra)
     if not series.is_nilpotent:
         raise NotNilpotentError("natural gradation needs a nilpotent algebra")
-    n = algebra.dim
-    flat = [ZERO] * (n * n)   # P, row-major: column c holds the c-th lift
-    layer_of = []             # layer index (1-based) per new basis position
-    labels = []
-    dims = []
+    lifts, layer_of, dims = [], [], []   # layer_of: layer index (1-based) per new basis position
     levels = series.levels + ((),)
     for i, level in enumerate(series.levels):
         deeper = {row[0][0] for row in levels[i + 1]}
         layer = [row for row in level if row[0][0] not in deeper]
         dims.append(len(layer))
-        for row in layer:
-            c, lead = len(layer_of), row[0][1][0]
-            for r, (x, y) in row:
-                flat[r * n + c] = from_gaussian(x, y, lead)
-            layer_of.append(i + 1)
-            labels.append(algebra.labels[row[0][0]])
-    moved = change_of_basis(algebra, Matrix._of_scalars(n, n, flat))
-    terms = [(a, b, k, c) for a, b, product in moved.products() for k, c in product
-             if layer_of[k] == layer_of[a] + layer_of[b]]
-    return from_terms(labels, terms), tuple(dims)
+        lifts += layer
+        layer_of += [i + 1] * len(layer)
+    d_p = lcm(*(row[0][1][0] for row in lifts))
+    cols = [{r: (x * s, y * s) for r, (x, y) in row} for row in lifts for s in (d_p // row[0][1][0],)]
+    d, table = transport(algebra, cols)
+    graded = {(a, b): {k: v for k, v in cell.items() if layer_of[k] == layer_of[a] + layer_of[b]}
+              for (a, b), cell in table.items()}
+    labels = [algebra.labels[row[0][0]] for row in lifts]
+    return from_table(labels, graded, d * d_p), tuple(dims)
 
 
 class Fingerprint(NamedTuple):

@@ -11,9 +11,10 @@ with each pivot row stored over a positive int lead (Bareiss, Math. Comp.
 a caller reads rows or a kernel.  Scalars are cleared in three places:
 gaussian_row for a sparse row, Matrix.gaussian_columns for a matrix, and
 core.Algebra._accumulate for structure constants.  span_echelon is the one
-entry point for dense Scalar vectors, behind rank, kernel_basis and
-gaussian_inverse.  The transport and the certificate check apply maps in
-ints: gaussian_columns, gaussian_inverse, gaussian_combination.
+entry point for dense Scalar vectors, behind rank and kernel_basis;
+gaussian_inverse takes a matrix's Gaussian-integer columns, as
+gaussian_columns gives them.  The transport and the certificate check apply
+maps in ints: gaussian_columns, gaussian_inverse, gaussian_combination.
 
 image_chain is the one descending-image loop, behind both the central
 series and every Jordan type.  It is lazy: it yields each level before it
@@ -328,14 +329,14 @@ def gaussian_combination(columns, coefficients):
     """sum_c coefficients[c] * columns[c] as an {index: (re, im)} map, zeros
     dropped: columns are those of a square matrix as {row: (re, im)} maps,
     and coefficients a {c: (re, im)} map, all of ints."""
-    if not coefficients:
-        return {}
-    re, im = [0] * len(columns), [0] * len(columns)
+    out = {}
+    get = out.get
     for c, (ar, ai) in coefficients.items():
         for r, (br, bi) in columns[c].items():
-            re[r] += ar * br - ai * bi
-            im[r] += ar * bi + ai * br
-    return {r: (x, y) for r, (x, y) in enumerate(zip(re, im)) if x or y}
+            pr, pi = ar * br - ai * bi, ar * bi + ai * br
+            o = get(r)
+            out[r] = (pr, pi) if o is None else (o[0] + pr, o[1] + pi)
+    return {r: v for r, v in out.items() if v[0] or v[1]}
 
 
 def _subtract_multiple(out, fr, fi, row):
@@ -385,30 +386,26 @@ def kernel_basis(m):
     return span_echelon(m.data, m.cols).kernel_basis()
 
 
-def gaussian_inverse(m):
-    """(d, columns) of d * m^-1 as gaussian_columns gives them, read off the
-    Gaussian-integer pivot rows of the RREF of [m | I]; raises
-    SingularMatrixError.
+def gaussian_inverse(columns):
+    """(d, columns of d * M^-1), d > 0 least, for the square matrix M with the
+    given columns, {row: (re, im)} maps of ints as gaussian_columns gives
+    them; raises SingularMatrixError.
 
-    The rows of [m | I] are independent, so the RREF has n rows; m is
-    invertible iff their pivots are the n left columns, and then the right
-    half is m^-1.  Pivot row r is primitive over its lead l_r, so l_r is the
-    least denominator of row r of m^-1 and d = lcm(l_r) that of all of it.
+    The RREF of the rows of [M^T | I] (column c of M beside e_c) has n rows,
+    pivoted on the left columns iff M is invertible; then its right half is
+    (M^T)^-1, whose row r is column r of M^-1.  Pivot row r is primitive over
+    its lead l_r, so d = lcm(l_r) is the least denominator of M^-1.
     """
-    if m.rows != m.cols:
-        raise SingularMatrixError("only square matrices can be inverted")
-    n = m.rows
-    rows = span_echelon([row + basis_vec(n, r) for r, row in enumerate(m.data)], 2 * n)._rows
+    n = len(columns)
+    ech = SparseEchelon(2 * n)
+    for c, col in enumerate(columns):
+        ech.add_gaussian({**col, n + c: (1, 0)})
+    rows = ech._rows
     if any(c not in rows for c in range(n)):
         raise SingularMatrixError("matrix is singular")
     d = lcm(*(rows[r][r][0] for r in range(n)))
-    cols = [{} for _ in range(n)]
-    for r in range(n):
-        s = d // rows[r][r][0]
-        for c, (x, y) in rows[r].items():
-            if c >= n:
-                cols[c - n][r] = (x * s, y * s)
-    return d, cols
+    return d, [{c - n: (x * s, y * s) for c, (x, y) in rows[r].items() if c >= n}
+               for r in range(n) for s in (d // rows[r][r][0],)]
 
 
 def image_chain(n, operators, level=None):

@@ -1,6 +1,6 @@
 """Independent reference computations used to pin expected values.
 
-Everything here but inverse, oracle_inner_outside_der, oracle_residual
+Everything here but oracle_inner_outside_der, oracle_residual
 and oracle_derivation_space deliberately avoids the package's elimination
 engine: plain dense Gaussian elimination over Scalars, explicit matrix
 powers, and a finite-difference assembly of the derivation constraints.
@@ -17,8 +17,8 @@ residual from gamma over every index, with no sparse table at all.
 OracleQi is Q(i) arithmetic on a pair of Fractions, independent of the
 integer representation inside Scalar.  oracle_diagonal_gradation is the
 plain backtracking gradation search, without forward checking.
-inverse gives linalg.gaussian_inverse as a Matrix of Scalars, for the
-round-trip tests and the Scalar transport below.
+inverse is dense Gauss-Jordan elimination on Scalars, the reference for
+linalg.gaussian_inverse, the round-trip tests and the Scalar transport below.
 oracle_series is the central series as the image chain of every right
 operator R_{e_j} from Q(i)^n, with dense bases: the loop that
 invariants._series replaces, on a Leibniz algebra with a certified
@@ -32,7 +32,10 @@ that linalg.SparseEchelon's fraction-free Gaussian-integer rows replace.
 oracle_bracket sums the product terms on Scalars, without the
 Gaussian-integer kernel core.sparse_bracket; oracle_change_of_basis and
 oracle_verify_certificate are the Scalar transport and certificate check
-that core.change_of_basis and iso.verify_certificate replace.
+that core.change_of_basis and iso.verify_certificate replace, and
+oracle_natural_graded is gr L moved along a dense Scalar P of lifts read off
+oracle_series by oracle_change_of_basis, where invariants.natural_graded
+runs core.transport on Gaussian-integer columns.
 add_row and in_span hand a sparse row of Scalars to a SparseEchelon, which
 takes Gaussian-integer rows only, through linalg.gaussian_row.
 """
@@ -49,11 +52,11 @@ from leibnizkit.iso import CertificateReport
 from leibnizkit.linalg import (
     Matrix,
     NotNilpotentError,
+    SingularMatrixError,
     SparseEchelon,
     basis_vec,
     dense_vec,
     gaussian_combination,
-    gaussian_inverse,
     gaussian_row,
     image_chain,
     nilpotent_partition,
@@ -159,11 +162,24 @@ def mul_vec(m, vec):
 
 
 def inverse(m):
-    """Inverse of a square matrix as a Matrix of Scalars, read off
-    gaussian_inverse; raises SingularMatrixError."""
-    d, cols = gaussian_inverse(m)
+    """Inverse of a square matrix as a Matrix of Scalars, by dense
+    Gauss-Jordan elimination of [m | I]; raises SingularMatrixError."""
+    if m.rows != m.cols:
+        raise SingularMatrixError("only square matrices can be inverted")
     n = m.rows
-    return Matrix(n, n, [[from_gaussian(*col.get(r, (0, 0)), d) for col in cols] for r in range(n)])
+    aug = [list(row) + basis_vec(n, r) for r, row in enumerate(m.data)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return Matrix(n, n, [row[n:] for row in aug])
 
 
 def oracle_partition(m):
@@ -443,6 +459,32 @@ def oracle_change_of_basis(algebra, p):
             if any(w):
                 terms.extend((i, j, k, x) for k, x in enumerate(mul_vec(p_inv, w)) if x)
     return from_terms(algebra.labels, terms)
+
+
+def oracle_natural_graded(algebra):
+    """invariants.natural_graded on Scalars: the lifts are the rows of each
+    oracle_series level whose pivot is no pivot of the next, as the columns
+    of a dense Scalar P; oracle_change_of_basis moves the algebra along P,
+    and gr L keeps the terms of degree deg a + deg b."""
+    bases, _, nilindex = oracle_series(algebra)
+    if nilindex is None:
+        raise NotNilpotentError("natural gradation needs a nilpotent algebra")
+    n = algebra.dim
+
+    def pivot(v):
+        return next(c for c, x in enumerate(v) if x)
+
+    lifts, layer_of, dims = [], [], []
+    for i, level in enumerate(bases):
+        deeper = {pivot(v) for v in (bases[i + 1] if i + 1 < len(bases) else ())}
+        layer = [v for v in level if pivot(v) not in deeper]
+        dims.append(len(layer))
+        lifts += layer
+        layer_of += [i + 1] * len(layer)
+    moved = oracle_change_of_basis(algebra, Matrix(n, n, [[v[r] for v in lifts] for r in range(n)]))
+    terms = [(a, b, k, c) for a, b, product in moved.products() for k, c in product
+             if layer_of[k] == layer_of[a] + layer_of[b]]
+    return from_terms([algebra.labels[pivot(v)] for v in lifts], terms), tuple(dims)
 
 
 def oracle_verify_certificate(cert):

@@ -303,7 +303,8 @@ def test_inverse_round_trip_on_dense_rational_matrices():
 
 
 def test_gaussian_inverse_is_the_cleared_inverse():
-    # d is the least common denominator of m^-1, as gaussian_columns finds it
+    # on the Gaussian-integer columns of M = d_m * m: d is the least common
+    # denominator of M^-1, as gaussian_columns finds it on the oracle inverse
     rng = random.Random(47)
     for trial in range(30):
         n = rng.randint(0, 6)
@@ -312,9 +313,10 @@ def test_gaussian_inverse_is_the_cleared_inverse():
             m = Matrix(n, n, [[entry() for _ in range(n)] for _ in range(n)])
             if oracle_matrix_rank(m) == n:
                 break
-        assert gaussian_inverse(m) == inverse(m).gaussian_columns()
+        d_m, cols = m.gaussian_columns()
+        assert gaussian_inverse(cols) == inverse(m.scale(d_m)).gaussian_columns()
     with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
-        gaussian_inverse(Matrix(3, 3, [1, 2, 0, 0, 0, 1, 3, 6, 5]))
+        gaussian_inverse(Matrix(3, 3, [1, 2, 0, 0, 0, 1, 3, 6, 5]).gaussian_columns()[1])
 
 
 def test_inverse_round_trip():

@@ -7,7 +7,8 @@ tests/oracles.py::oracle_series is.  Every level must be equal, on every
 catalog family at n = 7, 9, 11 and 15, on seeded dense conjugates, on gr L,
 on direct sums with an abelian summand, on a non-nilpotent Lie algebra
 (the fallback) and on seeded random Leibniz tables; a table that is not
-Leibniz must take the all-operator path.
+Leibniz must take the all-operator path, and the series finds that out
+from the residual triples whose third index lies in G alone.
 
 core.square_span keeps L^2 on the algebra for generating_set, the series
 and the characteristic-sequence candidates; generating_set extends a copy,
@@ -22,7 +23,7 @@ from conftest import alg, mutated_m7, random_invertible
 
 from oracles import oracle_residual, oracle_series
 
-from leibnizkit import invariants
+from leibnizkit import core, invariants
 from leibnizkit.catalog import FAMILIES
 from leibnizkit.core import (
     change_of_basis,
@@ -186,6 +187,32 @@ def test_mutated_tables_take_every_operator(monkeypatch):
         assert not series_path(a, monkeypatch)
         certified += len(generating_set(a)) < a.dim
     assert certified >= 20
+
+
+def test_the_series_of_a_table_that_is_not_leibniz_forms_only_the_generator_triples(monkeypatch):
+    # the dense M^{1,3+i}(11) of the CI guard with [e_1, e_1] += e_5, whose
+    # G keeps two of the 12 indices: the residual triples whose third index
+    # lies in G decide, and the others of the whole residual are never formed
+    base = catalog_algebra("M1alpha", 11, "3+1i")
+    n, v = base.dim, (1, -1, 2, -2)
+    dense = change_of_basis(base, Matrix(n, n, [[Scalar(v[(n * r + c) ** 3 % 31 % 4]) for c in range(n)]
+                                                for r in range(n)]))
+    bad = from_terms(dense.labels, [(i, j, k, c) for i, j, ts in dense.products() for k, c in ts]
+                     + [(0, 0, 4, Scalar(1))])
+    generators = generating_set(bad)
+    assert len(generators) == 2
+    formed, triples = [], core._triples
+
+    def counting(algebra, third):
+        formed.append(tuple(third))
+        return triples(algebra, third)
+    monkeypatch.setattr(core, "_triples", counting)
+    monkeypatch.setattr(invariants, "_triples", counting)
+    calls = chains(monkeypatch)
+    series = central_series(bad)
+    assert formed == [generators] and calls == [(n, False)] and not bad._leibniz
+    assert (series.subspace_bases, series.dims, series.nilindex) == oracle_series(bad)
+    assert oracle_residual(bad)
 
 
 def test_abelian_and_empty_algebras_take_every_operator(monkeypatch):

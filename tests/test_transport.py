@@ -1,31 +1,35 @@
-"""change_of_basis and verify_certificate against their Scalar oracles.
+"""change_of_basis, gr L and verify_certificate against their Scalar oracles.
 
-Both run on Gaussian integers with the denominators of the structure
-constants (D) and of the maps (d_P, d_inv) cleared once.  The oracles in
-tests/oracles.py form every bracket and every product by P or P^-1 on
-Scalars.  The cases cover every catalog family at n = 7 and 9, M1alpha at
-alpha = -1, i and 5/3 (so D > 1), and three kinds of map: dense integer
-(d_P = 1), Gaussian-rational with denominators up to 7 (d_P > 1) and
-unitriangular.
+All three run on Gaussian integers with the denominators of the structure
+constants (D) and of the maps (d_P, d_inv) cleared once; change_of_basis
+and natural_graded share core.transport.  The oracles in tests/oracles.py
+form every bracket and every product by P or P^-1 on Scalars.  The cases
+cover every catalog family at n = 7 and 9, M1alpha at alpha = -1, i and
+5/3 (so D > 1), and four kinds of map: dense integer (d_P = 1),
+Gaussian-rational with denominators up to 7 (d_P > 1), unitriangular, and
+monomial (a permutation times a Gaussian-rational diagonal: sparse
+columns).  Tables are compared by key(), which holds the denominator, as
+well as by dumps.
 """
 
 import random
 
 import pytest
 
-from conftest import case_algebra
+from conftest import case_algebra, catalog_cases, dense_rational_move
 
-from oracles import oracle_change_of_basis, oracle_verify_certificate
+from oracles import oracle_change_of_basis, oracle_natural_graded, oracle_verify_certificate
 
 from leibnizkit.catalog import FAMILIES
 from leibnizkit.core import change_of_basis, dumps, from_terms
+from leibnizkit.invariants import natural_graded
 from leibnizkit.iso import IsoCertificate, verify_certificate
 from leibnizkit.linalg import Matrix, SingularMatrixError, rank
 from leibnizkit.scalars import Scalar, from_gaussian
 
 CASES = [(family, n, alpha) for n in (7, 9) for family in FAMILIES
          for alpha in (("-1", "1i", "5/3") if family == "M1alpha" else (None,))]
-KINDS = ("dense-integer", "gaussian-rational", "unitriangular")
+KINDS = ("dense-integer", "gaussian-rational", "unitriangular", "monomial")
 
 
 def _entry(rng, kind):
@@ -36,7 +40,11 @@ def _entry(rng, kind):
 
 def _map(rng, n, kind):
     while True:
-        if kind == "unitriangular":
+        if kind == "monomial":
+            perm = rng.sample(range(n), n)
+            diag = [_entry(rng, kind) or from_gaussian(1, 1, 2) for _ in range(n)]
+            rows = [[diag[c] if r == perm[c] else Scalar(0) for c in range(n)] for r in range(n)]
+        elif kind == "unitriangular":
             rows = [[Scalar(1) if r == c else _entry(rng, kind) if r < c else Scalar(0)
                      for c in range(n)] for r in range(n)]
         else:
@@ -62,8 +70,8 @@ def _same_report(cert):
 @pytest.mark.parametrize("family,n,alpha", CASES)
 def test_transport_and_certificate_match_the_scalar_oracles(family, n, alpha, kind):
     a, p, rng = _case(family, n, alpha, kind)
-    moved = change_of_basis(a, p)
-    assert dumps(moved) == dumps(oracle_change_of_basis(a, p))
+    moved, want = change_of_basis(a, p), oracle_change_of_basis(a, p)
+    assert (moved.key(), dumps(moved)) == (want.key(), dumps(want))
     assert _same_report(IsoCertificate(moved, a, p)).accepted
 
     # one source constant perturbed (a new product of the abelian table):
@@ -96,6 +104,31 @@ def test_singular_map(family, n, alpha):
         change_of_basis(a, s)
     with pytest.raises(SingularMatrixError):
         oracle_change_of_basis(a, s)
+
+
+def _same_graded(a):
+    (got, dims), (want, want_dims) = natural_graded(a), oracle_natural_graded(a)
+    assert (got.key(), dumps(got), dims) == (want.key(), dumps(want), want_dims)
+
+
+@pytest.mark.parametrize("family,n,alpha", catalog_cases())
+def test_natural_graded_matches_the_scalar_oracle(family, n, alpha):
+    _same_graded(case_algebra(family, n, alpha))
+
+
+@pytest.mark.parametrize("family,n,alpha", [c for c in catalog_cases() if c[1] == 7])
+def test_natural_graded_of_dense_rational_conjugates_matches_the_scalar_oracle(family, n, alpha):
+    # the lifts of a dense table are dense rows over leads > 1: d_P > 1 on
+    # every table but the abelian one
+    a = case_algebra(family, n, alpha)
+    rng = random.Random("%s:%d:%s" % (family, n, alpha))
+    _same_graded(change_of_basis(a, dense_rational_move(rng, a.dim)))
+
+
+def test_monomial_maps_have_sparse_gaussian_rational_columns():
+    _, p, _ = _case("M1alpha", 7, "5/3", "monomial")
+    assert all(sum(1 for v in p.column(c) if v) == 1 for c in range(p.cols))
+    assert any(v.d > 1 for v in p.flat()) and any(v.b for v in p.flat())
 
 
 def test_cases_clear_denominators():
