@@ -7,18 +7,19 @@ argument the columns, and the identity checked by leibniz_residual is
 
     [x, [y, z]] = [[x, y], z] - [[x, z], y].
 
-require_leibniz is the package's one Leibniz guard.  The products are
-stored once, as Gaussian integers: denominator is D, the lcm of the
-reduced denominators of the structure constants, and each nonzero product
-of D * gamma is a tuple of (k, (re, im)) terms of ints, not both zero,
-sorted by k, reachable by its left factor (by_left[i][j]) and by its right
-factor (by_right[j][i]).  Every bracket loop goes through this index, so
-its cost follows the nonzero products: the residual, the Der and Inn
-systems, the annihilators, every image chain and sparse_bracket, the one
-bracket kernel, run on it and make Scalars only of their results.  On it,
-square_span is the one echelon of L^2, operator_columns the one builder of
-the columns of R_x and L_x, and derivation_defects the one loop that
-checks the derivation identity, behind both the residual and
+is_leibniz is the package's one Leibniz decision and require_leibniz its
+one guard.  The products are stored once, as Gaussian integers:
+denominator is D, the lcm of the reduced denominators of the structure
+constants, and each nonzero product of D * gamma is a tuple of
+(k, (re, im)) terms of ints, not both zero, sorted by k, reachable by its
+left factor (by_left[i][j]) and by its right factor (by_right[j][i]).
+Every bracket loop goes through this index, so its cost follows the
+nonzero products: the residual, the Der and Inn systems, the annihilators,
+every image chain and sparse_bracket, the one bracket kernel, run on it
+and make Scalars only of their results, through linalg.scalar_vector.  On
+it, square_span is the one echelon of L^2, operator_columns the one
+builder of the columns of R_x and L_x, and derivation_defects the one loop
+that checks the derivation identity, behind both the residual and
 cohomology.is_derivation.
 
 Every Algebra goes through the one table store, Algebra._store.  from_table
@@ -31,14 +32,14 @@ Matrix.gaussian_columns.  products() and gamma are Scalar views made on
 each read.
 
 Since the tables never change, four results are memoized on the
-algebra: leibniz_residual remembers that the residual is empty (a
-non-empty one is recomputed, so every caller gets its own list),
-invariants.central_series keeps its immutable SeriesReport (each level's
-sparse integer RREF rows), generating_set keeps the basis indices whose
-left-normed words span L, and square_span keeps the one SparseEchelon of
-L^2, which generating_set (on a copy it extends), the central series (as
-its level L^2) and the characteristic-sequence candidates read and never
-change.  Equality, hashing and key() ignore all four slots; they compare
+algebra: is_leibniz remembers a yes (a no is decided afresh, and
+leibniz_residual then forms every triple, so every caller gets its own
+list), invariants.central_series keeps its immutable SeriesReport (each
+level's sparse integer RREF rows), generating_set keeps the basis indices
+whose left-normed words span L, and square_span keeps the one
+SparseEchelon of L^2, which generating_set (on a copy it extends), the
+central series (as its level L^2) and the characteristic-sequence
+candidates read and never change.  Equality, hashing and key() ignore all four slots; they compare
 the labels, D and the table.
 Concurrent use needs no locking: threads that race to fill a slot compute
 and store equal values.
@@ -65,13 +66,12 @@ from .linalg import (
     Matrix,
     SparseEchelon,
     as_vector,
-    dense_vec,
     gaussian_combination,
     gaussian_inverse,
     gaussian_row,
+    scalar_vector,
 )
 from .scalars import (
-    ZERO,
     Echo,
     ScalarParseError,
     as_scalar,
@@ -150,8 +150,8 @@ class Algebra:
     @property
     def gamma(self):
         """Read-only dense view (i, j) -> coordinates of [e_i, e_j], built on each read."""
-        return MappingProxyType({(i, j): tuple(dense_vec(dict(terms), self.dim))
-                                 for i, j, terms in self.products()})
+        return MappingProxyType({(i, j): tuple(scalar_vector(terms, self.denominator, self.dim))
+                                 for i, j, terms in self._table()})
 
     def index(self, label):
         try:
@@ -241,8 +241,7 @@ def bracket(algebra, x, y):
     """Bilinear extension of gamma: the product [x, y]."""
     (dx, x), (dy, y) = _cleared(x, algebra.dim), _cleared(y, algebra.dim)
     d = algebra.denominator * dx * dy
-    w = sparse_bracket(algebra, x, y)
-    return dense_vec({k: from_gaussian(re, im, d) for k, (re, im) in w.items()}, algebra.dim)
+    return scalar_vector(sparse_bracket(algebra, x, y).items(), d, algebra.dim)
 
 
 def leibniz_residual(algebra):
@@ -250,31 +249,24 @@ def leibniz_residual(algebra):
 
     Returns (i, j, k, residual) in lexicographic order, with residual =
     [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j] as a dense vector;
-    an empty list means the algebra is a Leibniz algebra.  An empty result
-    is memoized on the algebra; a non-empty one is computed afresh.
+    an empty list means the algebra is a Leibniz algebra.  is_leibniz
+    decides; only an algebra that is not Leibniz has its triples formed
+    for every third index, afresh on each call.
     """
-    if algebra._leibniz:
-        return []
-    residual = _residual(algebra)
-    if not residual:
-        algebra._leibniz = True
-    return residual
+    return [] if is_leibniz(algebra) else _triples(algebra, range(algebra.dim))
 
 
-def _residual(algebra):
-    """The residual triples of leibniz_residual, always computed.
+def is_leibniz(algebra):
+    """Whether the right-Leibniz identity holds: the one Leibniz decision.
 
-    The triples whose third index lies in generating_set come first; if
-    none has a nonzero residual, every R_z is a derivation (see the module
-    docstring).  Otherwise the triples of the other third indices are
-    added, so a non-empty residual lists every triple.
+    It forms only the residual triples whose third index lies in
+    generating_set; if none is nonzero, every R_z is a derivation (see the
+    module docstring).  A yes is memoized on the algebra; a no is decided
+    afresh on each call.
     """
-    generators = generating_set(algebra)
-    found = _triples(algebra, generators)
-    if found and len(generators) < algebra.dim:
-        rest = [k for k in range(algebra.dim) if k not in generators]
-        found = sorted(found + _triples(algebra, rest), key=lambda triple: triple[:3])
-    return found
+    if not algebra._leibniz:
+        algebra._leibniz = not _triples(algebra, generating_set(algebra))
+    return algebra._leibniz
 
 
 def _triples(algebra, third):
@@ -288,9 +280,9 @@ def _triples(algebra, third):
     out = []
     for k, defects in zip(third, derivation_defects(algebra, [algebra.by_right[k] for k in third])):
         for (i, j), acc in defects.items():
-            terms = {m: from_gaussian(x, y, dd) for m, (x, y) in acc.items() if x or y}
+            terms = [(m, v) for m, v in acc.items() if v[0] or v[1]]
             if terms:
-                out.append((i, j, k, dense_vec(terms, n)))
+                out.append((i, j, k, scalar_vector(terms, dd, n)))
     return sorted(out, key=lambda triple: triple[:3])
 
 
@@ -424,12 +416,9 @@ def _operator(algebra, x, index):
     # the columns operator_columns gives for d * x are D * d times the operator's
     n = algebra.dim
     d, x = _cleared(x, n)
-    d *= algebra.denominator
-    data = [[ZERO] * n for _ in range(n)]
-    for c, terms in operator_columns(index, x).items():
-        for k, (re, im) in terms:
-            data[k][c] = from_gaussian(re, im, d)
-    return Matrix(n, n, data)
+    columns = operator_columns(index, x)
+    dense = [scalar_vector(columns.get(c, ()), algebra.denominator * d, n) for c in range(n)]
+    return Matrix(n, n, list(zip(*dense)))   # its rows: the columns transposed
 
 
 def change_of_basis(algebra, p):

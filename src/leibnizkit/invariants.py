@@ -12,7 +12,8 @@ annihilators and the L^2 that candidates are drawn outside of
 (core.square_span, kept on the algebra) read the algebra's Gaussian-integer
 table, and the candidates are drawn as Gaussian integers, so all of it
 runs on the integer rows that linalg's elimination takes and clears no
-Scalar; only the witness, and the series bases when read, are made Scalars.
+Scalar; only the witness, and the series bases when read, are made Scalars,
+through linalg.scalar_vector.
 
 The series on a generating set.  Let L be Leibniz and G a set whose
 left-normed words span L, as core.generating_set certifies.  Then L^k is
@@ -20,7 +21,8 @@ spanned by the words in G of length >= k, so L^{k+1} = sum_{g in G} R_g(L^k).
 Proof: let W_k be the span of the words of length >= k; [W_k, u] lies in
 W_{k+1} for every word u, by induction on the length of u for all k at
 once, the step being [w, [u', g]] = [[w, u'], g] - [[w, g], u'].  So once
-the residual is empty and G is smaller than the basis, the chain runs on
+core.is_leibniz says yes, deciding from the residual triples whose third
+index lies in G alone, and G is smaller than the basis, the chain runs on
 the R_g alone, from the kept echelon of L^2 (the span of all products);
 otherwise (not Leibniz, or G fell back to every index) it runs on every
 R_{e_j} from L.  Each level is kept as its sparse integer RREF rows.
@@ -38,16 +40,15 @@ from typing import NamedTuple
 
 from . import cohomology
 from .core import (
-    _triples,
     from_table,
     generating_set,
+    is_leibniz,
     operator_columns,
     require_leibniz,
     square_span,
     transport,
 )
-from .linalg import NotNilpotentError, SparseEchelon, dense_vec, image_chain, partition_of_ranks
-from .scalars import from_gaussian
+from .linalg import NotNilpotentError, SparseEchelon, image_chain, partition_of_ranks, scalar_vector
 
 
 class SeriesReport(NamedTuple):
@@ -73,7 +74,8 @@ class SeriesReport(NamedTuple):
         """Per L^k, a tuple of dense basis vectors (tuples of Scalars): the
         RREF rows, built on each read."""
         n = len(self.levels[0])   # L^1 = L has one row per basis vector
-        return tuple(tuple(_dense(row, n) for row in level) for level in self.levels)
+        return tuple(tuple(tuple(scalar_vector(row, row[0][1][0], n)) for row in level)
+                     for level in self.levels)
 
     @property
     def is_nilpotent(self):
@@ -82,12 +84,6 @@ class SeriesReport(NamedTuple):
     def __repr__(self):
         tail = self.nilindex if self.nilindex is not None else "not nilpotent"
         return "SeriesReport(dims=%s, nilindex=%s)" % (list(self.dims), tail)
-
-
-def _dense(row, n):
-    """A sparse pivot row as a dense tuple of Scalars: the row over its lead."""
-    lead = row[0][1][0]
-    return tuple(dense_vec({c: from_gaussian(x, y, lead) for c, (x, y) in row}, n))
 
 
 def central_series(algebra):
@@ -109,9 +105,7 @@ def _series(algebra):
     n = algebra.dim
     operators, start = algebra.by_right, None
     generators = generating_set(algebra)
-    # no residual triple with its third index in G: Leibniz (core module docstring)
-    algebra._leibniz = algebra._leibniz or not _triples(algebra, generators)
-    if algebra._leibniz and len(generators) < n:
+    if is_leibniz(algebra) and len(generators) < n:
         operators, start = [algebra.by_right[g] for g in generators], square_span(algebra)
     levels = [level.gaussian_rows() for level in image_chain(n, operators, start)]
     if start is not None:
@@ -199,7 +193,7 @@ def characteristic_sequence(algebra, trials=20, seed=1):
             parts = partition_of_ranks(ranks)
             if best is None or parts > best:
                 best, rho = parts, ranks + [0] * (len(bound) + 1 - len(ranks))  # 0 to the nilindex
-                witness = tuple(dense_vec({c: from_gaussian(re, im, 1) for c, (re, im) in x.items()}, n))
+                witness = tuple(scalar_vector(x.items(), 1, n))
                 if best == ceiling:
                     break
     return CharSeq(best, witness)

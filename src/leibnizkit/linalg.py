@@ -10,11 +10,13 @@ with each pivot row stored over a positive int lead (Bareiss, Math. Comp.
 22, 1968, without the determinant bookkeeping); Scalars are made only when
 a caller reads rows or a kernel.  Scalars are cleared in three places:
 gaussian_row for a sparse row, Matrix.gaussian_columns for a matrix, and
-core.Algebra._accumulate for structure constants.  span_echelon is the one
-entry point for dense Scalar vectors, behind rank and kernel_basis;
-gaussian_inverse takes a matrix's Gaussian-integer columns, as
-gaussian_columns gives them.  The transport and the certificate check apply
-maps in ints: gaussian_columns, gaussian_inverse, gaussian_combination.
+core.Algebra._accumulate for structure constants; scalar_vector, their
+inverse, is the one read-out of an integer row as a dense Scalar vector.
+span_echelon is the one entry point for dense Scalar vectors, behind rank
+and kernel_basis; gaussian_inverse takes a matrix's Gaussian-integer
+columns, as gaussian_columns gives them.  The transport and the certificate
+check apply maps in ints: gaussian_columns, gaussian_inverse,
+gaussian_combination.
 
 image_chain is the one descending-image loop, behind both the central
 series and every Jordan type.  It is lazy: it yields each level before it
@@ -173,11 +175,13 @@ def sparse_vec(v):
     return {c: x for c, x in enumerate(v) if x}
 
 
-def dense_vec(terms, n):
-    """Dense length-n vector from an {index: entry} map."""
+def scalar_vector(terms, d, n):
+    """The dense length-n list of Scalars (re + im*i)/d for (index, (re, im))
+    terms of ints over an int d > 0, ZERO elsewhere: the one read-out of an
+    integer row as Scalars, the inverse of gaussian_row."""
     out = [ZERO] * n
-    for c, x in terms.items():
-        out[c] = x
+    for c, (re, im) in terms:
+        out[c] = from_gaussian(re, im, d)
     return out
 
 
@@ -299,7 +303,8 @@ class SparseEchelon:
 
     def basis_rows(self):
         """Dense RREF rows, sorted by pivot column."""
-        return [dense_vec(row, self.ncols) for row in self]
+        rows = self._rows
+        return [scalar_vector(rows[pc].items(), rows[pc][pc][0], self.ncols) for pc in sorted(rows)]
 
     def kernel_basis(self):
         """One kernel vector per free column, in column order."""

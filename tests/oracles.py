@@ -7,7 +7,7 @@ powers, and a finite-difference assembly of the derivation constraints.
 oracle_inner_outside_der tests the assembly of derivation_space, so it
 may use SparseEchelon for span membership.  oracle_residual and
 oracle_derivation_space are the loops over every basis triple and every
-basis pair that core._residual and cohomology.derivation_space trim to a
+basis pair that core.is_leibniz and cohomology.derivation_space trim to a
 generating set; they read the algebra's Gaussian-integer table (denominator,
 by_left, by_right), and the Der system is eliminated by SparseEchelon.
 oracle_is_derivation checks the derivation identity pair by pair with two
@@ -37,7 +37,9 @@ oracle_natural_graded is gr L moved along a dense Scalar P of lifts read off
 oracle_series by oracle_change_of_basis, where invariants.natural_graded
 runs core.transport on Gaussian-integer columns.
 add_row and in_span hand a sparse row of Scalars to a SparseEchelon, which
-takes Gaussian-integer rows only, through linalg.gaussian_row.
+takes Gaussian-integer rows only, through linalg.gaussian_row.  dense_vec
+places the Scalars of an {index: Scalar} map in a dense vector, without
+linalg.scalar_vector's read-out of integer rows.
 """
 
 import random
@@ -55,7 +57,6 @@ from leibnizkit.linalg import (
     SingularMatrixError,
     SparseEchelon,
     basis_vec,
-    dense_vec,
     gaussian_combination,
     gaussian_row,
     image_chain,
@@ -112,6 +113,14 @@ class OracleQi:
 
     def __repr__(self):
         return "OracleQi(%s, %s)" % (self.re, self.im)
+
+
+def dense_vec(terms, n):
+    """Dense length-n vector from an {index: entry} map."""
+    out = [ZERO] * n
+    for c, x in terms.items():
+        out[c] = x
+    return out
 
 
 def oracle_rank(rows):
@@ -597,12 +606,13 @@ class OracleEchelon:
 
 
 def oracle_residual(algebra):
-    """The full residual loop that core._residual replaces: every triple is
-    summed, none skipped by a generating set.  Terms come only from
-    products that exist, [e_i, [e_j, e_k]] from gamma_jk and by_right and
-    [[e_i, e_j], e_k] from gamma_ij and by_left, where it is the second term
-    of (i, j, k) and the third of (i, k, j), on D * gamma; each nonzero
-    entry is a Scalar over D^2."""
+    """The full residual loop, every triple summed, where core.is_leibniz
+    decides from the triples whose third index lies in the generating set
+    and core.leibniz_residual runs core.derivation_defects on every R_{e_k}.
+    Terms come only from products that exist, [e_i, [e_j, e_k]] from
+    gamma_jk and by_right and [[e_i, e_j], e_k] from gamma_ij and by_left,
+    where it is the second term of (i, j, k) and the third of (i, k, j), on
+    D * gamma; each nonzero entry is a Scalar over D^2."""
     d, by_left, by_right = algebra.denominator, algebra.by_left, algebra.by_right
     acc = {}
     for j, row in enumerate(by_left):

@@ -1,6 +1,6 @@
 """The residual and Der(L) on a generating set, against the full loops.
 
-core._residual sums the triples whose third index is a generator first,
+core.is_leibniz decides from the triples whose third index is a generator,
 and cohomology.derivation_space imposes the derivation identity only on
 the pairs (e_i, e_g) with g a generator.  tests/oracles.py keeps the loops
 over every triple and every pair; both answers must be equal on every

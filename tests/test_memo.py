@@ -1,8 +1,10 @@
-"""The four results memoized on an Algebra: an empty Leibniz residual, the
-central series, the generating set and the echelon of L^2.  Each is computed once per algebra,
-a non-empty residual is recomputed on every call, and the memo never leaks
-into equality, hashing or what a caller can modify.  The Gaussian-integer
-table is stored when the algebra is built, not memoized."""
+"""The four results memoized on an Algebra: a yes from core.is_leibniz, the
+central series, the generating set and the echelon of L^2.  Each is
+computed once per algebra: a yes forms the residual triples whose third
+index lies in the generating set once, while a no forms them and then every
+triple on each call.  The memo never leaks into equality, hashing or what a
+caller can modify.  The Gaussian-integer table is stored when the algebra
+is built, not memoized."""
 
 import io
 import sys
@@ -16,7 +18,7 @@ from conftest import mutated_m7
 from leibnizkit import cohomology, core, invariants
 from leibnizkit.catalog import FamilySpec, build
 from leibnizkit.cli import main
-from leibnizkit.core import NotLeibnizError, leibniz_residual, require_leibniz
+from leibnizkit.core import NotLeibnizError, generating_set, is_leibniz, leibniz_residual, require_leibniz
 from leibnizkit.invariants import central_series, fingerprint
 from leibnizkit.scalars import Scalar
 
@@ -30,26 +32,31 @@ def fresh_m7():
 
 @pytest.fixture
 def computations(monkeypatch):
-    """Counts the residual and series computations behind the memos."""
-    counts = {"residual": 0, "series": 0}
+    """Records the third indices of each batch of residual triples formed
+    (core._triples) and counts the series computations behind the memos."""
+    counts = {"triples": [], "series": 0}
+    triples, series = core._triples, invariants._series
 
-    def counting(name, fn):
-        def wrapper(algebra):
-            counts[name] += 1
-            return fn(algebra)
-        return wrapper
+    def counting_triples(algebra, third):
+        counts["triples"].append(tuple(third))
+        return triples(algebra, third)
 
-    monkeypatch.setattr(core, "_residual", counting("residual", core._residual))
-    monkeypatch.setattr(invariants, "_series", counting("series", invariants._series))
+    def counting_series(algebra):
+        counts["series"] += 1
+        return series(algebra)
+
+    monkeypatch.setattr(core, "_triples", counting_triples)
+    monkeypatch.setattr(invariants, "_series", counting_series)
     return counts
 
 
 def test_fingerprint_computes_residual_and_series_once(computations):
     a = fresh_m7()
     first = fingerprint(a)
-    assert computations == {"residual": 1, "series": 1}
+    want = {"triples": [generating_set(a)], "series": 1}
+    assert computations == want
     assert fingerprint(a) == first
-    assert computations == {"residual": 1, "series": 1}
+    assert computations == want
 
 
 def test_cli_der_computes_residual_once(computations, tmp_path):
@@ -58,7 +65,7 @@ def test_cli_der_computes_residual_once(computations, tmp_path):
     out = io.StringIO()
     assert main(["der", str(path)], out=out) == 0
     assert out.getvalue() == "dim Der: 13\ndim Inn: 2\ndim H1: 11\n"
-    assert computations["residual"] == 1
+    assert len(computations["triples"]) == 1
 
 
 @pytest.mark.parametrize("entry", [
@@ -71,11 +78,24 @@ def test_cli_der_computes_residual_once(computations, tmp_path):
         "fingerprint"])
 def test_non_leibniz_raises_the_same_message_every_call(entry, computations):
     bad = mutated_m7()
+    decide, every = generating_set(bad), tuple(range(bad.dim))
     for call in range(1, 4):
         with pytest.raises(NotLeibnizError) as info:
             entry(bad)
         assert str(info.value) == NOT_LEIBNIZ
-        assert computations["residual"] == call   # a non-empty residual is not cached
+        # a no is not cached: the generator triples decide, then every triple is listed
+        assert computations["triples"] == [decide, every] * call
+
+
+def test_is_leibniz_memoizes_a_yes_and_decides_a_no_afresh(computations):
+    a, bad = fresh_m7(), mutated_m7()
+    assert not a._leibniz
+    assert is_leibniz(a) is True and a._leibniz
+    assert is_leibniz(a) is True and leibniz_residual(a) == []
+    assert computations["triples"] == [generating_set(a)]
+    for call in range(1, 4):
+        assert is_leibniz(bad) is False and not bad._leibniz
+        assert computations["triples"] == [generating_set(a)] + [generating_set(bad)] * call
 
 
 def test_caller_cannot_change_the_next_residual():

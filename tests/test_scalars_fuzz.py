@@ -1,12 +1,14 @@
-"""Property tests of the scalar text grammar (skipped without hypothesis)."""
+"""Property tests of the scalar text grammar and of the read-out of integer
+rows as Scalars (skipped without hypothesis)."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from leibnizkit.scalars import Scalar, ScalarParseError, parse_scalar
+from leibnizkit.linalg import gaussian_row, scalar_vector
+from leibnizkit.scalars import ZERO, Scalar, ScalarParseError, parse_scalar
 
 # derandomized and without an example database: the same examples every run
 FIXED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -46,3 +48,26 @@ def test_hash_agrees_with_equality(s, t, k):
     integral = (Scalar(k) + s) - s
     assert integral == k and hash(integral) == hash(k)
     assert integral in {k} and k in {integral}
+
+
+@st.composite
+def _sparse_vectors(draw):
+    """(n, {index: Scalar}) with n = 0..9: Gaussian, negative and zero entries."""
+    n = draw(st.integers(0, 9))
+    entry = st.one_of(st.builds(Scalar, st.fractions(max_denominator=12), st.fractions(max_denominator=12)),
+                      st.integers(-5, 5).map(Scalar), _gaussian)
+    return n, draw(st.dictionaries(st.integers(0, n - 1), entry, max_size=n)) if n else {}
+
+
+@FIXED
+@given(_sparse_vectors())
+@example((0, {}))
+@example((3, {}))
+@example((2, {0: Scalar(-1, -1), 1: Scalar(0)}))
+def test_scalar_vector_inverts_gaussian_row(case):
+    n, row = case
+    d, terms = gaussian_row(row)
+    vec = scalar_vector(terms.items(), d, n)
+    assert vec == [row.get(c, ZERO) for c in range(n)]
+    assert all(type(x) is Scalar for x in vec)
+    assert gaussian_row(dict(enumerate(vec))) == (d, terms)

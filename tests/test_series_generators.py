@@ -8,7 +8,8 @@ catalog family at n = 7, 9, 11 and 15, on seeded dense conjugates, on gr L,
 on direct sums with an abelian summand, on a non-nilpotent Lie algebra
 (the fallback) and on seeded random Leibniz tables; a table that is not
 Leibniz must take the all-operator path, and the series finds that out
-from the residual triples whose third index lies in G alone.
+through core.is_leibniz, from the residual triples whose third index lies
+in G alone.
 
 core.square_span keeps L^2 on the algebra for generating_set, the series
 and the characteristic-sequence candidates; generating_set extends a copy,
@@ -30,6 +31,7 @@ from leibnizkit.core import (
     direct_sum,
     from_terms,
     generating_set,
+    is_leibniz,
     leibniz_residual,
     square_span,
 )
@@ -189,30 +191,52 @@ def test_mutated_tables_take_every_operator(monkeypatch):
     assert certified >= 20
 
 
-def test_the_series_of_a_table_that_is_not_leibniz_forms_only_the_generator_triples(monkeypatch):
-    # the dense M^{1,3+i}(11) of the CI guard with [e_1, e_1] += e_5, whose
-    # G keeps two of the 12 indices: the residual triples whose third index
-    # lies in G decide, and the others of the whole residual are never formed
+def dense_not_leibniz():
+    """The dense M^{1,3+i}(11) of the CI guard with [e_1, e_1] += e_5: not
+    Leibniz, and its G keeps two of the 12 indices."""
     base = catalog_algebra("M1alpha", 11, "3+1i")
     n, v = base.dim, (1, -1, 2, -2)
     dense = change_of_basis(base, Matrix(n, n, [[Scalar(v[(n * r + c) ** 3 % 31 % 4]) for c in range(n)]
                                                 for r in range(n)]))
     bad = from_terms(dense.labels, [(i, j, k, c) for i, j, ts in dense.products() for k, c in ts]
                      + [(0, 0, 4, Scalar(1))])
-    generators = generating_set(bad)
-    assert len(generators) == 2
+    assert len(generating_set(bad)) == 2
+    return bad
+
+
+def formed_triples(monkeypatch):
+    """Records the third indices of each batch of residual triples core forms."""
     formed, triples = [], core._triples
 
     def counting(algebra, third):
         formed.append(tuple(third))
         return triples(algebra, third)
     monkeypatch.setattr(core, "_triples", counting)
-    monkeypatch.setattr(invariants, "_triples", counting)
-    calls = chains(monkeypatch)
+    return formed
+
+
+def test_the_series_of_a_table_that_is_not_leibniz_forms_only_the_generator_triples(monkeypatch):
+    # the residual triples whose third index lies in G decide, and the
+    # others of the whole residual are never formed
+    bad = dense_not_leibniz()
+    formed, calls = formed_triples(monkeypatch), chains(monkeypatch)
     series = central_series(bad)
-    assert formed == [generators] and calls == [(n, False)] and not bad._leibniz
+    assert formed == [generating_set(bad)] and calls == [(bad.dim, False)] and not bad._leibniz
     assert (series.subspace_bases, series.dims, series.nilindex) == oracle_series(bad)
     assert oracle_residual(bad)
+
+
+def test_is_leibniz_forms_only_the_generator_triples_of_a_dense_table(monkeypatch):
+    # the no is not memoized: the residual decides again, then lists every
+    # triple, in lexicographic order, as the full loop of the oracle does
+    bad = dense_not_leibniz()
+    formed = formed_triples(monkeypatch)
+    generators = generating_set(bad)
+    assert is_leibniz(bad) is False and formed == [generators] and not bad._leibniz
+    residual = leibniz_residual(bad)
+    assert formed == [generators, generators, tuple(range(bad.dim))]
+    assert residual == oracle_residual(bad) and residual
+    assert [t[:3] for t in residual] == sorted(t[:3] for t in residual)
 
 
 def test_abelian_and_empty_algebras_take_every_operator(monkeypatch):
