@@ -20,7 +20,10 @@ and make Scalars only of their results, through linalg.scalar_vector.  On
 it, square_span is the one echelon of L^2, operator_columns the one
 builder of the columns of R_x and L_x, and derivation_defects the one loop
 that checks the derivation identity, behind both the residual and
-cohomology.is_derivation.
+cohomology.is_derivation.  These kernels and transport sum their terms
+through linalg.add_multiple, the one Gaussian multiply-accumulate, which
+deletes each entry that cancels: no {index: (re, im)} map they return
+holds a zero entry, so an empty map is a zero vector.
 
 Every Algebra goes through the one table store, Algebra._store.  from_table
 hands it ints: change_of_basis and gr L through transport, the one
@@ -65,6 +68,7 @@ from types import MappingProxyType
 from .linalg import (
     Matrix,
     SparseEchelon,
+    add_multiple,
     as_vector,
     gaussian_combination,
     gaussian_inverse,
@@ -210,7 +214,8 @@ def from_table(labels, table, d):
 # -- bracket -------------------------------------------------------------
 
 def sparse_bracket(algebra, x, y):
-    """D * [x, y] for x, y given as {index: (re, im)} maps of ints; same form out.
+    """D * [x, y] for x, y given as {index: (re, im)} maps of ints with no
+    zero entry; same form out.
 
     The single bracket kernel.  It runs on the Gaussian-integer table D * gamma,
     so for x and y cleared of denominators dx and dy it gives D * dx * dy
@@ -225,11 +230,8 @@ def sparse_bracket(algebra, x, y):
         for j, terms in index[i].items():
             b = inner.get(j)
             if b is not None:
-                cr, ci = ar * b[0] - ai * b[1], ar * b[1] + ai * b[0]
-                for k, (gr, gi) in terms:
-                    o = out.get(k, (0, 0))
-                    out[k] = (o[0] + cr * gr - ci * gi, o[1] + cr * gi + ci * gr)
-    return {k: v for k, v in out.items() if v[0] or v[1]}
+                add_multiple(out, ar * b[0] - ai * b[1], ar * b[1] + ai * b[0], terms)
+    return out
 
 
 def _cleared(vector, n):
@@ -279,25 +281,24 @@ def _triples(algebra, third):
     n, dd = algebra.dim, algebra.denominator ** 2
     out = []
     for k, defects in zip(third, derivation_defects(algebra, [algebra.by_right[k] for k in third])):
-        for (i, j), acc in defects.items():
-            terms = [(m, v) for m, v in acc.items() if v[0] or v[1]]
-            if terms:
-                out.append((i, j, k, scalar_vector(terms, dd, n)))
+        out.extend((i, j, k, scalar_vector(acc.items(), dd, n)) for (i, j), acc in defects.items() if acc)
     return sorted(out, key=lambda triple: triple[:3])
 
 
 def derivation_defects(algebra, maps):
     """For each map d in maps, {(i, j): {m: (re, im)}}, the defect
     [e_i, d e_j] + [d e_i, e_j] - d[e_i, e_j]; d is a derivation iff every
-    entry is zero.
+    defect is empty.
 
     Each map is given by columns {c: ((row, (re, im)), ...)} of ints, as
     by_right[k] gives D * R_{e_k}; zero columns may be absent.  Terms are
     accumulated only from products that exist: [e_i, d e_j] from by_right,
     [d e_i, e_j] from by_left, and d[e_i, e_j] from each product whose
     result holds an e_t with column t of d nonzero.  On D * gamma and the
-    columns of d_m * d, each defect is D * d_m times the true one; a pair
-    absent has defect zero, and zero entries are kept.
+    columns of d_m * d, each defect is D * d_m times the true one.  The
+    terms are summed by linalg.add_multiple, so no zero entry is kept: a
+    pair absent has defect zero, and a pair whose terms cancel may map to
+    an empty dict.
     """
     by_left, by_right = algebra.by_left, algebra.by_right
     within = [[] for _ in range(algebra.dim)]   # t -> (i, j, coefficient of e_t in [e_i, e_j])
@@ -310,23 +311,14 @@ def derivation_defects(algebra, maps):
         for j, d_j in columns.items():
             for t, (cr, ci) in d_j:
                 for i, g_it in by_right[t].items():
-                    res = acc.setdefault((i, j), {})      # + [e_i, d e_j]
-                    for m, (wr, wi) in g_it:
-                        o = res.get(m, (0, 0))
-                        res[m] = (o[0] + cr * wr - ci * wi, o[1] + cr * wi + ci * wr)
+                    add_multiple(acc.setdefault((i, j), {}), cr, ci, g_it)     # + [e_i, d e_j]
         for i, d_i in columns.items():
             for t, (cr, ci) in d_i:
                 for j, g_tj in by_left[t].items():
-                    res = acc.setdefault((i, j), {})      # + [d e_i, e_j]
-                    for m, (wr, wi) in g_tj:
-                        o = res.get(m, (0, 0))
-                        res[m] = (o[0] + cr * wr - ci * wi, o[1] + cr * wi + ci * wr)
+                    add_multiple(acc.setdefault((i, j), {}), cr, ci, g_tj)     # + [d e_i, e_j]
         for t, d_t in columns.items():
             for i, j, (cr, ci) in within[t]:
-                res = acc.setdefault((i, j), {})          # - d[e_i, e_j]
-                for m, (wr, wi) in d_t:
-                    o = res.get(m, (0, 0))
-                    res[m] = (o[0] - cr * wr + ci * wi, o[1] - cr * wi - ci * wr)
+                add_multiple(acc.setdefault((i, j), {}), -cr, -ci, d_t)       # - d[e_i, e_j]
         yield acc
 
 
@@ -377,29 +369,27 @@ def square_span(algebra):
 
 
 def require_leibniz(algebra):
-    """NotLeibnizError unless the residual is empty, naming the least k whose
-    R_{e_k} is not a derivation: the residual at (i, j, k) is R_{e_k}'s
-    failure on (e_i, e_j)."""
-    residual = leibniz_residual(algebra)
-    if residual:
-        k = min(t[2] for t in residual)
+    """NotLeibnizError unless is_leibniz, naming the least k whose R_{e_k}
+    is not a derivation: the residual at (i, j, k) is R_{e_k}'s failure on
+    (e_i, e_j).  The maps are checked in order and none past that k."""
+    if not is_leibniz(algebra):
+        k = next(k for k, defects in enumerate(derivation_defects(algebra, algebra.by_right))
+                 if any(defects.values()))
         raise NotLeibnizError("R_%s is not a derivation; the algebra is not Leibniz" % algebra.labels[k])
 
 
 def operator_columns(index, x):
-    """Columns {c: ((k, (re, im)), ...)} of sum_j x_j index[j], x an
-    {index: (re, im)} map of ints, in O(nnz), zeros dropped: the one
-    operator builder.  index is an algebra's by_right or by_left, whose
-    [j][c] is column c of D * R_{e_j} or of D * L_{e_j}, so the sum is
-    D * R_x or D * L_x, in the form linalg.image_chain takes."""
+    """Columns {c: ((k, (re, im)), ...)} of sum_j x_j index[j], none empty
+    and none with a zero entry, for x an {index: (re, im)} map of ints with
+    no zero entry, in O(nnz): the one operator builder.  index is an
+    algebra's by_right or by_left, whose [j][c] is column c of D * R_{e_j}
+    or of D * L_{e_j}, so the sum is D * R_x or D * L_x, in the form
+    linalg.image_chain takes."""
     op = {}
     for j, (xr, xi) in x.items():
         for c, terms in index[j].items():
-            col = op.setdefault(c, {})
-            for k, (gr, gi) in terms:
-                o = col.get(k, (0, 0))
-                col[k] = (o[0] + xr * gr - xi * gi, o[1] + xr * gi + xi * gr)
-    return {c: tuple((k, v) for k, v in col.items() if v[0] or v[1]) for c, col in op.items()}
+            add_multiple(op.setdefault(c, {}), xr, xi, terms)
+    return {c: tuple(col.items()) for c, col in op.items() if col}
 
 
 def right_operator(algebra, x):
@@ -453,10 +443,7 @@ def transport(algebra, cols):
         # column b of D * L_{M u_i} is D * [M u_i, e_b]; cell (i, j) gains M[b][j] times it
         for b, terms in operator_columns(algebra.by_left, x).items():
             for j, (yr, yi) in rows[b].items():
-                cell = cells.setdefault((i, j), {})
-                for k, (gr, gi) in terms:
-                    o = cell.get(k, (0, 0))
-                    cell[k] = (o[0] + yr * gr - yi * gi, o[1] + yr * gi + yi * gr)
+                add_multiple(cells.setdefault((i, j), {}), yr, yi, terms)
     return algebra.denominator * d_inv, {key: gaussian_combination(inv_cols, cell)
                                          for key, cell in cells.items()}
 

@@ -18,6 +18,10 @@ columns, as gaussian_columns gives them.  The transport and the certificate
 check apply maps in ints: gaussian_columns, gaussian_inverse,
 gaussian_combination.
 
+add_multiple is the one Gaussian multiply-accumulate behind every sparse
+integer loop, here and in core; it deletes each entry that cancels, so no
+sparse map those loops return holds a zero entry.
+
 image_chain is the one descending-image loop, behind both the central
 series and every Jordan type.  It is lazy: it yields each level before it
 computes the next, so a caller that needs only the first ranks stops the
@@ -185,6 +189,25 @@ def scalar_vector(terms, d, n):
     return out
 
 
+def add_multiple(out, ar, ai, terms):
+    """out += (ar + ai*i) * terms in place, for an {index: (re, im)} map out
+    and (index, (re, im)) terms of ints, deleting each entry that cancels:
+    the one Gaussian multiply-accumulate.  With a nonzero coefficient and
+    nonzero terms, an out that holds no zero entry keeps holding none."""
+    get = out.get
+    for c, (x, y) in terms:
+        pr, pi = ar * x - ai * y, ar * y + ai * x
+        o = get(c)
+        if o is None:
+            out[c] = (pr, pi)
+        else:
+            nr, ni = o[0] + pr, o[1] + pi
+            if nr or ni:
+                out[c] = (nr, ni)
+            else:
+                del out[c]
+
+
 # -- elimination ---------------------------------------------------------
 
 class SparseEchelon:
@@ -243,7 +266,7 @@ class SparseEchelon:
             lead = prow[c][0]
             if lead != 1:
                 fr, fi = fr // lead, fi // lead
-            _subtract_multiple(out, fr, fi, prow)
+            add_multiple(out, -fr, -fi, prow.items())
         return out
 
     def add_gaussian(self, row):
@@ -271,7 +294,7 @@ class SparseEchelon:
                 fr, fi, s = fr // g, fi // g, top // g
                 if s != 1:
                     prow = rows[pc] = {c: (x * s, y * s) for c, (x, y) in prow.items()}
-            _subtract_multiple(prow, fr, fi, res)
+            add_multiple(prow, -fr, -fi, res.items())
             for c in res:
                 if c in prow:
                     index[c].add(pc)
@@ -331,33 +354,13 @@ def gaussian_row(row):
 
 
 def gaussian_combination(columns, coefficients):
-    """sum_c coefficients[c] * columns[c] as an {index: (re, im)} map, zeros
-    dropped: columns are those of a square matrix as {row: (re, im)} maps,
-    and coefficients a {c: (re, im)} map, all of ints."""
+    """sum_c coefficients[c] * columns[c] as an {index: (re, im)} map with no
+    zero entry: columns are those of a square matrix as {row: (re, im)}
+    maps, and coefficients a {c: (re, im)} map, all of ints and none zero."""
     out = {}
-    get = out.get
     for c, (ar, ai) in coefficients.items():
-        for r, (br, bi) in columns[c].items():
-            pr, pi = ar * br - ai * bi, ar * bi + ai * br
-            o = get(r)
-            out[r] = (pr, pi) if o is None else (o[0] + pr, o[1] + pi)
-    return {r: v for r, v in out.items() if v[0] or v[1]}
-
-
-def _subtract_multiple(out, fr, fi, row):
-    """out -= (fr + fi*i) * row in place, dropping the entries that cancel."""
-    get = out.get
-    for c, (x, y) in row.items():
-        pr, pi = fr * x - fi * y, fr * y + fi * x
-        o = get(c)
-        if o is None:
-            out[c] = (-pr, -pi)
-        else:
-            nr, ni = o[0] - pr, o[1] - pi
-            if nr or ni:
-                out[c] = (nr, ni)
-            else:
-                del out[c]
+        add_multiple(out, ar, ai, columns[c].items())
+    return out
 
 
 def _primitive(row, lead):
@@ -433,12 +436,8 @@ def image_chain(n, operators, level=None):
         for v in level._rows.values():
             for op in operators:
                 w = {}
-                get = w.get
                 for c, (ar, ai) in v.items():
-                    for r, (br, bi) in op.get(c, ()):
-                        pr, pi = ar * br - ai * bi, ar * bi + ai * br
-                        o = get(r)
-                        w[r] = (pr, pi) if o is None else (o[0] + pr, o[1] + pi)
+                    add_multiple(w, ar, ai, op.get(c, ()))
                 if w:
                     add(w)
         before = len(level)

@@ -23,6 +23,7 @@ from leibnizkit.core import (
     FormatError,
     bracket,
     change_of_basis,
+    derivation_defects,
     direct_sum,
     dumps,
     from_terms,
@@ -30,14 +31,17 @@ from leibnizkit.core import (
     load,
     left_operator,
     loads,
+    operator_columns,
     right_operator,
     save,
+    sparse_bracket,
 )
 from leibnizkit.invariants import natural_graded
 from leibnizkit.linalg import (
     Matrix,
     SingularMatrixError,
     basis_vec,
+    gaussian_combination,
     span_echelon,
 )
 from leibnizkit.scalars import Scalar
@@ -433,6 +437,22 @@ def test_from_terms_drops_a_product_whose_terms_cancel():
     assert a.gamma == {(1, 0): (Scalar(1), Scalar(0))}
     assert a.by_left[0] == {} and a.by_right[1] == {}
     assert from_terms(["x"], []) == from_terms(["x"], [(0, 0, 0, Scalar(0))])
+
+
+def test_no_zero_entry_survives_products_that_cancel():
+    # [e_0, e_0] = e_1 and [e_3, e_0] = -e_1, so x = e_0 + e_3 has [x, e_0] = 0;
+    # [e_1, e_0] = e_2 gives R_x a defect on (e_0, e_0) and (e_3, e_0) whose
+    # terms cancel, as the algebra is Leibniz
+    a = from_terms(["e0", "e1", "e2", "e3"], [(0, 0, 1, 1), (1, 0, 2, 1), (3, 0, 1, -1)])
+    x = {0: (1, 0), 3: (1, 0)}
+    right_x = operator_columns(a.by_right, x)
+    defects = next(derivation_defects(a, [right_x]))
+    assert leibniz_residual(a) == []
+    assert sparse_bracket(a, x, {0: (1, 0)}) == {}
+    assert operator_columns(a.by_left, x) == {}   # the one column of L_x cancels and goes
+    assert gaussian_combination([dict(a.by_right[0].get(i, ())) for i in range(a.dim)], x) == {}
+    assert right_x == {0: ((1, (1, 0)),), 1: ((2, (1, 0)),), 3: ((1, (-1, 0)),)}
+    assert defects == {(0, 0): {}, (3, 0): {}}
 
 
 @pytest.mark.parametrize("term", [(2, 0, 0), (0, -1, 0), (0, 0, 2), (0, 0, -1)],

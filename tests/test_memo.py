@@ -1,10 +1,10 @@
 """The four results memoized on an Algebra: a yes from core.is_leibniz, the
 central series, the generating set and the echelon of L^2.  Each is
 computed once per algebra: a yes forms the residual triples whose third
-index lies in the generating set once, while a no forms them and then every
-triple on each call.  The memo never leaks into equality, hashing or what a
-caller can modify.  The Gaussian-integer table is stored when the algebra
-is built, not memoized."""
+index lies in the generating set once, while a no forms them on each call
+(and leibniz_residual then every triple).  The memo never leaks into
+equality, hashing or what a caller can modify.  The Gaussian-integer table
+is stored when the algebra is built, not memoized."""
 
 import io
 import sys
@@ -78,13 +78,14 @@ def test_cli_der_computes_residual_once(computations, tmp_path):
         "fingerprint"])
 def test_non_leibniz_raises_the_same_message_every_call(entry, computations):
     bad = mutated_m7()
-    decide, every = generating_set(bad), tuple(range(bad.dim))
+    decide = generating_set(bad)
     for call in range(1, 4):
         with pytest.raises(NotLeibnizError) as info:
             entry(bad)
         assert str(info.value) == NOT_LEIBNIZ
-        # a no is not cached: the generator triples decide, then every triple is listed
-        assert computations["triples"] == [decide, every] * call
+        # a no is not cached: the generator triples decide on each call, and
+        # the guard names R_{e_k} without forming the whole residual
+        assert computations["triples"] == [decide] * call
 
 
 def test_is_leibniz_memoizes_a_yes_and_decides_a_no_afresh(computations):

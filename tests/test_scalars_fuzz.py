@@ -1,5 +1,6 @@
-"""Property tests of the scalar text grammar and of the read-out of integer
-rows as Scalars (skipped without hypothesis)."""
+"""Property tests of the scalar text grammar, of the read-out of integer
+rows as Scalars and of the Gaussian multiply-accumulate on integer rows
+(skipped without hypothesis)."""
 
 import pytest
 
@@ -7,7 +8,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st
 
-from leibnizkit.linalg import gaussian_row, scalar_vector
+from oracles import dense_vec
+
+from leibnizkit.linalg import add_multiple, gaussian_row, scalar_vector
 from leibnizkit.scalars import ZERO, Scalar, ScalarParseError, parse_scalar
 
 # derandomized and without an example database: the same examples every run
@@ -71,3 +74,44 @@ def test_scalar_vector_inverts_gaussian_row(case):
     assert vec == [row.get(c, ZERO) for c in range(n)]
     assert all(type(x) is Scalar for x in vec)
     assert gaussian_row(dict(enumerate(vec))) == (d, terms)
+
+
+_nonzero = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0))
+
+
+@st.composite
+def _accumulations(draw):
+    """(n, out, (ar, ai), terms) with n = 0..7 and nonzero Gaussian entries;
+    an entry of out is often -(ar + ai*i) times the term at its index, so
+    that the sum cancels there."""
+    n = draw(st.integers(0, 7))
+    indices = st.integers(0, max(n - 1, 0))
+    ar, ai = draw(_nonzero)
+    terms = draw(st.dictionaries(indices, _nonzero, max_size=n)) if n else {}
+    out = {}
+    for c in (draw(st.lists(indices, max_size=n, unique=True)) if n else []):
+        if c in terms and draw(st.booleans()):
+            x, y = terms[c]
+            out[c] = (-(ar * x - ai * y), -(ar * y + ai * x))
+        else:
+            out[c] = draw(_nonzero)
+    return n, out, (ar, ai), terms
+
+
+def _dense(row, n):
+    return dense_vec({c: Scalar(re, im) for c, (re, im) in row.items()}, n)
+
+
+@FIXED
+@given(_accumulations())
+@example((0, {}, (1, 0), {}))
+@example((3, {}, (-2, 0), {0: (1, -1), 2: (0, 3)}))
+@example((3, {1: (2, 2)}, (0, -1), {}))
+@example((3, {0: (1, 2), 2: (-3, 1)}, (0, 1), {0: (-2, 1), 2: (-1, -3)}))   # cancels to {}
+def test_add_multiple_matches_scalar_arithmetic_and_keeps_no_zero(case):
+    n, out, (ar, ai), terms = case
+    want = [o + Scalar(ar, ai) * t for o, t in zip(_dense(out, n), _dense(terms, n))]
+    add_multiple(out, ar, ai, terms.items())
+    assert _dense(out, n) == want
+    assert all(re or im for re, im in out.values())
+    assert set(out) == {c for c, v in enumerate(want) if v}
