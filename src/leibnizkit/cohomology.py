@@ -16,8 +16,8 @@ a homogeneous linear system in the dim^2 matrix entries; it is assembled
 sparsely and eliminated incrementally (SparseEchelon drops zero entries
 and empty rows itself).  The RREF of the kernel is unique, so the Der
 basis is the one all dim^2 pairs would give.  is_derivation still checks
-every pair, through core.derivation_defects, the loop behind the
-residual.  Both the Der and the Inn rows are read off the algebra's
+every pair, through core.first_non_derivation, the one yes/no derivation
+check.  Both the Der and the Inn rows are read off the algebra's
 Gaussian-integer table and eliminated without a Scalar; the bases are made
 Scalars only when the kernel and the RREF are read, and each basis Matrix
 takes those Scalar rows as they are (linalg's Matrix._of_scalars), with
@@ -26,7 +26,7 @@ no second per-entry check.
 
 from __future__ import annotations
 
-from .core import derivation_defects, generating_set, require_leibniz
+from .core import first_non_derivation, generating_set, require_leibniz
 from .linalg import Matrix, SparseEchelon
 
 
@@ -45,12 +45,9 @@ class DerivationSpace:
 
 def is_derivation(algebra, m):
     """Exact check of d([e_i,e_j]) = [d e_i, e_j] + [e_i, d e_j] on all pairs,
-    on Gaussian integers: core.derivation_defects on the columns of d_m * m,
-    whose defects hold no zero entry (linalg.add_multiple deletes each entry
-    that cancels), so d is a derivation iff every defect is empty."""
+    on Gaussian integers, by core.first_non_derivation on d_m * m's columns."""
     _, cols = m.gaussian_columns()
-    defects = next(derivation_defects(algebra, [{c: col.items() for c, col in enumerate(cols)}]))
-    return not any(defects.values())
+    return first_non_derivation(algebra, [{c: col.items() for c, col in enumerate(cols)}]) is None
 
 
 def derivation_space(algebra):

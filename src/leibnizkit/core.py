@@ -19,11 +19,11 @@ every image chain and sparse_bracket, the one bracket kernel, run on it
 and make Scalars only of their results, through linalg.scalar_vector.  On
 it, square_span is the one echelon of L^2, operator_columns the one
 builder of the columns of R_x and L_x, and derivation_defects the one loop
-that checks the derivation identity, behind both the residual and
-cohomology.is_derivation.  These kernels and transport sum their terms
-through linalg.add_multiple, the one Gaussian multiply-accumulate, which
-deletes each entry that cancels: no {index: (re, im)} map they return
-holds a zero entry, so an empty map is a zero vector.
+that checks the derivation identity, behind the residual and the one
+yes/no derivation check, first_non_derivation.  These kernels and
+transport sum their terms through linalg.add_multiple, the one Gaussian
+multiply-accumulate, which deletes each entry that cancels: no {index:
+(re, im)} map they return holds a zero entry, so an empty map is zero.
 
 Every Algebra goes through the one table store, Algebra._store.  from_table
 hands it ints: change_of_basis and gr L through transport, the one
@@ -252,37 +252,40 @@ def leibniz_residual(algebra):
     Returns (i, j, k, residual) in lexicographic order, with residual =
     [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j] as a dense vector;
     an empty list means the algebra is a Leibniz algebra.  is_leibniz
-    decides; only an algebra that is not Leibniz has its triples formed
-    for every third index, afresh on each call.
+    decides; only on a no is the residual, at (i, j, k) the derivation
+    defect of R_{e_k} on (e_i, e_j), formed for every k, afresh, over D^2.
     """
-    return [] if is_leibniz(algebra) else _triples(algebra, range(algebra.dim))
+    if is_leibniz(algebra):
+        return []
+    n, dd = algebra.dim, algebra.denominator ** 2
+    return sorted(((i, j, k, scalar_vector(acc.items(), dd, n))
+                   for k, defects in enumerate(derivation_defects(algebra, algebra.by_right))
+                   for (i, j), acc in defects.items() if acc), key=lambda triple: triple[:3])
 
 
 def is_leibniz(algebra):
     """Whether the right-Leibniz identity holds: the one Leibniz decision.
 
-    It forms only the residual triples whose third index lies in
-    generating_set; if none is nonzero, every R_z is a derivation (see the
-    module docstring).  A yes is memoized on the algebra; a no is decided
-    afresh on each call.
+    It asks first_non_derivation about the R_g, g in generating_set, and
+    stops at the first that fails; if none does, every R_z is a derivation
+    (see the module docstring).  A yes is memoized on the algebra; a no is
+    decided afresh on each call.
     """
     if not algebra._leibniz:
-        algebra._leibniz = not _triples(algebra, generating_set(algebra))
+        algebra._leibniz = first_non_derivation(
+            algebra, (algebra.by_right[g] for g in generating_set(algebra))) is None
     return algebra._leibniz
 
 
-def _triples(algebra, third):
-    """The residual triples (i, j, k) with k in third, in lexicographic order.
-
-    The residual at (i, j, k) is the derivation defect of R_{e_k} on
-    (e_i, e_j), and by_right[k] holds the columns of D * R_{e_k}.  It is
-    quadratic in gamma, so each nonzero entry is a Scalar over D^2.
-    """
-    n, dd = algebra.dim, algebra.denominator ** 2
-    out = []
-    for k, defects in zip(third, derivation_defects(algebra, [algebra.by_right[k] for k in third])):
-        out.extend((i, j, k, scalar_vector(acc.items(), dd, n)) for (i, j), acc in defects.items() if acc)
-    return sorted(out, key=lambda triple: triple[:3])
+def first_non_derivation(algebra, maps):
+    """The position of the first map in maps that is not a derivation, or
+    None: the one yes/no derivation check.  maps is any iterable of columns
+    as derivation_defects takes them; it is walked lazily, so no map past
+    the first failure is pulled."""
+    for position, defects in enumerate(derivation_defects(algebra, maps)):
+        if any(defects.values()):
+            return position
+    return None
 
 
 def derivation_defects(algebra, maps):
@@ -293,19 +296,15 @@ def derivation_defects(algebra, maps):
     Each map is given by columns {c: ((row, (re, im)), ...)} of ints, as
     by_right[k] gives D * R_{e_k}; zero columns may be absent.  Terms are
     accumulated only from products that exist: [e_i, d e_j] from by_right,
-    [d e_i, e_j] from by_left, and d[e_i, e_j] from each product whose
-    result holds an e_t with column t of d nonzero.  On D * gamma and the
-    columns of d_m * d, each defect is D * d_m times the true one.  The
+    [d e_i, e_j] from by_left, and d[e_i, e_j] from each product's result
+    terms e_t with column t of d nonzero; a map is read only when its defect
+    is asked for.  On D * gamma and the columns of d_m * d, each defect is
+    D * d_m times the true one.  The
     terms are summed by linalg.add_multiple, so no zero entry is kept: a
     pair absent has defect zero, and a pair whose terms cancel may map to
     an empty dict.
     """
     by_left, by_right = algebra.by_left, algebra.by_right
-    within = [[] for _ in range(algebra.dim)]   # t -> (i, j, coefficient of e_t in [e_i, e_j])
-    for i, row in enumerate(by_left):
-        for j, g_ij in row.items():
-            for t, c in g_ij:
-                within[t].append((i, j, c))
     for columns in maps:
         acc = {}
         for j, d_j in columns.items():
@@ -316,9 +315,12 @@ def derivation_defects(algebra, maps):
             for t, (cr, ci) in d_i:
                 for j, g_tj in by_left[t].items():
                     add_multiple(acc.setdefault((i, j), {}), cr, ci, g_tj)     # + [d e_i, e_j]
-        for t, d_t in columns.items():
-            for i, j, (cr, ci) in within[t]:
-                add_multiple(acc.setdefault((i, j), {}), -cr, -ci, d_t)       # - d[e_i, e_j]
+        for i, row in enumerate(by_left):
+            for j, g_ij in row.items():
+                for t, (cr, ci) in g_ij:
+                    d_t = columns.get(t)
+                    if d_t:
+                        add_multiple(acc.setdefault((i, j), {}), -cr, -ci, d_t)   # - d[e_i, e_j]
         yield acc
 
 
@@ -371,10 +373,9 @@ def square_span(algebra):
 def require_leibniz(algebra):
     """NotLeibnizError unless is_leibniz, naming the least k whose R_{e_k}
     is not a derivation: the residual at (i, j, k) is R_{e_k}'s failure on
-    (e_i, e_j).  The maps are checked in order and none past that k."""
+    (e_i, e_j).  first_non_derivation checks no map past that k."""
     if not is_leibniz(algebra):
-        k = next(k for k, defects in enumerate(derivation_defects(algebra, algebra.by_right))
-                 if any(defects.values()))
+        k = first_non_derivation(algebra, algebra.by_right)
         raise NotLeibnizError("R_%s is not a derivation; the algebra is not Leibniz" % algebra.labels[k])
 
 

@@ -3,6 +3,8 @@ assignments, connectedness and length, maximum-length certificates, and an
 exhaustive search with forward checking for diagonal maximum-length
 gradations: a product that fixes a weight which cannot be taken cuts the
 branch at once, and the first hit is the plain backtracking search's.
+The search backtracks without recursion and makes its interval offsets
+one at a time, so only time bounds the dimension and max_abs it takes.
 
 A weight assignment puts basis vector k in the component V_{w[k]}; the
 gradation is valid when every product [e_i, e_j] lands in V_{w[i]+w[j]}.
@@ -12,8 +14,7 @@ from __future__ import annotations
 
 import json
 
-from .cohomology import is_derivation
-from .core import FormatError, decode_json, read_text
+from .core import FormatError, decode_json, first_non_derivation, read_text
 from .linalg import SparseEchelon
 from .scalars import Echo
 
@@ -205,26 +206,29 @@ def search_diagonal_gradation(algebra, max_abs=None):
         (target, c), rest = form[-1], form[:-1]
         triggers[rest[-1][0] + 1 if rest else 0].append((target, c, rest))
 
-    offsets = sorted(range(-max_abs, max_abs - d + 2),
-                     key=lambda a: (abs(a - 1), 0 if a >= 1 else 1))
-    for a in offsets:
-        found = _search_interval(triggers, d, a)
-        if found is not None:
-            return WeightAssignment(found)
+    hi = max_abs - d + 1   # the intervals [a, a + d) inside [-max_abs, max_abs]
+    for delta in range(max(0, 1 - hi), max_abs + 2):
+        for a in (1 + delta, 1 - delta) if delta else (1,):
+            if -max_abs <= a <= hi:
+                found = _search_interval(triggers, d, a)
+                if found is not None:
+                    return WeightAssignment(found)
     return None
 
 
 def _search_interval(triggers, d, a):
     """Least bijection positions -> [a, a + d) in basis order, or None.
     Values are indices into the interval: forced[p] is the one a form fixed
-    for position p, owner[v] the position v is reserved for, and held[v]
-    whether a placed position has v."""
+    for position p, owner[v] the position v is reserved for, held[v]
+    whether a placed position has v, and fixed[p] the positions the
+    placement at p forced: the backtracking state, kept off the call stack."""
     w = [None] * d
     forced = [None] * d
     owner = [None] * d
     held = [False] * d
+    fixed = [None] * d
 
-    def fire(target, c, rest, fixed):
+    def fire(target, c, rest, placed):
         num = -sum(cp * w[p] for p, cp in rest)
         if num % c:
             return False
@@ -235,31 +239,39 @@ def _search_interval(triggers, d, a):
             return False
         forced[target] = vi
         owner[vi] = target
-        fixed.append(target)
+        placed.append(target)
         return True
 
-    def place(pos):
-        if pos == d:
-            return True
+    if not all(fire(t, c, rest, []) for t, c, rest in triggers[0]):
+        return None
+    pos, vi = 0, 0   # vi: the least value index pos may still try
+    while True:
         f = forced[pos]
-        for vi in (f,) if f is not None else range(d):
-            if held[vi] or (f is None and owner[vi] is not None):
-                continue
+        if f is None:
+            while vi < d and (held[vi] or owner[vi] is not None):
+                vi += 1
+        else:
+            vi = f if vi <= f and not held[f] else d
+        if vi < d:
             w[pos] = a + vi
             held[vi] = True
-            fixed = []
-            if all(fire(t, c, rest, fixed) for t, c, rest in triggers[pos + 1]) \
-                    and place(pos + 1):
-                return True
-            for t in fixed:
-                owner[forced[t]] = None
-                forced[t] = None
-            held[vi] = False
-        return False
-
-    if all(fire(t, c, rest, []) for t, c, rest in triggers[0]) and place(0):
-        return w
-    return None
+            placed = fixed[pos] = []
+            if all(fire(t, c, rest, placed) for t, c, rest in triggers[pos + 1]):
+                pos += 1
+                if pos == d:
+                    return w
+                vi = 0
+                continue
+        else:
+            pos -= 1   # every value failed at pos: take back the placement before it
+            if pos < 0:
+                return None
+            vi = w[pos] - a
+        for t in fixed[pos]:
+            owner[forced[t]] = None
+            forced[t] = None
+        held[vi] = False
+        vi += 1
 
 
 def graded_derivation_split(algebra, assignment, der_basis):
@@ -279,12 +291,14 @@ def graded_derivation_split(algebra, assignment, der_basis):
         raise ValueError("weight assignment is not a gradation for this algebra")
     w = assignment.weights
     n = algebra.dim
+    cleared = [m.gaussian_columns()[1] for m in der_basis]   # the columns of d_m * m
+    if first_non_derivation(algebra, ({c: col.items() for c, col in enumerate(cols)}
+                                      for cols in cleared)) is not None:
+        raise ValueError("der_basis contains a matrix violating the derivation identity")
     spans = {}
-    for m in der_basis:
-        if not is_derivation(algebra, m):
-            raise ValueError("der_basis contains a matrix violating the derivation identity")
+    for cols in cleared:
         components = {}  # weight -> {flat index r * n + c: (re, im)}, d_m times m's
-        for c, column in enumerate(m.gaussian_columns()[1]):
+        for c, column in enumerate(cols):
             for r, v in column.items():
                 components.setdefault(w[r] - w[c], {})[r * n + c] = v
         for weight, comp in components.items():

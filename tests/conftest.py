@@ -7,9 +7,12 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from oracles import oracle_residual
+
+from leibnizkit import core
 from leibnizkit.catalog import FAMILIES, FamilySpec, build
 from leibnizkit.cohomology import derivation_space, inner_derivation_space
-from leibnizkit.core import Algebra
+from leibnizkit.core import Algebra, generating_set
 from leibnizkit.linalg import Matrix, rank
 from leibnizkit.scalars import ONE, ZERO, Scalar, parse_scalar
 
@@ -75,6 +78,39 @@ def mutated_m7():
     v[0] = ONE
     gamma[(1, 5)] = tuple(v)
     return Algebra(m7.labels, gamma)
+
+
+def record_walks(monkeypatch):
+    """Records each walk of core.derivation_defects, behind
+    first_non_derivation and the residual: a list per walk of the k of
+    each R_{e_k} pulled from its maps (None for any other map), appended
+    as the map is pulled, so a map never pulled is never listed."""
+    walks, defects = [], core.derivation_defects
+
+    def recording(algebra, maps):
+        walked = []
+        walks.append(walked)
+
+        def pulled():
+            for m in maps:
+                walked.append(next((k for k, col in enumerate(algebra.by_right) if col is m), None))
+                yield m
+        return defects(algebra, pulled())
+    monkeypatch.setattr(core, "derivation_defects", recording)
+    return walks
+
+
+def generator_walk(algebra):
+    """The k of the R_g that core.is_leibniz pulls: g in generating_set in
+    order, through the first g that the full loop, oracle_residual, finds
+    failing, or all of them."""
+    failing = {k for _, _, k, _ in oracle_residual(algebra)}
+    walk = []
+    for g in generating_set(algebra):
+        walk.append(g)
+        if g in failing:
+            break
+    return walk
 
 
 def random_vector(rng, n, lo=-3, hi=3):

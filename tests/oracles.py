@@ -11,8 +11,8 @@ basis pair that core.is_leibniz and cohomology.derivation_space trim to a
 generating set; they read the algebra's Gaussian-integer table (denominator,
 by_left, by_right), and the Der system is eliminated by SparseEchelon.
 oracle_is_derivation checks the derivation identity pair by pair with two
-core.sparse_bracket calls each, where cohomology.is_derivation runs the one
-defect loop, core.derivation_defects.  oracle_residual_by_definition sums the
+core.sparse_bracket calls each, where cohomology.is_derivation asks the one
+yes/no derivation check, core.first_non_derivation.  oracle_residual_by_definition sums the
 residual from gamma over every index, with no sparse table at all.
 OracleQi is Q(i) arithmetic on a pair of Fractions, independent of the
 integer representation inside Scalar.  oracle_diagonal_gradation is the
@@ -607,7 +607,7 @@ class OracleEchelon:
 
 def oracle_residual(algebra):
     """The full residual loop, every triple summed, where core.is_leibniz
-    decides from the triples whose third index lies in the generating set
+    asks core.first_non_derivation about the R_g, g in the generating set,
     and core.leibniz_residual runs core.derivation_defects on every R_{e_k}.
     Terms come only from products that exist, [e_i, [e_j, e_k]] from
     gamma_jk and by_right and [[e_i, e_j], e_k] from gamma_ij and by_left,

@@ -24,6 +24,7 @@ from leibnizkit.core import (
     NotLeibnizError,
     change_of_basis,
     direct_sum,
+    first_non_derivation,
     from_terms,
     generating_set,
     leibniz_residual,
@@ -195,3 +196,46 @@ def test_mutated_tables_match_the_full_loops(block):
             leibniz += 1
             assert derivation_space(a).basis == oracle_derivation_space(a).basis
     assert 0 < leibniz < 440
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_first_non_derivation_names_the_least_k_of_the_full_loop(block):
+    # a walk that is cut at the first failing map, here one that raises if
+    # it is pulled any further, still returns that map's position
+    rng = random.Random(7300 + block)
+    late = 0
+    for t in range(300):
+        family, n, alpha = MUTATION_BASES[t % len(MUTATION_BASES)]
+        a = mutate(rng, catalog_algebra(family, n, alpha))
+        want = oracle_residual(a)
+        k = min(triple[2] for triple in want) if want else None
+        assert first_non_derivation(a, a.by_right) == k
+        if k is not None:
+            assert first_non_derivation(a, cut_after(a.by_right, k)) == k
+            late += k > 0
+    assert late >= 3   # some tables fail first past R_{e_0}
+
+
+def cut_after(maps, last):
+    """The maps up to position last, then an error if pulled further."""
+    for position, m in enumerate(maps):
+        if position > last:
+            raise AssertionError("map %d was pulled past the first failure" % position)
+        yield m
+
+
+def test_the_walk_stops_before_a_map_that_cannot_be_read():
+    # the maps after the first failure are never touched: here the next one
+    # would fail to be read at all
+    bad = from_terms(["a", "b", "c"], [(0, 1, 2, Scalar(1))])   # [a, b] = c
+    shift = {0: ((1, (1, 0)),)}                                   # d a = b
+    assert first_non_derivation(bad, iter([{}, shift, None])) == 1
+    with pytest.raises(AttributeError):
+        first_non_derivation(bad, iter([{}, {}, None]))
+
+
+@pytest.mark.parametrize("family, n, alpha", CATALOG)
+def test_every_right_operator_of_a_catalog_algebra_is_a_derivation(family, n, alpha):
+    a = catalog_algebra(family, n, alpha)
+    assert first_non_derivation(a, a.by_right) is None
+    assert first_non_derivation(a, []) is None

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -7,7 +8,7 @@ from conftest import DATA, alg, cached_der, case_algebra
 from oracles import oracle_diagonal_gradation
 
 from leibnizkit import gradations
-from leibnizkit.catalog import FAMILIES
+from leibnizkit.catalog import FAMILIES, FamilySpec, build
 from leibnizkit.core import FormatError, from_terms
 from leibnizkit.gradations import (
     WeightAssignment,
@@ -287,6 +288,43 @@ def test_search_matches_oracle_on_equal_form_negatives(monkeypatch):
             m.setattr(gradations, "_search_interval", _no_interval)
             assert search_diagonal_gradation(a, max_abs) is None
             assert search_diagonal_gradation(a) is None
+
+
+@pytest.mark.parametrize("d, max_abs", [(1, 1), (3, 1), (4, 2), (5, 2), (8, 5), (8, 16), (12, 7)])
+def test_intervals_are_tried_in_the_oracle_order(d, max_abs, monkeypatch):
+    # the offsets are made one at a time, in the order of the oracle's
+    # sorted list: |a - 1| ascending, a >= 1 first on a tie
+    tried = []
+
+    def record(triggers, dim, a):
+        tried.append(a)
+    monkeypatch.setattr(gradations, "_search_interval", record)
+    assert search_diagonal_gradation(_table(d, []), max_abs) is None
+    assert tried == sorted(range(-max_abs, max_abs - d + 2),
+                           key=lambda a: (abs(a - 1), 0 if a >= 1 else 1))
+
+
+def test_a_huge_bound_costs_no_memory():
+    # the first interval that fits M(7) is found long before the offsets
+    # of max_abs = 10^9 run out, and none of them is made in advance
+    a = alg("M", 7)
+    want = search_diagonal_gradation(a)
+    tracemalloc.start()
+    try:
+        assert search_diagonal_gradation(a, 10 ** 9) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_the_search_does_not_recurse_per_basis_position():
+    # a search that recursed once per position hit the recursion limit
+    # near dimension 990
+    a = build(FamilySpec("nullfiliform-ml", 1500))
+    found = search_diagonal_gradation(a)
+    assert found.weights == tuple(range(1, 1501))
+    assert verify_gradation(a, found).maximum_length
 
 
 @pytest.mark.parametrize("n", (7, 9, 11, 15))

@@ -1,8 +1,9 @@
 """The four results memoized on an Algebra: a yes from core.is_leibniz, the
 central series, the generating set and the echelon of L^2.  Each is
-computed once per algebra: a yes forms the residual triples whose third
-index lies in the generating set once, while a no forms them on each call
-(and leibniz_residual then every triple).  The memo never leaks into
+computed once per algebra: a yes walks the R_g, g in the generating set,
+through core.first_non_derivation once, while a no walks them on each call
+up to the first that fails (the guard then walks the R_{e_k} up to the
+least failing k, and leibniz_residual every R_{e_k}).  The memo never leaks into
 equality, hashing or what a caller can modify.  The Gaussian-integer table
 is stored when the algebra is built, not memoized."""
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mutated_m7
+from conftest import generator_walk, mutated_m7, record_walks
 
 from leibnizkit import cohomology, core, invariants
 from leibnizkit.catalog import FamilySpec, build
@@ -32,20 +33,16 @@ def fresh_m7():
 
 @pytest.fixture
 def computations(monkeypatch):
-    """Records the third indices of each batch of residual triples formed
-    (core._triples) and counts the series computations behind the memos."""
-    counts = {"triples": [], "series": 0}
-    triples, series = core._triples, invariants._series
-
-    def counting_triples(algebra, third):
-        counts["triples"].append(tuple(third))
-        return triples(algebra, third)
+    """Records the maps each walk of core.derivation_defects pulled (by
+    first_non_derivation or the residual; see conftest.record_walks) and
+    counts the series computations behind the memos."""
+    counts = {"walks": record_walks(monkeypatch), "series": 0}
+    series = invariants._series
 
     def counting_series(algebra):
         counts["series"] += 1
         return series(algebra)
 
-    monkeypatch.setattr(core, "_triples", counting_triples)
     monkeypatch.setattr(invariants, "_series", counting_series)
     return counts
 
@@ -53,7 +50,7 @@ def computations(monkeypatch):
 def test_fingerprint_computes_residual_and_series_once(computations):
     a = fresh_m7()
     first = fingerprint(a)
-    want = {"triples": [generating_set(a)], "series": 1}
+    want = {"walks": [list(generating_set(a))], "series": 1}
     assert computations == want
     assert fingerprint(a) == first
     assert computations == want
@@ -65,7 +62,7 @@ def test_cli_der_computes_residual_once(computations, tmp_path):
     out = io.StringIO()
     assert main(["der", str(path)], out=out) == 0
     assert out.getvalue() == "dim Der: 13\ndim Inn: 2\ndim H1: 11\n"
-    assert len(computations["triples"]) == 1
+    assert len(computations["walks"]) == 1
 
 
 @pytest.mark.parametrize("entry", [
@@ -78,14 +75,14 @@ def test_cli_der_computes_residual_once(computations, tmp_path):
         "fingerprint"])
 def test_non_leibniz_raises_the_same_message_every_call(entry, computations):
     bad = mutated_m7()
-    decide = generating_set(bad)
+    decide = generator_walk(bad)
     for call in range(1, 4):
         with pytest.raises(NotLeibnizError) as info:
             entry(bad)
         assert str(info.value) == NOT_LEIBNIZ
-        # a no is not cached: the generator triples decide on each call, and
-        # the guard names R_{e_k} without forming the whole residual
-        assert computations["triples"] == [decide] * call
+        # a no is not cached: the R_g decide on each call, up to the first
+        # that fails, and the guard walks the R_{e_k} only up to R_y1, k = 0
+        assert computations["walks"] == [decide, [0]] * call
 
 
 def test_is_leibniz_memoizes_a_yes_and_decides_a_no_afresh(computations):
@@ -93,10 +90,10 @@ def test_is_leibniz_memoizes_a_yes_and_decides_a_no_afresh(computations):
     assert not a._leibniz
     assert is_leibniz(a) is True and a._leibniz
     assert is_leibniz(a) is True and leibniz_residual(a) == []
-    assert computations["triples"] == [generating_set(a)]
+    assert computations["walks"] == [list(generating_set(a))]
     for call in range(1, 4):
         assert is_leibniz(bad) is False and not bad._leibniz
-        assert computations["triples"] == [generating_set(a)] + [generating_set(bad)] * call
+        assert computations["walks"] == [list(generating_set(a))] + [generator_walk(bad)] * call
 
 
 def test_caller_cannot_change_the_next_residual():

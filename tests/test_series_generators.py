@@ -8,8 +8,8 @@ catalog family at n = 7, 9, 11 and 15, on seeded dense conjugates, on gr L,
 on direct sums with an abelian summand, on a non-nilpotent Lie algebra
 (the fallback) and on seeded random Leibniz tables; a table that is not
 Leibniz must take the all-operator path, and the series finds that out
-through core.is_leibniz, from the residual triples whose third index lies
-in G alone.
+through core.is_leibniz, which walks the R_g, g in G, alone, and only up
+to the first that is not a derivation.
 
 core.square_span keeps L^2 on the algebra for generating_set, the series
 and the characteristic-sequence candidates; generating_set extends a copy,
@@ -20,11 +20,11 @@ import random
 
 import pytest
 
-from conftest import alg, mutated_m7, random_invertible
+from conftest import alg, generator_walk, mutated_m7, random_invertible, record_walks
 
 from oracles import oracle_residual, oracle_series
 
-from leibnizkit import core, invariants
+from leibnizkit import invariants
 from leibnizkit.catalog import FAMILIES
 from leibnizkit.core import (
     change_of_basis,
@@ -204,37 +204,28 @@ def dense_not_leibniz():
     return bad
 
 
-def formed_triples(monkeypatch):
-    """Records the third indices of each batch of residual triples core forms."""
-    formed, triples = [], core._triples
-
-    def counting(algebra, third):
-        formed.append(tuple(third))
-        return triples(algebra, third)
-    monkeypatch.setattr(core, "_triples", counting)
-    return formed
-
-
 def test_the_series_of_a_table_that_is_not_leibniz_forms_only_the_generator_triples(monkeypatch):
-    # the residual triples whose third index lies in G decide, and the
-    # others of the whole residual are never formed
+    # the R_g, g in G, decide, up to the first that fails, and no other
+    # R_{e_k} of the whole residual is walked
     bad = dense_not_leibniz()
-    formed, calls = formed_triples(monkeypatch), chains(monkeypatch)
+    walks, calls = record_walks(monkeypatch), chains(monkeypatch)
     series = central_series(bad)
-    assert formed == [generating_set(bad)] and calls == [(bad.dim, False)] and not bad._leibniz
+    decide = generator_walk(bad)
+    assert walks == [decide] and calls == [(bad.dim, False)] and not bad._leibniz
     assert (series.subspace_bases, series.dims, series.nilindex) == oracle_series(bad)
     assert oracle_residual(bad)
 
 
 def test_is_leibniz_forms_only_the_generator_triples_of_a_dense_table(monkeypatch):
-    # the no is not memoized: the residual decides again, then lists every
-    # triple, in lexicographic order, as the full loop of the oracle does
+    # the no is not memoized: the R_g decide again, then the residual walks
+    # every R_{e_k} and lists every triple, in lexicographic order, as the
+    # full loop of the oracle does
     bad = dense_not_leibniz()
-    formed = formed_triples(monkeypatch)
-    generators = generating_set(bad)
-    assert is_leibniz(bad) is False and formed == [generators] and not bad._leibniz
+    walks = record_walks(monkeypatch)
+    decide = generator_walk(bad)
+    assert is_leibniz(bad) is False and walks == [decide] and not bad._leibniz
     residual = leibniz_residual(bad)
-    assert formed == [generators, generators, tuple(range(bad.dim))]
+    assert walks == [decide, decide, list(range(bad.dim))]
     assert residual == oracle_residual(bad) and residual
     assert [t[:3] for t in residual] == sorted(t[:3] for t in residual)
 
