@@ -82,10 +82,13 @@ def cmd_der(args, out):
     print("dim Inn: %d" % inn.dim, file=out)
     print("dim H1: %d" % h1, file=out)
     if args.dump:
-        for idx, m in enumerate(der.basis, start=1):
+        # straight from the sparse rows: each entry (re + im*i)/l, "0" if absent
+        n = der.n
+        for idx, (lead, terms) in enumerate(der.rows, start=1):
             print("d%d:" % idx, file=out)
-            for row in m.data:
-                print("  " + " ".join(v.render() for v in row), file=out)
+            entries = {c: scalars.from_gaussian(re, im, lead).render() for c, (re, im) in terms}
+            for r in range(0, n * n, n):
+                print("  " + " ".join(entries.get(c, "0") for c in range(r, r + n)), file=out)
     return 0
 
 

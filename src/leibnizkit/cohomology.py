@@ -11,33 +11,76 @@ algebra, the y with d([x,y]) = [d(x),y] + [x,d(y)] for all x form a
 subalgebra: expand [x,[y,z]] by the identity and apply d.  So the
 derivation identity need only hold on the pairs (e_i, e_g) with g in
 core.generating_set, whose left-normed words span L; when no smaller
-generating set is certified, that set is the whole basis.  The identity is
-a homogeneous linear system in the dim^2 matrix entries; it is assembled
-sparsely and eliminated incrementally (SparseEchelon drops zero entries
-and empty rows itself).  The RREF of the kernel is unique, so the Der
-basis is the one all dim^2 pairs would give.  is_derivation still checks
-every pair, through core.first_non_derivation, the one yes/no derivation
-check.  Both the Der and the Inn rows are read off the algebra's
-Gaussian-integer table and eliminated without a Scalar; the bases are made
-Scalars only when the kernel and the RREF are read, and each basis Matrix
-takes those Scalar rows as they are (linalg's Matrix._of_scalars), with
-no second per-entry check.
+generating set is certified, that set is the whole basis.
+
+A derivation is fixed by its values on G, so derivation_space solves for
+u = (d(e_g)), g in G: |G| * dim unknowns, not dim^2.  The words of
+core.generating_words are a basis of L, each w = D * [w_p, e_g] of an
+earlier word, so d(w) = D * ([d w_p, e_g] + [w_p, d e_g]) is a linear form
+in u per coordinate, and the inverse of the words' matrix gives every
+d(e_i).  That defines a linear map u -> d_u, injective since d_u(e_g) =
+u_g.  d_u is a derivation iff the identity holds on the pairs (e_i, e_g),
+by the theorem above, and every derivation d is d_u for u = (d(e_g)),
+since it obeys the same rule along the words: so Der is the image of the
+system's kernel.  Its basis is the RREF, with the column order reversed,
+of the kernel vectors' images (linalg.reversed_rref); the RREF of a span
+is unique, so that is the kernel_basis the system in all dim^2 entries
+would give.  When G is every index the words are the e_g and the system
+is that one.  is_derivation still checks every pair, through
+core.first_non_derivation, the one yes/no derivation check.
+
+Both the Der and the Inn rows are read off the algebra's Gaussian-integer
+table and eliminated without a Scalar.  A DerivationSpace keeps its basis
+as those sparse integer rows; its basis Matrices are built only when
+basis is read, each taking its Scalar rows as they are (linalg's
+Matrix._of_scalars), with no second per-entry check.  So dimensions, H^1
+and the dump of the cli's der verb build no Matrix.
 """
 
 from __future__ import annotations
 
-from .core import first_non_derivation, generating_set, require_leibniz
-from .linalg import Matrix, SparseEchelon
+from .core import (
+    first_non_derivation,
+    generating_set,
+    generating_words,
+    operator_columns,
+    require_leibniz,
+)
+from .linalg import (
+    Matrix,
+    SparseEchelon,
+    add_multiple,
+    gaussian_combination,
+    gaussian_inverse,
+    reversed_rref,
+    scalar_vector,
+)
 
 
 class DerivationSpace:
-    """An echelonized basis of derivation matrices."""
+    """A basis of derivation matrices of size n, kept as sparse Gaussian-
+    integer rows: each (l, terms), terms the (r * n + c, (re, im)) int pairs
+    of l times the matrix, sorted by index, l > 0.  basis builds the
+    Matrices on its first read."""
 
-    __slots__ = ("basis", "dim")
+    __slots__ = ("n", "dim", "rows", "_basis")
 
-    def __init__(self, basis):
-        self.basis = list(basis)
-        self.dim = len(self.basis)
+    def __init__(self, n, rows):
+        self.n = n
+        self.rows = tuple(rows)
+        self.dim = len(self.rows)
+        self._basis = None
+
+    @property
+    def basis(self):
+        """The basis as a list of n x n Matrices of Scalars, built on the
+        first read and kept."""
+        basis = self._basis
+        if basis is None:
+            n = self.n
+            self._basis = basis = [Matrix._of_scalars(n, n, scalar_vector(terms, l, n * n))
+                                   for l, terms in self.rows]
+        return basis
 
     def __repr__(self):
         return "DerivationSpace(dim=%d)" % self.dim
@@ -51,40 +94,78 @@ def is_derivation(algebra, m):
 
 
 def derivation_space(algebra):
-    """Solve the derivation identity for Der(L); dim = dim^2 - rank.
+    """Solve the derivation identity for Der(L) in the unknowns u = (d(e_g)),
+    g in core.generating_set (see the module docstring).
 
-    The identity is imposed on the pairs (e_i, e_g) with g in
-    core.generating_set only; the other pairs follow (see the module
-    docstring).  The equations are read off the algebra's table, D * gamma
-    as (re, im) int pairs: the identity is linear in gamma, so the
-    solutions are Der(L)'s.
+    u_{g, r}, the e_r coordinate of d(e_g), is unknown r * |G| + (g's place
+    in G): d[r][g] at r * dim + g when G is every index.  Each d(w) along
+    the words, and d_inv * d(e_i) by the inverse d_inv * W^-1 of the
+    words' matrix W, is a vector of linear forms in u, {coordinate:
+    {unknown: (re, im)}}.  The identity on the pairs (e_i, e_g) is imposed
+    times D * d_inv, on the algebra's table D * gamma: it is linear in
+    gamma, so the solutions are Der(L)'s.
     """
     require_leibniz(algebra)
     n = algebra.dim
-    by_left, by_right = algebra.by_left, algebra.by_right
+    by_left = algebra.by_left
     generators = generating_set(algebra)
-    ech = SparseEchelon(n * n)
-    for i in range(n):
-        for j in generators:
-            # (equation k, unknown d[a][b] as a * n + b, re, im) terms:
-            # d([e_i, e_j]), where d[k][r] multiplies the e_r coordinate,
-            # then -[d e_i, e_j], where d[r][i] multiplies [e_r, e_j],
-            # then -[e_i, d e_j], where d[r][j] multiplies [e_i, e_r]
-            terms = []
-            for r, (cr, ci) in by_left[i].get(j, ()):
-                terms += [(k, k * n + r, cr, ci) for k in range(n)]
-            for r, product in by_right[j].items():
-                terms += [(k, r * n + i, -cr, -ci) for k, (cr, ci) in product]
-            for r, product in by_left[i].items():
-                terms += [(k, r * n + j, -cr, -ci) for k, (cr, ci) in product]
-            rows = {}
-            for k, key, re, im in terms:
-                row = rows.setdefault(k, {})
-                o = row.get(key)
-                row[key] = (re, im) if o is None else (o[0] + re, o[1] + im)
-            for k in sorted(rows):
-                ech.add_gaussian(rows[k])
-    return DerivationSpace(Matrix._of_scalars(n, n, vec) for vec in ech.kernel_basis())
+    m = len(generators)
+    place = {g: s for s, g in enumerate(generators)}
+    words = generating_words(algebra)
+
+    def add_forms(out, cr, ci, vector):
+        # out += (cr + ci*i) * vector, for vectors of forms
+        for k, form in vector.items():
+            add_multiple(out.setdefault(k, {}), cr, ci, form.items())
+
+    def add_bracket(out, sign, vector, g):
+        # out += sign * D [vector, e_g], for a vector of forms
+        for t, form in vector.items():
+            for k, (cr, ci) in by_left[t].get(g, ()):
+                add_multiple(out.setdefault(k, {}), sign * cr, sign * ci, form.items())
+
+    def add_unknowns(out, scale, columns, g):
+        # out += scale * D [x, d e_g], for the columns r: D [x, e_r] of D * L_x
+        s = place[g]
+        for r, column in columns:
+            unknown = ((r * m + s, (scale, 0)),)
+            for k, (cr, ci) in column:
+                add_multiple(out.setdefault(k, {}), cr, ci, unknown)
+
+    forms = []   # d(w) per word
+    for parent, g, _ in words:
+        if parent is None:   # d(e_g) = u_g
+            forms.append({r: {r * m + place[g]: (1, 0)} for r in range(n)})
+            continue
+        out = {}
+        add_bracket(out, 1, forms[parent], g)                                          # D [d w_p, e_g]
+        add_unknowns(out, 1, operator_columns(by_left, words[parent][2]).items(), g)   # D [w_p, d e_g]
+        forms.append({k: form for k, form in out.items() if form})
+    d_inv, inverse = gaussian_inverse([w for _, _, w in words])
+    images = []   # d_inv * d(e_i)
+    for column in inverse:
+        out = {}
+        for k, (cr, ci) in column.items():
+            add_forms(out, cr, ci, forms[k])
+        images.append({k: form for k, form in out.items() if form})
+    ech = SparseEchelon(n * m)
+    for i, image in enumerate(images):
+        for g in generators:
+            eq = {}
+            for t, (cr, ci) in by_left[i].get(g, ()):
+                add_forms(eq, cr, ci, images[t])                 # D d([e_i, e_g])
+            add_bracket(eq, -1, image, g)                        # - D [d e_i, e_g]
+            add_unknowns(eq, -d_inv, by_left[i].items(), g)      # - D [e_i, d e_g]
+            for k in sorted(eq):
+                ech.add_gaussian(eq[k])
+    # column j of the map u -> d_inv * d, entry (r, c) at r * n + c
+    columns = [{} for _ in range(n * m)]
+    for c, image in enumerate(images):
+        for r, form in image.items():
+            for j, v in form.items():
+                columns[j][r * n + c] = v
+    kernel = (gaussian_combination(columns, dict(terms)) for _, terms in ech.gaussian_kernel())
+    return DerivationSpace(n, reversed_rref(kernel, n * n))
 
 
 def inner_derivation_space(algebra):
@@ -97,7 +178,7 @@ def inner_derivation_space(algebra):
     for column in algebra.by_right:
         # entry (k, r) of R_{e_i} is the e_k coordinate of [e_r, e_i]
         ech.add_gaussian({k * n + r: g for r, terms in column.items() for k, g in terms})
-    return DerivationSpace(Matrix._of_scalars(n, n, row) for row in ech.basis_rows())
+    return DerivationSpace(n, ((row[0][1][0], row) for row in ech.gaussian_rows()))
 
 
 def h1_dimension(algebra, der=None, inn=None):

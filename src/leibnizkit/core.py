@@ -34,16 +34,18 @@ three places that clear Scalars, beside linalg.gaussian_row and
 Matrix.gaussian_columns.  products() and gamma are Scalar views made on
 each read.
 
-Since the tables never change, four results are memoized on the
+Since the tables never change, five results are memoized on the
 algebra: is_leibniz remembers a yes (a no is decided afresh, and
 leibniz_residual then forms every triple, so every caller gets its own
 list), invariants.central_series keeps its immutable SeriesReport (each
 level's sparse integer RREF rows), generating_set keeps the basis indices
-whose left-normed words span L, and square_span keeps the one
-SparseEchelon of L^2, which generating_set (on a copy it extends), the
-central series (as its level L^2) and the characteristic-sequence
-candidates read and never change.  Equality, hashing and key() ignore all four slots; they compare
-the labels, D and the table.
+whose left-normed words span L, generating_words the closure words that
+certify them, which cohomology.derivation_space runs along, and
+square_span keeps the one SparseEchelon of L^2, which the closure (on a
+copy it extends), the central series (as its level L^2) and the
+characteristic-sequence candidates read and never change.  Equality,
+hashing and key() ignore all five slots; they compare the labels, D and
+the table.
 Concurrent use needs no locking: threads that race to fill a slot compute
 and store equal values.
 
@@ -55,8 +57,12 @@ linear map d satisfies the derivation identity for every x form one too.
 generating_set picks G greedily among the basis vectors independent modulo
 L^2 and keeps it only if the closure of span G under the R_g is all of L,
 which holds for every nilpotent Leibniz algebra; otherwise G is the whole
-basis, and nothing is skipped.  By the same induction the central series
-needs only the R_g on a Leibniz algebra (invariants module docstring).
+basis, and nothing is skipped.  The one closure loop keeps its words: the
+e_g, then each image D * [w_p, e_g] of an earlier word that enlarged the
+closure, with its parent p and generator g, n words that form a basis of
+L (the e_g alone when G is the whole basis).  By the same induction the
+central series needs only the R_g on a Leibniz algebra (invariants module
+docstring).
 """
 
 from __future__ import annotations
@@ -98,7 +104,7 @@ class Algebra:
     """Finite-dimensional algebra over Q(i) given by structure constants."""
 
     __slots__ = ("dim", "labels", "denominator", "by_left", "by_right", "_leibniz", "_series",
-                 "_generators", "_square")
+                 "_generators", "_words", "_square")
 
     def __init__(self, labels, gamma):
         """Adapter for a dense table: gamma[(i, j)] = coordinates of [e_i, e_j]."""
@@ -149,6 +155,7 @@ class Algebra:
         self._leibniz = False   # memo: the residual was found empty
         self._series = None     # memo: invariants.central_series
         self._generators = None  # memo: generating_set
+        self._words = None       # memo: generating_words
         self._square = None      # memo: square_span
 
     @property
@@ -336,23 +343,50 @@ def generating_set(algebra):
     """
     generators = algebra._generators
     if generators is None:
-        algebra._generators = generators = _generating_set(algebra)
+        _close(algebra)
+        generators = algebra._generators
     return generators
 
 
-def _generating_set(algebra):
+def generating_words(algebra):
+    """The closure words behind generating_set: a basis of L, as a tuple of
+    n words (parent, g, w), each w a read-only {index: (re, im)} map of ints.
+    The first words are the e_g, g in G, with parent None; every later one
+    is w = D * [w_parent, e_g], the image that enlarged the closure, with
+    parent the position of an earlier word.  When G is every index the
+    words are the e_g alone.  Memoized on the algebra beside G."""
+    words = algebra._words
+    if words is None:
+        _close(algebra)
+        words = algebra._words
+    return words
+
+
+def _close(algebra):
+    # the one closure of span G under the R_g: it fills both memos, the
+    # words first, so a reader of _generators finds the words stored
     n = algebra.dim
     span = square_span(algebra).copy()   # the kept L^2 is shared and must not grow
     generators = tuple(g for g in range(n) if span.add_gaussian({g: (1, 0)}))
     closure = SparseEchelon(n)
-    frontier = [{g: (1, 0)} for g in generators]
-    for v in frontier:
-        closure.add_gaussian(v)
+    words = [(None, g, {g: (1, 0)}) for g in generators]
+    for _, _, w in words:
+        closure.add_gaussian(w)
+    frontier = range(len(words))
     while frontier and len(closure) < n:
-        # the images [v, e_g] of the vectors that last enlarged the closure
-        images = (sparse_bracket(algebra, v, {g: (1, 0)}) for v in frontier for g in generators)
-        frontier = [w for w in images if closure.add_gaussian(w)]
-    return generators if len(closure) == n else tuple(range(n))
+        # the images [w, e_g] of the words that last enlarged the closure
+        start = len(words)
+        for p in frontier:
+            for g in generators:
+                w = sparse_bracket(algebra, words[p][2], {g: (1, 0)})
+                if closure.add_gaussian(w):
+                    words.append((p, g, w))
+        frontier = range(start, len(words))
+    if len(closure) < n:
+        generators = tuple(range(n))
+        words = [(None, g, {g: (1, 0)}) for g in generators]
+    algebra._words = tuple((p, g, MappingProxyType(w)) for p, g, w in words)
+    algebra._generators = generators
 
 
 def square_span(algebra):

@@ -4,7 +4,15 @@ exhaustive search with forward checking for diagonal maximum-length
 gradations: a product that fixes a weight which cannot be taken cuts the
 branch at once, and the first hit is the plain backtracking search's.
 The search backtracks without recursion and makes its interval offsets
-one at a time, so only time bounds the dimension and max_abs it takes.
+one at a time, so only time bounds the dimension it takes.
+
+The offsets are bounded too.  Let the weights of a maximum-length
+gradation fill [a, a + d - 1], and let a product [e_i, e_j] have a nonzero
+e_k coordinate, so w_k = w_i + w_j.  Then 2a <= w_k <= a + d - 1 gives
+a <= d - 1, and a <= w_k <= 2a + 2d - 2 gives a >= 2 - 2d.  So an algebra
+with a product is searched only at the offsets in [2 - 2d, d - 1], and a
+max_abs above 2d changes no answer; an algebra with no product takes the
+first offset the bound allows.
 
 A weight assignment puts basis vector k in the component V_{w[k]}; the
 gradation is valid when every product [e_i, e_j] lands in V_{w[i]+w[j]}.
@@ -198,22 +206,31 @@ def search_diagonal_gradation(algebra, max_abs=None):
     forms = _homogeneity_forms(algebra)
     if forms is None:
         return None
-    # a form fires when its second-to-last position is placed and forces its
-    # last one: triggers[p + 1] holds the forms that fire at position p, and
-    # triggers[0] those of one position, which fire before position 0
-    triggers = [[] for _ in range(d + 1)]
-    for form in forms:
-        (target, c), rest = form[-1], form[:-1]
-        triggers[rest[-1][0] + 1 if rest else 0].append((target, c, rest))
-
-    hi = max_abs - d + 1   # the intervals [a, a + d) inside [-max_abs, max_abs]
-    for delta in range(max(0, 1 - hi), max_abs + 2):
+    triggers = _triggers(forms, d)
+    # the intervals [a, a + d) inside [-max_abs, max_abs]; with a product,
+    # only offsets in [2 - 2d, d - 1] can succeed (module docstring)
+    lo, hi = -max_abs, max_abs - d + 1
+    if forms:
+        lo, hi = max(lo, 2 - 2 * d), min(hi, d - 1)
+    for delta in range(max(0, 1 - hi), max(hi - 1, 1 - lo) + 1):
         for a in (1 + delta, 1 - delta) if delta else (1,):
-            if -max_abs <= a <= hi:
+            if lo <= a <= hi:
                 found = _search_interval(triggers, d, a)
                 if found is not None:
                     return WeightAssignment(found)
     return None
+
+
+def _triggers(forms, d):
+    """The homogeneity forms by the position that fires them: a form fires
+    when its second-to-last position is placed and forces its last one, so
+    triggers[p + 1] holds the forms that fire at position p, and
+    triggers[0] those of one position, which fire before position 0."""
+    triggers = [[] for _ in range(d + 1)]
+    for form in forms:
+        (target, c), rest = form[-1], form[:-1]
+        triggers[rest[-1][0] + 1 if rest else 0].append((target, c, rest))
+    return triggers
 
 
 def _search_interval(triggers, d, a):

@@ -13,8 +13,10 @@ gaussian_row for a sparse row, Matrix.gaussian_columns for a matrix, and
 core.Algebra._accumulate for structure constants; scalar_vector, their
 inverse, is the one read-out of an integer row as a dense Scalar vector.
 span_echelon is the one entry point for dense Scalar vectors, behind rank
-and kernel_basis; gaussian_inverse takes a matrix's Gaussian-integer
-columns, as gaussian_columns gives them.  The transport and the certificate
+and kernel_basis.  A kernel_basis is the RREF of the kernel with the column
+order reversed, so reversed_rref gives it from any basis of the kernel.
+gaussian_inverse takes a matrix's Gaussian-integer columns, as
+gaussian_columns gives them.  The transport and the certificate
 check apply maps in ints: gaussian_columns, gaussian_inverse,
 gaussian_combination.
 
@@ -221,8 +223,9 @@ class SparseEchelon:
     over a positive int lead, which fixes it uniquely.  So no row operation
     makes a Scalar or takes a gcd per entry.  A column index maps each
     non-pivot column to the pivot rows that hold it: add_gaussian
-    back-substitutes only into those rows, and kernel_basis reads them off.
-    basis_rows and kernel_basis give exact Scalars, built when read;
+    back-substitutes only into those rows, and gaussian_kernel reads them
+    off as integer rows.  basis_rows and kernel_basis give exact Scalars,
+    built when read;
     iterating an echelon gives its sparse RREF rows in pivot order, and
     len() is its rank.
     """
@@ -329,20 +332,48 @@ class SparseEchelon:
         rows = self._rows
         return [scalar_vector(rows[pc].items(), rows[pc][pc][0], self.ncols) for pc in sorted(rows)]
 
-    def kernel_basis(self):
-        """One kernel vector per free column, in column order."""
+    def gaussian_kernel(self):
+        """One kernel vector per free column f, in column order, as (d,
+        terms): terms the (column, (re, im)) int pairs of d times the vector,
+        sorted by column, with d > 0 and the entry at f (d, 0).  The
+        vector is 1 at f, 0 at every other free column, and at a pivot
+        column minus that pivot row's entry at f."""
         rows, index = self._rows, self._index
-        vecs = []
+        out = []
         for f in range(self.ncols):
             if f in rows:
                 continue
-            v = [ZERO] * self.ncols
-            v[f] = ONE
-            for pc in index.get(f, ()):
+            pcs = sorted(index.get(f, ()))   # each below f: a row holds no column left of its pivot
+            d = lcm(*(rows[pc][pc][0] for pc in pcs))
+            terms = []
+            for pc in pcs:
                 x, y = rows[pc][f]
-                v[pc] = from_gaussian(-x, -y, rows[pc][pc][0])
-            vecs.append(v)
-        return vecs
+                s = d // rows[pc][pc][0]
+                terms.append((pc, (-x * s, -y * s)))
+            terms.append((f, (d, 0)))
+            out.append((d, tuple(terms)))
+        return out
+
+    def kernel_basis(self):
+        """One dense kernel vector per free column, in column order: the
+        vectors of gaussian_kernel read out as Scalars."""
+        return [scalar_vector(terms, d, self.ncols) for d, terms in self.gaussian_kernel()]
+
+
+def reversed_rref(rows, ncols):
+    """The RREF, with the column order reversed, of the span of rows given
+    as {column: (re, im)} maps of ints: each row (l, terms), terms its
+    (column, (re, im)) int pairs sorted by column and ending at its pivot,
+    the last column it holds, with entry (l, 0), l > 0; terms / l is the
+    RREF row.  The rows come by pivot ascending.  For a basis of a kernel
+    they are the vectors of gaussian_kernel, the kernel_basis, of any
+    echelon of that kernel's equations: the RREF of a span is unique."""
+    last = ncols - 1
+    ech = SparseEchelon(ncols)
+    for row in rows:
+        ech.add_gaussian({last - c: v for c, v in row.items()})
+    return [(row[0][1][0], tuple((last - c, v) for c, v in reversed(row)))
+            for row in reversed(ech.gaussian_rows())]
 
 
 def gaussian_row(row):

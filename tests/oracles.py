@@ -8,8 +8,9 @@ oracle_inner_outside_der tests the assembly of derivation_space, so it
 may use SparseEchelon for span membership.  oracle_residual and
 oracle_derivation_space are the loops over every basis triple and every
 basis pair that core.is_leibniz and cohomology.derivation_space trim to a
-generating set; they read the algebra's Gaussian-integer table (denominator,
-by_left, by_right), and the Der system is eliminated by SparseEchelon.
+generating set (derivation_space also solves only for the d(e_g)); they
+read the algebra's Gaussian-integer table (denominator, by_left,
+by_right), and the Der system is eliminated by SparseEchelon.
 oracle_is_derivation checks the derivation identity pair by pair with two
 core.sparse_bracket calls each, where cohomology.is_derivation asks the one
 yes/no derivation check, core.first_non_derivation.  oracle_residual_by_definition sums the
@@ -645,9 +646,10 @@ def oracle_residual(algebra):
 
 
 def oracle_derivation_space(algebra):
-    """The Der system that cohomology.derivation_space trims: the
-    derivation identity imposed on all dim^2 basis pairs, read off the
-    algebra's Gaussian-integer table and eliminated by SparseEchelon."""
+    """The Der system that cohomology.derivation_space reparametrizes: the
+    derivation identity imposed on all dim^2 basis pairs in all dim^2
+    matrix entries, read off the algebra's Gaussian-integer table and
+    eliminated by SparseEchelon, whose kernel vectors are the basis."""
     require_leibniz(algebra)
     n = algebra.dim
     by_left, by_right = algebra.by_left, algebra.by_right
@@ -672,8 +674,7 @@ def oracle_derivation_space(algebra):
                 row[key] = (re, im) if o is None else (o[0] + re, o[1] + im)
             for k in sorted(rows):
                 ech.add_gaussian(rows[k])
-    basis = [Matrix(n, n, vec) for vec in ech.kernel_basis()]
-    return DerivationSpace(basis)
+    return DerivationSpace(n, ech.gaussian_kernel())
 
 
 def oracle_is_derivation(algebra, m):

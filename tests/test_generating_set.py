@@ -2,9 +2,10 @@
 
 core.is_leibniz decides from the triples whose third index is a generator,
 and cohomology.derivation_space imposes the derivation identity only on
-the pairs (e_i, e_g) with g a generator.  tests/oracles.py keeps the loops
-over every triple and every pair; both answers must be equal on every
-catalog family at n = 7, 9, 11 and 15, on seeded dense conjugates, on gr L,
+the pairs (e_i, e_g) with g a generator, solved for the d(e_g) alone along
+core.generating_words.  tests/oracles.py keeps the loops over every triple
+and every pair, in all dim^2 entries; both answers must be equal on every
+catalog family at n = 7 to 12 and 15, on seeded dense conjugates, on gr L,
 on direct sums with an abelian summand, on a non-nilpotent Lie algebra
 (whose generating set falls back to the whole basis) and on thousands of
 seeded mutated tables, most of them not Leibniz.
@@ -27,15 +28,18 @@ from leibnizkit.core import (
     first_non_derivation,
     from_terms,
     generating_set,
+    generating_words,
     leibniz_residual,
     require_leibniz,
+    sparse_bracket,
 )
 from leibnizkit.invariants import central_series, natural_graded
 from leibnizkit.linalg import Matrix, SparseEchelon, rank
 from leibnizkit.scalars import Scalar, from_gaussian, parse_scalar
 
-CATALOG = [(family, n, alpha) for n in (7, 9, 11, 15) for family in FAMILIES
-           for alpha in (("-1", "1i", "5/3") if family == "M1alpha" else (None,))]
+CATALOG = [(family, n, alpha) for n in (7, 8, 9, 10, 11, 12, 15) for family in FAMILIES
+           if family != "N" or n % 2
+           for alpha in (("-1", "1i", "5/3", "3+1i") if family == "M1alpha" else (None,))]
 
 
 def catalog_algebra(family, n, alpha=None):
@@ -70,10 +74,26 @@ def codim_square(a):
     return a.dim - len(span)
 
 
+def assert_words(a):
+    """The closure words are a basis of L: first the e_g, g in G, then
+    each D * [w_p, e_g] of an earlier word p."""
+    words = generating_words(a)
+    generators = generating_set(a)
+    assert len(words) == a.dim
+    assert [(p, g, dict(w)) for p, g, w in words[:len(generators)]] == \
+        [(None, g, {g: (1, 0)}) for g in generators]
+    for k, (p, g, w) in enumerate(words[len(generators):], start=len(generators)):
+        assert p is not None and 0 <= p < k and g in generators
+        assert dict(w) == sparse_bracket(a, dict(words[p][2]), {g: (1, 0)})
+    span = SparseEchelon(a.dim)
+    assert all(span.add_gaussian(dict(w)) for _, _, w in words)
+
+
 def assert_matches_oracles(a):
     """Residual and (for a Leibniz algebra) Der basis equal to the full
-    loops, on a fresh copy; every Der basis element passes the all-pairs
-    is_derivation."""
+    loops, on a fresh copy: Der solved for the d(e_g) along the closure
+    words against all dim^2 entries on all pairs; every Der basis element
+    passes the all-pairs is_derivation."""
     a = fresh(a)
     want = oracle_residual(a)
     assert leibniz_residual(a) == want
@@ -84,6 +104,7 @@ def assert_matches_oracles(a):
     der = derivation_space(a)
     assert der.basis == oracle_derivation_space(a).basis
     assert all(is_derivation(a, m) for m in der.basis)
+    assert_words(a)
 
 
 @pytest.mark.parametrize("family,n,alpha", CATALOG)
@@ -96,7 +117,8 @@ def test_catalog_family_matches_the_full_loops(family, n, alpha):
 
 @pytest.mark.parametrize("family,n,alpha", [("NGF1", 5, None), ("M", 5, None), ("M1alpha", 5, "3+1i"),
                                             ("M1alpha", 5, "-1"), ("L1", 7, None), ("KF5", 7, None),
-                                            ("N", 7, None), ("M1alpha", 7, "5/3")])
+                                            ("N", 7, None), ("M1alpha", 7, "5/3"), ("M", 6, None),
+                                            ("M1alpha", 6, "3+1i"), ("nullfiliform-ml", 7, None)])
 def test_dense_conjugates_match_the_full_loops(family, n, alpha):
     rng = random.Random("%s/%d/%s" % (family, n, alpha))
     a = catalog_algebra(family, n, alpha)
@@ -129,6 +151,7 @@ def test_non_nilpotent_lie_algebra_falls_back_to_every_index():
     assert central_series(a).nilindex is None
     assert codim_square(a) == 1
     assert generating_set(a) == (0, 1)
+    assert generating_words(a) == ((None, 0, {0: (1, 0)}), (None, 1, {1: (1, 0)}))
     assert_matches_oracles(a)
     assert derivation_space(a).dim == 2   # the closure over x alone would admit dim 3
 
@@ -153,6 +176,16 @@ def test_generating_set_is_memoized_outside_equality_and_hash():
     assert generating_set(a) is generators and a._generators is generators
     assert other._generators is None
     assert a == other and hash(a) == hash(other) == before[0] and a.key() == before[1]
+
+
+def test_closure_words_are_read_only_and_memoized_beside_the_generators():
+    a, other = fresh(catalog_algebra("N", 9)), fresh(catalog_algebra("N", 9))
+    words = generating_words(a)
+    assert generating_words(a) is words and a._words is words
+    with pytest.raises(TypeError):
+        words[-1][2][0] = (1, 0)
+    generators = generating_set(other)   # the one closure fills both memos
+    assert other._words == words and other._generators is generators
 
 
 MUTATION_BASES = [("M", 5, None), ("NGF1", 5, None), ("M1alpha", 5, "1i"), ("M1alpha", 6, "-1"),

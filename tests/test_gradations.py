@@ -263,6 +263,52 @@ def test_search_matches_oracle_on_random_tables():
     assert found >= 100          # the pool holds positives, not only exhausted spaces
 
 
+def test_search_matches_oracle_on_random_tables_at_a_wide_bound():
+    # at max_abs = 4d the oracle tries every offset in [-4d, 3d + 1]; the
+    # search only those in [2 - 2d, d - 1] of an algebra with a product
+    mismatches, found = [], 0
+    for a, _ in _random_tables(150, seed=1312):
+        max_abs = 4 * a.dim
+        got = search_diagonal_gradation(a, max_abs)
+        if got != oracle_diagonal_gradation(a, max_abs):
+            mismatches.append((a.key(), max_abs, got))
+        found += got is not None
+    assert not mismatches
+    assert found >= 30
+
+
+def test_the_offset_bound_is_attained():
+    # [e0, e0] = e0 forces w0 = 0, the one offset in [2 - 2d, d - 1] at
+    # d = 1; at d = 2 the squares [e0, e0] = e1 and [e1, e1] = e0 are first
+    # graded at a = 1 = d - 1, and the lowest offset a = 2 - 2d = -2 holds
+    # the second of them too
+    for d, products, want in ((1, [(0, 0, 0)], (0,)), (2, [(0, 0, 1)], (1, 2)), (2, [(1, 1, 0)], (2, 1))):
+        a = _table(d, [(i, j, k, Scalar(1)) for i, j, k in products])
+        for max_abs in (None, 4 * d):
+            assert search_diagonal_gradation(a, max_abs).weights == want
+            assert oracle_diagonal_gradation(a, max_abs).weights == want
+    triggers = gradations._triggers(gradations._homogeneity_forms(a), 2)
+    assert gradations._search_interval(triggers, 2, -2) == [-2, -1]
+
+
+def test_a_huge_bound_tries_at_most_3d_intervals(monkeypatch):
+    # NGF1(41) has no diagonal maximum-length gradation; at max_abs = 10^9
+    # only the offsets in [2 - 2d, d - 1] are searched, 3d - 2 of them
+    a = build(FamilySpec("NGF1", 41))
+    d = a.dim
+    search = gradations._search_interval
+    tried = []
+
+    def record(triggers, dim, offset):
+        tried.append(offset)
+        return search(triggers, dim, offset)
+    monkeypatch.setattr(gradations, "_search_interval", record)
+    assert search_diagonal_gradation(a, 10 ** 9) is None
+    assert len(tried) <= 3 * d
+    assert all(2 - 2 * d <= offset <= d - 1 for offset in tried)
+    assert tried == sorted(tried, key=lambda offset: (abs(offset - 1), 0 if offset >= 1 else 1))
+
+
 def test_search_matches_oracle_on_late_binding_negatives():
     # [e_{d-1}, e_{d-1}] = [e_{d-2}, e_{d-2}] = e_0 forces w_{d-1} = w_{d-2}:
     # the plain search meets the clash only at position d-1 and grows about

@@ -1,8 +1,8 @@
-"""The four results memoized on an Algebra: a yes from core.is_leibniz, the
-central series, the generating set and the echelon of L^2.  Each is
-computed once per algebra: a yes walks the R_g, g in the generating set,
-through core.first_non_derivation once, while a no walks them on each call
-up to the first that fails (the guard then walks the R_{e_k} up to the
+"""The five results memoized on an Algebra: a yes from core.is_leibniz, the
+central series, the generating set, its closure words and the echelon of
+L^2.  Each is computed once per algebra: a yes walks the R_g, g in the
+generating set, through core.first_non_derivation once, while a no walks
+them on each call up to the first that fails (the guard then walks the R_{e_k} up to the
 least failing k, and leibniz_residual every R_{e_k}).  The memo never leaks into
 equality, hashing or what a caller can modify.  The Gaussian-integer table
 is stored when the algebra is built, not memoized."""
@@ -143,9 +143,9 @@ def test_memo_does_not_affect_equality_or_hash():
     fingerprint(a)
     fresh = fresh_m7()
     assert a._leibniz and a._series is not None and a._generators is not None
-    assert a._square is not None
+    assert a._words is not None and a._square is not None
     assert not fresh._leibniz and fresh._series is None and fresh._generators is None
-    assert fresh._square is None
+    assert fresh._words is None and fresh._square is None
     assert a == fresh and fresh == a
     assert hash(a) == hash(fresh)
     assert a.key() == fresh.key()
@@ -153,21 +153,21 @@ def test_memo_does_not_affect_equality_or_hash():
 
 def test_memo_beside_a_stored_denominator_does_not_affect_equality_or_hash():
     # M^{1,alpha} at alpha = 1/2 - i/3 has denominators, so its table is
-    # stored over D = 6 when it is built; filling the four memo slots
+    # stored over D = 6 when it is built; filling the five memo slots
     # changes neither that table nor equality, hashing or key()
     spec = FamilySpec("M1alpha", 7, {"alpha": Scalar(Fraction(1, 2), Fraction(-1, 3))})
     a, fresh = build(spec), build(spec)
     before = (hash(a), a.key(), a.by_left)
     fingerprint(a)
     assert a._leibniz and a._series is not None and a._generators is not None
-    assert a._square is not None
+    assert a._words is not None and a._square is not None
     assert a.denominator == fresh.denominator == 6 and a.by_left == before[2]
     assert a == fresh and fresh == a
     assert hash(a) == hash(fresh) == before[0]
     assert a.key() == fresh.key() == before[1]
     assert all(type(c) is Scalar for _, _, terms in a.products() for _, c in terms)
     assert [slot for slot in core.Algebra.__slots__ if slot.startswith("_")] == \
-        ["_leibniz", "_series", "_generators", "_square"]
+        ["_leibniz", "_series", "_generators", "_words", "_square"]
 
 
 def test_threads_racing_to_fill_the_memo_agree():
