@@ -9,7 +9,7 @@ component of a derivation is a derivation.
 A third theorem trims the Der system.  For a linear map d of a Leibniz
 algebra, the y with d([x,y]) = [d(x),y] + [x,d(y)] for all x form a
 subalgebra: expand [x,[y,z]] by the identity and apply d.  So the
-derivation identity need only hold on the pairs (e_i, e_g) with g in
+derivation identity need only hold with y = e_g, g in
 core.generating_set, whose left-normed words span L; when no smaller
 generating set is certified, that set is the whole basis.
 
@@ -19,14 +19,22 @@ core.generating_words are a basis of L, each w = D * [w_p, e_g] of an
 earlier word, so d(w) = D * ([d w_p, e_g] + [w_p, d e_g]) is a linear form
 in u per coordinate, and the inverse of the words' matrix gives every
 d(e_i).  That defines a linear map u -> d_u, injective since d_u(e_g) =
-u_g.  d_u is a derivation iff the identity holds on the pairs (e_i, e_g),
-by the theorem above, and every derivation d is d_u for u = (d(e_g)),
-since it obeys the same rule along the words: so Der is the image of the
-system's kernel.  Its basis is the RREF, with the column order reversed,
-of the kernel vectors' images (linalg.reversed_rref); the RREF of a span
-is unique, so that is the kernel_basis the system in all dim^2 entries
-would give.  When G is every index the words are the e_g and the system
-is that one.  is_derivation still checks every pair, through
+u_g.  d_u is a derivation iff E(x, g) = d([x, e_g]) - [d x, e_g] -
+[x, d e_g] vanishes for every x and every g in G, by the theorem above,
+and every derivation d is d_u for u = (d(e_g)), since it obeys the same
+rule along the words: so Der is the image of the system's kernel.
+
+The relation rule.  E(x, g) is linear in x and the words are a basis, so
+x runs over the words w_k.  A pair (w_k, e_g) that made the word
+w = D * [w_k, e_g] holds by construction, since d(w) is defined by it;
+so the system is E(w_k, g) on the n * |G| - (n - |G|) pairs that made no
+word, and a coordinate equation that cancels to nothing is dropped.  The
+kernel is unchanged.  Der's basis is the RREF, with the column order
+reversed, of the kernel vectors' images (linalg.reversed_rref); the RREF
+of a span is unique, so that is the kernel_basis the system on all dim^2
+basis pairs in all dim^2 entries would give.  When G is every index the
+words are the e_g, no pair made a word, and the system is the one on the
+pairs (e_i, e_g).  is_derivation still checks every pair, through
 core.first_non_derivation, the one yes/no derivation check.
 
 Both the Der and the Inn rows are read off the algebra's Gaussian-integer
@@ -101,9 +109,11 @@ def derivation_space(algebra):
     in G): d[r][g] at r * dim + g when G is every index.  Each d(w) along
     the words, and d_inv * d(e_i) by the inverse d_inv * W^-1 of the
     words' matrix W, is a vector of linear forms in u, {coordinate:
-    {unknown: (re, im)}}.  The identity on the pairs (e_i, e_g) is imposed
-    times D * d_inv, on the algebra's table D * gamma: it is linear in
-    gamma, so the solutions are Der(L)'s.
+    {unknown: (re, im)}}.  The identity is imposed on the pairs (w_k, e_g)
+    that made no word, by the relation rule, times D * d_inv, on the
+    algebra's table D * gamma: it is linear in gamma, so the solutions are
+    Der(L)'s.  One D * L_{w_k} per word gives both D [w_k, e_g], its
+    column g, and D [w_k, d e_g].
     """
     require_leibniz(algebra)
     n = algebra.dim
@@ -132,14 +142,15 @@ def derivation_space(algebra):
             for k, (cr, ci) in column:
                 add_multiple(out.setdefault(k, {}), cr, ci, unknown)
 
+    lefts = [operator_columns(by_left, w) for _, _, w in words]   # D * L_w per word
     forms = []   # d(w) per word
     for parent, g, _ in words:
         if parent is None:   # d(e_g) = u_g
             forms.append({r: {r * m + place[g]: (1, 0)} for r in range(n)})
             continue
         out = {}
-        add_bracket(out, 1, forms[parent], g)                                          # D [d w_p, e_g]
-        add_unknowns(out, 1, operator_columns(by_left, words[parent][2]).items(), g)   # D [w_p, d e_g]
+        add_bracket(out, 1, forms[parent], g)                        # D [d w_p, e_g]
+        add_unknowns(out, 1, lefts[parent].items(), g)               # D [w_p, d e_g]
         forms.append({k: form for k, form in out.items() if form})
     d_inv, inverse = gaussian_inverse([w for _, _, w in words])
     images = []   # d_inv * d(e_i)
@@ -148,16 +159,20 @@ def derivation_space(algebra):
         for k, (cr, ci) in column.items():
             add_forms(out, cr, ci, forms[k])
         images.append({k: form for k, form in out.items() if form})
+    made = {(parent, g) for parent, g, _ in words if parent is not None}
     ech = SparseEchelon(n * m)
-    for i, image in enumerate(images):
+    for k, columns in enumerate(lefts):
         for g in generators:
+            if (k, g) in made:   # d(D [w_k, e_g]) is that word's form: it holds
+                continue
             eq = {}
-            for t, (cr, ci) in by_left[i].get(g, ()):
-                add_forms(eq, cr, ci, images[t])                 # D d([e_i, e_g])
-            add_bracket(eq, -1, image, g)                        # - D [d e_i, e_g]
-            add_unknowns(eq, -d_inv, by_left[i].items(), g)      # - D [e_i, d e_g]
-            for k in sorted(eq):
-                ech.add_gaussian(eq[k])
+            for t, (cr, ci) in columns.get(g, ()):
+                add_forms(eq, cr, ci, images[t])                 # D d([w_k, e_g])
+            add_bracket(eq, -d_inv, forms[k], g)                 # - D [d w_k, e_g]
+            add_unknowns(eq, -d_inv, columns.items(), g)         # - D [w_k, d e_g]
+            for form in eq.values():
+                if form:
+                    ech.add_gaussian(form)
     # column j of the map u -> d_inv * d, entry (r, c) at r * n + c
     columns = [{} for _ in range(n * m)]
     for c, image in enumerate(images):

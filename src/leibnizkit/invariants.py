@@ -48,7 +48,14 @@ from .core import (
     square_span,
     transport,
 )
-from .linalg import NotNilpotentError, SparseEchelon, image_chain, partition_of_ranks, scalar_vector
+from .linalg import (
+    NotNilpotentError,
+    SparseEchelon,
+    image_chain,
+    partition_of_ranks,
+    scalar_vector,
+    triangular_inverse,
+)
 
 
 class SeriesReport(NamedTuple):
@@ -316,8 +323,11 @@ def natural_graded(algebra):
     columns of a basis P of L, each row over its lead; core.transport runs
     on M = d_P * P, d_P the lcm of the leads, and gives d_P times the
     brackets of the lifts over D * d_inv, so the brackets over
-    D * d_P * d_inv.  gr L keeps of each [u_a, u_b] only its projection onto
-    the layer of degree deg a + deg b.
+    D * d_P * d_inv.  The lifts have n distinct pivots, each lead d_P in
+    M, so ordered by pivot M is lower triangular, and
+    linalg.triangular_inverse gives d_inv * M^-1 by substitution.  gr L
+    keeps of each [u_a, u_b] only its projection onto the layer of degree
+    deg a + deg b.
     """
     series = central_series(algebra)
     if not series.is_nilpotent:
@@ -332,7 +342,7 @@ def natural_graded(algebra):
         layer_of += [i + 1] * len(layer)
     d_p = lcm(*(row[0][1][0] for row in lifts))
     cols = [{r: (x * s, y * s) for r, (x, y) in row} for row in lifts for s in (d_p // row[0][1][0],)]
-    d, table = transport(algebra, cols)
+    d, table = transport(algebra, cols, triangular_inverse(cols))
     graded = {(a, b): {k: v for k, v in cell.items() if layer_of[k] == layer_of[a] + layer_of[b]}
               for (a, b), cell in table.items()}
     labels = [algebra.labels[row[0][0]] for row in lifts]

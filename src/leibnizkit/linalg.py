@@ -16,8 +16,10 @@ span_echelon is the one entry point for dense Scalar vectors, behind rank
 and kernel_basis.  A kernel_basis is the RREF of the kernel with the column
 order reversed, so reversed_rref gives it from any basis of the kernel.
 gaussian_inverse takes a matrix's Gaussian-integer columns, as
-gaussian_columns gives them.  The transport and the certificate
-check apply maps in ints: gaussian_columns, gaussian_inverse,
+gaussian_columns gives them.  triangular_inverse gives the same for a
+matrix whose columns have distinct pivots, by substitution and no
+elimination: gr L's lifts are such columns.  The transport and the
+certificate check apply maps in ints: gaussian_columns, gaussian_inverse,
 gaussian_combination.
 
 add_multiple is the one Gaussian multiply-accumulate behind every sparse
@@ -445,6 +447,40 @@ def gaussian_inverse(columns):
     d = lcm(*(rows[r][r][0] for r in range(n)))
     return d, [{c - n: (x * s, y * s) for c, (x, y) in rows[r].items() if c >= n}
                for r in range(n) for s in (d // rows[r][r][0],)]
+
+
+def triangular_inverse(columns):
+    """gaussian_inverse's (d, columns of d * M^-1), d > 0 least, for a square
+    M whose columns have n distinct pivots, the lowest row each holds, with
+    a positive int entry there: ordered by pivot, M is lower triangular.
+
+    No elimination: with m_j = l e_r + sum_{c > r} a_c e_c the column of
+    pivot r, e_r = (m_j - sum a_c e_c) / l, so the e_r are solved for in
+    the columns from the last pivot up, each over its own least
+    denominator.
+    """
+    n = len(columns)
+    by_pivot = {min(col): j for j, col in enumerate(columns)}
+    solved = [None] * n   # e_r as (den, {j: (re, im)}): den times it in the columns
+    for r in range(n - 1, -1, -1):
+        j = by_pivot[r]
+        col = columns[j]
+        if len(col) == 1:   # m_j = l e_r
+            solved[r] = (col[r][0], {j: (1, 0)})
+            continue
+        den = lcm(*(solved[c][0] for c in col if c != r))
+        vec = {j: (den, 0)}
+        for c, (x, y) in col.items():
+            if c != r:
+                dc, vc = solved[c]
+                s = den // dc
+                add_multiple(vec, -x * s, -y * s, vc.items())
+        den *= col[r][0]
+        g = gcd(den, *(p for v in vec.values() for p in v))
+        solved[r] = (den // g, vec if g == 1 else {k: (x // g, y // g) for k, (x, y) in vec.items()})
+    d = lcm(*(den for den, _ in solved))
+    return d, [vec if den == d else {k: (x * s, y * s) for k, (x, y) in vec.items()}
+               for den, vec in solved for s in (d // den,)]
 
 
 def image_chain(n, operators, level=None):

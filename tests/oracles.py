@@ -11,6 +11,9 @@ basis pair that core.is_leibniz and cohomology.derivation_space trim to a
 generating set (derivation_space also solves only for the d(e_g)); they
 read the algebra's Gaussian-integer table (denominator, by_left,
 by_right), and the Der system is eliminated by SparseEchelon.
+oracle_word_relations forms the identity E(w_k, g) on every closure word
+and generator in derivation_space's unknowns, on Scalars, with the maps
+d_u built along the words and moved to the basis by the dense inverse.
 oracle_is_derivation checks the derivation identity pair by pair with two
 core.sparse_bracket calls each, where cohomology.is_derivation asks the one
 yes/no derivation check, core.first_non_derivation.  oracle_residual_by_definition sums the
@@ -48,7 +51,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from leibnizkit.cohomology import DerivationSpace
-from leibnizkit.core import bracket, from_terms, require_leibniz, sparse_bracket
+from leibnizkit.core import (
+    bracket,
+    from_terms,
+    generating_set,
+    generating_words,
+    require_leibniz,
+    sparse_bracket,
+)
 from leibnizkit.gradations import WeightAssignment
 from leibnizkit.invariants import CharSeq, central_series
 from leibnizkit.iso import CertificateReport
@@ -675,6 +685,53 @@ def oracle_derivation_space(algebra):
             for k in sorted(rows):
                 ech.add_gaussian(rows[k])
     return DerivationSpace(n, ech.gaussian_kernel())
+
+
+def oracle_word_relations(algebra):
+    """The derivation identity E(w_k, g) = d([w_k, e_g]) - [d w_k, e_g] -
+    [w_k, d e_g] on every closure word w_k and generator g, as its nonzero
+    coordinate forms in the unknowns of cohomology.derivation_space, dense
+    Scalar vectors: {(k, g): [form, ...]}.  The unknown r * |G| + s is the
+    e_r coordinate of d(e_g), g the s-th generator.  For each unit u, d_u
+    is built on Scalars along the words, d(w) = D * ([d w_p, e_g] +
+    [w_p, d e_g]) for w = D * [w_p, e_g], and moved to the basis by the
+    inverse of the words' matrix; every bracket is oracle_bracket's."""
+    n = algebra.dim
+    generators = generating_set(algebra)
+    m = len(generators)
+    big_d = Scalar(algebra.denominator)
+    words = generating_words(algebra)
+    w_vecs = [dense_vec({c: Scalar(*v) for c, v in w.items()}, n) for _, _, w in words]
+    w_inv = inverse(Matrix(n, n, [[w[r] for w in w_vecs] for r in range(n)]))
+    zero = [ZERO] * n
+    maps = []   # per unknown: (d of each word, d of each basis vector)
+    for j in range(n * m):
+        r, s = divmod(j, m)
+        d_gen = {g: (basis_vec(n, r) if t == s else zero) for t, g in enumerate(generators)}
+        d_words = []
+        for p, g, _ in words:
+            if p is None:
+                d_words.append(d_gen[g])
+                continue
+            a = oracle_bracket(algebra, d_words[p], basis_vec(n, g))
+            b = oracle_bracket(algebra, w_vecs[p], d_gen[g])
+            d_words.append([big_d * (x + y) for x, y in zip(a, b)])
+        d_basis = [[sum((d_words[k][c] * w_inv.data[k][i] for k in range(n)), ZERO) for c in range(n)]
+                   for i in range(n)]
+        maps.append((d_words, d_basis))
+    relations = {}
+    for k, w in enumerate(w_vecs):
+        for g in generators:
+            wg = oracle_bracket(algebra, w, basis_vec(n, g))
+            values = []   # per unknown, E(w_k, g) as a dense vector
+            for d_words, d_basis in maps:
+                d_wg = [sum((d_basis[i][c] * x for i, x in enumerate(wg) if x), ZERO) for c in range(n)]
+                a = oracle_bracket(algebra, d_words[k], basis_vec(n, g))
+                b = oracle_bracket(algebra, w, d_basis[g])
+                values.append([x - y - z for x, y, z in zip(d_wg, a, b)])
+            forms = [[v[c] for v in values] for c in range(n)]
+            relations[(k, g)] = [f for f in forms if any(f)]
+    return relations
 
 
 def oracle_is_derivation(algebra, m):

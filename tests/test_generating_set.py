@@ -2,8 +2,8 @@
 
 core.is_leibniz decides from the triples whose third index is a generator,
 and cohomology.derivation_space imposes the derivation identity only on
-the pairs (e_i, e_g) with g a generator, solved for the d(e_g) alone along
-core.generating_words.  tests/oracles.py keeps the loops over every triple
+the pairs (w_k, e_g) of a closure word and a generator that made no word,
+solved for the d(e_g) alone along core.generating_words.  tests/oracles.py keeps the loops over every triple
 and every pair, in all dim^2 entries; both answers must be equal on every
 catalog family at n = 7 to 12 and 15, on seeded dense conjugates, on gr L,
 on direct sums with an abelian summand, on a non-nilpotent Lie algebra
@@ -39,7 +39,7 @@ from leibnizkit.scalars import Scalar, from_gaussian, parse_scalar
 
 CATALOG = [(family, n, alpha) for n in (7, 8, 9, 10, 11, 12, 15) for family in FAMILIES
            if family != "N" or n % 2
-           for alpha in (("-1", "1i", "5/3", "3+1i") if family == "M1alpha" else (None,))]
+           for alpha in (("-1", "1i", "1/2", "5/3", "3+1i") if family == "M1alpha" else (None,))]
 
 
 def catalog_algebra(family, n, alpha=None):

@@ -20,6 +20,7 @@ from leibnizkit.linalg import (
     kernel_basis,
     nilpotent_partition,
     rank,
+    triangular_inverse,
 )
 from leibnizkit.scalars import ONE, ZERO, Scalar, from_gaussian
 
@@ -317,6 +318,26 @@ def test_gaussian_inverse_is_the_cleared_inverse():
         assert gaussian_inverse(cols) == inverse(m.scale(d_m)).gaussian_columns()
     with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
         gaussian_inverse(Matrix(3, 3, [1, 2, 0, 0, 0, 1, 3, 6, 5]).gaussian_columns()[1])
+
+
+def test_triangular_inverse_is_the_cleared_inverse():
+    # columns with distinct pivots, each a positive int at its lowest row
+    # and Gaussian rationals below it, in a shuffled order: the same (d,
+    # columns) as the oracle inverse cleared, and as gaussian_inverse
+    rng = random.Random(53)
+    for trial in range(30):
+        n = rng.randint(0, 7)
+        pivots = rng.sample(range(n), n)
+        rows = [[ZERO] * n for _ in range(n)]
+        for c, r in enumerate(pivots):
+            rows[r][c] = Scalar(rng.randint(1, 4))
+            for below in range(r + 1, n):
+                if rng.random() < 0.6:
+                    rows[below][c] = _gaussian_rational(rng) if trial % 2 else Scalar(rng.randint(-2, 2))
+        m = Matrix(n, n, rows)
+        d_m, cols = m.gaussian_columns()
+        want = inverse(m.scale(d_m)).gaussian_columns()
+        assert triangular_inverse(cols) == want == gaussian_inverse(cols)
 
 
 def test_inverse_round_trip():

@@ -9,10 +9,14 @@ cover every catalog family at n = 7 and 9, M1alpha at alpha = -1, i and
 Gaussian-rational with denominators up to 7 (d_P > 1), unitriangular, and
 monomial (a permutation times a Gaussian-rational diagonal: sparse
 columns).  Tables are compared by key(), which holds the denominator, as
-well as by dumps.
+well as by dumps.  natural_graded inverts its lifts by
+linalg.triangular_inverse: on the lifts of every catalog case and of a
+dense conjugate, the lifts times that inverse are d times the identity,
+with the least d that gaussian_inverse finds.
 """
 
 import random
+from math import lcm
 
 import pytest
 
@@ -22,9 +26,16 @@ from oracles import oracle_change_of_basis, oracle_natural_graded, oracle_verify
 
 from leibnizkit.catalog import FAMILIES
 from leibnizkit.core import change_of_basis, dumps, from_terms
-from leibnizkit.invariants import natural_graded
+from leibnizkit.invariants import central_series, natural_graded
 from leibnizkit.iso import IsoCertificate, verify_certificate
-from leibnizkit.linalg import Matrix, SingularMatrixError, rank
+from leibnizkit.linalg import (
+    Matrix,
+    SingularMatrixError,
+    gaussian_combination,
+    gaussian_inverse,
+    rank,
+    triangular_inverse,
+)
 from leibnizkit.scalars import Scalar, from_gaussian
 
 CASES = [(family, n, alpha) for n in (7, 9) for family in FAMILIES
@@ -123,6 +134,32 @@ def test_natural_graded_of_dense_rational_conjugates_matches_the_scalar_oracle(f
     a = case_algebra(family, n, alpha)
     rng = random.Random("%s:%d:%s" % (family, n, alpha))
     _same_graded(change_of_basis(a, dense_rational_move(rng, a.dim)))
+
+
+def _lift_columns(a):
+    """The columns of d_P * P that natural_graded moves the algebra along:
+    the series rows whose pivot is no pivot of the next level."""
+    levels = central_series(a).levels
+    lifts = [row for level, deeper in zip(levels, levels[1:] + ((),))
+             for pivots in ({r[0][0] for r in deeper},) for row in level if row[0][0] not in pivots]
+    d_p = lcm(*(row[0][1][0] for row in lifts))
+    return [{r: (x * s, y * s) for r, (x, y) in row} for row in lifts for s in (d_p // row[0][1][0],)]
+
+
+def _assert_triangular_inverse(cols):
+    d, inv = triangular_inverse(cols)
+    assert all(gaussian_combination(cols, column) == {r: (d, 0)} for r, column in enumerate(inv))
+    assert (d, inv) == gaussian_inverse(cols)   # the least d, as the echelon finds it
+
+
+@pytest.mark.parametrize("family,n,alpha", catalog_cases())
+def test_lifts_times_their_triangular_inverse_is_d_times_the_identity(family, n, alpha):
+    a = case_algebra(family, n, alpha)
+    _assert_triangular_inverse(_lift_columns(a))
+    rng = random.Random("lifts:%s:%d:%s" % (family, n, alpha))
+    cols = _lift_columns(change_of_basis(a, dense_rational_move(rng, a.dim)))
+    assert not a.products() or cols[0][min(cols[0])] != (1, 0)   # the dense lifts: d_P > 1
+    _assert_triangular_inverse(cols)
 
 
 def test_monomial_maps_have_sparse_gaussian_rational_columns():
