@@ -457,19 +457,19 @@ def change_of_basis(algebra, p):
     if p.rows != algebra.dim or p.cols != algebra.dim:
         raise ValueError("change of basis matrix must be %d x %d" % (algebra.dim, algebra.dim))
     d_p, cols = p.gaussian_columns()
-    d, table = transport(algebra, cols, gaussian_inverse(cols))   # SingularMatrixError when P is singular
+    d, table = transport(algebra, cols)   # SingularMatrixError when P is singular
     return from_table(algebra.labels, table, d * d_p)
 
 
-def transport(algebra, cols, inverse):
+def transport(algebra, cols):
     """(d, table): table {(i, j): {k: (re, im)}} of ints is d times the
     constants M^-1 [M u_i, M u_j], for M given by its columns u_j as
-    {row: (re, im)} maps of ints and inverse = (d_inv, columns of
-    d_inv * M^-1), as gaussian_inverse gives it.  Only the nonzero
-    products of D * gamma are walked, through the columns of
-    D * L_{M u_i}, and d = D * d_inv.
+    {row: (re, im)} maps of ints; SingularMatrixError when M is singular.
+    Only the nonzero products of D * gamma are walked, through the columns
+    of D * L_{M u_i}; gaussian_inverse, which picks its own method, gives
+    d_inv * M^-1, so d = D * d_inv.
     """
-    d_inv, inv_cols = inverse
+    d_inv, inv_cols = gaussian_inverse(cols)
     rows = [{} for _ in cols]   # row b of M: {j: M[b][j]}
     for j, col in enumerate(cols):
         for b, v in col.items():

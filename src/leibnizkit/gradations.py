@@ -193,12 +193,14 @@ def search_diagonal_gradation(algebra, max_abs=None):
     is returned, so the result is the lexicographically least assignment of
     the first feasible interval.  Returns None when the space is exhausted;
     that is evidence restricted to diagonal gradations, not a proof that no
-    maximum-length gradation exists.  max_abs defaults to
-    default_max_abs(dim).
+    maximum-length gradation exists.  max_abs is an exact int (TypeError
+    otherwise) and defaults to default_max_abs(dim).
     """
     d = algebra.dim
     if max_abs is None:
         max_abs = default_max_abs(d)
+    elif type(max_abs) is not int:
+        raise TypeError("max_abs must be an int, got %r" % (Echo(max_abs),))
     if max_abs < 1:
         raise ValueError("max_abs must be >= 1")
     if d == 0 or d > 2 * max_abs + 1:

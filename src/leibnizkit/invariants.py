@@ -48,14 +48,8 @@ from .core import (
     square_span,
     transport,
 )
-from .linalg import (
-    NotNilpotentError,
-    SparseEchelon,
-    image_chain,
-    partition_of_ranks,
-    scalar_vector,
-    triangular_inverse,
-)
+from .linalg import NotNilpotentError, SparseEchelon, image_chain, partition_of_ranks, scalar_vector
+from .scalars import Echo
 
 
 class SeriesReport(NamedTuple):
@@ -162,7 +156,8 @@ def characteristic_sequence(algebra, trials=20, seed=1):
 
     The maximum is taken over a deterministic candidate set (basis vectors
     outside L^2 and their pairwise sums) plus `trials` seeded random small
-    Q(i)-combinations; the witness makes the reported maximum auditable.
+    Q(i)-combinations, trials an exact int (TypeError otherwise); the
+    witness makes the reported maximum auditable.
 
     Ceiling, exact: R_x = sum_j x_j R_{e_j}, so the support of R_x^j lies in
     the Boolean power S^j of the support S of all the R_{e_j} together, and
@@ -177,6 +172,8 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     r_0..r_k and these bounds are all <= the best's ranks, R_x's type is
     dominated, so not lex above the best.
     """
+    if type(trials) is not int:
+        raise TypeError("trials must be an int, got %r" % (Echo(trials),))
     if trials < 1:
         raise ValueError("trials must be >= 1")
     series = central_series(algebra)
@@ -323,11 +320,9 @@ def natural_graded(algebra):
     columns of a basis P of L, each row over its lead; core.transport runs
     on M = d_P * P, d_P the lcm of the leads, and gives d_P times the
     brackets of the lifts over D * d_inv, so the brackets over
-    D * d_P * d_inv.  The lifts have n distinct pivots, each lead d_P in
-    M, so ordered by pivot M is lower triangular, and
-    linalg.triangular_inverse gives d_inv * M^-1 by substitution.  gr L
-    keeps of each [u_a, u_b] only its projection onto the layer of degree
-    deg a + deg b.
+    D * d_P * d_inv.  The lifts have n distinct pivots, so
+    linalg.gaussian_inverse inverts M by substitution.  gr L keeps of each
+    [u_a, u_b] only its projection onto the layer of degree deg a + deg b.
     """
     series = central_series(algebra)
     if not series.is_nilpotent:
@@ -342,7 +337,7 @@ def natural_graded(algebra):
         layer_of += [i + 1] * len(layer)
     d_p = lcm(*(row[0][1][0] for row in lifts))
     cols = [{r: (x * s, y * s) for r, (x, y) in row} for row in lifts for s in (d_p // row[0][1][0],)]
-    d, table = transport(algebra, cols, triangular_inverse(cols))
+    d, table = transport(algebra, cols)
     graded = {(a, b): {k: v for k, v in cell.items() if layer_of[k] == layer_of[a] + layer_of[b]}
               for (a, b), cell in table.items()}
     labels = [algebra.labels[row[0][0]] for row in lifts]

@@ -1,7 +1,7 @@
 """Exact dense matrices and the elimination engine behind every dimension count.
 
 SparseEchelon is the package's one elimination: ranks, kernels, spans,
-Jordan types and gaussian_inverse all insert sparse rows into it.  It
+Jordan types and gaussian_inverse's elimination insert rows into it.  It
 keeps the reduced row echelon form of the rows so far, pivoting on the
 lowest column a reduced row still has; the RREF of a span is unique, so
 no result depends on the order in which rows arrive.  It takes Gaussian-
@@ -15,10 +15,10 @@ inverse, is the one read-out of an integer row as a dense Scalar vector.
 span_echelon is the one entry point for dense Scalar vectors, behind rank
 and kernel_basis.  A kernel_basis is the RREF of the kernel with the column
 order reversed, so reversed_rref gives it from any basis of the kernel.
-gaussian_inverse takes a matrix's Gaussian-integer columns, as
-gaussian_columns gives them.  triangular_inverse gives the same for a
-matrix whose columns have distinct pivots, by substitution and no
-elimination: gr L's lifts are such columns.  The transport and the
+gaussian_inverse, the one inverse, takes a matrix's Gaussian-integer
+columns, as gaussian_columns gives them.  It picks its method from them:
+columns with distinct pivots (gr L's lifts, most closure words) are solved
+by substitution, any other matrix by elimination.  The transport and the
 certificate check apply maps in ints: gaussian_columns, gaussian_inverse,
 gaussian_combination.
 
@@ -432,41 +432,37 @@ def gaussian_inverse(columns):
     given columns, {row: (re, im)} maps of ints as gaussian_columns gives
     them; raises SingularMatrixError.
 
-    The RREF of the rows of [M^T | I] (column c of M beside e_c) has n rows,
-    pivoted on the left columns iff M is invertible; then its right half is
-    (M^T)^-1, whose row r is column r of M^-1.  Pivot row r is primitive over
-    its lead l_r, so d = lcm(l_r) is the least denominator of M^-1.
+    Columns with n distinct pivots, the lowest row each holds, make M lower
+    triangular once ordered by pivot, and are solved by substitution: with
+    m_j = p e_r + sum_{c > r} a_c e_c the column of pivot r, e_r =
+    (m_j - sum a_c e_c) / p, from the last pivot up, each e_r over its own
+    least denominator.  Any other M is eliminated: the RREF of the rows of
+    [M^T | I] (column c of M beside e_c) has n rows, pivoted on the left
+    columns iff M is invertible; then its right half is (M^T)^-1, whose row
+    r is column r of M^-1.  Pivot row r is primitive over its lead l_r, so
+    d = lcm(l_r) is the least denominator of M^-1.
     """
     n = len(columns)
-    ech = SparseEchelon(2 * n)
-    for c, col in enumerate(columns):
-        ech.add_gaussian({**col, n + c: (1, 0)})
-    rows = ech._rows
-    if any(c not in rows for c in range(n)):
-        raise SingularMatrixError("matrix is singular")
-    d = lcm(*(rows[r][r][0] for r in range(n)))
-    return d, [{c - n: (x * s, y * s) for c, (x, y) in rows[r].items() if c >= n}
-               for r in range(n) for s in (d // rows[r][r][0],)]
-
-
-def triangular_inverse(columns):
-    """gaussian_inverse's (d, columns of d * M^-1), d > 0 least, for a square
-    M whose columns have n distinct pivots, the lowest row each holds, with
-    a positive int entry there: ordered by pivot, M is lower triangular.
-
-    No elimination: with m_j = l e_r + sum_{c > r} a_c e_c the column of
-    pivot r, e_r = (m_j - sum a_c e_c) / l, so the e_r are solved for in
-    the columns from the last pivot up, each over its own least
-    denominator.
-    """
-    n = len(columns)
-    by_pivot = {min(col): j for j, col in enumerate(columns)}
-    solved = [None] * n   # e_r as (den, {j: (re, im)}): den times it in the columns
+    by_pivot = {min(col): j for j, col in enumerate(columns) if col}
+    if len(by_pivot) < n:
+        ech = SparseEchelon(2 * n)
+        for c, col in enumerate(columns):
+            ech.add_gaussian({**col, n + c: (1, 0)})
+        rows = ech._rows
+        if any(c not in rows for c in range(n)):
+            raise SingularMatrixError("matrix is singular")
+        d = lcm(*(rows[r][r][0] for r in range(n)))
+        return d, [{c - n: (x * s, y * s) for c, (x, y) in rows[r].items() if c >= n}
+                   for r in range(n) for s in (d // rows[r][r][0],)]
+    # e_r as (den, {j: (re, im)}): den times it in the columns; an int pivot
+    # is kept as den, so den may be negative until d = lcm(den) is taken
+    solved = [None] * n
     for r in range(n - 1, -1, -1):
         j = by_pivot[r]
         col = columns[j]
-        if len(col) == 1:   # m_j = l e_r
-            solved[r] = (col[r][0], {j: (1, 0)})
+        a, b = col[r]   # the pivot
+        if len(col) == 1 and not b:   # m_j = a e_r
+            solved[r] = (a, {j: (1, 0)})
             continue
         den = lcm(*(solved[c][0] for c in col if c != r))
         vec = {j: (den, 0)}
@@ -475,7 +471,11 @@ def triangular_inverse(columns):
                 dc, vc = solved[c]
                 s = den // dc
                 add_multiple(vec, -x * s, -y * s, vc.items())
-        den *= col[r][0]
+        if b:   # 1 / (a + bi) = (a - bi) / (a^2 + b^2)
+            vec = {k: (x * a + y * b, y * a - x * b) for k, (x, y) in vec.items()}
+            den *= a * a + b * b
+        else:
+            den *= a
         g = gcd(den, *(p for v in vec.values() for p in v))
         solved[r] = (den // g, vec if g == 1 else {k: (x // g, y // g) for k, (x, y) in vec.items()})
     d = lcm(*(den for den, _ in solved))

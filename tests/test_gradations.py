@@ -116,6 +116,17 @@ def test_search_rejects_bad_max_abs():
         search_diagonal_gradation(alg("M", 7), 0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 8.5, True, "8"], ids=["float-small", "float", "bool", "str"])
+def test_search_takes_only_exact_int_bounds(bad, monkeypatch):
+    # 2.5 silently exhausted M(7) and 8.5 failed inside range(); the type is
+    # checked before any interval is searched
+    searched = []
+    monkeypatch.setattr(gradations, "_search_interval", lambda *args: searched.append(args))
+    with pytest.raises(TypeError, match="^max_abs must be an int, got %s$" % re.escape(repr(bad))):
+        search_diagonal_gradation(alg("M", 7), bad)
+    assert searched == []
+
+
 def test_search_default_bound_on_empty_algebra():
     # the default bound is at least 1, so dim 0 exhausts instead of raising
     assert gradations.default_max_abs(0) == 1 and gradations.default_max_abs(8) == 16

@@ -1,10 +1,13 @@
+import random
+import re
+
 import pytest
 
 from conftest import DATA, alg, case_algebra, catalog_cases, mutated_m7, random_invertible
 
 from oracles import in_span, oracle_partition, oracle_rank, oracle_series_dims
 
-from leibnizkit import NotLeibnizError, linalg
+from leibnizkit import NotLeibnizError, invariants, linalg
 from leibnizkit.core import (
     Algebra,
     bracket,
@@ -189,6 +192,19 @@ def test_charseq_rejects_non_nilpotent():
 def test_charseq_rejects_zero_trials():
     with pytest.raises(ValueError):
         characteristic_sequence(alg("abelian", 2), trials=0)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_charseq_takes_only_exact_int_trials(bad, monkeypatch):
+    # a float count never reached 0 and hung the draws on a dense conjugate
+    # of M(5), whose candidates never reach the ceiling; the type is checked
+    # before any candidate is drawn
+    a = change_of_basis(alg("M", 5), random_invertible(random.Random(5), 6))
+    drawn = []
+    monkeypatch.setattr(invariants, "_candidates", lambda *args: drawn.append(args) or iter(()))
+    with pytest.raises(TypeError, match="^trials must be an int, got %s$" % re.escape(repr(bad))):
+        characteristic_sequence(a, trials=bad)
+    assert drawn == []
 
 
 def test_charseq_invariant_under_change_of_basis(rng):

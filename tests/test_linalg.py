@@ -20,7 +20,6 @@ from leibnizkit.linalg import (
     kernel_basis,
     nilpotent_partition,
     rank,
-    triangular_inverse,
 )
 from leibnizkit.scalars import ONE, ZERO, Scalar, from_gaussian
 
@@ -321,23 +320,35 @@ def test_gaussian_inverse_is_the_cleared_inverse():
 
 
 def test_triangular_inverse_is_the_cleared_inverse():
-    # columns with distinct pivots, each a positive int at its lowest row
-    # and Gaussian rationals below it, in a shuffled order: the same (d,
-    # columns) as the oracle inverse cleared, and as gaussian_inverse
+    # columns with distinct pivots, each a nonzero positive, negative or
+    # Gaussian integer at its lowest row and Gaussian rationals below it,
+    # in a shuffled order: the same (d, columns) as the oracle inverse
+    # cleared.  A zero at one pivot leaves its column zero or pivoted where
+    # another column is, and both sides find the matrix singular.
     rng = random.Random(53)
-    for trial in range(30):
+    kinds = set()
+    for trial in range(60):
         n = rng.randint(0, 7)
         pivots = rng.sample(range(n), n)
         rows = [[ZERO] * n for _ in range(n)]
         for c, r in enumerate(pivots):
-            rows[r][c] = Scalar(rng.randint(1, 4))
+            rows[r][c] = rng.choice((Scalar(rng.randint(1, 4)), Scalar(-rng.randint(1, 4)),
+                                     Scalar(rng.randint(-3, 3), rng.choice((-2, -1, 1, 2)))))
             for below in range(r + 1, n):
                 if rng.random() < 0.6:
                     rows[below][c] = _gaussian_rational(rng) if trial % 2 else Scalar(rng.randint(-2, 2))
         m = Matrix(n, n, rows)
         d_m, cols = m.gaussian_columns()
-        want = inverse(m.scale(d_m)).gaussian_columns()
-        assert triangular_inverse(cols) == want == gaussian_inverse(cols)
+        assert gaussian_inverse(cols) == inverse(m.scale(d_m)).gaussian_columns()
+        if n:
+            c = rng.randrange(n)
+            m.data[pivots[c]][c] = ZERO
+            cols = m.gaussian_columns()[1]
+            kinds.add("repeated pivot" if cols[c] else "zero column")
+            for invert in (lambda: gaussian_inverse(cols), lambda: inverse(m)):
+                with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                    invert()
+    assert kinds == {"repeated pivot", "zero column"}
 
 
 def test_inverse_round_trip():

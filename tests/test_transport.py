@@ -9,23 +9,28 @@ cover every catalog family at n = 7 and 9, M1alpha at alpha = -1, i and
 Gaussian-rational with denominators up to 7 (d_P > 1), unitriangular, and
 monomial (a permutation times a Gaussian-rational diagonal: sparse
 columns).  Tables are compared by key(), which holds the denominator, as
-well as by dumps.  natural_graded inverts its lifts by
-linalg.triangular_inverse: on the lifts of every catalog case and of a
-dense conjugate, the lifts times that inverse are d times the identity,
-with the least d that gaussian_inverse finds.
+well as by dumps.  core.transport inverts through linalg.gaussian_inverse,
+which substitutes on columns with distinct pivots and eliminates
+otherwise: on the lifts of every catalog case and of a dense conjugate,
+the lifts times that inverse are d times the identity, with d least.  A
+recorder on linalg.SparseEchelon shows the branch: no echelon is built for
+the lifts, the closure words of N(41) and M(41), or the CI's monomial and
+triangular maps; one is built for KF5's words, whose pivots repeat, and for
+the CI's I + superdiagonal and dense maps.
 """
 
 import random
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
-from conftest import case_algebra, catalog_cases, dense_rational_move
+from conftest import alg, case_algebra, catalog_cases, dense_rational_move
 
 from oracles import oracle_change_of_basis, oracle_natural_graded, oracle_verify_certificate
 
+from leibnizkit import linalg
 from leibnizkit.catalog import FAMILIES
-from leibnizkit.core import change_of_basis, dumps, from_terms
+from leibnizkit.core import change_of_basis, dumps, from_terms, generating_words
 from leibnizkit.invariants import central_series, natural_graded
 from leibnizkit.iso import IsoCertificate, verify_certificate
 from leibnizkit.linalg import (
@@ -34,9 +39,8 @@ from leibnizkit.linalg import (
     gaussian_combination,
     gaussian_inverse,
     rank,
-    triangular_inverse,
 )
-from leibnizkit.scalars import Scalar, from_gaussian
+from leibnizkit.scalars import Scalar, from_gaussian, parse_scalar
 
 CASES = [(family, n, alpha) for n in (7, 9) for family in FAMILIES
          for alpha in (("-1", "1i", "5/3") if family == "M1alpha" else (None,))]
@@ -146,20 +150,71 @@ def _lift_columns(a):
     return [{r: (x * s, y * s) for r, (x, y) in row} for row in lifts for s in (d_p // row[0][1][0],)]
 
 
-def _assert_triangular_inverse(cols):
-    d, inv = triangular_inverse(cols)
+def _echelons_built(monkeypatch, cols):
+    """How many SparseEchelons gaussian_inverse builds on cols, none when it
+    substitutes and one when it eliminates, once its answer is checked: the
+    columns times the inverse are d times the identity, and no part of the
+    inverse shares a factor with d, so no smaller d would do."""
+    built = []
+
+    class Recording(linalg.SparseEchelon):
+        def __init__(self, ncols):
+            built.append(ncols)
+            super().__init__(ncols)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "SparseEchelon", Recording)
+        d, inv = gaussian_inverse(cols)
     assert all(gaussian_combination(cols, column) == {r: (d, 0)} for r, column in enumerate(inv))
-    assert (d, inv) == gaussian_inverse(cols)   # the least d, as the echelon finds it
+    assert gcd(d, *(p for column in inv for v in column.values() for p in v)) == 1
+    return len(built)
+
+
+def _ci_map(n, kind):
+    """The maps of the CI's transport round-trip and dense-basis guards."""
+    if kind == "superdiagonal":   # I + superdiagonal: every pivot but the first repeats
+        rows = [[int(c in (r, r + 1)) for c in range(n)] for r in range(n)]
+    elif kind == "monomial":
+        v = ("1+1i", "1/2-1i", "2i", "-3/2")
+        rows = [[v[c % 4] if r == (5 * c + 1) % n else "0" for c in range(n)] for r in range(n)]
+    elif kind == "triangular":
+        v = ("2", "-1", "1+2i", "1/2")
+        rows = [[v[c % 4] if r == c else "1-1i" if r == c + 1 and c % 2 == 0
+                 else "-1/3" if r == c + 5 and c % 3 == 0 else "0" for c in range(n)] for r in range(n)]
+    else:   # dense: every entry in {1, -1, 2, -2}
+        v = (1, -1, 2, -2)
+        rows = [[v[(n * r + c) ** 3 % 31 % 4] for c in range(n)] for r in range(n)]
+    return Matrix(n, n, [[parse_scalar(str(x)) for x in row] for row in rows])
 
 
 @pytest.mark.parametrize("family,n,alpha", catalog_cases())
-def test_lifts_times_their_triangular_inverse_is_d_times_the_identity(family, n, alpha):
+def test_lifts_times_their_triangular_inverse_is_d_times_the_identity(monkeypatch, family, n, alpha):
+    # the lifts have distinct pivots, so they are inverted by substitution
     a = case_algebra(family, n, alpha)
-    _assert_triangular_inverse(_lift_columns(a))
+    assert _echelons_built(monkeypatch, _lift_columns(a)) == 0
     rng = random.Random("lifts:%s:%d:%s" % (family, n, alpha))
     cols = _lift_columns(change_of_basis(a, dense_rational_move(rng, a.dim)))
     assert not a.products() or cols[0][min(cols[0])] != (1, 0)   # the dense lifts: d_P > 1
-    _assert_triangular_inverse(cols)
+    assert _echelons_built(monkeypatch, cols) == 0
+
+
+@pytest.mark.parametrize("family,n,built", [("N", 41, 0), ("M", 41, 0), ("KF5", 11, 1)])
+def test_closure_words_are_inverted_by_substitution_unless_pivots_repeat(monkeypatch, family, n, built):
+    # N's words include -1 pivots; two of KF5's words pivot on the same row
+    words = [w for _, _, w in generating_words(alg(family, n))]
+    assert _echelons_built(monkeypatch, words) == built
+
+
+@pytest.mark.parametrize("kind,n,built", [("monomial", 42, 0), ("triangular", 42, 0),
+                                          ("superdiagonal", 42, 1), ("dense", 12, 1)])
+def test_ci_maps_take_the_branch_their_pivots_name(monkeypatch, kind, n, built):
+    # the dense map moves M^{1,3+i}(11), dim 12; the others M(41), dim 42
+    p = _ci_map(n, kind)
+    assert _echelons_built(monkeypatch, p.gaussian_columns()[1]) == built
+    if kind == "triangular":
+        assert all(not p.data[r][c] for c in range(n) for r in range(c))   # lower triangular
+        assert all(p.data[c][c] for c in range(n))
+        assert {p.data[c][c] for c in range(n)} >= {Scalar(-1), Scalar(1, 2)}
+        assert sum(1 for c in range(n) if sum(1 for v in p.column(c) if v) > 1) >= n // 2
 
 
 def test_monomial_maps_have_sparse_gaussian_rational_columns():
