@@ -34,20 +34,19 @@ three places that clear Scalars, beside linalg.gaussian_row and
 Matrix.gaussian_columns.  products() and gamma are Scalar views made on
 each read.
 
-Since the tables never change, five results are memoized on the
-algebra: is_leibniz remembers a yes (a no is decided afresh, and
-leibniz_residual then forms every triple, so every caller gets its own
-list), invariants.central_series keeps its immutable SeriesReport (each
-level's sparse integer RREF rows), generating_set keeps the basis indices
-whose left-normed words span L, generating_words the closure words that
-certify them, which cohomology.derivation_space runs along, and
-square_span keeps the one SparseEchelon of L^2, which the closure (on a
+Since the tables never change, each algebra has one memo, which memo()
+alone reads and fills: derive(algebra) is computed once and kept under
+derive.  is_leibniz keeps its decision, a yes or a no (leibniz_residual
+still forms every triple of a no, so every caller gets its own list);
+invariants.central_series its immutable SeriesReport (each level's sparse
+integer RREF rows); generating_words the closure words, which
+cohomology.derivation_space runs along, and generating_set the G read off
+them; square_span the one SparseEchelon of L^2, which the closure (on a
 copy it extends), the central series (as its level L^2) and the
 characteristic-sequence candidates read and never change.  Equality,
-hashing and key() ignore all five slots; they compare the labels, D and
-the table.
-Concurrent use needs no locking: threads that race to fill a slot compute
-and store equal values.
+hashing and key() ignore the memo; they compare the labels, D and the
+table.  Concurrent use needs no locking: threads that race to fill an
+entry compute equal values and all get the first one stored.
 
 The right-Leibniz identity and the derivation identity need checking only
 with their last argument in a generating set G.  In any algebra,
@@ -103,8 +102,7 @@ class NotLeibnizError(ValueError):
 class Algebra:
     """Finite-dimensional algebra over Q(i) given by structure constants."""
 
-    __slots__ = ("dim", "labels", "denominator", "by_left", "by_right", "_leibniz", "_series",
-                 "_generators", "_words", "_square")
+    __slots__ = ("dim", "labels", "denominator", "by_left", "by_right", "_memo")
 
     def __init__(self, labels, gamma):
         """Adapter for a dense table: gamma[(i, j)] = coordinates of [e_i, e_j]."""
@@ -152,11 +150,7 @@ class Algebra:
         self.denominator = d // g
         self.by_left = tuple(by_left)
         self.by_right = tuple(by_right)
-        self._leibniz = False   # memo: the residual was found empty
-        self._series = None     # memo: invariants.central_series
-        self._generators = None  # memo: generating_set
-        self._words = None       # memo: generating_words
-        self._square = None      # memo: square_span
+        self._memo = {}   # derive -> derive(self), filled by memo() alone
 
     @property
     def gamma(self):
@@ -218,6 +212,18 @@ def from_table(labels, table, d):
     return algebra
 
 
+def memo(algebra, derive):
+    """derive(algebra), computed once per algebra and kept in its memo under
+    derive: the one memo of what is derived from the table.  A missing key
+    means not computed, so a false value (a no, an empty echelon, no words)
+    stays kept too.  Racing threads may each compute; all get the first
+    value stored."""
+    try:
+        return algebra._memo[derive]
+    except KeyError:
+        return algebra._memo.setdefault(derive, derive(algebra))
+
+
 # -- bracket -------------------------------------------------------------
 
 def sparse_bracket(algebra, x, y):
@@ -275,13 +281,14 @@ def is_leibniz(algebra):
 
     It asks first_non_derivation about the R_g, g in generating_set, and
     stops at the first that fails; if none does, every R_z is a derivation
-    (see the module docstring).  A yes is memoized on the algebra; a no is
-    decided afresh on each call.
+    (see the module docstring).  The decision, a yes or a no, is memoized
+    on the algebra.
     """
-    if not algebra._leibniz:
-        algebra._leibniz = first_non_derivation(
-            algebra, (algebra.by_right[g] for g in generating_set(algebra))) is None
-    return algebra._leibniz
+    return memo(algebra, _decide_leibniz)
+
+
+def _decide_leibniz(algebra):
+    return first_non_derivation(algebra, (algebra.by_right[g] for g in generating_set(algebra))) is None
 
 
 def first_non_derivation(algebra, maps):
@@ -339,13 +346,14 @@ def generating_set(algebra):
     (the span of all products) and of those picked before; it is kept only
     if the closure of span G under the operators R_g, g in G, is all of L.
     A complement of L^2 always passes for a nilpotent Leibniz algebra; any
-    other algebra may fall back to every index.
+    other algebra may fall back to every index.  G is read off the closure
+    words, the g of those with no parent.
     """
-    generators = algebra._generators
-    if generators is None:
-        _close(algebra)
-        generators = algebra._generators
-    return generators
+    return memo(algebra, _generators)
+
+
+def _generators(algebra):
+    return tuple(g for p, g, _ in generating_words(algebra) if p is None)
 
 
 def generating_words(algebra):
@@ -354,17 +362,12 @@ def generating_words(algebra):
     The first words are the e_g, g in G, with parent None; every later one
     is w = D * [w_parent, e_g], the image that enlarged the closure, with
     parent the position of an earlier word.  When G is every index the
-    words are the e_g alone.  Memoized on the algebra beside G."""
-    words = algebra._words
-    if words is None:
-        _close(algebra)
-        words = algebra._words
-    return words
+    words are the e_g alone.  Memoized on the algebra."""
+    return memo(algebra, _close)
 
 
 def _close(algebra):
-    # the one closure of span G under the R_g: it fills both memos, the
-    # words first, so a reader of _generators finds the words stored
+    # the one closure of span G under the R_g, which returns its words
     n = algebra.dim
     span = square_span(algebra).copy()   # the kept L^2 is shared and must not grow
     generators = tuple(g for g in range(n) if span.add_gaussian({g: (1, 0)}))
@@ -385,8 +388,7 @@ def _close(algebra):
     if len(closure) < n:
         generators = tuple(range(n))
         words = [(None, g, {g: (1, 0)}) for g in generators]
-    algebra._words = tuple((p, g, MappingProxyType(w)) for p, g, w in words)
-    algebra._generators = generators
+    return tuple((p, g, MappingProxyType(w)) for p, g, w in words)
 
 
 def square_span(algebra):
@@ -394,13 +396,14 @@ def square_span(algebra):
     Gaussian-integer products.  Memoized on the algebra and shared by
     generating_set, the central series (as its level L^2) and the
     characteristic-sequence candidates: read it, or add to a copy()."""
-    span = algebra._square
-    if span is None:
-        span = SparseEchelon(algebra.dim)
-        for row in algebra.by_left:
-            for product in row.values():
-                span.add_gaussian(dict(product))
-        algebra._square = span
+    return memo(algebra, _square)
+
+
+def _square(algebra):
+    span = SparseEchelon(algebra.dim)
+    for row in algebra.by_left:
+        for product in row.values():
+            span.add_gaussian(dict(product))
     return span
 
 

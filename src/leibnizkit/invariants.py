@@ -43,6 +43,7 @@ from .core import (
     from_table,
     generating_set,
     is_leibniz,
+    memo,
     operator_columns,
     require_leibniz,
     square_span,
@@ -90,12 +91,10 @@ class SeriesReport(NamedTuple):
 def central_series(algebra):
     """L^1 = L, L^{k+1} = [L^k, L]; stops at zero or at stabilization.
 
-    Computed once per algebra and memoized on it; characteristic_sequence,
+    Computed once per algebra and kept through core.memo; characteristic_sequence,
     natural_graded and fingerprint share the one report.
     """
-    if algebra._series is None:
-        algebra._series = _series(algebra)
-    return algebra._series
+    return memo(algebra, _series)
 
 
 def _series(algebra):
@@ -302,11 +301,9 @@ def _ceiling(n, bound):
 
 
 def p_filiform_class(cs):
-    """p such that the parts read (dim - p, 1, ..., 1); None otherwise."""
-    parts = tuple(cs.parts) if isinstance(cs, CharSeq) else tuple(cs)
-    if not parts:
-        return None
-    if any(p != 1 for p in parts[1:]):
+    """p such that the CharSeq's parts read (dim - p, 1, ..., 1); None otherwise."""
+    parts = cs.parts
+    if not parts or any(p != 1 for p in parts[1:]):
         return None
     return len(parts) - 1
 

@@ -100,6 +100,19 @@ def record_walks(monkeypatch):
     return walks
 
 
+def record_derivations(monkeypatch, module, name):
+    """Records each algebra that the deriver module.name, which core.memo
+    keeps the result of, computes for: a list appended on each computation,
+    so an algebra listed once was derived once and then read from its memo."""
+    derived, derive = [], getattr(module, name)
+
+    def recording(algebra):
+        derived.append(algebra)
+        return derive(algebra)
+    monkeypatch.setattr(module, name, recording)
+    return derived
+
+
 def generator_walk(algebra):
     """The k of the R_g that core.is_leibniz pulls: g in generating_set in
     order, through the first g that the full loop, oracle_residual, finds

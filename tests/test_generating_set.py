@@ -15,10 +15,11 @@ import random
 
 import pytest
 
-from conftest import alg
+from conftest import alg, record_derivations
 
 from oracles import add_row, oracle_derivation_space, oracle_residual
 
+from leibnizkit import core
 from leibnizkit.catalog import FAMILIES
 from leibnizkit.cohomology import derivation_space, is_derivation
 from leibnizkit.core import (
@@ -169,23 +170,27 @@ def test_abelian_and_empty_algebras():
         assert_matches_oracles(a)
 
 
-def test_generating_set_is_memoized_outside_equality_and_hash():
+def test_generating_set_is_memoized_outside_equality_and_hash(monkeypatch):
     a, other = fresh(catalog_algebra("M", 7)), fresh(catalog_algebra("M", 7))
     before = (hash(a), a.key())
+    derived = record_derivations(monkeypatch, core, "_generators")
     generators = generating_set(a)
-    assert generating_set(a) is generators and a._generators is generators
-    assert other._generators is None
+    assert generating_set(a) is generators and len(derived) == 1 and derived[0] is a
     assert a == other and hash(a) == hash(other) == before[0] and a.key() == before[1]
+    assert generating_set(other) == generators and len(derived) == 2 and derived[1] is other
 
 
-def test_closure_words_are_read_only_and_memoized_beside_the_generators():
+def test_closure_words_are_read_only_and_derived_once(monkeypatch):
     a, other = fresh(catalog_algebra("N", 9)), fresh(catalog_algebra("N", 9))
+    closures = record_derivations(monkeypatch, core, "_close")
     words = generating_words(a)
-    assert generating_words(a) is words and a._words is words
+    assert generating_words(a) is words and len(closures) == 1
     with pytest.raises(TypeError):
         words[-1][2][0] = (1, 0)
-    generators = generating_set(other)   # the one closure fills both memos
-    assert other._words == words and other._generators is generators
+    # G is read off the words with no parent, from the one closure
+    generators = generating_set(other)
+    assert generating_words(other) == words and len(closures) == 2 and closures[1] is other
+    assert generators == tuple(g for p, g, _ in words if p is None) and generating_set(other) is generators
 
 
 MUTATION_BASES = [("M", 5, None), ("NGF1", 5, None), ("M1alpha", 5, "1i"), ("M1alpha", 6, "-1"),
