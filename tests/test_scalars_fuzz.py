@@ -77,6 +77,13 @@ def test_scalar_vector_inverts_gaussian_row(case):
 
 
 _nonzero = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0))
+_nonzero_int = st.integers(-4, 4).filter(bool)
+# one draw for each path of add_multiple: unit, minus one, real, pure
+# imaginary and general Gaussian coefficients
+_coefficients = st.one_of(st.just((1, 0)), st.just((-1, 0)),
+                          _nonzero_int.map(lambda a: (a, 0)),
+                          _nonzero_int.map(lambda b: (0, b)),
+                          st.tuples(_nonzero_int, _nonzero_int))
 
 
 @st.composite
@@ -86,7 +93,7 @@ def _accumulations(draw):
     that the sum cancels there."""
     n = draw(st.integers(0, 7))
     indices = st.integers(0, max(n - 1, 0))
-    ar, ai = draw(_nonzero)
+    ar, ai = draw(_coefficients)
     terms = draw(st.dictionaries(indices, _nonzero, max_size=n)) if n else {}
     out = {}
     for c in (draw(st.lists(indices, max_size=n, unique=True)) if n else []):
@@ -108,10 +115,19 @@ def _dense(row, n):
 @example((3, {}, (-2, 0), {0: (1, -1), 2: (0, 3)}))
 @example((3, {1: (2, 2)}, (0, -1), {}))
 @example((3, {0: (1, 2), 2: (-3, 1)}, (0, 1), {0: (-2, 1), 2: (-1, -3)}))   # cancels to {}
+@example((3, {0: (-1, 2), 2: (3, 0)}, (1, 0), {0: (1, -2), 2: (-3, 0)}))    # unit, cancels to {}
+@example((3, {0: (-3, 6), 1: (0, 3)}, (3, 0), {0: (1, -2), 1: (0, -1)}))    # real, cancels to {}
 def test_add_multiple_matches_scalar_arithmetic_and_keeps_no_zero(case):
     n, out, (ar, ai), terms = case
     want = [o + Scalar(ar, ai) * t for o, t in zip(_dense(out, n), _dense(terms, n))]
+    once = dict(out)
     add_multiple(out, ar, ai, terms.items())
     assert _dense(out, n) == want
     assert all(re or im for re, im in out.values())
     assert set(out) == {c for c, v in enumerate(want) if v}
+    assert all(type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is int
+               for v in out.values())
+    # terms as a one-shot iterator: the same sum, so it is walked once
+    add_multiple(once, ar, ai, (t for t in terms.items()))
+    assert once == out
+
