@@ -24,10 +24,10 @@ gaussian_combination.
 
 add_multiple is the one Gaussian multiply-accumulate behind every sparse
 integer loop, here, in core and in cohomology.  Its loop takes one of
-three paths by coefficient, general (ai != 0), real (ai == 0) or unit
-((1, 0)), each with the same arithmetic and one contract: it walks the
-terms once, stores only (re, im) int pairs and deletes each entry that
-cancels, so no sparse map those loops return holds a zero entry.
+two paths by coefficient, general (ai != 0) or real (ai == 0), each with
+the same arithmetic and one contract: it walks the terms once, stores
+only (re, im) int pairs and deletes each entry that cancels, so no
+sparse map those loops return holds a zero entry.
 
 image_chain is the one descending-image loop, behind both the central
 series and every Jordan type.  It is lazy: it yields each level before it
@@ -202,14 +202,12 @@ def add_multiple(out, ar, ai, terms):
     the one Gaussian multiply-accumulate.  With a nonzero coefficient and
     nonzero terms, an out that holds no zero entry keeps holding none.
 
-    The loop takes one of three paths by coefficient, with the same
-    arithmetic: the general one (ai != 0) takes the full complex product,
-    the real one (ai == 0) takes (ar * x, ar * y), and the unit one
-    ((ar, ai) == (1, 0)) adds each term's own pair as it is.  Every path
-    walks terms once, stores only (re, im) tuples of ints and deletes each
-    entry that cancels.  Most term updates have a real coefficient, even
-    in a dense basis: there 72 % are real and 7 % are (1, 0), so the real
-    and unit paths skip most of the products."""
+    The loop takes one of two paths by coefficient, with the same
+    arithmetic: the general one (ai != 0) takes the full complex product
+    and the real one (ai == 0) takes (ar * x, ar * y).  Both walk terms
+    once, store only (re, im) tuples of ints and delete each entry that
+    cancels.  Most term updates have a real coefficient, even in a dense
+    basis, where 72 % are real, so the real path skips half the products."""
     get = out.get
     if ai:
         for c, (x, y) in terms:
@@ -219,18 +217,6 @@ def add_multiple(out, ar, ai, terms):
                 out[c] = (pr, pi)
             else:
                 nr, ni = o[0] + pr, o[1] + pi
-                if nr or ni:
-                    out[c] = (nr, ni)
-                else:
-                    del out[c]
-    elif ar == 1:
-        for c, v in terms:
-            o = get(c)
-            if o is None:
-                out[c] = v
-            else:
-                x, y = v
-                nr, ni = o[0] + x, o[1] + y
                 if nr or ni:
                     out[c] = (nr, ni)
                 else:
@@ -479,11 +465,7 @@ def gaussian_inverse(columns):
     d = lcm(l_r) is the least denominator of M^-1.
     """
     n = len(columns)
-    by_pivot = {}   # stops at the first empty column or repeated pivot
-    for j, col in enumerate(columns):
-        if not col or (r := min(col)) in by_pivot:
-            break
-        by_pivot[r] = j
+    by_pivot = {min(col): j for j, col in enumerate(columns) if col}
     if len(by_pivot) < n:
         ech = SparseEchelon(2 * n)
         for c, col in enumerate(columns):

@@ -78,8 +78,8 @@ def test_scalar_vector_inverts_gaussian_row(case):
 
 _nonzero = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0))
 _nonzero_int = st.integers(-4, 4).filter(bool)
-# one draw for each path of add_multiple: unit, minus one, real, pure
-# imaginary and general Gaussian coefficients
+# add_multiple's real path (one, minus one, any nonzero real) and its
+# general path (pure imaginary and general Gaussian coefficients)
 _coefficients = st.one_of(st.just((1, 0)), st.just((-1, 0)),
                           _nonzero_int.map(lambda a: (a, 0)),
                           _nonzero_int.map(lambda b: (0, b)),
@@ -115,7 +115,7 @@ def _dense(row, n):
 @example((3, {}, (-2, 0), {0: (1, -1), 2: (0, 3)}))
 @example((3, {1: (2, 2)}, (0, -1), {}))
 @example((3, {0: (1, 2), 2: (-3, 1)}, (0, 1), {0: (-2, 1), 2: (-1, -3)}))   # cancels to {}
-@example((3, {0: (-1, 2), 2: (3, 0)}, (1, 0), {0: (1, -2), 2: (-3, 0)}))    # unit, cancels to {}
+@example((3, {0: (-1, 2), 2: (3, 0)}, (1, 0), {0: (1, -2), 2: (-3, 0)}))    # one, cancels to {}
 @example((3, {0: (-3, 6), 1: (0, 3)}, (3, 0), {0: (1, -2), 1: (0, -1)}))    # real, cancels to {}
 def test_add_multiple_matches_scalar_arithmetic_and_keeps_no_zero(case):
     n, out, (ar, ai), terms = case
