@@ -3,7 +3,7 @@ structure constants: identity checking, nilpotency invariants, characteristic
 sequences, Z-gradations of maximum length, derivations and first cohomology,
 plus a catalog of named algebra families and a batch CLI."""
 
-from .catalog import FAMILIES, FamilyError, FamilySpec, admissible_param_check, build
+from .catalog import FAMILIES, FamilyError, FamilySpec, build
 from .cohomology import (
     DerivationSpace,
     derivation_space,
@@ -42,7 +42,7 @@ from .invariants import (
     p_filiform_class,
     right_annihilator,
 )
-from .iso import CertificateReport, IsoCertificate, compare_fingerprints, verify_certificate
+from .iso import CertificateReport, IsoCertificate, verify_certificate
 from .linalg import (
     Matrix,
     NotNilpotentError,

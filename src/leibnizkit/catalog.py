@@ -14,7 +14,7 @@ does.
 
 from __future__ import annotations
 
-from .core import from_terms, leibniz_residual
+from .core import from_terms
 from .scalars import ONE, ZERO, Echo, as_scalar
 
 
@@ -69,11 +69,6 @@ def build(spec):
     builder, least, odd = _FAMILY_TABLE[spec.family]
     _check_range(spec, least, odd)
     return builder(spec)
-
-
-def admissible_param_check(spec):
-    """Leibniz residual of the built algebra; empty iff params admissible."""
-    return leibniz_residual(build(spec))
 
 
 # -- individual laws -------------------------------------------------------

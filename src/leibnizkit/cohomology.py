@@ -41,8 +41,9 @@ Both the Der and the Inn rows are read off the algebra's Gaussian-integer
 table and eliminated without a Scalar.  A DerivationSpace keeps its basis
 as those sparse integer rows; its basis Matrices are built only when
 basis is read, each taking its Scalar rows as they are (linalg's
-Matrix._of_scalars), with no second per-entry check.  So dimensions, H^1
-and the dump of the cli's der verb build no Matrix.
+Matrix._of_scalars), with no second per-entry check.  So dimensions, H^1,
+the dump of the cli's der verb and the weight split
+(gradations.graded_derivation_split, which reads the rows) build no Matrix.
 """
 
 from __future__ import annotations

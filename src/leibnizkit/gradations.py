@@ -16,6 +16,8 @@ first offset the bound allows.
 
 A weight assignment puts basis vector k in the component V_{w[k]}; the
 gradation is valid when every product [e_i, e_j] lands in V_{w[i]+w[j]}.
+graded_derivation_split splits a cohomology.DerivationSpace along it: it
+reads the space's sparse Gaussian-integer rows, so it builds no Matrix.
 """
 
 from __future__ import annotations
@@ -293,34 +295,42 @@ def _search_interval(triggers, d, a):
         vi += 1
 
 
-def graded_derivation_split(algebra, assignment, der_basis):
-    """Split Der(L) along a valid gradation: dim of each weight component.
+def graded_derivation_split(algebra, assignment, der):
+    """Split a space of derivations along a valid gradation: dim of each
+    weight component.
 
-    assignment is a WeightAssignment; matrix entry (r, c) carries weight
-    w[r] - w[c].  The derivation identity is homogeneous for a valid
-    gradation, so every weight component of a derivation is a derivation;
-    only the der_basis input is checked.
+    assignment is a WeightAssignment and der a cohomology.DerivationSpace
+    (Der, Inn, or one built by hand); entry (r, c) of a derivation, at
+    index r * n + c of its row, carries weight w[r] - w[c].  The derivation
+    identity is homogeneous for a valid gradation, so every weight component
+    of a derivation is a derivation; only der's rows are checked, by
+    core.first_non_derivation on their columns.  Each row's integer terms go
+    by weight into one SparseEchelon per weight, with no Matrix or Scalar.
     Returns {weight: dim W_weight}, W_weight the span of the weight
-    components of der_basis.  The dims sum to the dimension of the
-    smallest graded subspace that contains the span of der_basis, which is
-    dim Der(L) when der_basis spans Der(L), but may exceed the dimension of
-    the span itself: d1 + d2 with d1, d2 of two weights gives 1 + 1.
+    components of der's rows.  The dims sum to the dimension of the
+    smallest graded subspace that contains der's span, which is dim Der(L)
+    when der is Der(L), but may exceed der.dim: d1 + d2 with d1, d2 of two
+    weights gives 1 + 1.
     """
     if not verify_gradation(algebra, assignment).valid:
         raise ValueError("weight assignment is not a gradation for this algebra")
-    w = assignment.weights
-    n = algebra.dim
-    cleared = [m.gaussian_columns()[1] for m in der_basis]   # the columns of d_m * m
-    if first_non_derivation(algebra, ({c: col.items() for c, col in enumerate(cols)}
-                                      for cols in cleared)) is not None:
-        raise ValueError("der_basis contains a matrix violating the derivation identity")
+    n, w = der.n, assignment.weights
+    if n != algebra.dim:
+        raise ValueError("derivations of size %d, algebra dim is %d" % (n, algebra.dim))
+    columns, components = [], []   # per row: its entries by column and by weight
+    for _, terms in der.rows:
+        by_column, by_weight = {}, {}
+        for index, v in terms:
+            r, c = divmod(index, n)
+            by_column.setdefault(c, []).append((r, v))
+            by_weight.setdefault(w[r] - w[c], {})[index] = v
+        columns.append(by_column)
+        components.append(by_weight)
+    if first_non_derivation(algebra, columns) is not None:
+        raise ValueError("der contains a row violating the derivation identity")
     spans = {}
-    for cols in cleared:
-        components = {}  # weight -> {flat index r * n + c: (re, im)}, d_m times m's
-        for c, column in enumerate(cols):
-            for r, v in column.items():
-                components.setdefault(w[r] - w[c], {})[r * n + c] = v
-        for weight, comp in components.items():
+    for by_weight in components:
+        for weight, comp in by_weight.items():
             spans.setdefault(weight, SparseEchelon(n * n)).add_gaussian(comp)
     return {weight: len(span) for weight, span in sorted(spans.items())}
 

@@ -2,15 +2,15 @@
 
 verify_certificate is sound and complete for a given linear map; it never
 searches, and it stays independent of core.change_of_basis.
-compare_fingerprints is sound for non-isomorphism only: a distinguished
-field proves the algebras are not isomorphic, while "inconclusive" proves
-nothing.
+first_difference, on the invariants.fingerprint of two algebras, is sound
+for non-isomorphism only: a distinguished field proves the algebras are not
+isomorphic, while "inconclusive" (None) proves nothing.
 """
 
 from __future__ import annotations
 
 from .core import FormatError, decode_json, from_json_dict, read_text, sparse_bracket
-from .invariants import Fingerprint, fingerprint
+from .invariants import Fingerprint
 from .linalg import Matrix, SparseEchelon, gaussian_combination
 from .scalars import ScalarParseError, parse_scalar
 
@@ -72,12 +72,6 @@ def verify_certificate(cert):
                 reason = "bracket mismatch at (%s, %s)" % (a.labels[i], a.labels[j])
                 return CertificateReport(False, reason, pair=(i, j))
     return CertificateReport(True)
-
-
-def compare_fingerprints(a, b, trials=20, seed=1):
-    """Name of the first differing fingerprint field, or None (inconclusive)."""
-    return first_difference(fingerprint(a, trials=trials, seed=seed),
-                            fingerprint(b, trials=trials, seed=seed))
 
 
 def first_difference(fa, fb):

@@ -104,9 +104,6 @@ class Matrix:
     def column(self, c):
         return [self.data[r][c] for r in range(self.rows)]
 
-    def is_zero(self):
-        return all(not v for row in self.data for v in row)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -167,12 +164,6 @@ class Matrix:
 
 
 # -- vectors (plain lists of Scalars) -----------------------------------
-
-def basis_vec(n, i):
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
-
 
 def as_vector(seq, n=None):
     v = [as_scalar(x) for x in seq]

@@ -75,7 +75,9 @@ def _reduced(a, b, d):
 class Scalar:
     """(a + b*i)/d in Q(i): three ints, d > 0 and gcd(a, b, d) == 1.
 
-    Scalar(re, im) takes ints or Fractions; re and im are reduced Fractions.
+    Scalar(re, im) takes ints or Fractions, as as_scalar does: anything
+    else (a float, a str) raises TypeError rather than being rounded or
+    parsed.  re and im are reduced Fractions.
     """
 
     __slots__ = ("a", "b", "d")
@@ -83,6 +85,9 @@ class Scalar:
     def __init__(self, re=0, im=0):
         d = 1
         if type(re) is not int or type(im) is not int:
+            for part in (re, im):
+                if not isinstance(part, (int, Fraction)):
+                    raise TypeError("cannot interpret %r as a scalar part" % (Echo(part),))
             re, im = Fraction(re), Fraction(im)
             d = lcm(re.denominator, im.denominator)  # canonical for reduced parts
             re, im = int(re * d), int(im * d)

@@ -43,7 +43,11 @@ runs core.transport on Gaussian-integer columns.
 add_row and in_span hand a sparse row of Scalars to a SparseEchelon, which
 takes Gaussian-integer rows only, through linalg.gaussian_row.  dense_vec
 places the Scalars of an {index: Scalar} map in a dense vector, without
-linalg.scalar_vector's read-out of integer rows.
+linalg.scalar_vector's read-out of integer rows; unit is the dense basis
+vector e_i.  oracle_graded_derivation_split is the weight split of Der
+on its basis Matrices, each weight's components ranked by dense
+elimination, where gradations.graded_derivation_split splits the sparse
+integer rows of a DerivationSpace into one SparseEchelon per weight.
 """
 
 import random
@@ -67,7 +71,6 @@ from leibnizkit.linalg import (
     NotNilpotentError,
     SingularMatrixError,
     SparseEchelon,
-    basis_vec,
     gaussian_combination,
     gaussian_row,
     image_chain,
@@ -126,6 +129,13 @@ class OracleQi:
         return "OracleQi(%s, %s)" % (self.re, self.im)
 
 
+def unit(n, i):
+    """The basis vector e_i of Q(i)^n, a dense list of Scalars."""
+    v = [ZERO] * n
+    v[i] = ONE
+    return v
+
+
 def dense_vec(terms, n):
     """Dense length-n vector from an {index: entry} map."""
     out = [ZERO] * n
@@ -166,6 +176,22 @@ def oracle_matrix_rank(m):
     return oracle_rank(m.data)
 
 
+def oracle_graded_derivation_split(assignment, matrices):
+    """{weight: dim} of the span of the weight components of n x n
+    Matrices, entry (r, c) of weight w[r] - w[c], sorted by weight."""
+    w = assignment.weights
+    parts = {}
+    for m in matrices:
+        components = {}
+        for r, row in enumerate(m.data):
+            for c, v in enumerate(row):
+                if v:
+                    components.setdefault(w[r] - w[c], {})[r * m.cols + c] = v
+        for weight, comp in components.items():
+            parts.setdefault(weight, []).append(dense_vec(comp, m.rows * m.cols))
+    return {weight: oracle_rank(rows) for weight, rows in sorted(parts.items())}
+
+
 def mul_vec(m, vec):
     """The product of a Matrix and a dense vector, entry by entry on Scalars."""
     if len(vec) != m.cols:
@@ -187,7 +213,7 @@ def inverse(m):
     if m.rows != m.cols:
         raise SingularMatrixError("only square matrices can be inverted")
     n = m.rows
-    aug = [list(row) + basis_vec(n, r) for r, row in enumerate(m.data)]
+    aug = [list(row) + unit(n, r) for r, row in enumerate(m.data)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
@@ -261,13 +287,13 @@ def oracle_residual_by_definition(algebra):
 def oracle_series_dims(algebra):
     """Dimensions of the descending central sequence by brute-force spans."""
     n = algebra.dim
-    current = [basis_vec(n, i) for i in range(n)]
+    current = [unit(n, i) for i in range(n)]
     dims = [n]
     while True:
         products = []
         for u in current:
             for j in range(n):
-                products.append(bracket(algebra, u, basis_vec(n, j)))
+                products.append(bracket(algebra, u, unit(n, j)))
         d = oracle_rank(products) if products else 0
         if d == 0 or d == dims[-1]:
             return tuple(dims) if d == 0 else tuple(dims) + ("stuck",)
@@ -300,8 +326,8 @@ def oracle_der_dim(algebra):
             for i in range(n):
                 for j in range(n):
                     lhs = mul_vec(e, list(gamma.get((i, j), zero)))
-                    t1 = bracket(algebra, ecols[i], basis_vec(n, j))
-                    t2 = bracket(algebra, basis_vec(n, i), ecols[j])
+                    t1 = bracket(algebra, ecols[i], unit(n, j))
+                    t2 = bracket(algebra, unit(n, i), ecols[j])
                     resid.extend(a - b - d for a, b, d in zip(lhs, t1, t2))
             cols.append(resid)
     rows = [[cols[c][r] for c in range(len(cols))] for r in range(len(cols[0]))]
@@ -313,7 +339,7 @@ def oracle_inner_dim(algebra):
     from leibnizkit.core import right_operator
 
     n = algebra.dim
-    rows = [right_operator(algebra, basis_vec(n, i)).flat() for i in range(n)]
+    rows = [right_operator(algebra, unit(n, i)).flat() for i in range(n)]
     return oracle_rank(rows)
 
 
@@ -448,7 +474,7 @@ def oracle_right_type(algebra, x):
     """Jordan type of R_x, x a sparse {index: Scalar} map, from its columns
     [e_c, x] summed on Scalars."""
     n = algebra.dim
-    cols = [oracle_bracket(algebra, basis_vec(n, c), dense_vec(x, n)) for c in range(n)]
+    cols = [oracle_bracket(algebra, unit(n, c), dense_vec(x, n)) for c in range(n)]
     return nilpotent_partition(Matrix(n, n, [[col[r] for col in cols] for r in range(n)]))
 
 
@@ -707,13 +733,13 @@ def oracle_word_relations(algebra):
     maps = []   # per unknown: (d of each word, d of each basis vector)
     for j in range(n * m):
         r, s = divmod(j, m)
-        d_gen = {g: (basis_vec(n, r) if t == s else zero) for t, g in enumerate(generators)}
+        d_gen = {g: (unit(n, r) if t == s else zero) for t, g in enumerate(generators)}
         d_words = []
         for p, g, _ in words:
             if p is None:
                 d_words.append(d_gen[g])
                 continue
-            a = oracle_bracket(algebra, d_words[p], basis_vec(n, g))
+            a = oracle_bracket(algebra, d_words[p], unit(n, g))
             b = oracle_bracket(algebra, w_vecs[p], d_gen[g])
             d_words.append([big_d * (x + y) for x, y in zip(a, b)])
         d_basis = [[sum((d_words[k][c] * w_inv.data[k][i] for k in range(n)), ZERO) for c in range(n)]
@@ -722,11 +748,11 @@ def oracle_word_relations(algebra):
     relations = {}
     for k, w in enumerate(w_vecs):
         for g in generators:
-            wg = oracle_bracket(algebra, w, basis_vec(n, g))
+            wg = oracle_bracket(algebra, w, unit(n, g))
             values = []   # per unknown, E(w_k, g) as a dense vector
             for d_words, d_basis in maps:
                 d_wg = [sum((d_basis[i][c] * x for i, x in enumerate(wg) if x), ZERO) for c in range(n)]
-                a = oracle_bracket(algebra, d_words[k], basis_vec(n, g))
+                a = oracle_bracket(algebra, d_words[k], unit(n, g))
                 b = oracle_bracket(algebra, w, d_basis[g])
                 values.append([x - y - z for x, y, z in zip(d_wg, a, b)])
             forms = [[v[c] for v in values] for c in range(n)]

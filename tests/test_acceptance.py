@@ -326,7 +326,7 @@ def test_criterion_8_graded_split_recombination():
     a = alg("M", 7)
     w = WeightAssignment(list(range(1, 6)) + [-1, 0, 6])
     der = cached_der(a)
-    split = graded_derivation_split(a, w, der.basis)
+    split = graded_derivation_split(a, w, der)
     assert sum(split.values()) == der.dim
     for _ in range(100):
         m = Matrix.zero(8, 8)

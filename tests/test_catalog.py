@@ -8,7 +8,6 @@ from leibnizkit.catalog import (
     FAMILIES,
     FamilyError,
     FamilySpec,
-    admissible_param_check,
     build,
     param_names,
 )
@@ -116,17 +115,17 @@ def test_zero_param_catalog_is_leibniz():
 
 
 def test_admissible_kf4_zero_params():
-    assert admissible_param_check(FamilySpec("KF4", 9)) == []
+    assert leibniz_residual(build(FamilySpec("KF4", 9))) == []
 
 
 def test_admissible_m1alpha_any_alpha():
-    assert admissible_param_check(FamilySpec("M1alpha", 8, {"alpha": parse_scalar("5/3")})) == []
+    assert leibniz_residual(build(FamilySpec("M1alpha", 8, {"alpha": parse_scalar("5/3")}))) == []
 
 
 def test_inadmissible_kf5_beta3():
     # located by scanning single nonzero parameters: beta_3 = 1 breaks the
     # identity on (e8, e1, e8) at n = 9
-    res = admissible_param_check(FamilySpec("KF5", 9, {"beta_3": Scalar(1)}))
+    res = leibniz_residual(build(FamilySpec("KF5", 9, {"beta_3": Scalar(1)})))
     assert res
     a = build(FamilySpec("KF5", 9, {"beta_3": Scalar(1)}))
     triples = {(a.labels[i], a.labels[j], a.labels[k]) for (i, j, k, _v) in res}
@@ -136,7 +135,7 @@ def test_inadmissible_kf5_beta3():
 def test_admissible_top_coefficient_params():
     # the top-weight coefficients are unconstrained by the identity
     spec = FamilySpec("KF4", 9, {"alpha_7": Scalar(2), "beta_7": Scalar(1, 1), "gamma_7": Scalar(-3)})
-    assert admissible_param_check(spec) == []
+    assert leibniz_residual(build(spec)) == []
 
 
 def test_unknown_param_rejected():

@@ -315,7 +315,7 @@ def test_fingerprint_compare(m7_file, tmp_path):
 
 
 def test_fingerprint_compare_computes_each_fingerprint_once(m7_file, tmp_path, monkeypatch):
-    from leibnizkit import invariants, iso
+    from leibnizkit import invariants
 
     calls = []
     original = invariants.fingerprint
@@ -325,7 +325,6 @@ def test_fingerprint_compare_computes_each_fingerprint_once(m7_file, tmp_path, m
         return original(algebra, **kwargs)
 
     monkeypatch.setattr(invariants, "fingerprint", counted)
-    monkeypatch.setattr(iso, "fingerprint", counted)
     other = tmp_path / "m11.json"
     core.save(alg("M1alpha", 7, alpha=1), other)
     code, out = run_cli("fingerprint", m7_file, str(other))

@@ -14,7 +14,7 @@ from conftest import (
     random_vector,
 )
 
-from oracles import mul_vec, oracle_der_dim, oracle_inner_dim, oracle_inner_outside_der, oracle_is_derivation
+from oracles import mul_vec, oracle_der_dim, oracle_inner_dim, oracle_inner_outside_der, oracle_is_derivation, unit
 
 from leibnizkit import NotLeibnizError
 from leibnizkit.cohomology import (
@@ -25,7 +25,7 @@ from leibnizkit.cohomology import (
 )
 from leibnizkit.core import change_of_basis, right_operator
 from leibnizkit.invariants import fingerprint, right_annihilator
-from leibnizkit.linalg import Matrix, basis_vec, span_echelon
+from leibnizkit.linalg import Matrix, span_echelon
 from leibnizkit.scalars import Scalar, from_gaussian
 
 
@@ -109,8 +109,8 @@ def test_inner_m7_spanned_by_two_right_operators():
     inn = cached_inn(m7)
     assert inn.dim == 2 == oracle_inner_dim(m7)
     # and the span is exactly <R_{y1}, R_{y6}>
-    r1 = right_operator(m7, basis_vec(8, 0)).flat()
-    r6 = right_operator(m7, basis_vec(8, 5)).flat()
+    r1 = right_operator(m7, unit(8, 0)).flat()
+    r6 = right_operator(m7, unit(8, 5)).flat()
     expected = span_echelon([r1, r6], 64)
     got = span_echelon([m.flat() for m in inn.basis], 64)
     assert expected.basis_rows() == got.basis_rows()

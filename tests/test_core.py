@@ -15,7 +15,7 @@ from conftest import (
     random_vector,
     zero_vec,
 )
-from oracles import inverse, mul_vec, oracle_bracket, oracle_residual_by_definition
+from oracles import inverse, mul_vec, oracle_bracket, oracle_residual_by_definition, unit
 
 from leibnizkit.catalog import FamilySpec, build
 from leibnizkit.core import (
@@ -40,33 +40,28 @@ from leibnizkit.invariants import natural_graded
 from leibnizkit.linalg import (
     Matrix,
     SingularMatrixError,
-    basis_vec,
     gaussian_combination,
     span_echelon,
 )
 from leibnizkit.scalars import Scalar
 
 
-def e(n, i):
-    return basis_vec(n, i)
-
-
 def test_bracket_m7_chain():
     m7 = alg("M", 7)
-    y1 = e(8, 0)
-    assert bracket(m7, y1, y1) == e(8, 1)          # [y1, y1] = y2
+    y1 = unit(8, 0)
+    assert bracket(m7, y1, y1) == unit(8, 1)          # [y1, y1] = y2
 
 
 def test_bracket_right_zero():
     m7 = alg("M", 7)
-    assert bracket(m7, e(8, 0), zero_vec(8)) == zero_vec(8)
+    assert bracket(m7, unit(8, 0), zero_vec(8)) == zero_vec(8)
 
 
 def test_bracket_l1_mixed_argument():
     # [e1 + f2, e1] = [e1, e1] = e2 since f2 never multiplies e1 from the left
     l1 = alg("L1", 7)
-    x = [a + b for a, b in zip(e(7, 0), e(7, l1.index("f2")))]
-    assert bracket(l1, x, e(7, 0)) == e(7, 1)
+    x = [a + b for a, b in zip(unit(7, 0), unit(7, l1.index("f2")))]
+    assert bracket(l1, x, unit(7, 0)) == unit(7, 1)
 
 
 def test_bracket_bilinearity_randomized(rng):
@@ -178,19 +173,19 @@ def test_integer_residual_matches_oracle_on_dense_conjugates():
 
 def test_right_operator_of_top_vector_is_zero():
     m7 = alg("M", 7)
-    assert right_operator(m7, e(8, 6)).is_zero()      # y_n never on the right
+    assert right_operator(m7, unit(8, 6)) == Matrix.zero(8)      # y_n never on the right
 
 
 def test_right_operator_linear_in_x():
     m7 = alg("M", 7)
-    assert right_operator(m7, zero_vec(8)).is_zero()
+    assert right_operator(m7, zero_vec(8)) == Matrix.zero(8)
 
 
 def test_right_operator_l1_image():
     l1 = alg("L1", 7)
-    op = right_operator(l1, e(7, 0))
+    op = right_operator(l1, unit(7, 0))
     image = span_echelon([op.column(c) for c in range(7)], 7)
-    expected = span_echelon([e(7, 1), e(7, 2), e(7, 3)], 7)
+    expected = span_echelon([unit(7, 1), unit(7, 2), unit(7, 3)], 7)
     assert len(image) == 3
     assert image.basis_rows() == expected.basis_rows()
 
@@ -298,7 +293,7 @@ def test_json_golden_m7():
 
 def test_json_omitted_products_are_zero():
     a = loads('{"dim": 2, "basis": ["a", "b"], "products": []}')
-    assert bracket(a, basis_vec(2, 0), basis_vec(2, 1)) == zero_vec(2)
+    assert bracket(a, unit(2, 0), unit(2, 1)) == zero_vec(2)
 
 
 @pytest.mark.parametrize("doc,fragment", [

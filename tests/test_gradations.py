@@ -4,11 +4,12 @@ import tracemalloc
 
 import pytest
 
-from conftest import DATA, alg, cached_der, case_algebra
-from oracles import oracle_diagonal_gradation
+from conftest import DATA, alg, cached_der, cached_inn, case_algebra
+from oracles import oracle_diagonal_gradation, oracle_graded_derivation_split
 
 from leibnizkit import gradations
 from leibnizkit.catalog import FAMILIES, FamilySpec, build
+from leibnizkit.cohomology import DerivationSpace
 from leibnizkit.core import FormatError, from_terms
 from leibnizkit.gradations import (
     WeightAssignment,
@@ -25,6 +26,17 @@ from leibnizkit.scalars import Scalar
 def m_known_weights(n):
     # y_i -> i for i <= n-2, y_{n-1} -> -1, y_n -> 0, z_1 -> n-1
     return WeightAssignment(list(range(1, n - 1)) + [-1, 0, n - 1])
+
+
+def space_of(*matrices):
+    """A DerivationSpace built by hand: each n x n Matrix m as the row of
+    d_m * m's entries at r * n + c, d_m the lcm of its denominators."""
+    n = matrices[0].rows
+    rows = []
+    for m in matrices:
+        d, cols = m.gaussian_columns()
+        rows.append((d, tuple(sorted((r * n + c, v) for c, col in enumerate(cols) for r, v in col.items()))))
+    return DerivationSpace(n, rows)
 
 
 def test_verify_m7_known_certificate():
@@ -148,21 +160,21 @@ def test_search_interval_cannot_fit():
 def test_split_abelian_plane():
     a = alg("abelian", 2)
     der = cached_der(a)
-    split = graded_derivation_split(a, WeightAssignment([1, 2]), der.basis)
+    split = graded_derivation_split(a, WeightAssignment([1, 2]), der)
     assert split == {-1: 1, 0: 2, 1: 1}
     assert sum(split.values()) == 4
 
 
 def test_split_m7_sums_to_der_dim():
     a = alg("M", 7)
-    split = graded_derivation_split(a, m_known_weights(7), cached_der(a).basis)
+    split = graded_derivation_split(a, m_known_weights(7), cached_der(a))
     assert sum(split.values()) == 13
 
 
 def test_split_n7_sums_to_der_dim():
     a = alg("N", 7)
     w = search_diagonal_gradation(a)
-    split = graded_derivation_split(a, w, cached_der(a).basis)
+    split = graded_derivation_split(a, w, cached_der(a))
     assert sum(split.values()) == 16
 
 
@@ -178,8 +190,8 @@ def test_split_counts_the_graded_hull_not_the_span():
 
     d1, d2 = ([m for m in cached_der(a).basis if weights(m) == {k}][0] for k in (3, 4))
     assert rank(Matrix(1, 64, [(d1 + d2).flat()])) == 1
-    assert graded_derivation_split(a, w, [d1 + d2]) == {3: 1, 4: 1}
-    assert graded_derivation_split(a, w, [d1, d2, d1 + d2]) == {3: 1, 4: 1}
+    assert graded_derivation_split(a, w, space_of(d1 + d2)) == {3: 1, 4: 1}
+    assert graded_derivation_split(a, w, space_of(d1, d2, d1 + d2)) == {3: 1, 4: 1}
 
 
 def test_split_components_recombine(rng):
@@ -208,17 +220,54 @@ def test_split_components_recombine(rng):
 def test_split_rejects_invalid_gradation():
     a = alg("M", 7)
     with pytest.raises(ValueError):
-        graded_derivation_split(a, WeightAssignment([1] * 7 + [2]), cached_der(a).basis)
+        graded_derivation_split(a, WeightAssignment([1] * 7 + [2]), cached_der(a))
 
 
 def test_split_rejects_non_derivation():
     a = alg("M", 7)
     bad = Matrix.zero(8, 8)
     bad.data[0][1] = Scalar(1)
-    ok = graded_derivation_split(a, m_known_weights(7), cached_der(a).basis)
+    ok = graded_derivation_split(a, m_known_weights(7), cached_der(a))
     with pytest.raises(ValueError):
-        graded_derivation_split(a, m_known_weights(7), [bad])
+        graded_derivation_split(a, m_known_weights(7), space_of(bad))
+    with pytest.raises(ValueError):   # the bad row after two good ones
+        graded_derivation_split(a, m_known_weights(7), space_of(*cached_der(a).basis[:2], bad))
     assert sum(ok.values()) == 13
+
+
+def test_split_rejects_a_space_of_another_size():
+    a = alg("M", 7)
+    with pytest.raises(ValueError):
+        graded_derivation_split(a, m_known_weights(7), cached_der(alg("M", 9)))
+    with pytest.raises(ValueError):
+        graded_derivation_split(a, m_known_weights(7), DerivationSpace(7, ()))
+
+
+@pytest.mark.parametrize("family, n, alpha", [
+    (family, n, alpha) for n in (7, 9, 11)
+    for family, alpha in (("M", None), ("M1alpha", "1"), ("M1alpha", "-1"), ("M1alpha", "1i"),
+                          ("N", None), ("nullfiliform-ml", None))])
+def test_split_of_der_and_inn_is_the_matrix_oracle(family, n, alpha):
+    a = case_algebra(family, n, alpha)
+    w = search_diagonal_gradation(a)
+    assert verify_gradation(a, w).maximum_length
+    for space in (cached_der(a), cached_inn(a)):
+        split = graded_derivation_split(a, w, space)
+        assert split == oracle_graded_derivation_split(w, space.basis)
+        assert sum(split.values()) == space.dim   # Der and Inn are graded
+
+
+def test_split_of_abelian_under_random_weights_is_the_matrix_oracle():
+    rng = random.Random(31)
+    for n in (1, 2, 3, 4, 5):
+        a = alg("abelian", n)
+        der = cached_der(a)
+        for _ in range(4):
+            w = WeightAssignment([rng.randint(-3, 3) for _ in range(n)])
+            split = graded_derivation_split(a, w, der)
+            assert split == oracle_graded_derivation_split(w, der.basis)
+            assert sum(split.values()) == n * n
+            assert graded_derivation_split(a, w, cached_inn(a)) == {}
 
 
 def test_weights_file_round_trip():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import DATA, alg, case_algebra, catalog_cases, mutated_m7, random_invertible
 
-from oracles import in_span, oracle_partition, oracle_rank, oracle_series_dims
+from oracles import in_span, oracle_partition, oracle_rank, oracle_series_dims, unit
 
 from leibnizkit import NotLeibnizError, invariants, linalg
 from leibnizkit.core import (
@@ -28,7 +28,6 @@ from leibnizkit.invariants import (
 )
 from leibnizkit.linalg import (
     NotNilpotentError,
-    basis_vec,
     image_chain,
     jordan_type,
     nilpotent_partition,
@@ -50,7 +49,7 @@ def test_series_abelian():
     assert s.dims == (3,)
     assert s.nilindex == 1
     assert len(s.subspace_bases[0]) == 3
-    assert characteristic_sequence(a) == CharSeq((1, 1, 1), tuple(basis_vec(3, 0)))
+    assert characteristic_sequence(a) == CharSeq((1, 1, 1), tuple(unit(3, 0)))
 
 
 def test_series_m7_against_brute_force():
@@ -99,7 +98,7 @@ def test_right_annihilator_l1_membership():
     rann = right_annihilator(l1)
     assert len(rann) == 5
     for label in ("e2", "e3", "e4", "f3"):
-        assert _contains(rann, 7, basis_vec(7, l1.index(label)))
+        assert _contains(rann, 7, unit(7, l1.index(label)))
 
 
 def test_right_annihilator_m7_dim():
@@ -110,7 +109,7 @@ def test_right_annihilator_m7_dim():
 
     rows = []
     for i in range(8):
-        rows.extend(left_operator(m7, basis_vec(8, i)).data)
+        rows.extend(left_operator(m7, unit(8, i)).data)
     assert len(rann) == 8 - oracle_rank(rows) == 6
 
 
@@ -120,14 +119,14 @@ def test_center_abelian_is_everything():
 
 def test_center_l1_contains_top_vector():
     l1 = alg("L1", 7)
-    assert _contains(center(l1), 7, basis_vec(7, l1.index("e4")))   # e_{n-3}
+    assert _contains(center(l1), 7, unit(7, l1.index("e4")))   # e_{n-3}
 
 
 def test_center_m7_membership():
     m7 = alg("M", 7)
     c = center(m7)
-    assert _contains(c, 8, basis_vec(8, m7.index("y7")))            # y_n
-    assert _contains(c, 8, basis_vec(8, m7.index("y5")))            # y_{n-2}
+    assert _contains(c, 8, unit(8, m7.index("y7")))            # y_n
+    assert _contains(c, 8, unit(8, m7.index("y5")))            # y_{n-2}
     assert len(c) == 2
 
 
@@ -137,16 +136,16 @@ def test_annihilator_and_center_are_ideals(rng):
         span = span_echelon(vectors, 8)
         for v in vectors:
             for j in range(8):
-                w = bracket(m7, v, basis_vec(8, j))
+                w = bracket(m7, v, unit(8, j))
                 assert in_span(span, sparse_vec(w)), name
-                w = bracket(m7, basis_vec(8, j), v)
+                w = bracket(m7, unit(8, j), v)
                 assert in_span(span, sparse_vec(w)), name
 
 
 def test_charseq_m7():
     cs = characteristic_sequence(alg("M", 7))
     assert cs.parts == (5, 1, 1, 1)                       # (n-2, 1, 1, 1): 3-filiform
-    assert list(cs.witness) == basis_vec(8, 0)            # witnessed by y1
+    assert list(cs.witness) == unit(8, 0)            # witnessed by y1
 
 
 def test_charseq_abelian():

@@ -5,7 +5,7 @@ from math import gcd, lcm
 import pytest
 
 from conftest import alg, random_invertible
-from oracles import OracleEchelon, add_row, in_span, inverse, oracle_matrix_rank, oracle_partition, oracle_rank
+from oracles import OracleEchelon, add_row, in_span, inverse, oracle_matrix_rank, oracle_partition, oracle_rank, unit
 
 from leibnizkit.core import right_operator
 from leibnizkit.linalg import (
@@ -13,7 +13,6 @@ from leibnizkit.linalg import (
     NotNilpotentError,
     SingularMatrixError,
     SparseEchelon,
-    basis_vec,
     gaussian_inverse,
     image_chain,
     jordan_type,
@@ -33,7 +32,7 @@ def test_rank_right_operator_of_m7():
     # R_{y1} of M(7): the chain hits y2..y5 only, so the rank is 4; the
     # product [y1, y6] = y7 belongs to R_{y6}, not to R_{y1}
     m7 = alg("M", 7)
-    op = right_operator(m7, basis_vec(8, 0))
+    op = right_operator(m7, unit(8, 0))
     assert oracle_matrix_rank(op) == 4
     assert rank(op) == 4
 
@@ -78,7 +77,7 @@ def test_partition_single_jordan_block():
 def test_partition_right_operator_of_m7():
     # fixed by the rank-chain oracle: ranks of powers are 8,4,3,2,1,0
     m7 = alg("M", 7)
-    op = right_operator(m7, basis_vec(8, 0))
+    op = right_operator(m7, unit(8, 0))
     assert oracle_partition(op) == (5, 1, 1, 1)
     assert nilpotent_partition(op) == (5, 1, 1, 1)
 

@@ -161,6 +161,15 @@ def test_gaussian_divisors_match_oracle():
         _check(operator.truediv, ONE, den, OracleQi(1), OracleQi.of(den))
 
 
+@pytest.mark.parametrize("re, im", [(0.1, 0), (1, 0.5), (1.0, 0), ("1/3", 0), (0, "2"), (None, 0), (1j, 0)])
+def test_constructor_rejects_what_as_scalar_rejects(re, im):
+    # a float is not rounded to a dyadic Fraction and a str is not parsed
+    with pytest.raises(TypeError):
+        as_scalar(im if isinstance(re, (int, Fraction)) else re)
+    with pytest.raises(TypeError):
+        Scalar(re, im)
+
+
 def test_mixed_operands_both_sides():
     s = Scalar(Fraction(1, 3), 2)
     assert 2 * s == s * 2 == Scalar(Fraction(2, 3), 4)

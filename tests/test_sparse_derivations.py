@@ -1,8 +1,8 @@
 """Derivation spaces kept as sparse integer rows.
 
 A DerivationSpace keeps its basis as sparse Gaussian-integer rows and
-builds Matrices only when basis is read: no dimension, H^1, fingerprint or
-section 3 builds one, and the cli's der --dump renders the rows exactly as
+builds Matrices only when basis is read: no dimension, H^1, fingerprint,
+weight split or section 3 builds one, and the cli's der --dump renders the rows exactly as
 the basis Matrices would.  The Der basis is linalg.reversed_rref of the
 images of the kernel vectors, which must equal kernel_basis.
 """
@@ -18,6 +18,7 @@ from leibnizkit import invariants, linalg
 from leibnizkit.cli import main
 from leibnizkit.cohomology import DerivationSpace, derivation_space, h1_dimension, inner_derivation_space
 from leibnizkit.core import change_of_basis, from_terms, save
+from leibnizkit.gradations import graded_derivation_split, search_diagonal_gradation
 from leibnizkit.linalg import Matrix
 from leibnizkit.scalars import Scalar, from_gaussian, parse_scalar
 
@@ -86,6 +87,15 @@ def test_dimensions_build_no_matrix(matrices, tmp_path):
     assert matrices == []
     assert derivation_space(a).basis and inner_derivation_space(a).basis
     assert set(matrices) == {"_of_scalars"}
+
+
+def test_weight_split_builds_no_matrix(matrices):
+    a = from_terms(*_copy(alg("N", 11)))
+    w = search_diagonal_gradation(a)
+    der, inn = derivation_space(a), inner_derivation_space(a)
+    assert sum(graded_derivation_split(a, w, der).values()) == der.dim == 22
+    assert sum(graded_derivation_split(a, w, inn).values()) == inn.dim == 10
+    assert matrices == []
 
 
 def _copy(a):
