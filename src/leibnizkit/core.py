@@ -43,7 +43,9 @@ integer RREF rows); generating_words the closure words, which
 cohomology.derivation_space runs along, and generating_set the G read off
 them; square_span the one SparseEchelon of L^2, which the closure (on a
 copy it extends), the central series (as its level L^2) and the
-characteristic-sequence candidates read and never change.  Equality,
+characteristic-sequence candidates read and never change; and
+invariants._kernel_maps the maps that sharpen the characteristic
+sequence's rank bound.  Equality,
 hashing and key() ignore the memo; they compare the labels, D and the
 table.  Concurrent use needs no locking: threads that race to fill an
 entry compute equal values and all get the first one stored.

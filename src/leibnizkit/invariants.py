@@ -7,13 +7,15 @@ characteristic-sequence candidate x gives the Jordan type of R_x from
 the sparse columns core.operator_columns builds, with no dense matrix in
 between; a candidate's lazy chain stops once its ranks prove that it
 cannot beat the best so far, and the search stops once the best reaches
-the ceiling that the support of the R_{e_j} proves.  Both chains, the
-annihilators and the L^2 that candidates are drawn outside of
-(core.square_span, kept on the algebra) read the algebra's Gaussian-integer
-table, and the candidates are drawn as Gaussian integers, so all of it
-runs on the integer rows that linalg's elimination takes and clears no
-Scalar; only the witness, and the series bases when read, are made Scalars,
-through linalg.scalar_vector.
+the ceiling that the support of the R_{e_j} proves, or, when the first
+candidate stays below that, the sharper ceiling that the kernel vectors of
+degree one of the pencil R_x prove (see characteristic_sequence).  Both
+chains, the annihilators, those kernel vectors and the L^2 that
+candidates are drawn outside of (core.square_span, kept on the algebra)
+read the algebra's Gaussian-integer table, and the candidates are drawn as
+Gaussian integers, so all of it runs on the integer rows that linalg's
+elimination takes and clears no Scalar; only the witness, and the series
+bases when read, are made Scalars, through linalg.scalar_vector.
 
 The series on a generating set.  Let L be Leibniz and G a set whose
 left-normed words span L, as core.generating_set certifies.  Then L^k is
@@ -46,10 +48,18 @@ from .core import (
     memo,
     operator_columns,
     require_leibniz,
+    sparse_bracket,
     square_span,
     transport,
 )
-from .linalg import NotNilpotentError, SparseEchelon, image_chain, partition_of_ranks, scalar_vector
+from .linalg import (
+    NotNilpotentError,
+    SparseEchelon,
+    gaussian_combination,
+    image_chain,
+    partition_of_ranks,
+    scalar_vector,
+)
 from .scalars import Echo
 
 
@@ -116,18 +126,19 @@ def _series(algebra):
 
 def right_annihilator(algebra):
     """Echelonized basis of R(L) = {x : [y, x] = 0 for all y}."""
-    return _annihilator(algebra.dim, (algebra.by_left,))
+    return _annihilator(algebra.dim, (algebra.by_left,)).kernel_basis()
 
 
 def center(algebra):
     """Echelonized basis of Cent(L) = {z : [x, z] = [z, x] = 0 for all x}."""
-    return _annihilator(algebra.dim, (algebra.by_left, algebra.by_right))
+    return _annihilator(algebra.dim, (algebra.by_left, algebra.by_right)).kernel_basis()
 
 
 def _annihilator(n, adjacencies):
     # one equation per (e_a, e_k): the e_k coordinate of the product of
     # e_a with x, on the side the adjacency names, must vanish; read off
-    # the table D * gamma, the equations are D times these, same solutions
+    # the table D * gamma, the equations are D times these, same solutions;
+    # the annihilator is the kernel of the echelon returned
     ech = SparseEchelon(n)
     for adjacency in adjacencies:
         for products in adjacency:
@@ -137,7 +148,7 @@ def _annihilator(n, adjacencies):
                     rows.setdefault(k, {})[c] = g
             for row in rows.values():
                 ech.add_gaussian(row)
-    return ech.kernel_basis()
+    return ech
 
 
 class CharSeq(NamedTuple):
@@ -170,6 +181,20 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     r_j <= max(r_k - (j - k), 0) for j > k, as R_x is nilpotent.  Once
     r_0..r_k and these bounds are all <= the best's ranks, R_x's type is
     dominated, so not lex above the best.
+
+    Sharpened b_1, exact, at each new best x_0 that stays below mu, so never
+    when the first candidate meets it: Ann_l = {v : [v, L] = 0} lies in
+    every ker R_x, and span(e_C), C the pivot columns of its echelon, is a
+    complement of it, so rank R_x = |C| - dim(ker R_x & span(e_C)).  A linear V : L -> span(e_C)
+    with [V e_j, e_k] + [V e_k, e_j] = 0 for all j <= k has [V x, x] = 0, so
+    V x lies in ker R_x for every x: a kernel vector of the pencil R_x of
+    degree one (Forney, SIAM J. Control 13, 1975).  If the V x_0 of a basis
+    of these V have rank k, a k x k minor is a nonzero polynomial in x, so
+    rank R_x <= |C| - k off its zeros, and everywhere as rank is lower
+    semicontinuous.  min(b_1, |C| - k) replaces b_1 in mu and in the cut,
+    and the search goes on to the sharper mu; no Leibniz identity is used.
+    The V are solved for once per algebra and kept through core.memo; each
+    x_0 costs only the rank of the V x_0.
     """
     if type(trials) is not int:
         raise TypeError("trials must be an int, got %r" % (Echo(trials),))
@@ -195,11 +220,52 @@ def characteristic_sequence(algebra, trials=20, seed=1):
         else:
             parts = partition_of_ranks(ranks)
             if best is None or parts > best:
+                if parts != ceiling:   # a new best below the ceiling
+                    bound[1] = min(bound[1], _kernel_bound(algebra, x))
+                    ceiling = _ceiling(n, bound)
                 best, rho = parts, ranks + [0] * (len(bound) + 1 - len(ranks))  # 0 to the nilindex
                 witness = tuple(scalar_vector(x.items(), 1, n))
                 if best == ceiling:
                     break
     return CharSeq(best, witness)
+
+
+def _kernel_bound(algebra, x):
+    """|C| - k, an upper bound on rank R_y for every y: k the rank of the
+    V x, V in the basis _kernel_maps gives (see characteristic_sequence)."""
+    pivots, maps = memo(algebra, _kernel_maps)
+    span = SparseEchelon(algebra.dim)
+    for images in maps:
+        span.add_gaussian(gaussian_combination(images, x))
+    return len(pivots) - len(span)
+
+
+def _kernel_maps(algebra):
+    """(C, maps): C and a basis of the V of characteristic_sequence, each V a
+    multiple of it given by its images V e_j, {c: (re, im)} maps of ints.
+    The pairs j = k say V e_j lies in the kernel of R_{e_j} on span(e_C), so
+    V is solved for in bases of those kernels, one small echelon per j, and
+    the pairs j < k go into one echelon in those unknowns."""
+    n = algebra.dim
+    pivots = [row[0][0] for row in _annihilator(n, (algebra.by_right,)).gaussian_rows()]
+    ws, blocks = [], []   # one unknown per kernel vector w of R_{e_j}; blocks[j] their range
+    for products in algebra.by_right:
+        on_c = {t: products[c] for t, c in enumerate(pivots) if c in products}
+        kernel = _annihilator(len(pivots), ((on_c,),)).gaussian_kernel()
+        blocks.append(range(len(ws), len(ws) + len(kernel)))
+        ws += [{pivots[t]: v for t, v in terms} for _, terms in kernel]
+    brackets = [[sparse_bracket(algebra, w, {k: (1, 0)}) for k in range(n)] for w in ws]
+    ech = SparseEchelon(len(ws))
+    for k in range(n):
+        for j in range(k):
+            rows = {}   # the e_r coordinate of [V e_j, e_k] + [V e_k, e_j], times D
+            for u, other in [(u, k) for u in blocks[j]] + [(u, j) for u in blocks[k]]:
+                for r, g in brackets[u][other].items():
+                    rows.setdefault(r, {})[u] = g
+            for row in rows.values():
+                ech.add_gaussian(row)
+    return tuple(pivots), tuple(tuple(gaussian_combination(ws, {u: v for u, v in terms if u in block})
+                                      for block in blocks) for _, terms in ech.gaussian_kernel())
 
 
 def _candidates(algebra, trials, seed):

@@ -137,6 +137,17 @@ def random_invertible(rng, n, lo=-2, hi=2):
             return m
 
 
+def dense_basis_move(rng, n):
+    """A move of the benchmark's dense-basis workload (perfbench/workloads.py,
+    random_invertible): every entry drawn in turn from (-2, -1, 1, 2), the
+    whole matrix redrawn until it is invertible, so the same rng state gives
+    the same matrix."""
+    while True:
+        m = Matrix(n, n, [[Scalar(rng.choice((-2, -1, 1, 2))) for _ in range(n)] for _ in range(n)])
+        if rank(m) == n:
+            return m
+
+
 def dense_rational_move(rng, n):
     """An invertible n x n matrix of Gaussian rationals, every entry nonzero."""
     while True:

@@ -478,6 +478,34 @@ def oracle_right_type(algebra, x):
     return nilpotent_partition(Matrix(n, n, [[col[r] for col in cols] for r in range(n)]))
 
 
+def _oracle_apply(images, x, n):
+    """V x as a dense Scalar vector, for the linear map V with the images
+    V e_j, {index: (re, im)} maps of ints, and x an {index: Scalar} map."""
+    out = [ZERO] * n
+    for j, xj in x.items():
+        for c, (re, im) in images[j].items():
+            out[c] = out[c] + xj * Scalar(re, im)
+    return out
+
+
+def oracle_kernel_map_holds(algebra, images, seed, samples=3):
+    """Whether [V x, x] = 0, V x in the kernel of R_x, at `samples` seeded
+    random x of small Gaussian integers, on dense Scalars through
+    oracle_bracket; V as _oracle_apply takes it."""
+    n = algebra.dim
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x = {c: Scalar(rng.randint(-3, 3), rng.randint(-1, 1)) for c in range(n)}
+        if any(oracle_bracket(algebra, _oracle_apply(images, x, n), dense_vec(x, n))):
+            return False
+    return True
+
+
+def oracle_kernel_rank(maps, x, n):
+    """Rank of the V x, V over maps, by dense Scalar row reduction."""
+    return oracle_rank([_oracle_apply(images, x, n) for images in maps])
+
+
 def oracle_bracket(algebra, x, y):
     """[x, y] of dense Scalar vectors, summed over every product term of the
     algebra on Scalars: no Gaussian-integer table, no bracket kernel."""

@@ -5,9 +5,12 @@ oracle_characteristic_sequence runs every candidate's image chain to the
 end; the cut and the ceiling must give the same parts and the same
 witness, on real algebras and on any order of the Jordan types the
 proven rank bound allows, and they must actually stop the search early.
-The ceiling's premise, rank R_x^j <= b_j, is checked on every candidate of
-the uncut loop, and the greedy ceiling and the term rank against brute
-force.
+The ceiling's premise, rank R_x^j <= b_j with b_1 sharpened by the kernel
+maps of degree one, is checked on every candidate of the uncut loop, each
+map on Scalars, and the greedy ceiling and the term rank against brute
+force.  The sharpened bound is computed only where the term-rank ceiling
+is not reached: never on the catalog bases, once on the dense M strata of
+the benchmark, where it ends the search at the first candidate.
 """
 
 import random
@@ -15,14 +18,26 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from conftest import alg, case_algebra, random_invertible
+from conftest import alg, case_algebra, catalog_cases, dense_basis_move, random_invertible, record_derivations
 
-from oracles import oracle_characteristic_sequence, oracle_charseq_candidates, oracle_right_type
+from oracles import (
+    dense_vec,
+    oracle_bracket,
+    oracle_characteristic_sequence,
+    oracle_charseq_candidates,
+    oracle_kernel_map_holds,
+    oracle_kernel_rank,
+    oracle_rank,
+    oracle_right_type,
+    unit,
+)
 
 from leibnizkit import invariants, linalg
 from leibnizkit.catalog import FAMILIES
-from leibnizkit.core import change_of_basis, direct_sum
+from leibnizkit.core import change_of_basis, direct_sum, from_terms
 from leibnizkit.invariants import central_series, characteristic_sequence, natural_graded
+from leibnizkit.linalg import Matrix, gaussian_row
+from leibnizkit.scalars import Scalar, parse_scalar
 
 PARAMS = [(20, 1), (5, 1), (5, 2)]
 
@@ -106,20 +121,99 @@ def test_ceiling_ends_the_m15_search_after_one_chain(monkeypatch):
     assert yielded == [14]
 
 
-def test_cut_stops_every_loser_of_dense_m9_by_level_1(monkeypatch):
-    # a dense support has full term rank, so the ceiling (7, 2, 1) stays
-    # above the first candidate's (7, 1, 1, 1): every candidate is drawn,
-    # and every later one is dominated by level 1
+def test_sharpened_ceiling_ends_the_dense_m9_search_at_its_first_chain(monkeypatch):
+    # a dense support has full term rank, so the term-rank ceiling (7, 2, 1)
+    # stays above the first candidate's (7, 1, 1, 1); the kernel maps of
+    # degree one at that candidate bring b_1 from 7 down to 6, whose ceiling
+    # is (7, 1, 1, 1), so the first chain, 8 levels down to 0, ends the search
     a = alg("M", 9)
     a = change_of_basis(a, random_invertible(random.Random(7), a.dim))
     central_series(a)
-    assert invariants._ceiling(a.dim, invariants._rank_bound(a)) == (7, 2, 1)
+    bound = invariants._rank_bound(a)
+    assert invariants._ceiling(a.dim, bound) == (7, 2, 1)
+    assert bound[1] == 7 and invariants._kernel_bound(a, next(invariants._candidates(a, 20, 1))) == 6
+    bound[1] = 6
+    assert invariants._ceiling(a.dim, bound) == (7, 1, 1, 1)
     yielded = _count_chain_levels(monkeypatch)
     cs = characteristic_sequence(a)
     assert cs.parts == (7, 1, 1, 1)
     assert cs.witness == oracle_characteristic_sequence(a).witness
-    assert yielded[0] == 8
-    assert len(yielded) > 20 and max(yielded[1:]) <= 2
+    assert yielded == [8]
+
+
+def _record_search(monkeypatch):
+    # one [candidates drawn, sharpened bounds computed] per search
+    searches = []
+    candidates, kernel_bound = invariants._candidates, invariants._kernel_bound
+
+    def drawing(algebra, trials, seed):
+        searches.append([0, 0])
+        for x in candidates(algebra, trials, seed):
+            searches[-1][0] += 1
+            yield x
+
+    def bounding(algebra, x):
+        searches[-1][1] += 1
+        return kernel_bound(algebra, x)
+    monkeypatch.setattr(invariants, "_candidates", drawing)
+    monkeypatch.setattr(invariants, "_kernel_bound", bounding)
+    return searches
+
+
+# the strata of the benchmark's catalog-large workload
+LARGE = (("N", None), ("M", None), ("M1alpha", "-1"), ("M1alpha", "1i"), ("L1", None), ("KF5", None),
+         ("NGF1", None))
+
+
+@pytest.mark.parametrize("family,n,alpha", catalog_cases() + [(f, 11, alpha) for f, alpha in LARGE]
+                         + [(f, 15, alpha) for f, alpha in LARGE[:-1]])
+def test_kernel_bound_is_never_computed_on_catalog_bases(family, n, alpha, monkeypatch):
+    # the first candidate meets the term-rank ceiling: one candidate, no bound
+    a = case_algebra(family, n, alpha)
+    searches = _record_search(monkeypatch)
+    characteristic_sequence(a)
+    assert searches == [[1, 0]]
+
+
+@pytest.mark.parametrize("family,alpha", [("M", None), ("M1alpha", "3+1i"), ("M1alpha", "-1")])
+def test_sharpened_bound_ends_the_dense_m_strata_at_the_first_candidate(family, alpha, monkeypatch):
+    # the benchmark's dense M strata, dim 6: the term-rank ceiling (3, 2, 1)
+    # lies above the answer, and all 41 candidates were drawn without the
+    # sharpened b_1; with it the first candidate ends the search
+    a = case_algebra(family, 5, alpha)
+    rng = random.Random(4)
+    moved = [change_of_basis(a, dense_basis_move(rng, a.dim)) for _ in range(10)]
+    for b in moved:
+        central_series(b)
+        assert invariants._ceiling(b.dim, invariants._rank_bound(b)) == (3, 2, 1)
+    searches = _record_search(monkeypatch)
+    for b in moved:
+        cs = characteristic_sequence(b)
+        assert cs.parts == (3, 1, 1, 1)
+        assert cs == oracle_characteristic_sequence(b)
+    assert searches == [[1, 1]] * 10
+
+
+def test_a_later_best_sharpens_b_1_from_the_kept_kernel_maps(monkeypatch):
+    # M(8) moved by a seeded dense P: at the first candidate the V x_0 leave
+    # b_1 at 6 and the ceiling at (6, 2, 1); the second candidate reaches
+    # (6, 1, 1, 1), a new best, and the V at it bring b_1 to 5, whose ceiling
+    # it meets.  The V are solved for once, on the first call, and kept
+    def moved():
+        return change_of_basis(alg("M", 8), random_invertible(random.Random(16), 9))
+    a = moved()
+    central_series(a)
+    bound = invariants._rank_bound(a)
+    first, second = list(invariants._candidates(a, 20, 1))[:2]
+    assert (bound[1], invariants._kernel_bound(a, first), invariants._kernel_bound(a, second)) == (6, 6, 5)
+    derived = record_derivations(monkeypatch, invariants, "_kernel_maps")
+    searches = _record_search(monkeypatch)
+    b = moved()
+    cs = characteristic_sequence(b)
+    assert cs == oracle_characteristic_sequence(b) and cs.parts == (6, 1, 1, 1)
+    assert searches == [[2, 2]] and derived == [b]
+    characteristic_sequence(b, seed=2)
+    assert derived == [b]
 
 
 def _partitions(n, largest=None):
@@ -145,6 +239,7 @@ def test_cut_is_sound_on_random_rank_sequences(family, n, monkeypatch):
     a = alg(family, n)
     central_series(a)
     bound = invariants._rank_bound(a)
+    bound[1] = min(bound[1], invariants._kernel_bound(a, next(invariants._candidates(a, 1, 1))))
     fits = [p for p in _partitions(a.dim)
             if all(r <= (bound[j] if j < len(bound) else 0) for j, r in enumerate(_ranks(p)))]
     assert len(fits) >= 10
@@ -164,15 +259,42 @@ def _fits(parts, bound):
     return all(r <= (bound[j] if j < len(bound) else 0) for j, r in enumerate(_ranks(parts)))
 
 
+def _kernel_maps_hold(a):
+    # every map V of the sharpened bound sends L into span(e_C) and has
+    # [V x, x] = 0 on Scalars; one entry changed, at a seeded (e_c, j) with
+    # c in C, it adds x_j [e_c, x], nonzero as e_c is outside Ann_l, and fails
+    pivots, maps = invariants._kernel_maps(a)
+    for images in maps:
+        assert all(set(image) <= set(pivots) for image in images)
+        assert oracle_kernel_map_holds(a, images, seed=3)
+    if pivots:
+        rng = random.Random(a.dim)
+        for images in maps[:2] + ((({},) * a.dim),):
+            changed = [dict(image) for image in images]
+            j, c = rng.randrange(a.dim), rng.choice(pivots)
+            re, im = changed[j].get(c, (0, 0))
+            changed[j][c] = (re + rng.choice((-1, 1)), im)
+            assert not oracle_kernel_map_holds(a, changed, seed=3), (j, c)
+    return pivots, maps
+
+
 def _within_the_ceiling(a):
     # the ceiling's premise, on every candidate of the uncut loop: its ranks
-    # r_j = rank R_x^j are at most b_j, so its type is not lex above mu
+    # r_j = rank R_x^j are at most b_j, b_1 sharpened to |C| - k by the rank
+    # k of the V x_0 at any candidate x_0, so its type is not lex above mu
+    pivots, maps = _kernel_maps_hold(a)
     bound = invariants._rank_bound(a)
-    ceiling = invariants._ceiling(a.dim, bound)
     for seed in (1, 2):
-        for x in oracle_charseq_candidates(a, trials=20, seed=seed):
+        candidates = oracle_charseq_candidates(a, trials=20, seed=seed)
+        first = gaussian_row(candidates[0])[1]
+        assert invariants._kernel_bound(a, first) == len(pivots) - oracle_kernel_rank(maps, candidates[0], a.dim)
+        sharp = list(bound)
+        if len(sharp) > 1:
+            sharp[1] = min(sharp[1], len(pivots) - max(oracle_kernel_rank(maps, x, a.dim) for x in candidates))
+        ceiling = invariants._ceiling(a.dim, sharp)
+        for x in candidates:
             parts = oracle_right_type(a, x)
-            assert _fits(parts, bound), (x, parts, bound)
+            assert _fits(parts, sharp), (x, parts, sharp)
             assert parts <= ceiling
 
 
@@ -204,6 +326,29 @@ def test_rank_bound_holds_on_direct_sums():
         sums.append(a)
     for a in sums:
         _within_the_ceiling(a)
+
+
+def test_sharpened_bound_holds_on_the_non_leibniz_table():
+    # the CI's non-Leibniz guard: M^{1,3+i}(11) moved by the fixed dense P,
+    # with [y1, y1] += y5.  It is not nilpotent, so it has no characteristic
+    # sequence, but the sharpened bound uses no Leibniz identity: rank R_x
+    # <= |C| - k holds at every x, checked here on Scalars at seeded x
+    a = case_algebra("M1alpha", 11, "3+1i")
+    n, v = a.dim, (1, -1, 2, -2)
+    moved = change_of_basis(a, Matrix(n, n, [[Scalar(v[(n * r + c) ** 3 % 31 % 4]) for c in range(n)]
+                                             for r in range(n)]))
+    bad = from_terms(moved.labels, [(i, j, k, c) for i, j, ts in moved.products() for k, c in ts]
+                     + [(1, 1, 5, parse_scalar("1"))])
+    assert not central_series(bad).is_nilpotent
+    pivots, maps = _kernel_maps_hold(bad)
+    rng = random.Random(17)
+    xs = [{i: parse_scalar("1")} for i in range(n)]
+    xs += [{c: Scalar(rng.randint(-3, 3), rng.randint(-1, 1)) for c in range(n)} for _ in range(6)]
+    ks = [oracle_kernel_rank(maps, x, n) for x in xs]
+    assert invariants._kernel_bound(bad, gaussian_row(xs[0])[1]) == len(pivots) - ks[0]
+    for x in xs:
+        rank_r = oracle_rank([oracle_bracket(bad, unit(n, c), dense_vec(x, n)) for c in range(n)])
+        assert rank_r <= len(pivots) - max(ks), (x, rank_r)
 
 
 def test_ceiling_is_the_lex_max_partition_within_the_bound():
