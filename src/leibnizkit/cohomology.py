@@ -37,6 +37,13 @@ words are the e_g, no pair made a word, and the system is the one on the
 pairs (e_i, e_g).  is_derivation still checks every pair, through
 core.first_non_derivation, the one yes/no derivation check.
 
+The early stop.  dim Der is an isomorphism invariant, so the table
+core.sparser_source gives, its dim Der kept through core.memo, fixes the
+system's rank r = |G| * n - dim Der.  Once the echelon reaches r, the
+kernel of the equations so far contains the system's kernel and has its
+dimension, so the two are equal and no further equation is assembled;
+the RREF of a span is unique, so reversed_rref gives the same rows.
+
 Both the Der and the Inn rows are read off the algebra's Gaussian-integer
 table and eliminated without a Scalar.  A DerivationSpace keeps its basis
 as those sparse integer rows; its basis Matrices are built only when
@@ -52,8 +59,10 @@ from .core import (
     first_non_derivation,
     generating_set,
     generating_words,
+    memo,
     operator_columns,
     require_leibniz,
+    sparser_source,
 )
 from .linalg import (
     Matrix,
@@ -114,7 +123,7 @@ def derivation_space(algebra):
     that made no word, by the relation rule, times D * d_inv, on the
     algebra's table D * gamma: it is linear in gamma, so the solutions are
     Der(L)'s.  One D * L_{w_k} per word gives both D [w_k, e_g], its
-    column g, and D [w_k, d e_g].
+    column g, and D [w_k, d e_g].  The equations end at the early stop.
     """
     require_leibniz(algebra)
     n = algebra.dim
@@ -161,10 +170,12 @@ def derivation_space(algebra):
             add_forms(out, cr, ci, forms[k])
         images.append({k: form for k, form in out.items() if form})
     made = {(parent, g) for parent, g, _ in words if parent is not None}
+    source = sparser_source(algebra)
+    target = None if source is None else n * m - memo(source, _dimension)   # the early stop
     ech = SparseEchelon(n * m)
     for k, columns in enumerate(lefts):
         for g in generators:
-            if (k, g) in made:   # d(D [w_k, e_g]) is that word's form: it holds
+            if (k, g) in made or len(ech) == target:   # made: d(D [w_k, e_g]) is that word's form
                 continue
             eq = {}
             for t, (cr, ci) in columns.get(g, ()):
@@ -172,8 +183,8 @@ def derivation_space(algebra):
             add_bracket(eq, -d_inv, forms[k], g)                 # - D [d w_k, e_g]
             add_unknowns(eq, -d_inv, columns.items(), g)         # - D [w_k, d e_g]
             for form in eq.values():
-                if form:
-                    ech.add_gaussian(form)
+                if form and ech.add_gaussian(form) and len(ech) == target:
+                    break
     # column j of the map u -> d_inv * d, entry (r, c) at r * n + c
     columns = [{} for _ in range(n * m)]
     for c, image in enumerate(images):
@@ -182,6 +193,10 @@ def derivation_space(algebra):
                 columns[j][r * n + c] = v
     kernel = (gaussian_combination(columns, dict(terms)) for _, terms in ech.gaussian_kernel())
     return DerivationSpace(n, reversed_rref(kernel, n * n))
+
+
+def _dimension(algebra):
+    return derivation_space(algebra).dim
 
 
 def inner_derivation_space(algebra):

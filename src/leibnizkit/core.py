@@ -34,21 +34,25 @@ three places that clear Scalars, beside linalg.gaussian_row and
 Matrix.gaussian_columns.  products() and gamma are Scalar views made on
 each read.
 
-Since the tables never change, each algebra has one memo, which memo()
-alone reads and fills: derive(algebra) is computed once and kept under
-derive.  is_leibniz keeps its decision, a yes or a no (leibniz_residual
-still forms every triple of a no, so every caller gets its own list);
+Since the tables never change, each algebra has one memo, which _store
+creates and memo() reads and fills: derive(algebra) is computed once and
+kept under derive.  Only change_of_basis writes another entry, a link to
+the sparsest known isomorphic table (fewest terms), the algebra it moved
+or that one's own link; only sparser_source reads it.  is_leibniz keeps
+its decision, a yes or a no (leibniz_residual still forms every triple
+of a no, so every caller gets its own list);
 invariants.central_series its immutable SeriesReport (each level's sparse
 integer RREF rows); generating_words the closure words, which
 cohomology.derivation_space runs along, and generating_set the G read off
 them; square_span the one SparseEchelon of L^2, which the closure (on a
 copy it extends), the central series (as its level L^2) and the
-characteristic-sequence candidates read and never change; and
+characteristic-sequence candidates read and never change;
 invariants._kernel_maps the maps that sharpen the characteristic
-sequence's rank bound.  Equality,
-hashing and key() ignore the memo; they compare the labels, D and the
-table.  Concurrent use needs no locking: threads that race to fill an
-entry compute equal values and all get the first one stored.
+sequence's rank bound; and cohomology the dim Der of a linked table.
+Equality, hashing and key() ignore the memo, the link included; they
+compare the labels, D and the table.  Concurrent use needs no locking:
+threads that race to fill an entry compute equal values and all get the
+first one stored.
 
 The right-Leibniz identity and the derivation identity need checking only
 with their last argument in a generating set G.  In any algebra,
@@ -152,7 +156,7 @@ class Algebra:
         self.denominator = d // g
         self.by_left = tuple(by_left)
         self.by_right = tuple(by_right)
-        self._memo = {}   # derive -> derive(self), filled by memo() alone
+        self._memo = {}   # derive -> derive(self), filled by memo(); and change_of_basis's link
 
     @property
     def gamma(self):
@@ -212,6 +216,9 @@ def from_table(labels, table, d):
     algebra = Algebra.__new__(Algebra)
     algebra._store(labels, table, d)
     return algebra
+
+
+_LINK = object()   # the memo key of change_of_basis's link, which no derive can be
 
 
 def memo(algebra, derive):
@@ -283,14 +290,29 @@ def is_leibniz(algebra):
 
     It asks first_non_derivation about the R_g, g in generating_set, and
     stops at the first that fails; if none does, every R_z is a derivation
-    (see the module docstring).  The decision, a yes or a no, is memoized
-    on the algebra.
+    (see the module docstring), or takes its sparser_source's.  The
+    decision, a yes or a no, is memoized on the algebra.
     """
     return memo(algebra, _decide_leibniz)
 
 
 def _decide_leibniz(algebra):
+    source = sparser_source(algebra)
+    if source is not None:   # being Leibniz is an isomorphism invariant
+        return is_leibniz(source)
     return first_non_derivation(algebra, (algebra.by_right[g] for g in generating_set(algebra))) is None
+
+
+def sparser_source(algebra):
+    """The table change_of_basis linked the algebra to, if it has strictly
+    fewer terms than the algebra's own, else None: an exact isomorph, so
+    being Leibniz and dim Der are the same on it."""
+    source = algebra._memo.get(_LINK)
+    return source if source is not None and _terms(source) < _terms(algebra) else None
+
+
+def _terms(algebra):
+    return sum(len(terms) for row in algebra.by_left for terms in row.values())
 
 
 def first_non_derivation(algebra, maps):
@@ -463,7 +485,9 @@ def change_of_basis(algebra, p):
         raise ValueError("change of basis matrix must be %d x %d" % (algebra.dim, algebra.dim))
     d_p, cols = p.gaussian_columns()
     d, table = transport(algebra, cols)   # SingularMatrixError when P is singular
-    return from_table(algebra.labels, table, d * d_p)
+    moved = from_table(algebra.labels, table, d * d_p)
+    moved._memo[_LINK] = sparser_source(algebra) or algebra   # one hop to the sparsest known
+    return moved
 
 
 def transport(algebra, cols):

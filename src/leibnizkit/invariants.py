@@ -254,7 +254,9 @@ def _kernel_maps(algebra):
         kernel = _annihilator(len(pivots), ((on_c,),)).gaussian_kernel()
         blocks.append(range(len(ws), len(ws) + len(kernel)))
         ws += [{pivots[t]: v for t, v in terms} for _, terms in kernel]
-    brackets = [[sparse_bracket(algebra, w, {k: (1, 0)}) for k in range(n)] for w in ws]
+    # [w, e_k] for w of block j is read only with k != j
+    brackets = [{k: sparse_bracket(algebra, ws[u], {k: (1, 0)}) for k in range(n) if k != j}
+                for j, block in enumerate(blocks) for u in block]
     ech = SparseEchelon(len(ws))
     for k in range(n):
         for j in range(k):
