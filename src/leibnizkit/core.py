@@ -34,13 +34,10 @@ three places that clear Scalars, beside linalg.gaussian_row and
 Matrix.gaussian_columns.  products() and gamma are Scalar views made on
 each read.
 
-Since the tables never change, each algebra has one memo, which _store
-creates and memo() reads and fills: derive(algebra) is computed once and
-kept under derive.  Only change_of_basis writes another entry, a link to
-the sparsest known isomorphic table (fewest terms), the algebra it moved
-or that one's own link; only sparser_source reads it.  is_leibniz keeps
-its decision, a yes or a no (leibniz_residual still forms every triple
-of a no, so every caller gets its own list);
+Since the tables never change, each algebra has one memo, which memo()
+alone reads and fills: derive(algebra) is computed once and kept under
+derive.  is_leibniz keeps its decision, a yes or a no (leibniz_residual
+still forms every triple of a no, so every caller gets its own list);
 invariants.central_series its immutable SeriesReport (each level's sparse
 integer RREF rows); generating_words the closure words, which
 cohomology.derivation_space runs along, and generating_set the G read off
@@ -48,11 +45,17 @@ them; square_span the one SparseEchelon of L^2, which the closure (on a
 copy it extends), the central series (as its level L^2) and the
 characteristic-sequence candidates read and never change;
 invariants._kernel_maps the maps that sharpen the characteristic
-sequence's rank bound; and cohomology the dim Der of a linked table.
-Equality, hashing and key() ignore the memo, the link included; they
-compare the labels, D and the table.  Concurrent use needs no locking:
-threads that race to fill an entry compute equal values and all get the
-first one stored.
+sequence's rank bound; and cohomology._dimension the dim Der of a linked
+table.  Equality,
+hashing and key() ignore the memo; they compare the labels, D and the
+table.  Concurrent use needs no locking: threads that race to fill an
+entry compute equal values and all get the first one stored.
+
+Beside the memo an algebra keeps one link, _source, which change_of_basis
+alone writes and sparser_source alone reads: the sparsest known isomorphic
+table (fewest stored terms), the algebra it moved or that one's own link,
+so a link is one hop.  Every other constructor leaves it None, and
+equality, hashing and key() ignore it too.
 
 The right-Leibniz identity and the derivation identity need checking only
 with their last argument in a generating set G.  In any algebra,
@@ -108,7 +111,7 @@ class NotLeibnizError(ValueError):
 class Algebra:
     """Finite-dimensional algebra over Q(i) given by structure constants."""
 
-    __slots__ = ("dim", "labels", "denominator", "by_left", "by_right", "_memo")
+    __slots__ = ("dim", "labels", "denominator", "by_left", "by_right", "_memo", "_source")
 
     def __init__(self, labels, gamma):
         """Adapter for a dense table: gamma[(i, j)] = coordinates of [e_i, e_j]."""
@@ -156,7 +159,8 @@ class Algebra:
         self.denominator = d // g
         self.by_left = tuple(by_left)
         self.by_right = tuple(by_right)
-        self._memo = {}   # derive -> derive(self), filled by memo(); and change_of_basis's link
+        self._memo = {}   # derive -> derive(self), filled by memo() alone
+        self._source = None   # change_of_basis's link, read by sparser_source alone
 
     @property
     def gamma(self):
@@ -216,9 +220,6 @@ def from_table(labels, table, d):
     algebra = Algebra.__new__(Algebra)
     algebra._store(labels, table, d)
     return algebra
-
-
-_LINK = object()   # the memo key of change_of_basis's link, which no derive can be
 
 
 def memo(algebra, derive):
@@ -307,7 +308,7 @@ def sparser_source(algebra):
     """The table change_of_basis linked the algebra to, if it has strictly
     fewer terms than the algebra's own, else None: an exact isomorph, so
     being Leibniz and dim Der are the same on it."""
-    source = algebra._memo.get(_LINK)
+    source = algebra._source
     return source if source is not None and _terms(source) < _terms(algebra) else None
 
 
@@ -486,7 +487,7 @@ def change_of_basis(algebra, p):
     d_p, cols = p.gaussian_columns()
     d, table = transport(algebra, cols)   # SingularMatrixError when P is singular
     moved = from_table(algebra.labels, table, d * d_p)
-    moved._memo[_LINK] = sparser_source(algebra) or algebra   # one hop to the sparsest known
+    moved._source = sparser_source(algebra) or algebra   # one hop to the sparsest known
     return moved
 
 

@@ -41,7 +41,7 @@ def _cases():
 
 def link(x):
     """The table change_of_basis linked x to, or x itself."""
-    return x._memo.get(core._LINK, x)
+    return x if x._source is None else x._source
 
 
 def round_trip(b):
@@ -218,3 +218,10 @@ def test_equality_hash_and_key_ignore_the_link():
     assert link(b) is a and link(c) is c
     assert b == c and c == b and hash(b) == hash(c) and b.key() == c.key()
     assert b != a
+
+
+def test_the_link_stays_out_of_the_memo():
+    a = alg("M", 7)
+    b = change_of_basis(a, dense_basis_move(random.Random(13), a.dim))
+    assert b._source is a and b._memo == {}   # the memo holds only what is derived
+    assert a._source is None and cohomology.derivation_space(b).dim == cohomology.derivation_space(a).dim
