@@ -37,13 +37,19 @@ words are the e_g, no pair made a word, and the system is the one on the
 pairs (e_i, e_g).  is_derivation still checks every pair, through
 core.first_non_derivation, the one yes/no derivation check.
 
-Conjugation.  The link core.sparser_source gives holds an isomorphism
-P from the algebra onto a sparser table, its source, and d is a
-derivation of the source iff P^-1 d P is one of the algebra: so Der(L) =
-P^-1 Der(source) P.  A linked algebra solves no system: derivation_space
-conjugates the source's Der rows, kept through core.memo, and
-reversed_rref of their span is the basis the algebra's own system gives,
-as the RREF of a span is unique.
+The early stop.  dim Der is an isomorphism invariant, so the table
+core.sparser_source gives, its dim Der kept through core.memo, fixes the
+system's rank r = |G| * n - dim Der.  Once the echelon reaches r, the
+kernel of the equations so far contains the system's kernel and has its
+dimension, so the two are equal and no further equation is assembled;
+the RREF of a span is unique, so reversed_rref gives the same rows.
+
+The dimension without the basis.  u -> d_u is injective, so dim Der is
+the kernel's dimension, |G| * n - rank, and needs no image.  So Der's
+DerivationSpace keeps the kernel and builds its rows, the images and
+their reversed_rref, on their first read.  dim Der and H^1 build none:
+the h1 verb, der without --dump, replicate's section 3, fingerprint and
+the early stop's source.
 
 Both the Der and the Inn rows are read off the algebra's Gaussian-integer
 table and eliminated without a Scalar.  A DerivationSpace keeps its basis
@@ -79,16 +85,30 @@ from .linalg import (
 class DerivationSpace:
     """A basis of derivation matrices of size n, kept as sparse Gaussian-
     integer rows: each (l, terms), terms the (r * n + c, (re, im)) int pairs
-    of l times the matrix, sorted by index, l > 0.  basis builds the
-    Matrices on its first read."""
+    of l times the matrix, sorted by index, l > 0.  rows may be given as a
+    function that builds them, with their number dim: rows calls it on the
+    first read.  basis builds the Matrices on its first read."""
 
-    __slots__ = ("n", "dim", "rows", "_basis")
+    __slots__ = ("n", "dim", "_rows", "_build", "_basis")
 
-    def __init__(self, n, rows):
+    def __init__(self, n, rows, dim=None):
         self.n = n
-        self.rows = tuple(rows)
-        self.dim = len(self.rows)
+        if dim is None:
+            self._rows, self._build = tuple(rows), None
+            dim = len(self._rows)
+        else:
+            self._rows, self._build = None, rows
+        self.dim = dim
         self._basis = None
+
+    @property
+    def rows(self):
+        """The rows, built on the first read and kept."""
+        rows = self._rows
+        if rows is None:
+            self._rows = rows = tuple(self._build())
+            self._build = None
+        return rows
 
     @property
     def basis(self):
@@ -124,14 +144,10 @@ def derivation_space(algebra):
     that made no word, by the relation rule, times D * d_inv, on the
     algebra's table D * gamma: it is linear in gamma, so the solutions are
     Der(L)'s.  One D * L_{w_k} per word gives both D [w_k, e_g], its
-    column g, and D [w_k, d e_g].  A linked algebra conjugates its
-    source's Der instead.
+    column g, and D [w_k, d e_g].  The equations end at the early stop.
     """
     require_leibniz(algebra)
     n = algebra.dim
-    link = sparser_source(algebra)
-    if link is not None:
-        return _conjugated(n, *link)
     by_left = algebra.by_left
     generators = generating_set(algebra)
     m = len(generators)
@@ -175,10 +191,12 @@ def derivation_space(algebra):
             add_forms(out, cr, ci, forms[k])
         images.append({k: form for k, form in out.items() if form})
     made = {(parent, g) for parent, g, _ in words if parent is not None}
+    source = sparser_source(algebra)
+    target = None if source is None else n * m - memo(source, _dimension)   # the early stop
     ech = SparseEchelon(n * m)
     for k, columns in enumerate(lefts):
         for g in generators:
-            if (k, g) in made:   # d(D [w_k, e_g]) is that word's form
+            if (k, g) in made or len(ech) == target:   # made: d(D [w_k, e_g]) is that word's form
                 continue
             eq = {}
             for t, (cr, ci) in columns.get(g, ()):
@@ -186,37 +204,23 @@ def derivation_space(algebra):
             add_bracket(eq, -d_inv, forms[k], g)                 # - D [d w_k, e_g]
             add_unknowns(eq, -d_inv, columns.items(), g)         # - D [w_k, d e_g]
             for form in eq.values():
-                if form:
-                    ech.add_gaussian(form)
-    # column j of the map u -> d_inv * d, entry (r, c) at r * n + c
-    columns = [{} for _ in range(n * m)]
-    for c, image in enumerate(images):
-        for r, form in image.items():
-            for j, v in form.items():
-                columns[j][r * n + c] = v
-    kernel = (gaussian_combination(columns, dict(terms)) for _, terms in ech.gaussian_kernel())
-    return DerivationSpace(n, reversed_rref(kernel, n * n))
+                if form and ech.add_gaussian(form) and len(ech) == target:
+                    break
+    kernel = ech.gaussian_kernel()
+
+    def rows():
+        # column j of the map u -> d_inv * d, entry (r, c) at r * n + c
+        columns = [{} for _ in range(n * m)]
+        for c, image in enumerate(images):
+            for r, form in image.items():
+                for j, v in form.items():
+                    columns[j][r * n + c] = v
+        return reversed_rref((gaussian_combination(columns, dict(terms)) for _, terms in kernel), n * n)
+    return DerivationSpace(n, rows, len(kernel))
 
 
-def _conjugated(n, source, columns, inverse):
-    """The Der of the algebra linked to source by the P whose multiples have
-    the given columns and inverse: P^-1 d P, up to a scalar, per row d of
-    Der(source), entry (r, c) at r * n + c."""
-    rows = []
-    for _, terms in memo(source, _der_rows):
-        d = [{} for _ in range(n)]   # column c of l * d: {r: (re, im)}
-        for index, v in terms:
-            d[index % n][index // n] = v
-        row = {}
-        for c, column in enumerate(columns):
-            for r, v in gaussian_combination(inverse, gaussian_combination(d, column)).items():
-                row[r * n + c] = v
-        rows.append(row)
-    return DerivationSpace(n, reversed_rref(rows, n * n))
-
-
-def _der_rows(algebra):
-    return derivation_space(algebra).rows
+def _dimension(algebra):
+    return derivation_space(algebra).dim
 
 
 def inner_derivation_space(algebra):

@@ -45,22 +45,17 @@ them; square_span the one SparseEchelon of L^2, which the closure (on a
 copy it extends), the central series (as its level L^2) and the
 characteristic-sequence candidates read and never change;
 invariants._kernel_maps the maps that sharpen the characteristic
-sequence's rank bound; _terms the count of stored table terms that
-sparser_source compares; and, read across a link, cohomology._der_rows
-the Der rows a linked table conjugates and invariants._proved_type the
-Jordan type a search proved by meeting its ceiling, or None.  Equality,
+sequence's rank bound; and cohomology._dimension the dim Der of a linked
+table.  Equality,
 hashing and key() ignore the memo; they compare the labels, D and the
 table.  Concurrent use needs no locking: threads that race to fill an
 entry compute equal values and all get the first one stored.
 
-Beside the memo an algebra keeps one link, _link, which change_of_basis
+Beside the memo an algebra keeps one link, _source, which change_of_basis
 alone writes and sparser_source alone reads: the sparsest known isomorphic
 table (fewest stored terms), the algebra it moved or that one's own link,
-so a link is one hop, with the map onto it.  The map is kept as the
-Gaussian-integer columns of multiples of P and P^-1, which transport
-builds and inverts; a move of a linked algebra composes them.  Every
-other constructor leaves the link None, and equality, hashing and key()
-ignore it too.
+so a link is one hop.  Every other constructor leaves it None, and
+equality, hashing and key() ignore it too.
 
 The right-Leibniz identity and the derivation identity need checking only
 with their last argument in a generating set G.  In any algebra,
@@ -116,7 +111,7 @@ class NotLeibnizError(ValueError):
 class Algebra:
     """Finite-dimensional algebra over Q(i) given by structure constants."""
 
-    __slots__ = ("dim", "labels", "denominator", "by_left", "by_right", "_memo", "_link")
+    __slots__ = ("dim", "labels", "denominator", "by_left", "by_right", "_memo", "_source")
 
     def __init__(self, labels, gamma):
         """Adapter for a dense table: gamma[(i, j)] = coordinates of [e_i, e_j]."""
@@ -165,7 +160,7 @@ class Algebra:
         self.by_left = tuple(by_left)
         self.by_right = tuple(by_right)
         self._memo = {}   # derive -> derive(self), filled by memo() alone
-        self._link = None   # change_of_basis's link, read by sparser_source alone
+        self._source = None   # change_of_basis's link, read by sparser_source alone
 
     @property
     def gamma(self):
@@ -303,20 +298,18 @@ def is_leibniz(algebra):
 
 
 def _decide_leibniz(algebra):
-    link = sparser_source(algebra)
-    if link is not None:   # being Leibniz is an isomorphism invariant
-        return is_leibniz(link[0])
+    source = sparser_source(algebra)
+    if source is not None:   # being Leibniz is an isomorphism invariant
+        return is_leibniz(source)
     return first_non_derivation(algebra, (algebra.by_right[g] for g in generating_set(algebra))) is None
 
 
 def sparser_source(algebra):
-    """The link change_of_basis set, (source, columns, inverse), if the
-    source table has strictly fewer terms than the algebra's own, else
-    None.  columns are those of a multiple of the isomorphism P from the
-    algebra to its source, P e_j = u_j in the source's basis, and inverse
-    those of a multiple of P^-1, {row: (re, im)} maps of ints."""
-    link = algebra._link
-    return link if link is not None and memo(link[0], _terms) < memo(algebra, _terms) else None
+    """The table change_of_basis linked the algebra to, if it has strictly
+    fewer terms than the algebra's own, else None: an exact isomorph, so
+    being Leibniz and dim Der are the same on it."""
+    source = algebra._source
+    return source if source is not None and _terms(source) < _terms(algebra) else None
 
 
 def _terms(algebra):
@@ -488,30 +481,23 @@ def change_of_basis(algebra, p):
     the new constants satisfy [u, v]_new = P^-1 [P u, P v].  transport runs
     on M = d_P * P, whose constants are d_P times those along P, so these
     are formed in Gaussian integers over D * d_P * d_inv, d_inv that of M^-1.
-    The moved algebra is linked to the algebra, or to its link, with M and
-    d_inv * M^-1, composed with the link's own map (module docstring).
     """
     if p.rows != algebra.dim or p.cols != algebra.dim:
         raise ValueError("change of basis matrix must be %d x %d" % (algebra.dim, algebra.dim))
     d_p, cols = p.gaussian_columns()
-    d, table, inverse = transport(algebra, cols)   # SingularMatrixError when P is singular
+    d, table = transport(algebra, cols)   # SingularMatrixError when P is singular
     moved = from_table(algebra.labels, table, d * d_p)
-    moved._link = (algebra, cols, inverse)
-    link = sparser_source(algebra)
-    if link is not None:   # one hop to the sparsest known: the maps compose
-        source, first, first_inverse = link
-        moved._link = (source, [gaussian_combination(first, col) for col in cols],
-                       [gaussian_combination(inverse, col) for col in first_inverse])
+    moved._source = sparser_source(algebra) or algebra   # one hop to the sparsest known
     return moved
 
 
 def transport(algebra, cols):
-    """(d, table, inverse): table {(i, j): {k: (re, im)}} of ints is d times
-    the constants M^-1 [M u_i, M u_j], for M given by its columns u_j as
+    """(d, table): table {(i, j): {k: (re, im)}} of ints is d times the
+    constants M^-1 [M u_i, M u_j], for M given by its columns u_j as
     {row: (re, im)} maps of ints; SingularMatrixError when M is singular.
     Only the nonzero products of D * gamma are walked, through the columns
     of D * L_{M u_i}; gaussian_inverse, which picks its own method, gives
-    inverse, the columns of d_inv * M^-1, so d = D * d_inv.
+    d_inv * M^-1, so d = D * d_inv.
     """
     d_inv, inv_cols = gaussian_inverse(cols)
     rows = [{} for _ in cols]   # row b of M: {j: M[b][j]}
@@ -525,7 +511,7 @@ def transport(algebra, cols):
             for j, (yr, yi) in rows[b].items():
                 add_multiple(cells.setdefault((i, j), {}), yr, yi, terms)
     return algebra.denominator * d_inv, {key: gaussian_combination(inv_cols, cell)
-                                         for key, cell in cells.items()}, inv_cols
+                                         for key, cell in cells.items()}
 
 
 def direct_sum(a, b):

@@ -9,8 +9,7 @@ between; a candidate's lazy chain stops once its ranks prove that it
 cannot beat the best so far, and the search stops once the best reaches
 the ceiling that the support of the R_{e_j} proves, or, when the first
 candidate stays below that, the sharper ceiling that the kernel vectors of
-degree one of the pencil R_x prove, or, on a linked table, the type its
-source proved (see characteristic_sequence).  Both
+degree one of the pencil R_x prove (see characteristic_sequence).  Both
 chains, the annihilators, those kernel vectors and the L^2 that
 candidates are drawn outside of (core.square_span, kept on the algebra)
 read the algebra's Gaussian-integer table, and the candidates are drawn as
@@ -50,7 +49,6 @@ from .core import (
     operator_columns,
     require_leibniz,
     sparse_bracket,
-    sparser_source,
     square_span,
     transport,
 )
@@ -197,12 +195,6 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     and the search goes on to the sharper mu; no Leibniz identity is used.
     The V are solved for once per algebra and kept through core.memo; each
     x_0 costs only the rank of the V x_0.
-
-    Proved ceiling, exact: a search that meets its ceiling proves its type
-    the generic one, an isomorphism invariant, so a table core.sparser_source
-    links takes the type its source's default search proved (core.memo) as
-    its ceiling and sharpens nothing.  A valid ceiling ends the search only
-    after the first candidate that attains the maximum: the same witness.
     """
     if type(trials) is not int:
         raise TypeError("trials must be an int, got %r" % (Echo(trials),))
@@ -211,25 +203,11 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     series = central_series(algebra)
     if not series.is_nilpotent:
         raise NotNilpotentError("characteristic sequence needs a nilpotent algebra")
-    if algebra.dim == 0:
-        return CharSeq((), ())
-    link = sparser_source(algebra)
-    proved = None if link is None else memo(link[0], _proved_type)
-    return CharSeq(*_search(algebra, trials, seed, proved)[:2])
-
-
-def _proved_type(algebra):
-    """The parts the default search proves, meeting its ceiling, or None."""
-    parts, _, met = _search(algebra, 20, 1, None)
-    return parts if met else None
-
-
-def _search(algebra, trials, seed, proved):
-    """(parts, witness, met): the search, met if the best reached the
-    ceiling, which is proved when given."""
     n = algebra.dim
+    if n == 0:
+        return CharSeq((), ())
     bound = _rank_bound(algebra)
-    ceiling = proved or _ceiling(n, bound)
+    ceiling = _ceiling(n, bound)
     best = witness = None
     for x in _candidates(algebra, trials, seed):
         ranks = []
@@ -242,14 +220,14 @@ def _search(algebra, trials, seed, proved):
         else:
             parts = partition_of_ranks(ranks)
             if best is None or parts > best:
-                if parts != ceiling and not proved:   # a new best below a ceiling that may be sharper
+                if parts != ceiling:   # a new best below the ceiling
                     bound[1] = min(bound[1], _kernel_bound(algebra, x))
                     ceiling = _ceiling(n, bound)
                 best, rho = parts, ranks + [0] * (len(bound) + 1 - len(ranks))  # 0 to the nilindex
                 witness = tuple(scalar_vector(x.items(), 1, n))
                 if best == ceiling:
                     break
-    return best, witness, best == ceiling
+    return CharSeq(best, witness)
 
 
 def _kernel_bound(algebra, x):
@@ -424,7 +402,7 @@ def natural_graded(algebra):
         layer_of += [i + 1] * len(layer)
     d_p = lcm(*(row[0][1][0] for row in lifts))
     cols = [{r: (x * s, y * s) for r, (x, y) in row} for row in lifts for s in (d_p // row[0][1][0],)]
-    d, table, _ = transport(algebra, cols)
+    d, table = transport(algebra, cols)
     graded = {(a, b): {k: v for k, v in cell.items() if layer_of[k] == layer_of[a] + layer_of[b]}
               for (a, b), cell in table.items()}
     labels = [algebra.labels[row[0][0]] for row in lifts]

@@ -10,10 +10,7 @@ maps of degree one, is checked on every candidate of the uncut loop, each
 map on Scalars, and the greedy ceiling and the term rank against brute
 force.  The sharpened bound is computed only where the term-rank ceiling
 is not reached: never on the catalog bases, once on the dense M strata of
-the benchmark, where it ends the search at the first candidate.  A moved
-algebra takes the type its catalog source proved as its ceiling, so the
-dense tables whose search the sharpened bound ends are read back through
-linkless_move, as a file gives them.
+the benchmark, where it ends the search at the first candidate.
 """
 
 import random
@@ -35,7 +32,7 @@ from oracles import (
     unit,
 )
 
-from leibnizkit import core, invariants, linalg
+from leibnizkit import invariants, linalg
 from leibnizkit.catalog import FAMILIES
 from leibnizkit.core import change_of_basis, direct_sum, from_terms
 from leibnizkit.invariants import central_series, characteristic_sequence, natural_graded
@@ -48,11 +45,6 @@ PARAMS = [(20, 1), (5, 1), (5, 2)]
 def _cases(sizes):
     return [(family, n, alpha) for n in sizes for family in FAMILIES
             for alpha in (("-1", "1", "1i") if family == "M1alpha" else (None,))]
-
-
-def linkless_move(a, p):
-    """a moved by p and read back, with no link to a."""
-    return core.loads(core.dumps(change_of_basis(a, p)))
 
 
 def _same(a):
@@ -135,7 +127,7 @@ def test_sharpened_ceiling_ends_the_dense_m9_search_at_its_first_chain(monkeypat
     # degree one at that candidate bring b_1 from 7 down to 6, whose ceiling
     # is (7, 1, 1, 1), so the first chain, 8 levels down to 0, ends the search
     a = alg("M", 9)
-    a = linkless_move(a, random_invertible(random.Random(7), a.dim))
+    a = change_of_basis(a, random_invertible(random.Random(7), a.dim))
     central_series(a)
     bound = invariants._rank_bound(a)
     assert invariants._ceiling(a.dim, bound) == (7, 2, 1)
@@ -190,7 +182,7 @@ def test_sharpened_bound_ends_the_dense_m_strata_at_the_first_candidate(family, 
     # sharpened b_1; with it the first candidate ends the search
     a = case_algebra(family, 5, alpha)
     rng = random.Random(4)
-    moved = [linkless_move(a, dense_basis_move(rng, a.dim)) for _ in range(10)]
+    moved = [change_of_basis(a, dense_basis_move(rng, a.dim)) for _ in range(10)]
     for b in moved:
         central_series(b)
         assert invariants._ceiling(b.dim, invariants._rank_bound(b)) == (3, 2, 1)
@@ -208,7 +200,7 @@ def test_a_later_best_sharpens_b_1_from_the_kept_kernel_maps(monkeypatch):
     # (6, 1, 1, 1), a new best, and the V at it bring b_1 to 5, whose ceiling
     # it meets.  The V are solved for once, on the first call, and kept
     def moved():
-        return linkless_move(alg("M", 8), random_invertible(random.Random(16), 9))
+        return change_of_basis(alg("M", 8), random_invertible(random.Random(16), 9))
     a = moved()
     central_series(a)
     bound = invariants._rank_bound(a)

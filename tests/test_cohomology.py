@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -16,7 +17,8 @@ from conftest import (
 
 from oracles import mul_vec, oracle_der_dim, oracle_inner_dim, oracle_inner_outside_der, oracle_is_derivation, unit
 
-from leibnizkit import NotLeibnizError
+from leibnizkit import NotLeibnizError, cohomology, core
+from leibnizkit.cli import main
 from leibnizkit.cohomology import (
     derivation_space,
     h1_dimension,
@@ -198,3 +200,57 @@ def test_der_dim_invariant_under_change_of_basis(rng):
     for _ in range(3):
         p = random_invertible(rng, 7)
         assert derivation_space(change_of_basis(l1, p)).dim == base
+
+
+# -- the dimension without the basis: Der's rows are built on their first read
+
+
+def _record_rows(monkeypatch):
+    """Each Der basis that cohomology builds, recorded by its ncols."""
+    built, rref = [], cohomology.reversed_rref
+
+    def recording(rows, ncols):
+        built.append(ncols)
+        return rref(rows, ncols)
+    monkeypatch.setattr(cohomology, "reversed_rref", recording)
+    return built
+
+
+def _dense_file_algebra(family, n, seed):
+    """A catalog algebra moved by a dense rational P and read back: no link."""
+    a = alg(family, n)
+    return core.loads(core.dumps(change_of_basis(a, dense_rational_move(random.Random(seed), a.dim))))
+
+
+@pytest.mark.parametrize("family,n,alpha", catalog_cases())
+def test_der_dim_is_the_number_of_rows_it_builds(family, n, alpha):
+    a = case_algebra(family, n, alpha)
+    moved = core.loads(core.dumps(change_of_basis(a, dense_rational_move(random.Random(n), a.dim))))
+    ders = [derivation_space(b) for b in (a, moved)]
+    assert ders[0].dim == ders[1].dim
+    for der in ders:
+        assert der.dim == len(der.rows)
+
+
+def test_dim_h1_and_fingerprint_build_no_der_rows(monkeypatch):
+    built = _record_rows(monkeypatch)
+    for b, dim in ((alg("M", 7), 13), (_dense_file_algebra("N", 7, 4), 16)):
+        der = derivation_space(b)
+        assert der.dim == dim
+        h1_dimension(b)
+        fingerprint(b)
+        assert built == []
+        rows = der.rows
+        assert built == [b.dim ** 2] and der.rows is rows   # built once, then kept
+        built.clear()
+
+
+def test_the_der_verb_builds_rows_only_for_its_dump(tmp_path, monkeypatch):
+    path = tmp_path / "n7_dense.json"
+    core.save(_dense_file_algebra("N", 7, 5), path)
+    built = _record_rows(monkeypatch)
+    for argv in (["der", str(path)], ["h1", str(path)]):
+        assert main(argv, out=io.StringIO()) == 0
+    assert built == []
+    assert main(["der", str(path), "--dump"], out=io.StringIO()) == 0
+    assert built == [64]

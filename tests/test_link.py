@@ -1,32 +1,30 @@
 """The link of a moved algebra to its sparsest known isomorphic table.
 
 core.change_of_basis links the moved algebra to the algebra it moved, or
-to that algebra's own link when it was moved itself, and keeps with the
-link the map P onto that table and P^-1 (composed along a chain, so the
-link is one hop).  Three readers use the link, only when the linked table
-has strictly fewer terms: the Leibniz decision, which asks the source;
-derivation_space, which conjugates the source's Der by P; and
-characteristic_sequence, which takes the type the source's search proved
-as its ceiling.  The oracle for each moved algebra is the same table read
-back through core.loads(core.dumps(...)), which carries no link: every
-answer must be the same.  The counts check that the link saves what it
-should and is set nowhere else.
+to that algebra's own link when it was moved itself.  Two readers use the
+link, only when the linked table has strictly fewer terms: the Leibniz
+decision, which asks the source, and derivation_space, which stops
+eliminating once its rank reaches |G| * n - dim Der(source).  The oracle
+for each moved algebra is the same table read back through
+core.loads(core.dumps(...)), which carries no link: every answer must be
+the same.  The counts check that the link saves what it should and is set
+nowhere else.
 """
 
 import random
 
 import pytest
 
-from conftest import alg, case_algebra, dense_basis_move, mutated_m7, record_derivations
+from conftest import alg, case_algebra, dense_basis_move, mutated_m7
 
 from oracles import inverse
 
-from leibnizkit import cohomology, core, invariants
+from leibnizkit import cohomology, core
 from leibnizkit.catalog import _FAMILY_TABLE, FAMILIES, FamilySpec, build
 from leibnizkit.core import NotLeibnizError, change_of_basis, from_terms
-from leibnizkit.invariants import characteristic_sequence, natural_graded
-from leibnizkit.linalg import Matrix, NotNilpotentError, rank
-from leibnizkit.scalars import Scalar, from_gaussian, parse_scalar
+from leibnizkit.invariants import natural_graded
+from leibnizkit.linalg import Matrix, rank
+from leibnizkit.scalars import Scalar, parse_scalar
 
 
 def _cases():
@@ -43,13 +41,7 @@ def _cases():
 
 def link(x):
     """The table change_of_basis linked x to, or x itself."""
-    return x if x._link is None else x._link[0]
-
-
-def source(x):
-    """The table the readers take from, or None."""
-    linked = core.sparser_source(x)
-    return None if linked is None else linked[0]
+    return x if x._source is None else x._source
 
 
 def round_trip(b):
@@ -59,8 +51,7 @@ def round_trip(b):
 
 def _answers(b):
     """Everything the link may change the work of: Der's rows and dim, the
-    decision, the residual, the guard's message, and the characteristic
-    sequence, parts and witness, at 20 and at 3 trials."""
+    decision, the residual and the guard's message."""
     der = None
     try:
         core.require_leibniz(b)
@@ -69,11 +60,7 @@ def _answers(b):
         der = (der.rows, der.dim)
     except NotLeibnizError as exc:
         message = str(exc)
-    try:
-        charseqs = [characteristic_sequence(b, trials=trials) for trials in (20, 3)]
-    except NotNilpotentError:
-        charseqs = None
-    return der, core.is_leibniz(b), core.leibniz_residual(b), message, charseqs
+    return der, core.is_leibniz(b), core.leibniz_residual(b), message
 
 
 def assert_same_as_round_trip(b):
@@ -96,51 +83,21 @@ def test_a_moved_catalog_algebra_answers_as_its_round_trip(family, n, alpha):
         b = change_of_basis(a, dense_basis_move(rng, a.dim))
         assert link(b) is a
         # the abelian table has no terms in any basis, so it stays unlinked
-        assert source(b) is (None if family == "abelian" else a)
+        assert core.sparser_source(b) is (None if family == "abelian" else a)
         assert_same_as_round_trip(b)
-
-
-def _matrix(columns, n):
-    """The Matrix of Scalars with the given {row: (re, im)} int columns."""
-    return Matrix(n, n, [[from_gaussian(*columns[c].get(r, (0, 0)), 1) for c in range(n)] for r in range(n)])
-
-
-def _is_multiple(m, p):
-    """Whether the Matrix m is a nonzero multiple of p."""
-    r, c = next((r, c) for r in range(p.rows) for c in range(p.cols) if p.data[r][c])
-    s = m.data[r][c] / p.data[r][c]
-    return bool(s) and m == p.scale(s)
 
 
 def test_two_chained_moves_link_to_the_first_source():
     a = alg("M1alpha", 7, alpha=parse_scalar("3+1i"))
-    n = a.dim
     rng = random.Random(2)
-    p, q = dense_basis_move(rng, n), dense_basis_move(rng, n)
-    b = change_of_basis(a, p)
-    c = change_of_basis(b, q)
-    assert source(b) is a and source(c) is a
-    # c's link holds multiples of P Q, the map onto a's basis, and of its inverse
-    _, columns, inverse = c._link
-    assert _is_multiple(_matrix(columns, n), p * q)
-    assert _is_multiple(_matrix(columns, n) * _matrix(inverse, n), Matrix.identity(n))
+    b = change_of_basis(a, dense_basis_move(rng, a.dim))
+    c = change_of_basis(b, dense_basis_move(rng, a.dim))
+    assert core.sparser_source(b) is a and core.sparser_source(c) is a
     assert_same_as_round_trip(c)
     # a table read back has no link, and a move of it links to it alone
-    d = change_of_basis(round_trip(b), dense_basis_move(rng, n))
+    d = change_of_basis(round_trip(b), dense_basis_move(rng, a.dim))
     assert link(d) == b and link(d) is not b
     assert_same_as_round_trip(d)
-
-
-def test_a_move_back_to_the_catalog_basis_does_not_use_the_link(monkeypatch):
-    a = build(FamilySpec("M", 7))
-    p = dense_basis_move(random.Random(3), a.dim)
-    b = change_of_basis(a, p)
-    back = change_of_basis(b, inverse(p))
-    assert back == a and link(back) is a
-    assert source(back) is None   # the moved table is as sparse as its link
-    walked = _record_decisions(monkeypatch)
-    assert_same_as_round_trip(back)
-    assert walked[0] is back   # the decision ran on the moved table itself
 
 
 ENTRIES = tuple(map(parse_scalar, ("1", "-1", "2", "1/2", "1i", "1+1i")))
@@ -156,9 +113,9 @@ def _gaussian_move(rng, n):
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
 def test_chained_gaussian_moves_answer_as_their_round_trips(n):
-    # Gaussian and fractional P scale the kept columns by d_P and their
-    # inverse by d_inv; a chain composes them.  Every family at every n it
-    # has, moved once, twice and three times
+    # every family at every n it has, moved once, twice and three times by
+    # P with Gaussian and fractional entries: each move links to the first
+    # source, whose dim Der ends the moved table's elimination
     rng = random.Random(30 + n)
     for family in FAMILIES:
         _, least, odd = _FAMILY_TABLE[family]
@@ -168,8 +125,20 @@ def test_chained_gaussian_moves_answer_as_their_round_trips(n):
         b = a
         for _ in range(3):
             b = change_of_basis(b, _gaussian_move(rng, a.dim))
-            assert source(b) is (None if family == "abelian" else a)
+            assert core.sparser_source(b) is (None if family == "abelian" else a)
             assert_same_as_round_trip(b)
+
+
+def test_a_move_back_to_the_catalog_basis_does_not_use_the_link(monkeypatch):
+    a = build(FamilySpec("M", 7))
+    p = dense_basis_move(random.Random(3), a.dim)
+    b = change_of_basis(a, p)
+    back = change_of_basis(b, inverse(p))
+    assert back == a and link(back) is a
+    assert core.sparser_source(back) is None   # the moved table is as sparse as its link
+    walked = _record_decisions(monkeypatch)
+    assert_same_as_round_trip(back)
+    assert walked[0] is back   # the decision ran on the moved table itself
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -187,7 +156,7 @@ def test_a_sparse_non_leibniz_source_decides_and_the_moved_table_names_its_own_k
     bad = mutated_m7()
     for seed in (7, 8, 9):
         b = change_of_basis(bad, dense_basis_move(random.Random(seed), bad.dim))
-        assert source(b) is bad
+        assert core.sparser_source(b) is bad
         assert_same_as_round_trip(b)
         assert core.leibniz_residual(b) and not core.is_leibniz(b)
 
@@ -224,40 +193,40 @@ def test_the_decision_runs_once_on_the_source_and_never_on_the_moved_table(monke
     assert walked == [bad, moved]
 
 
-def test_der_system_runs_once_on_the_source_and_never_on_the_moved_table(monkeypatch):
-    a = build(FamilySpec("M", 7))
-    rng = random.Random(1)
-    b = change_of_basis(a, dense_basis_move(rng, a.dim))
-    c = change_of_basis(b, dense_basis_move(rng, a.dim))
-    solved, words = [], cohomology.generating_words   # the system's first step
+def _record_ranks(monkeypatch):
+    """Per echelon that derivation_space makes, in the order they are made,
+    its rank after each equation handed to it."""
+    ranks = []
 
-    def recording(algebra):
-        solved.append(algebra)
-        return words(algebra)
-    monkeypatch.setattr(cohomology, "generating_words", recording)
-    for x in (b, c, b):
-        der = cohomology.derivation_space(x)
-        assert der.dim == 13 and cohomology.h1_dimension(x) == 11
-    assert solved == [a]
-    want = cohomology.derivation_space(round_trip(c))
-    assert solved[1:] == [round_trip(c)] and cohomology.derivation_space(c).rows == want.rows
+    class Recording(cohomology.SparseEchelon):
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            self.ranks = []
+            ranks.append(self.ranks)
+
+        def add_gaussian(self, row):
+            added = super().add_gaussian(row)
+            self.ranks.append(len(self))
+            return added
+    monkeypatch.setattr(cohomology, "SparseEchelon", Recording)
+    return ranks
 
 
-@pytest.mark.parametrize("family,n,alpha", [("NGF1", 5, None), ("M", 5, None), ("M1alpha", 5, "3+1i"),
-                                            ("M1alpha", 5, "-1"), ("M", 9, None), ("L1", 7, None)])
-def test_kernel_maps_are_never_derived_on_a_moved_catalog_algebra(family, n, alpha, monkeypatch):
-    # the dense M strata and M(9) need the sharpened b_1 with no link (the
-    # round trips below); linked, they take the type their source proved
-    a = case_algebra(family, n, alpha)
-    rng = random.Random(4)
-    moved = [change_of_basis(a, dense_basis_move(rng, a.dim)) for _ in range(4)]
-    derived = record_derivations(monkeypatch, invariants, "_kernel_maps")
-    for b in moved:
-        for trials in (20, 3):
-            assert characteristic_sequence(b, trials=trials) == characteristic_sequence(round_trip(b), trials=trials)
-    assert not any(x is b for x in derived for b in moved)
-    if family == "M":
-        assert derived   # the round trips did derive them
+def test_der_of_a_moved_dense_m5_hands_the_echelon_fewer_equations(monkeypatch):
+    a = build(FamilySpec("M", 5))
+    b = change_of_basis(a, dense_basis_move(random.Random(1), a.dim))
+    ranks = _record_ranks(monkeypatch)
+    der = cohomology.derivation_space(b)
+    linked = ranks[-1]   # b's echelon is made after the source's Der
+    want = cohomology.derivation_space(round_trip(b))
+    full = ranks[-1]
+    assert (der.rows, der.dim) == (want.rows, want.dim) and der.dim == 11
+    assert core.memo(a, cohomology._dimension) == der.dim
+    # the same equations in the same order, up to the first that reaches
+    # the whole system's rank, and none after it
+    target = b.dim * len(core.generating_set(b)) - der.dim
+    assert full[-1] == target and len(linked) < len(full)
+    assert linked == full[:full.index(target) + 1]
 
 
 def test_no_other_constructor_sets_a_link():
@@ -283,7 +252,5 @@ def test_equality_hash_and_key_ignore_the_link():
 def test_the_link_stays_out_of_the_memo():
     a = alg("M", 7)
     b = change_of_basis(a, dense_basis_move(random.Random(13), a.dim))
-    assert b._link[0] is a and b._memo == {}   # the memo holds only what is derived
-    assert a._link is None and cohomology.derivation_space(b).dim == cohomology.derivation_space(a).dim
-    characteristic_sequence(b)
-    assert not any(v is a or v is b._link for v in b._memo.values())
+    assert b._source is a and b._memo == {}   # the memo holds only what is derived
+    assert a._source is None and cohomology.derivation_space(b).dim == cohomology.derivation_space(a).dim
