@@ -29,10 +29,18 @@ x runs over the words w_k.  A pair (w_k, e_g) that made the word
 w = D * [w_k, e_g] holds by construction, since d(w) is defined by it;
 so the system is E(w_k, g) on the n * |G| - (n - |G|) pairs that made no
 word, and a coordinate equation that cancels to nothing is dropped.  The
-kernel is unchanged.  Der's basis is the RREF, with the column order
-reversed, of the kernel vectors' images (linalg.reversed_rref); the RREF
-of a span is unique, so that is the kernel_basis the system on all dim^2
-basis pairs in all dim^2 entries would give.  When G is every index the
+kernel is unchanged.  When G is smaller than the basis, every word past
+the e_g is a product, and those n - |G| words span L^2 (G is a
+complement of it), so d_u(L^2) lies in L^2 for every u, and with it each
+E(x, g): [x, e_g] is a product.  A vector of L^2 is zero iff its entries
+at the pivot columns of core.square_span are, so E(w_k, g) is assembled
+at those coordinates only; when L^2 is spanned by basis vectors, as in
+the catalog bases, no other coordinate occurs and nothing is filtered.
+When G is every index d_u(e_i) is free, and every coordinate is kept.
+Der's basis is the RREF, with the column order reversed, of the kernel
+vectors' images (linalg.reversed_rref); the RREF of a span is unique, so
+that is the kernel_basis the system on all dim^2 basis pairs in all
+dim^2 entries would give.  When G is every index the
 words are the e_g, no pair made a word, and the system is the one on the
 pairs (e_i, e_g).  is_derivation still checks every pair, through
 core.first_non_derivation, the one yes/no derivation check.
@@ -70,6 +78,7 @@ from .core import (
     operator_columns,
     require_leibniz,
     sparser_source,
+    square_span,
 )
 from .linalg import (
     Matrix,
@@ -148,7 +157,7 @@ def derivation_space(algebra):
     """
     require_leibniz(algebra)
     n = algebra.dim
-    by_left = algebra.by_left
+    by_left, by_right = algebra.by_left, algebra.by_right
     generators = generating_set(algebra)
     m = len(generators)
     place = {g: s for s, g in enumerate(generators)}
@@ -159,10 +168,11 @@ def derivation_space(algebra):
         for k, form in vector.items():
             add_multiple(out.setdefault(k, {}), cr, ci, form.items())
 
-    def add_bracket(out, sign, vector, g):
-        # out += sign * D [vector, e_g], for a vector of forms
+    def add_bracket(out, sign, vector, column):
+        # out += sign * D [vector, e_g], for a vector of forms and the products
+        # D [e_t, e_g] of column t: by_right[g], or those kept at L^2's pivots
         for t, form in vector.items():
-            for k, (cr, ci) in by_left[t].get(g, ()):
+            for k, (cr, ci) in column.get(t, ()):
                 add_multiple(out.setdefault(k, {}), sign * cr, sign * ci, form.items())
 
     def add_unknowns(out, scale, columns, g):
@@ -180,7 +190,7 @@ def derivation_space(algebra):
             forms.append({r: {r * m + place[g]: (1, 0)} for r in range(n)})
             continue
         out = {}
-        add_bracket(out, 1, forms[parent], g)                        # D [d w_p, e_g]
+        add_bracket(out, 1, forms[parent], by_right[g])              # D [d w_p, e_g]
         add_unknowns(out, 1, lefts[parent].items(), g)               # D [w_p, d e_g]
         forms.append({k: form for k, form in out.items() if form})
     d_inv, inverse = gaussian_inverse([w for _, _, w in words])
@@ -193,16 +203,27 @@ def derivation_space(algebra):
     made = {(parent, g) for parent, g, _ in words if parent is not None}
     source = sparser_source(algebra)
     target = None if source is None else n * m - memo(source, _dimension)   # the early stop
+    # E(w_k, g) lies in L^2 when |G| < n: only its L^2 pivot coordinates are
+    # assembled, and no other occurs when L^2 is spanned by basis vectors
+    span = square_span(algebra)
+    images_at, right, lefts_at = images, by_right, lefts
+    if m < n and any(len(row) > 1 for row in span.gaussian_rows()):
+        keep = frozenset(span.pivots())
+        images_at = [{k: form for k, form in image.items() if k in keep} for image in images]
+        right = {g: {t: [term for term in terms if term[0] in keep] for t, terms in by_right[g].items()}
+                 for g in generators}
+        lefts_at = [{r: [term for term in column if term[0] in keep] for r, column in columns.items()}
+                    for columns in lefts]
     ech = SparseEchelon(n * m)
-    for k, columns in enumerate(lefts):
+    for k, (columns, kept) in enumerate(zip(lefts, lefts_at)):
         for g in generators:
             if (k, g) in made or len(ech) == target:   # made: d(D [w_k, e_g]) is that word's form
                 continue
             eq = {}
             for t, (cr, ci) in columns.get(g, ()):
-                add_forms(eq, cr, ci, images[t])                 # D d([w_k, e_g])
-            add_bracket(eq, -d_inv, forms[k], g)                 # - D [d w_k, e_g]
-            add_unknowns(eq, -d_inv, columns.items(), g)         # - D [w_k, d e_g]
+                add_forms(eq, cr, ci, images_at[t])              # D d([w_k, e_g])
+            add_bracket(eq, -d_inv, forms[k], right[g])          # - D [d w_k, e_g]
+            add_unknowns(eq, -d_inv, kept.items(), g)            # - D [w_k, d e_g]
             for form in eq.values():
                 if form and ech.add_gaussian(form) and len(ech) == target:
                     break

@@ -43,7 +43,12 @@ integer RREF rows); generating_words the closure words, which
 cohomology.derivation_space runs along, and generating_set the G read off
 them; square_span the one SparseEchelon of L^2, which the closure (on a
 copy it extends), the central series (as its level L^2) and the
-characteristic-sequence candidates read and never change;
+characteristic-sequence candidates read and never change (every product
+lies in L^2, and a vector of L^2 is zero iff its entries at the pivots,
+SparseEchelon.pivots, are, so the annihilators, the kernel maps and Der
+keep only those coordinates); invariants._annihilators the echelons of
+Ann_l and R(L) on the operators generator_operators gives, which the
+center intersects and the kernel maps read C off;
 invariants._kernel_maps the maps that sharpen the characteristic
 sequence's rank bound; and cohomology._dimension the dim Der of a linked
 table.  Equality,
@@ -68,9 +73,11 @@ which holds for every nilpotent Leibniz algebra; otherwise G is the whole
 basis, and nothing is skipped.  The one closure loop keeps its words: the
 e_g, then each image D * [w_p, e_g] of an earlier word that enlarged the
 closure, with its parent p and generator g, n words that form a basis of
-L (the e_g alone when G is the whole basis).  By the same induction the
-central series needs only the R_g on a Leibniz algebra (invariants module
-docstring).
+L (the e_g alone when G is the whole basis).  The closure stops
+bracketing at the word that fills L.  By the same induction the central
+series and the annihilators need only the R_g (and the L_g) on a Leibniz
+algebra (invariants module docstring); generator_operators is the one
+place that decides when they suffice.
 """
 
 from __future__ import annotations
@@ -402,18 +409,31 @@ def _close(algebra):
         closure.add_gaussian(w)
     frontier = range(len(words))
     while frontier and len(closure) < n:
-        # the images [w, e_g] of the words that last enlarged the closure
+        # the images [w, e_g] of the words that last enlarged the closure,
+        # up to the one that fills L
         start = len(words)
-        for p in frontier:
-            for g in generators:
-                w = sparse_bracket(algebra, words[p][2], {g: (1, 0)})
-                if closure.add_gaussian(w):
-                    words.append((p, g, w))
+        for p, g in ((p, g) for p in frontier for g in generators):
+            w = sparse_bracket(algebra, words[p][2], {g: (1, 0)})
+            if closure.add_gaussian(w):
+                words.append((p, g, w))
+                if len(closure) == n:
+                    break
         frontier = range(start, len(words))
     if len(closure) < n:
         generators = tuple(range(n))
         words = [(None, g, {g: (1, 0)}) for g in generators]
     return tuple((p, g, MappingProxyType(w)) for p, g, w in words)
+
+
+def generator_operators(algebra, index):
+    """index[g] for g in generating_set when the algebra is Leibniz and G is
+    smaller than the basis, else index itself, for index the algebra's
+    by_right or by_left: the operators that suffice for the central series
+    and the annihilators (invariants module docstring)."""
+    generators = generating_set(algebra)
+    if len(generators) < algebra.dim and is_leibniz(algebra):
+        return tuple(index[g] for g in generators)
+    return index
 
 
 def square_span(algebra):

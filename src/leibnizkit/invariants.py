@@ -29,6 +29,17 @@ the R_g alone, from the kept echelon of L^2 (the span of all products);
 otherwise (not Leibniz, or G fell back to every index) it runs on every
 R_{e_j} from L.  Each level is kept as its sparse integer RREF rows.
 
+The annihilators on G.  On the same L, Ann_l = {x : [x, L] = 0} is the
+common kernel of the R_g, g in G: [x, [u', g]] = [[x, u'], g] - [[x, g], u']
+vanishes by induction on the length of the word.  And R(L) = {x : [L, x]
+= 0} is that of the L_g: [[u', g], x] = [u', [g, x]] + [[u', x], g]
+vanishes likewise.  So the echelons of both take the equations of the
+generators' operators alone, when core.generator_operators gives them
+(the same condition as the series), else those of every operator; each
+equation is a coordinate of a product, so only L^2's pivot coordinates
+are taken.  Both echelons are kept through core.memo; the center is their
+intersection, and the kernel maps read C off Ann_l's.
+
 fingerprint checks its input with core.require_leibniz, the guard Der and
 Inn share, and calls them through the cohomology module, which imports
 nothing from here."""
@@ -43,8 +54,7 @@ from typing import NamedTuple
 from . import cohomology
 from .core import (
     from_table,
-    generating_set,
-    is_leibniz,
+    generator_operators,
     memo,
     operator_columns,
     require_leibniz,
@@ -113,10 +123,8 @@ def _series(algebra):
     # algebra whose generating set G is certified, the R_g with g in G
     # suffice, from the kept L^2 on (see the module docstring)
     n = algebra.dim
-    operators, start = algebra.by_right, None
-    generators = generating_set(algebra)
-    if is_leibniz(algebra) and len(generators) < n:
-        operators, start = [algebra.by_right[g] for g in generators], square_span(algebra)
+    operators = generator_operators(algebra, algebra.by_right)
+    start = square_span(algebra) if len(operators) < n else None
     levels = [level.gaussian_rows() for level in image_chain(n, operators, start)]
     if start is not None:
         levels.insert(0, tuple(((c, (1, 0)),) for c in range(n)))   # L^1 = L
@@ -126,28 +134,42 @@ def _series(algebra):
 
 def right_annihilator(algebra):
     """Echelonized basis of R(L) = {x : [y, x] = 0 for all y}."""
-    return _annihilator(algebra.dim, (algebra.by_left,)).kernel_basis()
+    return memo(algebra, _annihilators)[1].kernel_basis()
 
 
 def center(algebra):
-    """Echelonized basis of Cent(L) = {z : [x, z] = [z, x] = 0 for all x}."""
-    return _annihilator(algebra.dim, (algebra.by_left, algebra.by_right)).kernel_basis()
+    """Echelonized basis of Cent(L) = {z : [x, z] = [z, x] = 0 for all x},
+    the intersection of Ann_l and R(L): the kernel of both kept echelons."""
+    left, right = memo(algebra, _annihilators)
+    ech = left.copy()
+    for row in right.gaussian_rows():
+        ech.add_gaussian(dict(row))
+    return ech.kernel_basis()
 
 
-def _annihilator(n, adjacencies):
-    # one equation per (e_a, e_k): the e_k coordinate of the product of
-    # e_a with x, on the side the adjacency names, must vanish; read off
-    # the table D * gamma, the equations are D times these, same solutions;
-    # the annihilator is the kernel of the echelon returned
+def _annihilators(algebra):
+    # the echelons of Ann_l = {x : [x, L] = 0} and R(L) = {x : [L, x] = 0}:
+    # the kernels of the R_{e_a} and of the L_{e_a} generator_operators gives
+    keep = frozenset(square_span(algebra).pivots())
+    return tuple(_annihilator(algebra.dim, generator_operators(algebra, index), keep)
+                 for index in (algebra.by_right, algebra.by_left))
+
+
+def _annihilator(n, operators, keep):
+    # one equation per (operator, e_k), k in keep: the e_k coordinate of
+    # the operator's image of x must vanish; the images are products, so
+    # in L^2, and keep holds L^2's pivot columns, which decide them.  Read
+    # off the table D * gamma, the equations are D times these, same
+    # solutions; the annihilator is the kernel of the echelon returned
     ech = SparseEchelon(n)
-    for adjacency in adjacencies:
-        for products in adjacency:
-            rows = {}
-            for c, terms in products.items():
-                for k, g in terms:
+    for products in operators:
+        rows = {}
+        for c, terms in products.items():
+            for k, g in terms:
+                if k in keep:
                     rows.setdefault(k, {})[c] = g
-            for row in rows.values():
-                ech.add_gaussian(row)
+        for row in rows.values():
+            ech.add_gaussian(row)
     return ech
 
 
@@ -192,7 +214,9 @@ def characteristic_sequence(algebra, trials=20, seed=1):
     of these V have rank k, a k x k minor is a nonzero polynomial in x, so
     rank R_x <= |C| - k off its zeros, and everywhere as rank is lower
     semicontinuous.  min(b_1, |C| - k) replaces b_1 in mu and in the cut,
-    and the search goes on to the sharper mu; no Leibniz identity is used.
+    and the search goes on to the sharper mu; the bound uses no Leibniz
+    identity (Ann_l's kept echelon may, with the same RREF: see the module
+    docstring).
     The V are solved for once per algebra and kept through core.memo; each
     x_0 costs only the rank of the V x_0.
     """
@@ -247,11 +271,12 @@ def _kernel_maps(algebra):
     V is solved for in bases of those kernels, one small echelon per j, and
     the pairs j < k go into one echelon in those unknowns."""
     n = algebra.dim
-    pivots = [row[0][0] for row in _annihilator(n, (algebra.by_right,)).gaussian_rows()]
+    pivots = memo(algebra, _annihilators)[0].pivots()
+    keep = frozenset(square_span(algebra).pivots())
     ws, blocks = [], []   # one unknown per kernel vector w of R_{e_j}; blocks[j] their range
     for products in algebra.by_right:
         on_c = {t: products[c] for t, c in enumerate(pivots) if c in products}
-        kernel = _annihilator(len(pivots), ((on_c,),)).gaussian_kernel()
+        kernel = _annihilator(len(pivots), (on_c,), keep).gaussian_kernel()
         blocks.append(range(len(ws), len(ws) + len(kernel)))
         ws += [{pivots[t]: v for t, v in terms} for _, terms in kernel]
     # [w, e_k] for w of block j is read only with k != j
@@ -263,7 +288,8 @@ def _kernel_maps(algebra):
             rows = {}   # the e_r coordinate of [V e_j, e_k] + [V e_k, e_j], times D
             for u, other in [(u, k) for u in blocks[j]] + [(u, j) for u in blocks[k]]:
                 for r, g in brackets[u][other].items():
-                    rows.setdefault(r, {})[u] = g
+                    if r in keep:
+                        rows.setdefault(r, {})[u] = g
             for row in rows.values():
                 ech.add_gaussian(row)
     return tuple(pivots), tuple(tuple(gaussian_combination(ws, {u: v for u, v in terms if u in block})

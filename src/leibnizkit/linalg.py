@@ -255,6 +255,12 @@ class SparseEchelon:
     def __len__(self):
         return len(self._rows)
 
+    def pivots(self):
+        """The pivot columns, ascending: a vector of the span is zero iff
+        its entries there are, as each RREF row is 1 at its own pivot and 0
+        at every other."""
+        return tuple(sorted(self._rows))
+
     def __iter__(self):
         rows = self._rows
         for pc in sorted(rows):
@@ -456,7 +462,10 @@ def gaussian_inverse(columns):
     d = lcm(l_r) is the least denominator of M^-1.
     """
     n = len(columns)
-    by_pivot = {min(col): j for j, col in enumerate(columns) if col}
+    by_pivot = {}
+    for j, col in enumerate(columns):   # up to the first clash, which rules substitution out
+        if not col or by_pivot.setdefault(min(col), j) != j:
+            break
     if len(by_pivot) < n:
         ech = SparseEchelon(2 * n)
         for c, col in enumerate(columns):

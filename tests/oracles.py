@@ -27,6 +27,12 @@ oracle_series is the central series as the image chain of every right
 operator R_{e_j} from Q(i)^n, with dense bases: the loop that
 invariants._series replaces, on a Leibniz algebra with a certified
 generating set G, by the R_g with g in G from L^2 on.
+oracle_right_annihilator and oracle_center eliminate all n^2 equations of
+each side, the coordinates of [e_a, x] and [x, e_a], on Scalars, where
+invariants imposes only the generators' operators at L^2's pivot columns
+(oracle_square_pivots); oracle_kernel_maps solves for the maps of
+invariants._kernel_maps in the same way, with every equation in all n
+coordinates.
 oracle_characteristic_sequence is the characteristic-sequence loop without
 the dominance cut and the ceiling: it runs nilpotent_partition to the end
 on every candidate that oracle_charseq_candidates draws.
@@ -506,6 +512,73 @@ def oracle_kernel_rank(maps, x, n):
     return oracle_rank([_oracle_apply(images, x, n) for images in maps])
 
 
+def oracle_square_pivots(algebra):
+    """The pivot columns of L^2, the span of every product, by OracleEchelon
+    on the Scalar products."""
+    ech = OracleEchelon(algebra.dim)
+    for _, _, terms in algebra.products():
+        ech.add(dict(terms))
+    return sorted(ech.pivot_rows)
+
+
+def _oracle_annihilator_echelon(algebra, sides):
+    """OracleEchelon of all n^2 equations per side: for each basis vector
+    e_a and coordinate k, the e_k coordinate of [e_a, x] (side "left") or
+    of [x, e_a] (side "right") in the unknown x, from oracle_bracket."""
+    n = algebra.dim
+    ech = OracleEchelon(n)
+    for side in sides:
+        for a in range(n):
+            images = [oracle_bracket(algebra, *((unit(n, a), unit(n, c)) if side == "left"
+                                                else (unit(n, c), unit(n, a)))) for c in range(n)]
+            for k in range(n):
+                ech.add({c: image[k] for c, image in enumerate(images)})
+    return ech
+
+
+def oracle_right_annihilator(algebra):
+    """R(L) = {x : [y, x] = 0 for all y}: the kernel_basis of the n^2
+    equations [e_a, x] = 0, coordinate by coordinate, on Scalars."""
+    return _oracle_annihilator_echelon(algebra, ("left",)).kernel_basis()
+
+
+def oracle_center(algebra):
+    """Cent(L) = {z : [x, z] = [z, x] = 0 for all x}: the kernel_basis of
+    the 2 n^2 equations of both sides, on Scalars."""
+    return _oracle_annihilator_echelon(algebra, ("left", "right")).kernel_basis()
+
+
+def oracle_kernel_maps(algebra):
+    """(C, maps) of invariants._kernel_maps on Scalars, every equation in all
+    n coordinates: C the pivot columns of Ann_l = {v : [v, e_a] = 0 for all
+    a}; per j a kernel_basis of R_{e_j} on span(e_C); then one kernel
+    vector per map V of the pair equations [V e_j, e_k] + [V e_k, e_j] = 0,
+    j < k, in those kernel vectors.  Each map is the tuple of its images
+    V e_j as dense Scalar vectors."""
+    n = algebra.dim
+    pivots = sorted(_oracle_annihilator_echelon(algebra, ("right",)).pivot_rows)
+    ws, blocks = [], []
+    for j in range(n):
+        images = [oracle_bracket(algebra, unit(n, c), unit(n, j)) for c in pivots]
+        ech = OracleEchelon(len(pivots))
+        for k in range(n):
+            ech.add({t: image[k] for t, image in enumerate(images)})
+        kernel = ech.kernel_basis()
+        blocks.append(range(len(ws), len(ws) + len(kernel)))
+        ws += [dense_vec({pivots[t]: v for t, v in enumerate(vec)}, n) for vec in kernel]
+    brackets = [[oracle_bracket(algebra, w, unit(n, k)) for k in range(n)] for w in ws]
+    ech = OracleEchelon(len(ws))
+    for k in range(n):
+        for j in range(k):
+            for r in range(n):
+                row = {u: brackets[u][k][r] for u in blocks[j]}
+                row.update({u: brackets[u][j][r] for u in blocks[k]})
+                ech.add(row)
+    maps = [tuple([sum((c[u] * ws[u][i] for u in block), ZERO) for i in range(n)] for block in blocks)
+            for c in ech.kernel_basis()]
+    return pivots, maps
+
+
 def oracle_bracket(algebra, x, y):
     """[x, y] of dense Scalar vectors, summed over every product term of the
     algebra on Scalars: no Gaussian-integer table, no bracket kernel."""
@@ -745,7 +818,7 @@ def oracle_word_relations(algebra):
     """The derivation identity E(w_k, g) = d([w_k, e_g]) - [d w_k, e_g] -
     [w_k, d e_g] on every closure word w_k and generator g, as its nonzero
     coordinate forms in the unknowns of cohomology.derivation_space, dense
-    Scalar vectors: {(k, g): [form, ...]}.  The unknown r * |G| + s is the
+    Scalar vectors: {(k, g): {coordinate: form}}.  The unknown r * |G| + s is the
     e_r coordinate of d(e_g), g the s-th generator.  For each unit u, d_u
     is built on Scalars along the words, d(w) = D * ([d w_p, e_g] +
     [w_p, d e_g]) for w = D * [w_p, e_g], and moved to the basis by the
@@ -783,8 +856,8 @@ def oracle_word_relations(algebra):
                 a = oracle_bracket(algebra, d_words[k], unit(n, g))
                 b = oracle_bracket(algebra, w, d_basis[g])
                 values.append([x - y - z for x, y, z in zip(d_wg, a, b)])
-            forms = [[v[c] for v in values] for c in range(n)]
-            relations[(k, g)] = [f for f in forms if any(f)]
+            forms = {c: [v[c] for v in values] for c in range(n)}
+            relations[(k, g)] = {c: f for c, f in forms.items() if any(f)}
     return relations
 
 

@@ -1,14 +1,15 @@
 """The results core.memo keeps on an Algebra: the decision of
 core.is_leibniz, the central series, the closure words, the generating set
-read off them and the echelon of L^2.  Each is computed once per algebra,
-which a recording deriver counts: the decision walks the R_g, g in the
-generating set, through core.first_non_derivation once, up to the first
-that fails, whether it is a yes or a no (on a no the guard then walks the
-R_{e_k} up to the least failing k on each call, and leibniz_residual every
-R_{e_k}).  A false result, a no, an empty echelon or no words, stays kept
-as well.  The memo never leaks into equality, hashing or what a caller can
-modify.  The Gaussian-integer table is stored when the algebra is built,
-not memoized."""
+read off them, the echelon of L^2 and the echelons of Ann_l and R(L).
+Each is computed once per algebra, which a recording deriver counts: the
+decision walks the R_g, g in the generating set, through
+core.first_non_derivation once, up to the first that fails, whether it is
+a yes or a no (on a no the guard then walks the R_{e_k} up to the least
+failing k on each call, and leibniz_residual every R_{e_k}).  A false
+result, a no, an empty echelon or no words, stays kept as well.  The memo
+never leaks into equality, hashing or what a caller can modify.  The
+Gaussian-integer table is stored when the algebra is built, not
+memoized."""
 
 import io
 import sys
@@ -36,7 +37,8 @@ from leibnizkit.scalars import Scalar
 
 NOT_LEIBNIZ = "R_y1 is not a derivation; the algebra is not Leibniz"
 DERIVERS = {"leibniz": (core, "_decide_leibniz"), "series": (invariants, "_series"),
-            "words": (core, "_close"), "generators": (core, "_generators"), "square": (core, "_square")}
+            "words": (core, "_close"), "generators": (core, "_generators"), "square": (core, "_square"),
+            "annihilators": (invariants, "_annihilators")}
 ONCE = {name: 1 for name in DERIVERS}
 
 
