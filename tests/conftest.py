@@ -1,7 +1,6 @@
 import os
 import random
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -10,17 +9,14 @@ sys.path.insert(0, os.path.dirname(__file__))
 from oracles import oracle_residual
 
 from leibnizkit import core
-from leibnizkit.catalog import FAMILIES, FamilySpec, build
-from leibnizkit.cohomology import derivation_space, inner_derivation_space
-from leibnizkit.core import Algebra, generating_set
-from leibnizkit.linalg import Matrix, rank
-from leibnizkit.scalars import ONE, ZERO, Scalar, parse_scalar
+from leibnizkit.catalog import FamilySpec, build
+from leibnizkit.core import from_terms, generating_set
+from leibnizkit.linalg import Matrix
+from leibnizkit.scalars import ONE, ZERO, Scalar
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 _algebras = {}
-_der_cache = {}
-_inn_cache = {}
 
 
 def alg(family, n, **params):
@@ -32,38 +28,23 @@ def alg(family, n, **params):
     return _algebras[key]
 
 
-def catalog_cases():
-    """(family, n, alpha) for every catalog family at n = 7-9: N at odd n
-    only, M1alpha at alpha = -1, 1 and i; alpha is scalar text or None."""
-    cases = []
-    for n in (7, 8, 9):
-        for family in FAMILIES:
-            if family == "N" and n % 2 == 0:
-                continue
-            if family == "M1alpha":
-                cases += [(family, n, alpha) for alpha in ("-1", "1", "1i")]
-            else:
-                cases.append((family, n, None))
-    return cases
+def fresh(a, *terms):
+    """An equal algebra with no memo filled, or with the (left, right,
+    result, coefficient) terms added."""
+    return from_terms(a.labels, [(i, j, k, c) for i, j, ts in a.products() for k, c in ts] + list(terms))
 
 
-def case_algebra(family, n, alpha):
-    """The algebra of one catalog_cases() entry."""
-    return alg(family, n, **({"alpha": parse_scalar(alpha)} if alpha else {}))
+def lie_ex():
+    """[e, x] = e, [x, e] = -e: a non-nilpotent Lie algebra, so Leibniz.
+    L^2 = span e, and x alone spans its closure under R_x, so the
+    generating set falls back to both indices."""
+    return from_terms(["e", "x"], [(0, 1, 0, Scalar(1)), (1, 0, 0, Scalar(-1))])
 
 
-def cached_der(algebra):
-    key = algebra.key()
-    if key not in _der_cache:
-        _der_cache[key] = derivation_space(algebra)
-    return _der_cache[key]
-
-
-def cached_inn(algebra):
-    key = algebra.key()
-    if key not in _inn_cache:
-        _inn_cache[key] = inner_derivation_space(algebra)
-    return _inn_cache[key]
+def ci_move(n):
+    """The dense P of the CI's dense-basis guards, every entry in (1, -1, 2, -2)."""
+    v = (1, -1, 2, -2)
+    return Matrix(n, n, [[Scalar(v[(n * r + c) ** 3 % 31 % 4]) for c in range(n)] for r in range(n)])
 
 
 def zero_vec(n):
@@ -72,12 +53,7 @@ def zero_vec(n):
 
 def mutated_m7():
     """M(7) with the extra product [y2, y6] = y1: the negative control."""
-    m7 = alg("M", 7)
-    gamma = dict(m7.gamma)
-    v = zero_vec(8)
-    v[0] = ONE
-    gamma[(1, 5)] = tuple(v)
-    return Algebra(m7.labels, gamma)
+    return fresh(alg("M", 7), (1, 5, 0, ONE))
 
 
 def record_walks(monkeypatch):
@@ -130,39 +106,11 @@ def random_vector(rng, n, lo=-3, hi=3):
     return [Scalar(rng.randint(lo, hi), rng.randint(-1, 1)) for _ in range(n)]
 
 
-def random_invertible(rng, n, lo=-2, hi=2):
-    while True:
-        m = Matrix(n, n, [[Scalar(rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)])
-        if rank(m) == n:
-            return m
-
-
-def dense_basis_move(rng, n):
-    """A move of the benchmark's dense-basis workload (perfbench/workloads.py,
-    random_invertible): every entry drawn in turn from (-2, -1, 1, 2), the
-    whole matrix redrawn until it is invertible, so the same rng state gives
-    the same matrix."""
-    while True:
-        m = Matrix(n, n, [[Scalar(rng.choice((-2, -1, 1, 2))) for _ in range(n)] for _ in range(n)])
-        if rank(m) == n:
-            return m
-
-
-def dense_rational_move(rng, n):
-    """An invertible n x n matrix of Gaussian rationals, every entry nonzero."""
-    while True:
-        m = Matrix(n, n, [[Scalar(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)),
-                                  Fraction(rng.randint(-1, 1), rng.randint(1, 2)))
-                           for _ in range(n)] for _ in range(n)])
-        if rank(m) == n:
-            return m
-
-
 def random_structured_invertible(rng, n):
     """Permutation x diagonal x one shear: invertible, sparse columns.
 
     Transported structure constants stay sparse, so bulk property sampling
-    stays fast; mix in a few dense random_invertible samples for coverage.
+    stays fast; mix in a few dense cases.random_invertible samples for coverage.
     """
     perm = list(range(n))
     rng.shuffle(perm)

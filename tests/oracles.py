@@ -434,14 +434,15 @@ def _oracle_search_interval(by_position, d, values):
     return None
 
 
-def oracle_characteristic_sequence(algebra, trials=20, seed=1):
+def oracle_characteristic_sequence(algebra, trials=20, seed=1, right_type=None):
     """invariants.characteristic_sequence without the dominance cut and the
     ceiling: the same candidates in the same order, the full Jordan type of
-    every R_x, and the first lexicographic maximum with its witness."""
+    every R_x, and the first lexicographic maximum with its witness.
+    right_type(x), if given, is oracle_right_type(algebra, x) kept."""
     best = None
     witness = None
     for x in oracle_charseq_candidates(algebra, trials, seed):
-        parts = oracle_right_type(algebra, x)
+        parts = right_type(x) if right_type else oracle_right_type(algebra, x)
         if best is None or parts > best:
             best = parts
             witness = tuple(dense_vec(x, algebra.dim))
@@ -579,11 +580,18 @@ def oracle_kernel_maps(algebra):
     return pivots, maps
 
 
+_viewed = [None, ()]   # the last algebra oracle_bracket read, and its products()
+
+
 def oracle_bracket(algebra, x, y):
     """[x, y] of dense Scalar vectors, summed over every product term of the
-    algebra on Scalars: no Gaussian-integer table, no bracket kernel."""
+    algebra on Scalars: no Gaussian-integer table, no bracket kernel.  Each
+    products() call makes its Scalar view afresh, and the oracles bracket
+    on one table many times in a row, so the last one's view is kept."""
+    if _viewed[0] is not algebra:
+        _viewed[:] = algebra, algebra.products()
     out = [ZERO] * algebra.dim
-    for i, j, terms in algebra.products():
+    for i, j, terms in _viewed[1]:
         c = x[i] * y[j]
         if c:
             for k, g in terms:

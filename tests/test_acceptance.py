@@ -7,12 +7,10 @@ the independent oracles in oracles.py, frozen after confirmation.
 
 import random
 
+from cases import kept, random_invertible
 from conftest import (
     alg,
-    cached_der,
-    cached_inn,
     mutated_m7,
-    random_invertible,
     random_structured_invertible,
     random_vector,
 )
@@ -49,7 +47,7 @@ def _m1(n, alpha):
 
 def test_criterion_1_der_dims_N():
     for n in N_SWEEP:
-        got = cached_der(alg("N", n)).dim
+        got = kept(alg("N", n)).get("der").dim
         want = 3 * (n - 1) // 2 + 7
         assert got == want, "dim Der(N(%d)) = %d, stated %d" % (n, got, want)
     print("[criterion 1] dim Der(N(n)) = 3(n-1)/2+7 for n in %s: PASS" % (N_SWEEP,))
@@ -57,7 +55,7 @@ def test_criterion_1_der_dims_N():
 
 def test_criterion_1_der_dims_M():
     for n in M_SWEEP:
-        got = cached_der(alg("M", n)).dim
+        got = kept(alg("M", n)).get("der").dim
         assert got == n + 6, "dim Der(M(%d)) = %d, stated %d" % (n, got, n + 6)
     print("[criterion 1] dim Der(M(n)) = n+6 for n in %s: PASS" % (M_SWEEP,))
 
@@ -66,7 +64,7 @@ def test_criterion_1_der_dims_M1alpha():
     mismatches = []
     for n in M_SWEEP:
         for name, alpha in ALPHAS:
-            got = cached_der(_m1(n, alpha)).dim
+            got = kept(_m1(n, alpha)).get("der").dim
             if got != n + 5:
                 mismatches.append("dim Der(M^{1,%s}(%d)) = %d, stated %d"
                                   % (name, n, got, n + 5))
@@ -92,7 +90,7 @@ def test_criterion_1_M1alpha_minus_one_extra_derivation():
     for n in (7, 9):
         dim = n + 1
         others = [alpha for name, alpha in ALPHAS if name != "-1"]
-        common = [m for m in cached_der(_m1(n, Scalar(2))).basis
+        common = [m for m in kept(_m1(n, Scalar(2))).get("der").basis
                   if all(is_derivation(_m1(n, alpha), m) for _, alpha in ALPHAS)]
         assert len(common) == n + 4
 
@@ -103,7 +101,7 @@ def test_criterion_1_M1alpha_minus_one_extra_derivation():
             generic = common + [d1(alpha)]
             assert all(is_derivation(_m1(n, alpha), m) for m in generic)
             assert len(span_echelon([m.flat() for m in generic], dim * dim)) \
-                == cached_der(_m1(n, alpha)).dim == n + 5
+                == kept(_m1(n, alpha)).get("der").dim == n + 5
         minus_one = _m1(n, Scalar(-1))
         x = _matrix(dim, [(n, n - 2, Scalar(1))])
         assert is_derivation(minus_one, x)
@@ -111,7 +109,7 @@ def test_criterion_1_M1alpha_minus_one_extra_derivation():
         span = span_echelon([m.flat() for m in common + [d1(Scalar(-1))]], dim * dim)
         assert len(span) == n + 5 and is_derivation(minus_one, d1(Scalar(-1)))
         assert not in_span(span, sparse_vec(x.flat()))
-        assert cached_der(minus_one).dim == n + 6
+        assert kept(minus_one).get("der").dim == n + 6
     print("[criterion 1] M^{1,-1}(n) has the extra derivation y_{n-1} -> z1 outside "
           "the generic span, so dim Der = n+6 at n = 7, 9: PASS")
 
@@ -121,7 +119,7 @@ def test_criterion_1_M1alpha_minus_one_extra_derivation():
 def test_criterion_2_h1_N():
     for n in N_SWEEP:
         a = alg("N", n)
-        der, inn = cached_der(a), cached_inn(a)
+        der, inn = kept(a).get("der"), kept(a).get("inn")
         h1 = h1_dimension(a, der=der, inn=inn)
         # oracle-confirmed inner span rank (frozen): n-1, not the n-4 printed
         # alongside the stated formula
@@ -137,7 +135,7 @@ def test_criterion_2_h1_N():
 def test_criterion_2_h1_M():
     for n in M_SWEEP:
         a = alg("M", n)
-        der, inn = cached_der(a), cached_inn(a)
+        der, inn = kept(a).get("der"), kept(a).get("inn")
         h1 = h1_dimension(a, der=der, inn=inn)
         assert h1 == n + 4, "dim H1(M(%d)) = %d, stated %d" % (n, h1, n + 4)
         assert inn.dim == oracle_inner_dim(a) == 2
@@ -150,7 +148,7 @@ def test_criterion_2_h1_M1alpha():
     for n in M_SWEEP:
         for name, alpha in ALPHAS:
             a = _m1(n, alpha)
-            der, inn = cached_der(a), cached_inn(a)
+            der, inn = kept(a).get("der"), kept(a).get("inn")
             h1 = h1_dimension(a, der=der, inn=inn)
             assert inn.dim == oracle_inner_dim(a) == 3
             if h1 != n + 2:
@@ -310,11 +308,11 @@ def test_criterion_8_derivation_identity_of_every_der_basis_element():
              ("M", 8), ("N", 9), ("L1", 8)]
     for family, n in specs:
         a = alg(family, n)
-        for m in cached_der(a).basis:
+        for m in kept(a).get("der").basis:
             assert is_derivation(a, m), (family, n)
             count += 1
     m1 = _m1(7, Scalar(1))
-    for m in cached_der(m1).basis:
+    for m in kept(m1).get("der").basis:
         assert is_derivation(m1, m)
         count += 1
     assert count >= 100, count
@@ -325,7 +323,7 @@ def test_criterion_8_graded_split_recombination():
     rng = random.Random(103)
     a = alg("M", 7)
     w = WeightAssignment(list(range(1, 6)) + [-1, 0, 6])
-    der = cached_der(a)
+    der = kept(a).get("der")
     split = graded_derivation_split(a, w, der)
     assert sum(split.values()) == der.dim
     for _ in range(100):

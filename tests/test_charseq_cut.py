@@ -18,7 +18,8 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from conftest import alg, case_algebra, catalog_cases, dense_basis_move, random_invertible, record_derivations
+from cases import case, catalog, catalog_algebra, ci_not_leibniz, kept, moved
+from conftest import alg, record_derivations
 
 from oracles import (
     dense_vec,
@@ -28,71 +29,76 @@ from oracles import (
     oracle_kernel_map_holds,
     oracle_kernel_rank,
     oracle_rank,
-    oracle_right_type,
     unit,
 )
 
 from leibnizkit import invariants, linalg
 from leibnizkit.catalog import FAMILIES
-from leibnizkit.core import change_of_basis, direct_sum, from_terms
+from leibnizkit.core import change_of_basis, direct_sum
 from leibnizkit.invariants import central_series, characteristic_sequence, natural_graded
-from leibnizkit.linalg import Matrix, gaussian_row
+from leibnizkit.linalg import gaussian_row
 from leibnizkit.scalars import Scalar, parse_scalar
 
 PARAMS = [(20, 1), (5, 1), (5, 2)]
 
 
-def _cases(sizes):
-    return [(family, n, alpha) for n in sizes for family in FAMILIES
-            for alpha in (("-1", "1", "1i") if family == "M1alpha" else (None,))]
-
-
-def _same(a):
+def _same(k):
+    """The cut search against the uncut loop on the table of the Kept k,
+    whose oracle Jordan types the ceiling's premise reads too."""
     for trials, seed in PARAMS:
-        assert characteristic_sequence(a, trials=trials, seed=seed) == \
-            oracle_characteristic_sequence(a, trials=trials, seed=seed)
+        assert characteristic_sequence(k.table, trials=trials, seed=seed) == \
+            k.get("oracle_characteristic_sequence", trials, seed)
 
 
-@pytest.mark.parametrize("family,n,alpha", _cases((7, 9, 11, 15)))
+def _sums():
+    """The three pair sums and the triple sum at n = 7 that both the cut
+    and the ceiling's premise are checked on."""
+    sums = [direct_sum(alg(left, 7), alg(right, 7)) for left, right in (("L1", "KF4"), ("N", "M"), ("NGF1", "N"))]
+    return sums + [direct_sum(direct_sum(alg("L1", 7), alg("NGF1", 7)), alg("KF5", 7))]
+
+
+def _null_filiform_sum(sizes):
+    a = alg("nullfiliform-ml", sizes[0])
+    for m in sizes[1:]:
+        a = direct_sum(a, alg("nullfiliform-ml", m))
+    return a
+
+
+@pytest.mark.parametrize("family,n,alpha", catalog((7, 9, 11, 15)))
 def test_cut_matches_uncut_loop_on_the_catalog(family, n, alpha):
-    _same(case_algebra(family, n, alpha))
+    _same(case(family, n, alpha).kept)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_cut_matches_uncut_loop_on_dense_conjugates(family):
-    a = alg(family, 7)
-    assert a.dim <= 8
-    rng = random.Random(7)
-    for _ in range(2):
-        _same(change_of_basis(a, random_invertible(rng, a.dim)))
+    for k in moved(family, 7, None, "small", 7, 2):
+        assert k.a.dim <= 8
+        _same(k.kept)
 
 
-@pytest.mark.parametrize("family,n,alpha", _cases((9,)))
+@pytest.mark.parametrize("family,n,alpha", catalog((9,)))
 def test_cut_matches_uncut_loop_on_gr(family, n, alpha):
-    _same(natural_graded(case_algebra(family, n, alpha))[0])
+    _same(kept(natural_graded(catalog_algebra(family, n, alpha))[0]))
 
 
 @pytest.mark.parametrize("left,right", [("L1", "KF4"), ("N", "M"), ("NGF1", "N")])
 def test_cut_matches_uncut_loop_on_a_pair_sum_witness(left, right):
     a = direct_sum(alg(left, 7), alg(right, 7))
     assert sum(1 for c in characteristic_sequence(a).witness if c) == 2
-    _same(a)
+    _same(kept(a))
 
 
 def test_cut_matches_uncut_loop_on_a_random_witness():
-    a = direct_sum(direct_sum(alg("L1", 7), alg("NGF1", 7)), alg("KF5", 7))
+    a = _sums()[-1]
     assert sum(1 for c in characteristic_sequence(a).witness if c) == 20
-    _same(a)
+    _same(kept(a))
 
 
 @pytest.mark.parametrize("sizes", [c for r in (2, 3) for c in combinations_with_replacement((1, 2, 3, 4), r)])
 def test_cut_matches_uncut_loop_on_sums_of_null_filiform_algebras(sizes):
     # the pair sums and random candidates add up the blocks of the summands,
     # so the winner comes late and its ranks meet the bounds of the cut
-    a = alg("nullfiliform-ml", sizes[0])
-    for m in sizes[1:]:
-        a = direct_sum(a, alg("nullfiliform-ml", m))
-    _same(a)
+    _same(kept(_null_filiform_sum(sizes)))
 
 
 def _count_chain_levels(monkeypatch):
@@ -126,18 +132,19 @@ def test_sharpened_ceiling_ends_the_dense_m9_search_at_its_first_chain(monkeypat
     # stays above the first candidate's (7, 1, 1, 1); the kernel maps of
     # degree one at that candidate bring b_1 from 7 down to 6, whose ceiling
     # is (7, 1, 1, 1), so the first chain, 8 levels down to 0, ends the search
-    a = alg("M", 9)
-    a = change_of_basis(a, random_invertible(random.Random(7), a.dim))
+    k = case("M", 9, None, "small", 7)
+    a = change_of_basis(k.a, k.p)
     central_series(a)
     bound = invariants._rank_bound(a)
     assert invariants._ceiling(a.dim, bound) == (7, 2, 1)
     assert bound[1] == 7 and invariants._kernel_bound(a, next(invariants._candidates(a, 20, 1))) == 6
     bound[1] = 6
     assert invariants._ceiling(a.dim, bound) == (7, 1, 1, 1)
+    want = k.kept.get("oracle_characteristic_sequence")
     yielded = _count_chain_levels(monkeypatch)
     cs = characteristic_sequence(a)
     assert cs.parts == (7, 1, 1, 1)
-    assert cs.witness == oracle_characteristic_sequence(a).witness
+    assert cs.witness == want.witness
     assert yielded == [8]
 
 
@@ -165,11 +172,11 @@ LARGE = (("N", None), ("M", None), ("M1alpha", "-1"), ("M1alpha", "1i"), ("L1", 
          ("NGF1", None))
 
 
-@pytest.mark.parametrize("family,n,alpha", catalog_cases() + [(f, 11, alpha) for f, alpha in LARGE]
+@pytest.mark.parametrize("family,n,alpha", catalog((7, 8, 9)) + [(f, 11, alpha) for f, alpha in LARGE]
                          + [(f, 15, alpha) for f, alpha in LARGE[:-1]])
 def test_kernel_bound_is_never_computed_on_catalog_bases(family, n, alpha, monkeypatch):
     # the first candidate meets the term-rank ceiling: one candidate, no bound
-    a = case_algebra(family, n, alpha)
+    a = catalog_algebra(family, n, alpha)
     searches = _record_search(monkeypatch)
     characteristic_sequence(a)
     assert searches == [[1, 0]]
@@ -180,17 +187,16 @@ def test_sharpened_bound_ends_the_dense_m_strata_at_the_first_candidate(family, 
     # the benchmark's dense M strata, dim 6: the term-rank ceiling (3, 2, 1)
     # lies above the answer, and all 41 candidates were drawn without the
     # sharpened b_1; with it the first candidate ends the search
-    a = case_algebra(family, 5, alpha)
-    rng = random.Random(4)
-    moved = [change_of_basis(a, dense_basis_move(rng, a.dim)) for _ in range(10)]
-    for b in moved:
+    tables = [change_of_basis(k.a, k.p) for k in moved(family, 5, alpha, "bench", 4, 10)]
+    for b in tables:
         central_series(b)
         assert invariants._ceiling(b.dim, invariants._rank_bound(b)) == (3, 2, 1)
+    wants = [kept(b).get("oracle_characteristic_sequence") for b in tables]
     searches = _record_search(monkeypatch)
-    for b in moved:
+    for b, want in zip(tables, wants):
         cs = characteristic_sequence(b)
         assert cs.parts == (3, 1, 1, 1)
-        assert cs == oracle_characteristic_sequence(b)
+        assert cs == want
     assert searches == [[1, 1]] * 10
 
 
@@ -199,18 +205,19 @@ def test_a_later_best_sharpens_b_1_from_the_kept_kernel_maps(monkeypatch):
     # b_1 at 6 and the ceiling at (6, 2, 1); the second candidate reaches
     # (6, 1, 1, 1), a new best, and the V at it bring b_1 to 5, whose ceiling
     # it meets.  The V are solved for once, on the first call, and kept
-    def moved():
-        return change_of_basis(alg("M", 8), random_invertible(random.Random(16), 9))
-    a = moved()
+    def fresh_move():
+        return change_of_basis(alg("M", 8), case("M", 8, None, "small", 16).p)
+    a = fresh_move()
     central_series(a)
     bound = invariants._rank_bound(a)
     first, second = list(invariants._candidates(a, 20, 1))[:2]
     assert (bound[1], invariants._kernel_bound(a, first), invariants._kernel_bound(a, second)) == (6, 6, 5)
+    want = kept(a).get("oracle_characteristic_sequence")
     derived = record_derivations(monkeypatch, invariants, "_kernel_maps")
     searches = _record_search(monkeypatch)
-    b = moved()
+    b = fresh_move()
     cs = characteristic_sequence(b)
-    assert cs == oracle_characteristic_sequence(b) and cs.parts == (6, 1, 1, 1)
+    assert cs == want and cs.parts == (6, 1, 1, 1)
     assert searches == [[2, 2]] and derived == [b]
     characteristic_sequence(b, seed=2)
     assert derived == [b]
@@ -240,8 +247,7 @@ def test_cut_is_sound_on_random_rank_sequences(family, n, monkeypatch):
     central_series(a)
     bound = invariants._rank_bound(a)
     bound[1] = min(bound[1], invariants._kernel_bound(a, next(invariants._candidates(a, 1, 1))))
-    fits = [p for p in _partitions(a.dim)
-            if all(r <= (bound[j] if j < len(bound) else 0) for j, r in enumerate(_ranks(p)))]
+    fits = [p for p in _partitions(a.dim) if _fits(p, bound)]
     assert len(fits) >= 10
     rng = random.Random(5)
     for _ in range(400):
@@ -278,10 +284,12 @@ def _kernel_maps_hold(a):
     return pivots, maps
 
 
-def _within_the_ceiling(a):
-    # the ceiling's premise, on every candidate of the uncut loop: its ranks
-    # r_j = rank R_x^j are at most b_j, b_1 sharpened to |C| - k by the rank
-    # k of the V x_0 at any candidate x_0, so its type is not lex above mu
+def _within_the_ceiling(k):
+    # the ceiling's premise, on every candidate of the uncut loop on the
+    # table of the Kept k: its ranks r_j = rank R_x^j are at most b_j, b_1
+    # sharpened to |C| - k by the rank k of the V x_0 at any candidate x_0,
+    # so its type is not lex above mu
+    a = k.table
     pivots, maps = _kernel_maps_hold(a)
     bound = invariants._rank_bound(a)
     for seed in (1, 2):
@@ -293,39 +301,31 @@ def _within_the_ceiling(a):
             sharp[1] = min(sharp[1], len(pivots) - max(oracle_kernel_rank(maps, x, a.dim) for x in candidates))
         ceiling = invariants._ceiling(a.dim, sharp)
         for x in candidates:
-            parts = oracle_right_type(a, x)
+            parts = k.right_type(x)
             assert _fits(parts, sharp), (x, parts, sharp)
             assert parts <= ceiling
 
 
-@pytest.mark.parametrize("family,n,alpha", _cases((7, 9, 11, 15)))
+@pytest.mark.parametrize("family,n,alpha", catalog((7, 9, 11, 15)))
 def test_rank_bound_holds_on_the_catalog(family, n, alpha):
-    _within_the_ceiling(case_algebra(family, n, alpha))
+    _within_the_ceiling(case(family, n, alpha).kept)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_rank_bound_holds_on_dense_conjugates(family):
-    a = alg(family, 7)
-    rng = random.Random(7)
-    for _ in range(2):
-        _within_the_ceiling(change_of_basis(a, random_invertible(rng, a.dim)))
+    for k in moved(family, 7, None, "small", 7, 2):
+        _within_the_ceiling(k.kept)
 
 
-@pytest.mark.parametrize("family,n,alpha", _cases((9,)))
+@pytest.mark.parametrize("family,n,alpha", catalog((9,)))
 def test_rank_bound_holds_on_gr(family, n, alpha):
-    _within_the_ceiling(natural_graded(case_algebra(family, n, alpha))[0])
+    _within_the_ceiling(kept(natural_graded(catalog_algebra(family, n, alpha))[0]))
 
 
 def test_rank_bound_holds_on_direct_sums():
-    sums = [direct_sum(alg(left, 7), alg(right, 7)) for left, right in (("L1", "KF4"), ("N", "M"), ("NGF1", "N"))]
-    sums.append(direct_sum(direct_sum(alg("L1", 7), alg("NGF1", 7)), alg("KF5", 7)))
-    for sizes in combinations_with_replacement((1, 2, 3, 4), 3):
-        a = alg("nullfiliform-ml", sizes[0])
-        for m in sizes[1:]:
-            a = direct_sum(a, alg("nullfiliform-ml", m))
-        sums.append(a)
+    sums = _sums() + [_null_filiform_sum(sizes) for sizes in combinations_with_replacement((1, 2, 3, 4), 3)]
     for a in sums:
-        _within_the_ceiling(a)
+        _within_the_ceiling(kept(a))
 
 
 def test_sharpened_bound_holds_on_the_non_leibniz_table():
@@ -333,12 +333,8 @@ def test_sharpened_bound_holds_on_the_non_leibniz_table():
     # with [y1, y1] += y5.  It is not nilpotent, so it has no characteristic
     # sequence, but the sharpened bound uses no Leibniz identity: rank R_x
     # <= |C| - k holds at every x, checked here on Scalars at seeded x
-    a = case_algebra("M1alpha", 11, "3+1i")
-    n, v = a.dim, (1, -1, 2, -2)
-    moved = change_of_basis(a, Matrix(n, n, [[Scalar(v[(n * r + c) ** 3 % 31 % 4]) for c in range(n)]
-                                             for r in range(n)]))
-    bad = from_terms(moved.labels, [(i, j, k, c) for i, j, ts in moved.products() for k, c in ts]
-                     + [(1, 1, 5, parse_scalar("1"))])
+    bad = ci_not_leibniz()
+    n = bad.dim
     assert not central_series(bad).is_nilpotent
     pivots, maps = _kernel_maps_hold(bad)
     rng = random.Random(17)

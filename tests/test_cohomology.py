@@ -3,17 +3,8 @@ import random
 
 import pytest
 
-from conftest import (
-    alg,
-    cached_der,
-    cached_inn,
-    case_algebra,
-    catalog_cases,
-    dense_rational_move,
-    mutated_m7,
-    random_invertible,
-    random_vector,
-)
+from cases import case, catalog, catalog_algebra, kept, moved
+from conftest import alg, fresh, mutated_m7, random_vector
 
 from oracles import mul_vec, oracle_der_dim, oracle_inner_dim, oracle_inner_outside_der, oracle_is_derivation, unit
 
@@ -25,7 +16,7 @@ from leibnizkit.cohomology import (
     inner_derivation_space,
     is_derivation,
 )
-from leibnizkit.core import change_of_basis, right_operator
+from leibnizkit.core import right_operator
 from leibnizkit.invariants import fingerprint, right_annihilator
 from leibnizkit.linalg import Matrix, span_echelon
 from leibnizkit.scalars import Scalar, from_gaussian
@@ -33,7 +24,7 @@ from leibnizkit.scalars import Scalar, from_gaussian
 
 def test_der_dim_n_family():
     for n in (7, 9):
-        der = cached_der(alg("N", n))
+        der = kept(alg("N", n)).get("der")
         assert der.dim == 3 * (n - 1) // 2 + 7
 
 
@@ -44,16 +35,16 @@ def test_der_dim_abelian_is_full_matrix_space():
 
 def test_der_dim_m_family():
     for n in (7, 8):
-        assert cached_der(alg("M", n)).dim == n + 6
+        assert kept(alg("M", n)).get("der").dim == n + 6
         for a in (Scalar(1), Scalar(1, 2)):
-            assert cached_der(alg("M1alpha", n, alpha=a)).dim == n + 5
+            assert kept(alg("M1alpha", n, alpha=a)).get("der").dim == n + 5
 
 
 def test_der_dim_against_independent_assembly():
     m7 = alg("M", 7)
-    assert cached_der(m7).dim == oracle_der_dim(m7) == 13
+    assert kept(m7).get("der").dim == oracle_der_dim(m7) == 13
     m11 = alg("M1alpha", 7, alpha=Scalar(1))
-    assert cached_der(m11).dim == oracle_der_dim(m11) == 12
+    assert kept(m11).get("der").dim == oracle_der_dim(m11) == 12
 
 
 def _perturbed(m, rng):
@@ -64,16 +55,17 @@ def _perturbed(m, rng):
     return Matrix(m.rows, m.cols, data)
 
 
-@pytest.mark.parametrize("family,n,alpha", [case for case in catalog_cases() if case[1] != 8])
+@pytest.mark.parametrize("family,n,alpha", catalog((7, 9)))
 def test_is_derivation_matches_the_pair_by_pair_oracle(family, n, alpha):
     # the one defect loop against n^2 bracket pairs, on every Der basis
     # element and on two one-entry perturbations of each; at n = 7 the first
     # case of each family is also moved to two dense Gaussian-rational bases
-    rng = random.Random("%s %d %s" % (family, n, alpha))
-    base = case_algebra(family, n, alpha)
-    algebras = [base]
+    seed = "%s %d %s" % (family, n, alpha)
+    algebras, rng = [catalog_algebra(family, n, alpha)], random.Random(seed)
     if n == 7 and alpha in (None, "-1"):
-        algebras += [change_of_basis(base, dense_rational_move(rng, base.dim)) for _ in range(2)]
+        dense = moved(family, n, alpha, "rational", seed, 2)
+        algebras += [k.b for k in dense]
+        rng = dense[-1].rng()
     for a in algebras:
         for m in derivation_space(a).basis:
             assert is_derivation(a, m) and oracle_is_derivation(a, m)
@@ -85,14 +77,14 @@ def test_is_derivation_matches_the_pair_by_pair_oracle(family, n, alpha):
 def test_every_der_basis_element_is_a_derivation():
     for family, n in [("M", 7), ("N", 7), ("L1", 7), ("KF5", 7)]:
         a = alg(family, n)
-        for m in cached_der(a).basis:
+        for m in kept(a).get("der").basis:
             assert is_derivation(a, m)
 
 
 def test_der_and_inn_bases_are_square_matrices_of_scalars():
     # both bases come from rows that are already Scalars, taken as they are:
     # they must equal the matrices the checking constructor builds
-    a = change_of_basis(alg("M1alpha", 5, alpha=Scalar(3, 1)), random_invertible(random.Random(4), 6))
+    a = case("M1alpha", 5, "3+1i", "small", 4).b
     for space in (derivation_space(a), inner_derivation_space(a)):
         assert space.dim and len(space.basis) == space.dim
         for m in space.basis:
@@ -108,7 +100,7 @@ def test_inner_dim_abelian_zero():
 
 def test_inner_m7_spanned_by_two_right_operators():
     m7 = alg("M", 7)
-    inn = cached_inn(m7)
+    inn = kept(m7).get("inn")
     assert inn.dim == 2 == oracle_inner_dim(m7)
     # and the span is exactly <R_{y1}, R_{y6}>
     r1 = right_operator(m7, unit(8, 0)).flat()
@@ -120,21 +112,21 @@ def test_inner_m7_spanned_by_two_right_operators():
 
 def test_inner_m1alpha_dim_three():
     a = alg("M1alpha", 7, alpha=Scalar(1))
-    assert cached_inn(a).dim == 3 == oracle_inner_dim(a)
+    assert kept(a).get("inn").dim == 3 == oracle_inner_dim(a)
 
 
 def test_h1_m_family():
     for n in (7, 8):
         m = alg("M", n)
-        assert h1_dimension(m, der=cached_der(m), inn=cached_inn(m)) == n + 4
+        assert h1_dimension(m, der=kept(m).get("der"), inn=kept(m).get("inn")) == n + 4
         a = alg("M1alpha", n, alpha=Scalar(1))
-        assert h1_dimension(a, der=cached_der(a), inn=cached_inn(a)) == n + 2
+        assert h1_dimension(a, der=kept(a).get("der"), inn=kept(a).get("inn")) == n + 2
 
 
 def test_h1_nonnegative_and_contained():
     for family, n in [("M", 7), ("N", 7), ("L1", 7), ("KF4", 7), ("NGF1", 7)]:
         a = alg(family, n)
-        h1 = h1_dimension(a, der=cached_der(a), inn=cached_inn(a))
+        h1 = h1_dimension(a, der=kept(a).get("der"), inn=kept(a).get("inn"))
         assert h1 >= 0
 
 
@@ -153,38 +145,38 @@ def test_inner_rejects_non_leibniz_naming_first_operator():
         assert str(info.value) == "R_y1 is not a derivation; the algebra is not Leibniz", entry
 
 
-@pytest.mark.parametrize("family,n,alpha", catalog_cases())
+@pytest.mark.parametrize("family,n,alpha", catalog((7, 8, 9)))
 def test_inner_derivations_lie_in_der(family, n, alpha):
     # h1_dimension subtracts dims without a containment check; this pins
     # the theorem it relies on against derivation_space's assembly
-    a = case_algebra(family, n, alpha)
-    assert oracle_inner_outside_der(a, cached_der(a)) == []
+    a = catalog_algebra(family, n, alpha)
+    assert oracle_inner_outside_der(a, kept(a).get("der")) == []
 
 
-@pytest.mark.parametrize("family,n,alpha", catalog_cases())
+@pytest.mark.parametrize("family,n,alpha", catalog((7, 8, 9)))
 def test_inner_dim_is_dim_minus_right_annihilator(family, n, alpha):
     # the kernel of x -> R_x is R(L); with dim Der(N) on its formula this
     # pins dim H1(N) = (n+13)/2, not the stated (n+19)/2
-    a = case_algebra(family, n, alpha)
-    assert cached_inn(a).dim == a.dim - len(right_annihilator(a))
+    a = catalog_algebra(family, n, alpha)
+    assert kept(a).get("inn").dim == a.dim - len(right_annihilator(a))
     if family == "N":
-        assert h1_dimension(a, der=cached_der(a), inn=cached_inn(a)) == (n + 13) // 2
+        assert h1_dimension(a, der=kept(a).get("der"), inn=kept(a).get("inn")) == (n + 13) // 2
 
 
 @pytest.mark.parametrize("family,n,params", [
     ("L1", 7, {}), ("KF4", 7, {}), ("KF5", 7, {}), ("NGF1", 5, {}), ("N", 7, {}),
     ("M", 5, {}), ("M1alpha", 5, {"alpha": Scalar(-1)}), ("nullfiliform-ml", 6, {}),
 ])
-def test_inner_derivations_lie_in_der_dense_basis(family, n, params, rng):
-    a = alg(family, n, **params)
-    moved = change_of_basis(a, random_invertible(rng, a.dim))
-    assert oracle_inner_outside_der(moved, derivation_space(moved)) == []
+def test_inner_derivations_lie_in_der_dense_basis(family, n, params):
+    # moved by the first draw of the rng fixture's stream
+    b = case(family, n, "-1" if params else None, "small", 20240811).b
+    assert oracle_inner_outside_der(b, derivation_space(b)) == []
 
 
 def test_commutator_with_inner_is_inner(rng):
     # d R_x - R_x d = R_{d(x)}: inner derivations form an ideal of Der
     m7 = alg("M", 7)
-    der = cached_der(m7)
+    der = kept(m7).get("der")
     for _ in range(25):
         d = der.basis[rng.randrange(len(der.basis))]
         x = random_vector(rng, 8)
@@ -194,12 +186,11 @@ def test_commutator_with_inner_is_inner(rng):
         assert lhs == rhs
 
 
-def test_der_dim_invariant_under_change_of_basis(rng):
-    l1 = alg("L1", 7)
-    base = cached_der(l1).dim
-    for _ in range(3):
-        p = random_invertible(rng, 7)
-        assert derivation_space(change_of_basis(l1, p)).dim == base
+def test_der_dim_invariant_under_change_of_basis():
+    # moved by the first three draws of the rng fixture's stream
+    base = kept(alg("L1", 7)).get("der").dim
+    for k in moved("L1", 7, None, "small", 20240811, 3):
+        assert derivation_space(k.b).dim == base
 
 
 # -- the dimension without the basis: Der's rows are built on their first read
@@ -216,17 +207,10 @@ def _record_rows(monkeypatch):
     return built
 
 
-def _dense_file_algebra(family, n, seed):
-    """A catalog algebra moved by a dense rational P and read back: no link."""
-    a = alg(family, n)
-    return core.loads(core.dumps(change_of_basis(a, dense_rational_move(random.Random(seed), a.dim))))
-
-
-@pytest.mark.parametrize("family,n,alpha", catalog_cases())
+@pytest.mark.parametrize("family,n,alpha", catalog((7, 8, 9)))
 def test_der_dim_is_the_number_of_rows_it_builds(family, n, alpha):
-    a = case_algebra(family, n, alpha)
-    moved = core.loads(core.dumps(change_of_basis(a, dense_rational_move(random.Random(n), a.dim))))
-    ders = [derivation_space(b) for b in (a, moved)]
+    k = case(family, n, alpha, "rational", n)
+    ders = [kept(b).get("der") for b in (k.a, k.c)]
     assert ders[0].dim == ders[1].dim
     for der in ders:
         assert der.dim == len(der.rows)
@@ -234,7 +218,7 @@ def test_der_dim_is_the_number_of_rows_it_builds(family, n, alpha):
 
 def test_dim_h1_and_fingerprint_build_no_der_rows(monkeypatch):
     built = _record_rows(monkeypatch)
-    for b, dim in ((alg("M", 7), 13), (_dense_file_algebra("N", 7, 4), 16)):
+    for b, dim in ((alg("M", 7), 13), (fresh(case("N", 7, None, "rational", 4).c), 16)):
         der = derivation_space(b)
         assert der.dim == dim
         h1_dimension(b)
@@ -247,7 +231,7 @@ def test_dim_h1_and_fingerprint_build_no_der_rows(monkeypatch):
 
 def test_the_der_verb_builds_rows_only_for_its_dump(tmp_path, monkeypatch):
     path = tmp_path / "n7_dense.json"
-    core.save(_dense_file_algebra("N", 7, 5), path)
+    core.save(case("N", 7, None, "rational", 5).c, path)
     built = _record_rows(monkeypatch)
     for argv in (["der", str(path)], ["h1", str(path)]):
         assert main(argv, out=io.StringIO()) == 0

@@ -4,17 +4,8 @@ from math import lcm
 
 import pytest
 
-from conftest import (
-    DATA,
-    alg,
-    case_algebra,
-    catalog_cases,
-    dense_rational_move,
-    mutated_m7,
-    random_invertible,
-    random_vector,
-    zero_vec,
-)
+from cases import case, catalog, dense_rational_move, random_invertible
+from conftest import DATA, alg, mutated_m7, random_vector, zero_vec
 from oracles import inverse, mul_vec, oracle_bracket, oracle_residual_by_definition, unit
 
 from leibnizkit.catalog import FamilySpec, build
@@ -81,6 +72,14 @@ def test_residual_empty_for_m7():
 
 def test_residual_empty_for_abelian():
     assert leibniz_residual(alg("abelian", 4)) == []
+
+
+def test_mutated_m7_is_the_dense_adapters_build():
+    # the gamma of M(7) with [y2, y6] = y1 put in, through Algebra(labels, gamma)
+    m7 = alg("M", 7)
+    gamma = dict(m7.gamma)
+    gamma[(1, 5)] = tuple(Scalar(int(k == 0)) for k in range(8))
+    assert mutated_m7() == Algebra(m7.labels, gamma)
 
 
 def test_residual_nonempty_for_mutated_m7():
@@ -203,14 +202,14 @@ def _gaussian_rational_vector(rng, n):
             for _ in range(n)]
 
 
-@pytest.mark.parametrize("family,n,alpha", catalog_cases())
+@pytest.mark.parametrize("family,n,alpha", catalog((7, 8, 9)))
 def test_operators_match_bracket_on_gaussian_rationals(family, n, alpha):
     # left_operator and right_operator share core.operator_columns, run on
     # by_left and by_right: L_x y = [x, y] and R_x y = [y, x], on the catalog
     # table and on a dense Gaussian-rational conjugate of it
-    rng = random.Random("%s %d %s" % (family, n, alpha))
-    base = case_algebra(family, n, alpha)
-    for a in (base, change_of_basis(base, dense_rational_move(rng, base.dim))):
+    k = case(family, n, alpha, "rational", "%s %d %s" % (family, n, alpha))
+    rng = k.rng()
+    for a in (k.a, k.b):
         for _ in range(4):
             x, y = _gaussian_rational_vector(rng, a.dim), _gaussian_rational_vector(rng, a.dim)
             assert mul_vec(left_operator(a, x), y) == bracket(a, x, y) == oracle_bracket(a, x, y)

@@ -18,34 +18,18 @@ at L^2's pivot columns are handed over (oracles.oracle_square_pivots);
 when G is every index, all of them are.
 """
 
-import random
 from collections import Counter
 
 import pytest
 
-from conftest import alg, case_algebra, dense_rational_move
+from cases import case
+from conftest import alg, fresh, lie_ex
 
 from oracles import oracle_square_pivots, oracle_word_relations
 
 from leibnizkit import cohomology
-from leibnizkit.core import change_of_basis, direct_sum, from_terms, generating_set, generating_words
+from leibnizkit.core import direct_sum, generating_set, generating_words
 from leibnizkit.linalg import SparseEchelon, scalar_vector
-from leibnizkit.scalars import Scalar
-
-
-def dense_conjugate(family, n, alpha):
-    a = case_algebra(family, n, alpha)
-    return change_of_basis(a, dense_rational_move(random.Random("%s/%d/%s" % (family, n, alpha)), a.dim))
-
-
-def lie_ex():
-    """[e, x] = e, [x, e] = -e: not nilpotent, so G is every index."""
-    return from_terms(["e", "x"], [(0, 1, 0, Scalar(1)), (1, 0, 0, Scalar(-1))])
-
-
-def fresh(a):
-    """An equal algebra with no memo filled."""
-    return from_terms(a.labels, [(i, j, k, c) for i, j, terms in a.products() for k, c in terms])
 
 
 @pytest.fixture
@@ -78,10 +62,10 @@ RECORDED = {
     "L1(8)": lambda: alg("L1", 8),
     "KF5(7)": lambda: alg("KF5", 7),
     "NGF1(8)": lambda: alg("NGF1", 8),
-    "M1alpha(7, 1/2)": lambda: case_algebra("M1alpha", 7, "1/2"),
+    "M1alpha(7, 1/2)": lambda: case("M1alpha", 7, "1/2").a,
     "nullfiliform-ml(7)": lambda: alg("nullfiliform-ml", 7),
-    "dense M1alpha(5, 3+i)": lambda: dense_conjugate("M1alpha", 5, "3+1i"),
-    "dense N(7)": lambda: dense_conjugate("N", 7, None),
+    "dense M1alpha(5, 3+i)": lambda: case("M1alpha", 5, "3+1i", "rational", "M1alpha/5/3+1i").b,
+    "dense N(7)": lambda: case("N", 7, None, "rational", "N/7/None").b,
     "N(7) + abelian(2)": lambda: direct_sum(alg("N", 7), alg("abelian", 2)),
     "lie": lie_ex,
     "abelian(3)": lambda: alg("abelian", 3),

@@ -15,16 +15,15 @@ import random
 
 import pytest
 
-from conftest import alg, record_derivations
+from cases import catalog, catalog_algebra, kept, moved
+from conftest import alg, fresh, lie_ex, record_derivations
 
-from oracles import add_row, oracle_derivation_space, oracle_residual
+from oracles import oracle_derivation_space, oracle_residual, oracle_square_pivots
 
 from leibnizkit import core
-from leibnizkit.catalog import FAMILIES
 from leibnizkit.cohomology import derivation_space, is_derivation
 from leibnizkit.core import (
     NotLeibnizError,
-    change_of_basis,
     direct_sum,
     first_non_derivation,
     from_terms,
@@ -35,44 +34,15 @@ from leibnizkit.core import (
     sparse_bracket,
 )
 from leibnizkit.invariants import central_series, natural_graded
-from leibnizkit.linalg import Matrix, SparseEchelon, rank
-from leibnizkit.scalars import Scalar, from_gaussian, parse_scalar
+from leibnizkit.linalg import SparseEchelon
+from leibnizkit.scalars import Scalar, from_gaussian
 
-CATALOG = [(family, n, alpha) for n in (7, 8, 9, 10, 11, 12, 15) for family in FAMILIES
-           if family != "N" or n % 2
-           for alpha in (("-1", "1i", "1/2", "5/3", "3+1i") if family == "M1alpha" else (None,))]
-
-
-def catalog_algebra(family, n, alpha=None):
-    return alg(family, n, **({"alpha": parse_scalar(alpha)} if alpha else {}))
-
-
-def fresh(a):
-    """An equal algebra with no memo filled."""
-    return from_terms(a.labels, [(i, j, k, c) for i, j, terms in a.products() for k, c in terms])
-
-
-def lie_ex():
-    """[e, x] = e, [x, e] = -e: a non-nilpotent Lie algebra, so Leibniz.
-    L^2 = span e, and x alone spans its closure under R_x, so the
-    generating set falls back to both indices."""
-    return from_terms(["e", "x"], [(0, 1, 0, Scalar(1)), (1, 0, 0, Scalar(-1))])
-
-
-def dense_invertible(rng, n):
-    """A seeded invertible matrix with every entry in {1, -1, 2, -2}."""
-    while True:
-        m = Matrix(n, n, [[Scalar(rng.choice((1, -1, 2, -2))) for _ in range(n)] for _ in range(n)])
-        if rank(m) == n:
-            return m
+CATALOG = catalog((7, 8, 9, 10, 11, 12, 15), ("-1", "1i", "1/2", "5/3", "3+1i"))
 
 
 def codim_square(a):
     """dim L - dim L^2, L^2 the span of all products."""
-    span = SparseEchelon(a.dim)
-    for _, _, terms in a.products():
-        add_row(span, dict(terms))
-    return a.dim - len(span)
+    return a.dim - len(oracle_square_pivots(a))
 
 
 def assert_words(a):
@@ -103,7 +73,7 @@ def assert_matches_oracles(a):
             derivation_space(a)
         return
     der = derivation_space(a)
-    assert der.basis == oracle_derivation_space(a).basis
+    assert der.basis == kept(a).get("oracle_derivation_space").basis
     assert all(is_derivation(a, m) for m in der.basis)
     assert_words(a)
 
@@ -121,12 +91,9 @@ def test_catalog_family_matches_the_full_loops(family, n, alpha):
                                             ("N", 7, None), ("M1alpha", 7, "5/3"), ("M", 6, None),
                                             ("M1alpha", 6, "3+1i"), ("nullfiliform-ml", 7, None)])
 def test_dense_conjugates_match_the_full_loops(family, n, alpha):
-    rng = random.Random("%s/%d/%s" % (family, n, alpha))
-    a = catalog_algebra(family, n, alpha)
-    for _ in range(2):
-        moved = change_of_basis(a, dense_invertible(rng, a.dim))
-        assert_matches_oracles(moved)
-        assert len(generating_set(moved)) == codim_square(moved) < moved.dim
+    for k in moved(family, n, alpha, "signed", "%s/%d/%s" % (family, n, alpha), 2):
+        assert_matches_oracles(k.b)
+        assert len(generating_set(k.b)) == codim_square(k.b) < k.b.dim
 
 
 @pytest.mark.parametrize("family,n,alpha", [("L1", 9, None), ("N", 9, None), ("M1alpha", 9, "1i"),

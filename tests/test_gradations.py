@@ -4,11 +4,12 @@ import tracemalloc
 
 import pytest
 
-from conftest import DATA, alg, cached_der, cached_inn, case_algebra
+from cases import catalog, catalog_algebra, kept
+from conftest import DATA, alg
 from oracles import oracle_diagonal_gradation, oracle_graded_derivation_split
 
 from leibnizkit import gradations
-from leibnizkit.catalog import FAMILIES, FamilySpec, build
+from leibnizkit.catalog import FamilySpec, build
 from leibnizkit.cohomology import DerivationSpace
 from leibnizkit.core import FormatError, from_terms
 from leibnizkit.gradations import (
@@ -159,7 +160,7 @@ def test_search_interval_cannot_fit():
 
 def test_split_abelian_plane():
     a = alg("abelian", 2)
-    der = cached_der(a)
+    der = kept(a).get("der")
     split = graded_derivation_split(a, WeightAssignment([1, 2]), der)
     assert split == {-1: 1, 0: 2, 1: 1}
     assert sum(split.values()) == 4
@@ -167,14 +168,14 @@ def test_split_abelian_plane():
 
 def test_split_m7_sums_to_der_dim():
     a = alg("M", 7)
-    split = graded_derivation_split(a, m_known_weights(7), cached_der(a))
+    split = graded_derivation_split(a, m_known_weights(7), kept(a).get("der"))
     assert sum(split.values()) == 13
 
 
 def test_split_n7_sums_to_der_dim():
     a = alg("N", 7)
     w = search_diagonal_gradation(a)
-    split = graded_derivation_split(a, w, cached_der(a))
+    split = graded_derivation_split(a, w, kept(a).get("der"))
     assert sum(split.values()) == 16
 
 
@@ -188,7 +189,7 @@ def test_split_counts_the_graded_hull_not_the_span():
     def weights(m):
         return {w.weights[r] - w.weights[c] for r in range(8) for c in range(8) if m.data[r][c]}
 
-    d1, d2 = ([m for m in cached_der(a).basis if weights(m) == {k}][0] for k in (3, 4))
+    d1, d2 = ([m for m in kept(a).get("der").basis if weights(m) == {k}][0] for k in (3, 4))
     assert rank(Matrix(1, 64, [(d1 + d2).flat()])) == 1
     assert graded_derivation_split(a, w, space_of(d1 + d2)) == {3: 1, 4: 1}
     assert graded_derivation_split(a, w, space_of(d1, d2, d1 + d2)) == {3: 1, 4: 1}
@@ -197,7 +198,7 @@ def test_split_counts_the_graded_hull_not_the_span():
 def test_split_components_recombine(rng):
     a = alg("M", 7)
     w = m_known_weights(7)
-    der = cached_der(a)
+    der = kept(a).get("der")
     for _ in range(20):
         m = Matrix.zero(8, 8)
         for b in der.basis:
@@ -220,25 +221,25 @@ def test_split_components_recombine(rng):
 def test_split_rejects_invalid_gradation():
     a = alg("M", 7)
     with pytest.raises(ValueError):
-        graded_derivation_split(a, WeightAssignment([1] * 7 + [2]), cached_der(a))
+        graded_derivation_split(a, WeightAssignment([1] * 7 + [2]), kept(a).get("der"))
 
 
 def test_split_rejects_non_derivation():
     a = alg("M", 7)
     bad = Matrix.zero(8, 8)
     bad.data[0][1] = Scalar(1)
-    ok = graded_derivation_split(a, m_known_weights(7), cached_der(a))
+    ok = graded_derivation_split(a, m_known_weights(7), kept(a).get("der"))
     with pytest.raises(ValueError):
         graded_derivation_split(a, m_known_weights(7), space_of(bad))
     with pytest.raises(ValueError):   # the bad row after two good ones
-        graded_derivation_split(a, m_known_weights(7), space_of(*cached_der(a).basis[:2], bad))
+        graded_derivation_split(a, m_known_weights(7), space_of(*kept(a).get("der").basis[:2], bad))
     assert sum(ok.values()) == 13
 
 
 def test_split_rejects_a_space_of_another_size():
     a = alg("M", 7)
     with pytest.raises(ValueError):
-        graded_derivation_split(a, m_known_weights(7), cached_der(alg("M", 9)))
+        graded_derivation_split(a, m_known_weights(7), kept(alg("M", 9)).get("der"))
     with pytest.raises(ValueError):
         graded_derivation_split(a, m_known_weights(7), DerivationSpace(7, ()))
 
@@ -248,10 +249,10 @@ def test_split_rejects_a_space_of_another_size():
     for family, alpha in (("M", None), ("M1alpha", "1"), ("M1alpha", "-1"), ("M1alpha", "1i"),
                           ("N", None), ("nullfiliform-ml", None))])
 def test_split_of_der_and_inn_is_the_matrix_oracle(family, n, alpha):
-    a = case_algebra(family, n, alpha)
+    a = catalog_algebra(family, n, alpha)
     w = search_diagonal_gradation(a)
     assert verify_gradation(a, w).maximum_length
-    for space in (cached_der(a), cached_inn(a)):
+    for space in (kept(a).get("der"), kept(a).get("inn")):
         split = graded_derivation_split(a, w, space)
         assert split == oracle_graded_derivation_split(w, space.basis)
         assert sum(split.values()) == space.dim   # Der and Inn are graded
@@ -261,13 +262,13 @@ def test_split_of_abelian_under_random_weights_is_the_matrix_oracle():
     rng = random.Random(31)
     for n in (1, 2, 3, 4, 5):
         a = alg("abelian", n)
-        der = cached_der(a)
+        der = kept(a).get("der")
         for _ in range(4):
             w = WeightAssignment([rng.randint(-3, 3) for _ in range(n)])
             split = graded_derivation_split(a, w, der)
             assert split == oracle_graded_derivation_split(w, der.basis)
             assert sum(split.values()) == n * n
-            assert graded_derivation_split(a, w, cached_inn(a)) == {}
+            assert graded_derivation_split(a, w, kept(a).get("inn")) == {}
 
 
 def test_weights_file_round_trip():
@@ -435,8 +436,6 @@ def test_the_search_does_not_recurse_per_basis_position():
 
 @pytest.mark.parametrize("n", (7, 9, 11, 15))
 def test_search_matches_oracle_on_catalog(n):
-    for family in FAMILIES:
-        alphas = ("-1", "1", "1i") if family == "M1alpha" else (None,)
-        for alpha in alphas:
-            a = case_algebra(family, n, alpha)
-            assert search_diagonal_gradation(a) == oracle_diagonal_gradation(a), (family, n, alpha)
+    for family, _, alpha in catalog((n,)):
+        a = catalog_algebra(family, n, alpha)
+        assert search_diagonal_gradation(a) == oracle_diagonal_gradation(a), (family, n, alpha)

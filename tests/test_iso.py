@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import alg, random_invertible
+from cases import random_invertible
+from conftest import alg
 
 from leibnizkit.core import change_of_basis, dumps
 from leibnizkit.invariants import fingerprint

@@ -4,7 +4,8 @@ from math import gcd, lcm
 
 import pytest
 
-from conftest import alg, random_invertible
+from cases import random_invertible
+from conftest import alg
 from oracles import OracleEchelon, add_row, in_span, inverse, oracle_matrix_rank, oracle_partition, oracle_rank, unit
 
 from leibnizkit.core import right_operator

@@ -15,28 +15,16 @@ import random
 
 import pytest
 
-from conftest import alg, case_algebra, dense_basis_move, mutated_m7
+from cases import case, catalog, catalog_algebra, ci_not_leibniz, dense_basis_move, draw, moved
+from conftest import alg, mutated_m7
 
 from oracles import inverse
 
 from leibnizkit import cohomology, core
-from leibnizkit.catalog import _FAMILY_TABLE, FAMILIES, FamilySpec, build
+from leibnizkit.catalog import FamilySpec, build
 from leibnizkit.core import NotLeibnizError, change_of_basis, from_terms
 from leibnizkit.invariants import natural_graded
-from leibnizkit.linalg import Matrix, rank
-from leibnizkit.scalars import Scalar, parse_scalar
-
-
-def _cases():
-    cases = []
-    for n in (5, 6, 7, 8, 9, 11):
-        for family in FAMILIES:
-            _, least, odd = _FAMILY_TABLE[family]
-            if n < least or (odd and n % 2 == 0):
-                continue
-            for alpha in (("-1", "3+1i") if family == "M1alpha" else (None,)):
-                cases.append((family, n, alpha))
-    return cases
+from leibnizkit.scalars import parse_scalar
 
 
 def link(x):
@@ -63,28 +51,20 @@ def _answers(b):
     return der, core.is_leibniz(b), core.leibniz_residual(b), message
 
 
-def assert_same_as_round_trip(b):
-    c = round_trip(b)
+def assert_same_as_round_trip(b, c=None):
+    """c, if given, is b read back, from the case table."""
+    c = round_trip(b) if c is None else c
     assert link(c) is c and b == c
     assert _answers(b) == _answers(c)
 
 
-def ci_move(n):
-    """The dense P of the CI's dense-basis scale guard."""
-    v = (1, -1, 2, -2)
-    return Matrix(n, n, [[Scalar(v[(n * r + c) ** 3 % 31 % 4]) for c in range(n)] for r in range(n)])
-
-
-@pytest.mark.parametrize("family,n,alpha", _cases())
+@pytest.mark.parametrize("family,n,alpha", catalog((5, 6, 7, 8, 9, 11), ("-1", "3+1i")))
 def test_a_moved_catalog_algebra_answers_as_its_round_trip(family, n, alpha):
-    a = case_algebra(family, n, alpha)
-    rng = random.Random(n)
-    for _ in range(2 if n == 11 else 3):
-        b = change_of_basis(a, dense_basis_move(rng, a.dim))
-        assert link(b) is a
+    for k in moved(family, n, alpha, "bench", n, 2 if n == 11 else 3):
+        assert link(k.b) is k.a
         # the abelian table has no terms in any basis, so it stays unlinked
-        assert core.sparser_source(b) is (None if family == "abelian" else a)
-        assert_same_as_round_trip(b)
+        assert core.sparser_source(k.b) is (None if family == "abelian" else k.a)
+        assert_same_as_round_trip(k.b, k.c)
 
 
 def test_two_chained_moves_link_to_the_first_source():
@@ -100,38 +80,25 @@ def test_two_chained_moves_link_to_the_first_source():
     assert_same_as_round_trip(d)
 
 
-ENTRIES = tuple(map(parse_scalar, ("1", "-1", "2", "1/2", "1i", "1+1i")))
-
-
-def _gaussian_move(rng, n):
-    """An invertible n x n matrix, every entry drawn from ENTRIES."""
-    while True:
-        m = Matrix(n, n, [[rng.choice(ENTRIES) for _ in range(n)] for _ in range(n)])
-        if rank(m) == n:
-            return m
-
-
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
 def test_chained_gaussian_moves_answer_as_their_round_trips(n):
     # every family at every n it has, moved once, twice and three times by
-    # P with Gaussian and fractional entries: each move links to the first
-    # source, whose dim Der ends the moved table's elimination
-    rng = random.Random(30 + n)
-    for family in FAMILIES:
-        _, least, odd = _FAMILY_TABLE[family]
-        if n < least or (odd and n % 2 == 0):
-            continue
-        a = case_algebra(family, n, "1+1i" if family == "M1alpha" else None)
-        b = a
+    # P with Gaussian and fractional entries, all drawn in turn from one
+    # stream: each move links to the first source, whose dim Der ends the
+    # moved table's elimination
+    dims = ()
+    for family, _, alpha in catalog((n,), ("1+1i",)):
+        a = b = catalog_algebra(family, n, alpha)
         for _ in range(3):
-            b = change_of_basis(b, _gaussian_move(rng, a.dim))
+            dims += (a.dim,)
+            b = change_of_basis(b, draw("gaussian", 30 + n, dims)[0])
             assert core.sparser_source(b) is (None if family == "abelian" else a)
             assert_same_as_round_trip(b)
 
 
 def test_a_move_back_to_the_catalog_basis_does_not_use_the_link(monkeypatch):
     a = build(FamilySpec("M", 7))
-    p = dense_basis_move(random.Random(3), a.dim)
+    p = case("M", 7, None, "bench", 3).p
     b = change_of_basis(a, p)
     back = change_of_basis(b, inverse(p))
     assert back == a and link(back) is a
@@ -143,11 +110,8 @@ def test_a_move_back_to_the_catalog_basis_does_not_use_the_link(monkeypatch):
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_the_ci_non_leibniz_table_moved_answers_as_its_round_trip(seed):
-    a = alg("M1alpha", 11, alpha=parse_scalar("3+1i"))
-    moved = change_of_basis(a, ci_move(a.dim))
-    bad = from_terms(moved.labels, [(i, j, k, c) for i, j, ts in moved.products() for k, c in ts]
-                     + [(1, 1, 5, parse_scalar("1"))])
-    b = change_of_basis(bad, dense_basis_move(random.Random(seed), bad.dim))
+    bad = ci_not_leibniz()
+    b = change_of_basis(bad, draw("bench", seed, (bad.dim,))[0])
     assert link(b) is bad
     assert_same_as_round_trip(b)
 

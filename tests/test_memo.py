@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import generator_walk, mutated_m7, record_derivations, record_walks
+from conftest import alg, fresh, generator_walk, mutated_m7, record_derivations, record_walks
 
 from leibnizkit import cohomology, core, invariants
 from leibnizkit.catalog import FamilySpec, build
@@ -42,11 +42,6 @@ DERIVERS = {"leibniz": (core, "_decide_leibniz"), "series": (invariants, "_serie
 ONCE = {name: 1 for name in DERIVERS}
 
 
-def fresh_m7():
-    # not the shared conftest instance, whose memo other tests may have filled
-    return build(FamilySpec("M", 7))
-
-
 @pytest.fixture
 def computations(monkeypatch):
     """Records the maps each walk of core.derivation_defects pulled (by
@@ -62,7 +57,7 @@ def counts(computations):
 
 
 def test_fingerprint_computes_each_memo_entry_once(computations):
-    a = fresh_m7()
+    a = fresh(alg("M", 7))
     first = fingerprint(a)
     assert computations["walks"] == [list(generating_set(a))] and counts(computations) == ONCE
     assert fingerprint(a) == first
@@ -72,7 +67,7 @@ def test_fingerprint_computes_each_memo_entry_once(computations):
 
 def test_cli_der_computes_residual_once(computations, tmp_path):
     path = tmp_path / "m7.json"
-    core.save(fresh_m7(), path)
+    core.save(fresh(alg("M", 7)), path)
     out = io.StringIO()
     assert main(["der", str(path)], out=out) == 0
     assert out.getvalue() == "dim Der: 13\ndim Inn: 2\ndim H1: 11\n"
@@ -102,7 +97,7 @@ def test_non_leibniz_raises_the_same_message_every_call(entry, computations):
 
 
 def test_is_leibniz_memoizes_a_yes_and_a_no(computations):
-    a, bad = fresh_m7(), mutated_m7()
+    a, bad = fresh(alg("M", 7)), mutated_m7()
     assert is_leibniz(a) is True and computations["leibniz"] == [a]
     assert is_leibniz(a) is True and leibniz_residual(a) == []
     assert computations["walks"] == [list(generating_set(a))] and computations["leibniz"] == [a]
@@ -143,14 +138,14 @@ def test_caller_cannot_change_the_next_residual():
     first.clear()
     assert leibniz_residual(bad) == want
 
-    good = fresh_m7()
+    good = fresh(alg("M", 7))
     assert leibniz_residual(good) == []
     leibniz_residual(good).append("junk")
     assert leibniz_residual(good) == []
 
 
 def test_cached_series_is_immutable():
-    a = fresh_m7()
+    a = fresh(alg("M", 7))
     series = central_series(a)
     assert central_series(a) is series
     with pytest.raises(TypeError):
@@ -165,7 +160,7 @@ def test_cached_series_is_immutable():
 
 
 def test_tables_are_read_only():
-    a = fresh_m7()
+    a = fresh(alg("M", 7))
     key, vec = sorted(a.gamma.items())[0]
     with pytest.raises(TypeError):
         a.gamma[key] = vec
@@ -188,13 +183,13 @@ def assert_memo_filled_and_fresh_empty(computations, a, fresh):
 
 
 def test_memo_does_not_affect_equality_or_hash(computations):
-    a = fresh_m7()
+    a = fresh(alg("M", 7))
     fingerprint(a)
-    fresh = fresh_m7()
-    assert a == fresh and fresh == a
-    assert hash(a) == hash(fresh)
-    assert a.key() == fresh.key()
-    assert_memo_filled_and_fresh_empty(computations, a, fresh)
+    copy = fresh(alg("M", 7))
+    assert a == copy and copy == a
+    assert hash(a) == hash(copy)
+    assert a.key() == copy.key()
+    assert_memo_filled_and_fresh_empty(computations, a, copy)
 
 
 def test_memo_beside_a_stored_denominator_does_not_affect_equality_or_hash(computations):
@@ -215,8 +210,8 @@ def test_memo_beside_a_stored_denominator_does_not_affect_equality_or_hash(compu
 
 def test_threads_racing_to_fill_the_memo_agree():
     # no lock: racing threads compute equal values and store them
-    a, bad = fresh_m7(), mutated_m7()
-    want_fp, want_bad = fingerprint(fresh_m7()), leibniz_residual(mutated_m7())
+    a, bad = fresh(alg("M", 7)), mutated_m7()
+    want_fp, want_bad = fingerprint(fresh(alg("M", 7))), leibniz_residual(mutated_m7())
     results, errors = [], []
 
     def work():

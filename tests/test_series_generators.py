@@ -20,12 +20,12 @@ import random
 
 import pytest
 
-from conftest import alg, generator_walk, mutated_m7, random_invertible, record_walks
+from cases import catalog, catalog_algebra, ci_not_leibniz, moved
+from conftest import alg, fresh, generator_walk, lie_ex, mutated_m7, record_walks
 
 from oracles import oracle_residual, oracle_series
 
 from leibnizkit import invariants
-from leibnizkit.catalog import FAMILIES
 from leibnizkit.core import (
     change_of_basis,
     direct_sum,
@@ -37,21 +37,10 @@ from leibnizkit.core import (
 )
 from leibnizkit.invariants import central_series, characteristic_sequence, natural_graded
 from leibnizkit.linalg import Matrix
-from leibnizkit.scalars import Scalar, parse_scalar
+from leibnizkit.scalars import Scalar
 
-CATALOG = [(family, n, alpha) for n in (7, 9, 11, 15) for family in FAMILIES
-           for alpha in (("-1", "1", "1i") if family == "M1alpha" else (None,))]
-SMALL = [(family, 7, alpha) for family in FAMILIES
-         for alpha in (("-1", "1", "1i") if family == "M1alpha" else (None,))]
-
-
-def catalog_algebra(family, n, alpha=None):
-    return alg(family, n, **({"alpha": parse_scalar(alpha)} if alpha else {}))
-
-
-def fresh(a):
-    """An equal algebra with no memo filled."""
-    return from_terms(a.labels, [(i, j, k, c) for i, j, terms in a.products() for k, c in terms])
+CATALOG = catalog((7, 9, 11, 15))
+SMALL = catalog((7,))
 
 
 def chains(monkeypatch):
@@ -121,13 +110,10 @@ def test_catalog_family_series_matches_the_oracle(family, n, alpha, monkeypatch)
 
 @pytest.mark.parametrize("family,n,alpha", SMALL)
 def test_dense_conjugates_match_the_oracle(family, n, alpha, monkeypatch):
-    rng = random.Random("series/%s/%d/%s" % (family, n, alpha))
-    a = catalog_algebra(family, n, alpha)
-    for _ in range(2):
-        moved = change_of_basis(a, random_invertible(rng, a.dim))
-        assert central_series(assert_series_matches_the_oracle(moved)).dims == central_series(a).dims
-        assert series_path(moved, monkeypatch) == (family != "abelian")
-        assert_kept_square_is_fresh(fresh(moved))
+    for k in moved(family, n, alpha, "small", "series/%s/%d/%s" % (family, n, alpha), 2):
+        assert central_series(assert_series_matches_the_oracle(k.b)).dims == central_series(k.a).dims
+        assert series_path(k.b, monkeypatch) == (family != "abelian")
+        assert_kept_square_is_fresh(fresh(k.b))
 
 
 @pytest.mark.parametrize("family,alpha", [(f, a) for f, _, a in SMALL])
@@ -151,7 +137,7 @@ def test_direct_sum_with_an_abelian_summand_matches_the_oracle(family, n, alpha,
 
 def test_lie_algebra_falls_back_to_every_operator(monkeypatch):
     # [e, x] = e: Leibniz but not nilpotent, and G falls back to both indices
-    a = from_terms(["e", "x"], [(0, 1, 0, Scalar(1)), (1, 0, 0, Scalar(-1))])
+    a = lie_ex()
     series = central_series(assert_series_matches_the_oracle(a))
     assert series.dims == (2, 1) and series.nilindex is None
     assert not series_path(a, monkeypatch)
@@ -194,12 +180,7 @@ def test_mutated_tables_take_every_operator(monkeypatch):
 def dense_not_leibniz():
     """The dense M^{1,3+i}(11) of the CI guard with [e_1, e_1] += e_5: not
     Leibniz, and its G keeps two of the 12 indices."""
-    base = catalog_algebra("M1alpha", 11, "3+1i")
-    n, v = base.dim, (1, -1, 2, -2)
-    dense = change_of_basis(base, Matrix(n, n, [[Scalar(v[(n * r + c) ** 3 % 31 % 4]) for c in range(n)]
-                                                for r in range(n)]))
-    bad = from_terms(dense.labels, [(i, j, k, c) for i, j, ts in dense.products() for k, c in ts]
-                     + [(0, 0, 4, Scalar(1))])
+    bad = ci_not_leibniz(0, 0, 4)
     assert len(generating_set(bad)) == 2
     return bad
 

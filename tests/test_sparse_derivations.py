@@ -12,20 +12,20 @@ import random
 
 import pytest
 
-from conftest import alg, dense_rational_move, random_invertible
+from cases import case
+from conftest import alg, lie_ex
 
 from leibnizkit import invariants, linalg
 from leibnizkit.cli import main
 from leibnizkit.cohomology import DerivationSpace, derivation_space, h1_dimension, inner_derivation_space
-from leibnizkit.core import change_of_basis, from_terms, save
+from leibnizkit.core import from_terms, save
 from leibnizkit.gradations import graded_derivation_split, search_diagonal_gradation
 from leibnizkit.linalg import Matrix
-from leibnizkit.scalars import Scalar, from_gaussian, parse_scalar
+from leibnizkit.scalars import from_gaussian
 
 
 def test_der_keeps_sparse_rows_and_builds_the_basis_on_read():
-    a = change_of_basis(alg("M1alpha", 5, alpha=Scalar(3, 1)), dense_rational_move(random.Random(3), 6))
-    der = derivation_space(a)
+    der = derivation_space(case("M1alpha", 5, "3+1i", "rational", 3).b)
     assert der._basis is None and der.dim == len(der.rows) == 10 and der.n == 6
     for lead, terms in der.rows:
         assert lead > 0 and terms[-1][1] == (lead, 0)   # the pivot, the last entry, reads 1
@@ -112,19 +112,12 @@ def render_basis(der):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("case", ["M(7)", "N(9)", "dense M1alpha(5, 1/2-1/3i)", "dense L1(7)", "lie"])
-def test_sparse_dump_is_the_rendered_basis(case, tmp_path):
-    rng = random.Random(case)
-    if case == "M(7)":
-        a = alg("M", 7)
-    elif case == "N(9)":
-        a = alg("N", 9)
-    elif case == "lie":   # not nilpotent: the words are the basis
-        a = from_terms(["e", "x"], [(0, 1, 0, Scalar(1)), (1, 0, 0, Scalar(-1))])
-    elif case == "dense L1(7)":
-        a = change_of_basis(alg("L1", 7), random_invertible(rng, 7))
-    else:
-        a = change_of_basis(alg("M1alpha", 5, alpha=parse_scalar("1/2-1/3i")), dense_rational_move(rng, 6))
+@pytest.mark.parametrize("name", ["M(7)", "N(9)", "dense M1alpha(5, 1/2-1/3i)", "dense L1(7)", "lie"])
+def test_sparse_dump_is_the_rendered_basis(name, tmp_path):
+    a = {"M(7)": lambda: alg("M", 7), "N(9)": lambda: alg("N", 9),
+         "lie": lie_ex,   # not nilpotent: the words are the basis
+         "dense L1(7)": lambda: case("L1", 7, None, "small", name).b,
+         "dense M1alpha(5, 1/2-1/3i)": lambda: case("M1alpha", 5, "1/2-1/3i", "rational", name).b}[name]()
     path = tmp_path / "a.json"
     save(a, path)
     out = io.StringIO()

@@ -19,30 +19,24 @@ dense-basis jobs (perfbench/workloads.py, seed 1, 4 rounds), recorded by
 the function that hands them over.
 """
 
+import os
 import random
 import sys
 from collections import Counter
 
 import pytest
 
-from conftest import alg, dense_basis_move, mutated_m7, random_invertible
+from cases import case, catalog, catalog_algebra, ci_not_leibniz, dense_basis_move, kept, moved
+from conftest import alg, fresh, lie_ex, mutated_m7
 
-from oracles import (
-    oracle_center,
-    oracle_characteristic_sequence,
-    oracle_derivation_space,
-    oracle_kernel_maps,
-    oracle_right_annihilator,
-    oracle_square_pivots,
-)
+from oracles import oracle_square_pivots
 
-from leibnizkit import catalog, invariants, linalg
-from leibnizkit.catalog import _FAMILY_TABLE, FAMILIES, FamilySpec
+from leibnizkit import invariants, linalg
+from leibnizkit.catalog import FAMILIES, FamilySpec, build
 from leibnizkit.cohomology import derivation_space, inner_derivation_space
 from leibnizkit.core import (
     change_of_basis,
     direct_sum,
-    from_terms,
     generating_set,
     generator_operators,
     is_leibniz,
@@ -52,35 +46,6 @@ from leibnizkit.core import (
 from leibnizkit.invariants import center, central_series, characteristic_sequence, natural_graded, right_annihilator
 from leibnizkit.linalg import Matrix, scalar_vector
 from leibnizkit.scalars import Scalar, parse_scalar
-
-
-def fresh(a):
-    """An equal algebra with no memo filled."""
-    return from_terms(a.labels, [(i, j, k, c) for i, j, terms in a.products() for k, c in terms])
-
-
-def lie_ex():
-    """[e, x] = e, [x, e] = -e: not nilpotent, so G is every index."""
-    return from_terms(["e", "x"], [(0, 1, 0, Scalar(1)), (1, 0, 0, Scalar(-1))])
-
-
-def catalog_algebra(family, n, alpha=None):
-    return alg(family, n, **({"alpha": parse_scalar(alpha)} if alpha else {}))
-
-
-def ci_dense(family, n, alpha=None):
-    """The catalog table moved by the CI's fixed dense P."""
-    a = catalog_algebra(family, n, alpha)
-    m, v = a.dim, (1, -1, 2, -2)
-    return change_of_basis(a, Matrix(m, m, [[Scalar(v[(m * r + c) ** 3 % 31 % 4]) for c in range(m)]
-                                            for r in range(m)]))
-
-
-def ci_not_leibniz():
-    """The CI's non-Leibniz guard: dense M^{1,3+i}(11) with [y1, y1] += y5."""
-    moved = ci_dense("M1alpha", 11, "3+1i")
-    return from_terms(moved.labels, [(i, j, k, c) for i, j, ts in moved.products() for k, c in ts]
-                      + [(1, 1, 5, Scalar(1))])
 
 
 def normalized_map(images, n):
@@ -93,26 +58,24 @@ def normalized_map(images, n):
 
 
 def assert_matches_oracles(a):
-    a = fresh(a)
+    """Every answer of a fresh copy of a against the oracles, which are kept
+    per table (cases.kept)."""
+    k, a = kept(a), fresh(a)
     n = a.dim
-    assert center(a) == oracle_center(a)
-    assert right_annihilator(a) == oracle_right_annihilator(a)
+    assert center(a) == k.get("oracle_center")
+    assert right_annihilator(a) == k.get("oracle_right_annihilator")
     pivots, maps = invariants._kernel_maps(a)
-    want_pivots, want_maps = oracle_kernel_maps(a)
+    want_pivots, want_maps = k.get("oracle_kernel_maps")
     assert list(pivots) == want_pivots
     assert [normalized_map(m, n) for m in maps] == [normalized_map(m, n) for m in want_maps]
     if is_leibniz(a):
-        assert derivation_space(a).basis == oracle_derivation_space(a).basis
+        assert derivation_space(a).basis == k.get("oracle_derivation_space").basis
     if central_series(a).is_nilpotent:
-        assert characteristic_sequence(a) == oracle_characteristic_sequence(a)
+        assert characteristic_sequence(a) == k.get("oracle_characteristic_sequence")
 
 
-CATALOG = [(family, n, alpha) for family in FAMILIES if family != "abelian"
-           for _, least, odd in (_FAMILY_TABLE[family],) for n in range(max(5, least), 14) if n % 2 or not odd
-           for alpha in (("3+1i", "-1", "0") if family == "M1alpha" else (None,))]
-
-
-@pytest.mark.parametrize("family,n,alpha", CATALOG)
+@pytest.mark.parametrize("family,n,alpha", catalog(range(5, 14), ("3+1i", "-1", "0"),
+                                                   [f for f in FAMILIES if f != "abelian"]))
 def test_catalog_matches_the_oracles(family, n, alpha):
     assert_matches_oracles(catalog_algebra(family, n, alpha))
 
@@ -121,24 +84,15 @@ def test_catalog_matches_the_oracles(family, n, alpha):
                                             ("L1", 7, None), ("KF4", 7, None), ("KF5", 7, None),
                                             ("N", 7, None), ("nullfiliform-ml", 6, None)])
 def test_dense_conjugates_with_zero_entries_match_the_oracles(family, n, alpha):
-    a = catalog_algebra(family, n, alpha)
-    rng = random.Random("zeros/%s/%d" % (family, n))
-    for _ in range(2):
-        p = random_invertible(rng, a.dim)
-        assert any(not x for x in p.flat())
-        moved = change_of_basis(a, p)
-        assert len(generating_set(moved)) < moved.dim
-        assert_matches_oracles(moved)
+    for k in moved(family, n, alpha, "small", "zeros/%s/%d" % (family, n), 2):
+        assert any(not x for x in k.p.flat())
+        assert len(generating_set(k.b)) < k.b.dim
+        assert_matches_oracles(k.b)
 
 
 def test_the_ci_dense_move_matches_the_oracles():
-    for a in (ci_dense("M", 7), ci_dense("M1alpha", 7, "3+1i")):
-        assert_matches_oracles(a)
-
-
-def with_term(a, i, j, k):
-    """a with [e_i, e_j] += e_k."""
-    return from_terms(a.labels, [(x, y, z, c) for x, y, ts in a.products() for z, c in ts] + [(i, j, k, Scalar(1))])
+    for k in (case("M", 7, None, "ci"), case("M1alpha", 7, "3+1i", "ci")):
+        assert_matches_oracles(k.b)
 
 
 def generators_only(a, index):
@@ -152,16 +106,16 @@ def test_non_leibniz_tables_match_the_oracles():
     # the annihilators keep every operator: the generators' alone would cut
     # out a larger Ann_l on the CI's table and a larger R(L) on the others
     ci = ci_not_leibniz()
-    tables = [ci, with_term(catalog_algebra("M", 7), 2, 1, 4), with_term(catalog_algebra("L1", 7), 1, 0, 2),
-              with_term(catalog_algebra("KF4", 7), 2, 1, 4)]
+    tables = [ci] + [fresh(catalog_algebra(family, 7), (i, j, k, Scalar(1)))
+                     for family, i, j, k in (("M", 2, 1, 4), ("L1", 1, 0, 2), ("KF4", 2, 1, 4))]
     for a in tables + [mutated_m7()]:
         assert not is_leibniz(a)
         assert_matches_oracles(a)
         assert len(generator_operators(a, a.by_right)) == a.dim
     assert all(len(generating_set(a)) < a.dim for a in tables)
-    assert len(generators_only(ci, ci.by_right)) > ci.dim - len(oracle_kernel_maps(ci)[0])
+    assert len(generators_only(ci, ci.by_right)) > ci.dim - len(kept(ci).get("oracle_kernel_maps")[0])
     for a in tables[1:]:
-        assert len(generators_only(a, a.by_left)) > len(oracle_right_annihilator(a))
+        assert len(generators_only(a, a.by_left)) > len(kept(a).get("oracle_right_annihilator"))
 
 
 def test_direct_sums_and_fallbacks_match_the_oracles():
@@ -187,14 +141,14 @@ def test_abelian_matches_the_oracles(m):
 
 def test_graded_algebras_match_the_oracles():
     for family, n, alpha in (("L1", 9, None), ("M1alpha", 9, "1i"), ("KF5", 9, None)):
-        assert_matches_oracles(natural_graded(ci_dense(family, n, alpha))[0])
+        assert_matches_oracles(natural_graded(case(family, n, alpha, "ci").b)[0])
 
 
 def test_pivots_decide_every_vector_of_the_span():
     # a combination of L^2's RREF rows is zero iff its pivot entries are,
     # and the pivots are those of the oracle's echelon
     rng = random.Random(3)
-    for a in (ci_dense("M", 11), ci_dense("L1", 9), catalog_algebra("N", 9)):
+    for a in (case("M", 11, None, "ci").b, case("L1", 9, None, "ci").b, catalog_algebra("N", 9)):
         span = square_span(a)
         pivots = span.pivots()
         assert list(pivots) == oracle_square_pivots(a) == [row[0][0] for row in span.gaussian_rows()]
@@ -206,6 +160,20 @@ def test_pivots_decide_every_vector_of_the_span():
 
 
 # -- cost: rows handed to the echelons on the dense-basis jobs -------------
+
+def test_the_bench_move_draws_the_benchmarks_matrix():
+    # the row totals pinned below hold only because dense_basis_move draws
+    # what perfbench/workloads.py's random_invertible draws from one state
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    for seed in range(1, 6):
+        for n in (6, 9):
+            assert dense_basis_move(random.Random(seed), n) == workloads.random_invertible(random.Random(seed), n)
+
 
 DENSE_STRATA = (("NGF1", 5, None), ("M", 5, None), ("M1alpha", 5, "3+1i"), ("M1alpha", 5, "-1"))
 
@@ -219,7 +187,7 @@ def dense_basis_jobs(seed, rounds):
     for _ in range(rounds):
         for f, n, alpha in rng.sample(DENSE_STRATA, len(DENSE_STRATA)):
             if (f, n, alpha) not in built:
-                built[(f, n, alpha)] = catalog.build(FamilySpec(f, n, {"alpha": parse_scalar(alpha)} if alpha else None))
+                built[(f, n, alpha)] = build(FamilySpec(f, n, {"alpha": parse_scalar(alpha)} if alpha else None))
             a = built[(f, n, alpha)]
             jobs.append(change_of_basis(a, dense_basis_move(rng, a.dim)))
     return jobs
@@ -262,7 +230,7 @@ def test_annihilator_rows_are_the_generators_at_the_pivots(handed):
     # Ann_l and R(L), both kept on the first call, take |G| * 9 rows each
     # where they took n^2 = 144; the center then adds R(L)'s kept rows to a
     # copy of Ann_l's, where it took 288
-    a = fresh(ci_dense("M", 11))
+    a = fresh(case("M", 11, None, "ci").b)
     g, l2 = len(generating_set(a)), len(square_span(a))
     assert (a.dim, g, l2) == (12, 3, 9)
     right_annihilator(a)

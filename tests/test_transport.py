@@ -24,13 +24,13 @@ from math import gcd, lcm
 
 import pytest
 
-from conftest import alg, case_algebra, catalog_cases, dense_rational_move
+from cases import catalog, catalog_algebra, dense_rational_move
+from conftest import alg, ci_move, fresh
 
 from oracles import oracle_change_of_basis, oracle_natural_graded, oracle_verify_certificate
 
 from leibnizkit import linalg
-from leibnizkit.catalog import FAMILIES
-from leibnizkit.core import change_of_basis, dumps, from_terms, generating_words
+from leibnizkit.core import change_of_basis, dumps, generating_words
 from leibnizkit.invariants import central_series, natural_graded
 from leibnizkit.iso import IsoCertificate, verify_certificate
 from leibnizkit.linalg import (
@@ -42,8 +42,7 @@ from leibnizkit.linalg import (
 )
 from leibnizkit.scalars import Scalar, from_gaussian, parse_scalar
 
-CASES = [(family, n, alpha) for n in (7, 9) for family in FAMILIES
-         for alpha in (("-1", "1i", "5/3") if family == "M1alpha" else (None,))]
+CASES = catalog((7, 9), ("-1", "1i", "5/3"))
 KINDS = ("dense-integer", "gaussian-rational", "unitriangular", "monomial")
 
 
@@ -70,7 +69,7 @@ def _map(rng, n, kind):
 
 
 def _case(family, n, alpha, kind):
-    a = case_algebra(family, n, alpha)
+    a = catalog_algebra(family, n, alpha)
     rng = random.Random("%s:%d:%s:%s" % (family, n, alpha, kind))
     return a, _map(rng, a.dim, kind), rng
 
@@ -94,8 +93,7 @@ def test_transport_and_certificate_match_the_scalar_oracles(family, n, alpha, ki
     products = moved.products() or [(0, 0, ((0, None),))]
     i, j, terms = products[rng.randrange(len(products))]
     k = terms[0][0]
-    bumped = from_terms(moved.labels, [(x, y, z, c) for x, y, t in moved.products() for z, c in t]
-                        + [(i, j, k, from_gaussian(1, 1, 3))])
+    bumped = fresh(moved, (i, j, k, from_gaussian(1, 1, 3)))
     assert not _same_report(IsoCertificate(bumped, a, p)).accepted
 
     # one map entry perturbed: the same reason and pair, a bracket mismatch
@@ -126,16 +124,16 @@ def _same_graded(a):
     assert (got.key(), dumps(got), dims) == (want.key(), dumps(want), want_dims)
 
 
-@pytest.mark.parametrize("family,n,alpha", catalog_cases())
+@pytest.mark.parametrize("family,n,alpha", catalog((7, 8, 9)))
 def test_natural_graded_matches_the_scalar_oracle(family, n, alpha):
-    _same_graded(case_algebra(family, n, alpha))
+    _same_graded(catalog_algebra(family, n, alpha))
 
 
-@pytest.mark.parametrize("family,n,alpha", [c for c in catalog_cases() if c[1] == 7])
+@pytest.mark.parametrize("family,n,alpha", [c for c in catalog((7, 8, 9)) if c[1] == 7])
 def test_natural_graded_of_dense_rational_conjugates_matches_the_scalar_oracle(family, n, alpha):
     # the lifts of a dense table are dense rows over leads > 1: d_P > 1 on
     # every table but the abelian one
-    a = case_algebra(family, n, alpha)
+    a = catalog_algebra(family, n, alpha)
     rng = random.Random("%s:%d:%s" % (family, n, alpha))
     _same_graded(change_of_basis(a, dense_rational_move(rng, a.dim)))
 
@@ -180,16 +178,15 @@ def _ci_map(n, kind):
         v = ("2", "-1", "1+2i", "1/2")
         rows = [[v[c % 4] if r == c else "1-1i" if r == c + 1 and c % 2 == 0
                  else "-1/3" if r == c + 5 and c % 3 == 0 else "0" for c in range(n)] for r in range(n)]
-    else:   # dense: every entry in {1, -1, 2, -2}
-        v = (1, -1, 2, -2)
-        rows = [[v[(n * r + c) ** 3 % 31 % 4] for c in range(n)] for r in range(n)]
+    else:
+        return ci_move(n)
     return Matrix(n, n, [[parse_scalar(str(x)) for x in row] for row in rows])
 
 
-@pytest.mark.parametrize("family,n,alpha", catalog_cases())
+@pytest.mark.parametrize("family,n,alpha", catalog((7, 8, 9)))
 def test_lifts_times_their_triangular_inverse_is_d_times_the_identity(monkeypatch, family, n, alpha):
     # the lifts have distinct pivots, so they are inverted by substitution
-    a = case_algebra(family, n, alpha)
+    a = catalog_algebra(family, n, alpha)
     assert _echelons_built(monkeypatch, _lift_columns(a)) == 0
     rng = random.Random("lifts:%s:%d:%s" % (family, n, alpha))
     cols = _lift_columns(change_of_basis(a, dense_rational_move(rng, a.dim)))
